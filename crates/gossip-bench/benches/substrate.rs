@@ -90,7 +90,6 @@ fn bench_per_tick_updates(c: &mut Criterion) {
         edge: graph.edge(edge_id).expect("edge exists"),
         edge_id,
         time: 1.0,
-        edge_tick_count: 1,
         global_tick_count: 1,
     };
 

@@ -6,7 +6,11 @@
 //! * [`EpochProbe`] wraps Algorithm A (or any handler) and records the
 //!   variance right after every non-convex transfer of the designated edge,
 //!   yielding the per-epoch increments of `log var X(T_k⁺)` that Section 3
-//!   stochastically dominates with the lazy `±log n` walk.
+//!   stochastically dominates with the lazy `±log n` walk.  It counts the
+//!   designated edge's ticks the way Algorithm A does, suppressed ones
+//!   included.
+//!
+//! Both forward suppressed ticks to the wrapped handler.
 
 use gossip_graph::partition::Block;
 use gossip_graph::{EdgeId, Partition};
@@ -65,6 +69,10 @@ impl<H: EdgeTickHandler> EdgeTickHandler for CutTickProbe<H> {
         }
     }
 
+    fn on_suppressed_tick(&mut self, ctx: &EdgeTickContext<'_>) {
+        self.inner.on_suppressed_tick(ctx);
+    }
+
     fn name(&self) -> &str {
         "cut-tick-probe"
     }
@@ -77,6 +85,8 @@ pub struct EpochProbe<H> {
     inner: H,
     designated_edge: EdgeId,
     epoch_ticks: u64,
+    /// Ticks of the designated edge so far, suppressed ones included.
+    designated_ticks: u64,
     renormalize: bool,
     /// Variance immediately after each transfer (`var X(T_k⁺)`).  When
     /// renormalization is enabled this is relative to the unit variance the
@@ -99,6 +109,7 @@ impl<H> EpochProbe<H> {
             inner,
             designated_edge,
             epoch_ticks: epoch_ticks.max(1),
+            designated_ticks: 0,
             renormalize: false,
             post_transfer_variance: Vec::new(),
             pre_transfer_variance: Vec::new(),
@@ -145,8 +156,12 @@ impl<H> EpochProbe<H> {
 
 impl<H: EdgeTickHandler> EdgeTickHandler for EpochProbe<H> {
     fn on_edge_tick(&mut self, values: &mut NodeValues, ctx: &EdgeTickContext<'_>) {
-        let is_transfer = ctx.edge_id == self.designated_edge
-            && ctx.edge_tick_count.is_multiple_of(self.epoch_ticks);
+        let is_transfer = if ctx.edge_id == self.designated_edge {
+            self.designated_ticks += 1;
+            self.designated_ticks.is_multiple_of(self.epoch_ticks)
+        } else {
+            false
+        };
         if is_transfer {
             self.pre_transfer_variance.push(values.variance());
         }
@@ -165,6 +180,13 @@ impl<H: EdgeTickHandler> EdgeTickHandler for EpochProbe<H> {
                 }
             }
         }
+    }
+
+    fn on_suppressed_tick(&mut self, ctx: &EdgeTickContext<'_>) {
+        if ctx.edge_id == self.designated_edge {
+            self.designated_ticks += 1;
+        }
+        self.inner.on_suppressed_tick(ctx);
     }
 
     fn name(&self) -> &str {
@@ -208,7 +230,6 @@ mod tests {
                 edge: graph.edge(edge_id).unwrap(),
                 edge_id,
                 time: k as f64 * 0.1,
-                edge_tick_count: k,
                 global_tick_count: k,
             };
             probe.on_edge_tick(&mut values, &ctx);
@@ -244,7 +265,6 @@ mod tests {
                 edge: graph.edge(designated).unwrap(),
                 edge_id: designated,
                 time: k as f64,
-                edge_tick_count: k,
                 global_tick_count: k,
             };
             probe.on_edge_tick(&mut values, &ctx);

@@ -8,7 +8,7 @@
 //! cut, mass can only leak across the cut at rate `O(|E₁₂|/min(n₁,n₂))` per
 //! unit time, so averaging needs `Ω(min(n₁,n₂)/|E₁₂|)` time.
 
-use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, PairwiseKernel};
+use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState, PairwiseKernel};
 use gossip_sim::values::NodeValues;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -45,6 +45,14 @@ impl EdgeTickHandler for VanillaGossip {
             let avg = 0.5 * (xu + xv);
             (avg, avg)
         })
+    }
+
+    fn save_state(&self) -> Option<HandlerState> {
+        Some(HandlerState::default())
+    }
+
+    fn load_state(&mut self, state: &HandlerState) -> gossip_sim::Result<()> {
+        state.expect_shape(self.name(), 0, 0)
     }
 }
 
@@ -87,6 +95,14 @@ impl EdgeTickHandler for WeightedConvexGossip {
 
     fn name(&self) -> &str {
         "weighted-convex"
+    }
+
+    fn save_state(&self) -> Option<HandlerState> {
+        Some(HandlerState::default())
+    }
+
+    fn load_state(&mut self, state: &HandlerState) -> gossip_sim::Result<()> {
+        state.expect_shape(self.name(), 0, 0)
     }
 }
 
@@ -136,6 +152,22 @@ impl EdgeTickHandler for RandomNeighborGossip {
     fn name(&self) -> &str {
         "random-neighbor"
     }
+
+    /// The caller/callee stream's keystream position, high word first.
+    fn save_state(&self) -> Option<HandlerState> {
+        let position = self.rng.get_word_pos();
+        Some(HandlerState {
+            integers: vec![(position >> 64) as u64, position as u64],
+            reals: Vec::new(),
+        })
+    }
+
+    fn load_state(&mut self, state: &HandlerState) -> gossip_sim::Result<()> {
+        state.expect_shape(self.name(), 2, 0)?;
+        let position = (u128::from(state.integers[0]) << 64) | u128::from(state.integers[1]);
+        self.rng.set_word_pos(position);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -153,7 +185,6 @@ mod tests {
             edge: graph.edge(edge).unwrap(),
             edge_id: edge,
             time: 1.0,
-            edge_tick_count: 1,
             global_tick_count: 1,
         }
     }

@@ -23,7 +23,7 @@
 //!   the per-node memory makes the rule stateful — no pairwise kernel, the
 //!   sharded engine falls back to the legacy loop.
 
-use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, PairwiseKernel};
+use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState, PairwiseKernel};
 use gossip_sim::values::NodeValues;
 
 /// The canonical trim radius at which [`TrimmedMeanGossip`] exposes a
@@ -97,6 +97,14 @@ impl EdgeTickHandler for TrimmedMeanGossip {
             None
         }
     }
+
+    fn save_state(&self) -> Option<HandlerState> {
+        Some(HandlerState::default())
+    }
+
+    fn load_state(&mut self, state: &HandlerState) -> gossip_sim::Result<()> {
+        state.expect_shape(self.name(), 0, 0)
+    }
 }
 
 /// The middle value of three.
@@ -140,6 +148,20 @@ impl EdgeTickHandler for MedianNeighborGossip {
     fn name(&self) -> &str {
         "median"
     }
+
+    /// `last_seen`, one real per node.
+    fn save_state(&self) -> Option<HandlerState> {
+        Some(HandlerState {
+            integers: Vec::new(),
+            reals: self.last_seen.clone(),
+        })
+    }
+
+    fn load_state(&mut self, state: &HandlerState) -> gossip_sim::Result<()> {
+        state.expect_shape(self.name(), 0, self.last_seen.len())?;
+        self.last_seen.clone_from(&state.reals);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -156,7 +178,6 @@ mod tests {
             edge: graph.edge(edge).unwrap(),
             edge_id: edge,
             time: 1.0,
-            edge_tick_count: 1,
             global_tick_count: 1,
         }
     }

@@ -11,6 +11,12 @@
 //!   `x_u ← x_u + γ·(x_v − x_u)`, `x_v ← x_v − γ·(x_v − x_u)`,
 //!   where `u ∈ V₁`, `v ∈ V₂`; all other ticks of `e_c` do nothing.
 //!
+//! The handler counts the ticks of `e_c` itself.  A tick whose contact a
+//! fault or an adversary suppressed still counts (the engine reports it
+//! through [`EdgeTickHandler::on_suppressed_tick`]): the schedule follows
+//! `e_c`'s clock, not its delivered messages, so a suppressed `m`-th tick
+//! skips that epoch's transfer rather than delaying it.
+//!
 //! # The transfer coefficient γ
 //!
 //! The paper states `γ = n₁`.  A direct calculation (reproduced in this
@@ -34,7 +40,7 @@
 use crate::{CoreError, Result};
 use gossip_graph::partition::Block;
 use gossip_graph::{EdgeId, Graph, NodeId, Partition};
-use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler};
+use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState};
 use gossip_sim::values::NodeValues;
 use serde::{Deserialize, Serialize};
 
@@ -138,6 +144,8 @@ pub struct SparseCutAlgorithm {
     epoch_ticks: u64,
     /// Transfer coefficient `γ`.
     gamma: f64,
+    /// Ticks of `e_c` so far, suppressed ones included (the paper's `k`).
+    designated_ticks: u64,
     /// Number of transfers performed so far.
     transfers: u64,
 }
@@ -243,6 +251,7 @@ impl SparseCutAlgorithm {
             endpoint_two,
             epoch_ticks,
             gamma,
+            designated_ticks: 0,
             transfers: 0,
         })
     }
@@ -268,6 +277,11 @@ impl SparseCutAlgorithm {
         self.transfers
     }
 
+    /// Number of ticks of `e_c` so far, suppressed ones included.
+    pub fn designated_ticks(&self) -> u64 {
+        self.designated_ticks
+    }
+
     fn is_internal(&self, u: NodeId, v: NodeId) -> bool {
         self.in_block_one[u.index()] == self.in_block_one[v.index()]
     }
@@ -279,7 +293,8 @@ impl EdgeTickHandler for SparseCutAlgorithm {
         if ctx.edge_id == self.designated_edge {
             // Fire on every `epoch_ticks`-th tick of e_c (the paper's
             // "k ≡ −1 (mod m)" schedule up to a fixed offset of one tick).
-            if ctx.edge_tick_count.is_multiple_of(self.epoch_ticks) {
+            self.designated_ticks += 1;
+            if self.designated_ticks.is_multiple_of(self.epoch_ticks) {
                 values.transfer_pair_update(self.endpoint_one, self.endpoint_two, self.gamma);
                 self.transfers += 1;
             }
@@ -294,8 +309,28 @@ impl EdgeTickHandler for SparseCutAlgorithm {
         }
     }
 
+    fn on_suppressed_tick(&mut self, ctx: &EdgeTickContext<'_>) {
+        if ctx.edge_id == self.designated_edge {
+            self.designated_ticks += 1;
+        }
+    }
+
     fn name(&self) -> &str {
         "algorithm-a"
+    }
+
+    fn save_state(&self) -> Option<HandlerState> {
+        Some(HandlerState {
+            integers: vec![self.designated_ticks, self.transfers],
+            reals: Vec::new(),
+        })
+    }
+
+    fn load_state(&mut self, state: &HandlerState) -> gossip_sim::Result<()> {
+        state.expect_shape(self.name(), 2, 0)?;
+        self.designated_ticks = state.integers[0];
+        self.transfers = state.integers[1];
+        Ok(())
     }
 }
 
@@ -417,7 +452,6 @@ mod tests {
             edge: g.edge(frozen_edge).unwrap(),
             edge_id: frozen_edge,
             time: 0.1,
-            edge_tick_count: 1,
             global_tick_count: 1,
         };
         algo.on_edge_tick(&mut values, &ctx);
@@ -437,7 +471,6 @@ mod tests {
             edge,
             edge_id: internal,
             time: 0.2,
-            edge_tick_count: 1,
             global_tick_count: 2,
         };
         algo.on_edge_tick(&mut values, &ctx);
@@ -465,7 +498,6 @@ mod tests {
                 edge,
                 edge_id: ec,
                 time: k as f64,
-                edge_tick_count: k,
                 global_tick_count: k,
             };
             algo.on_edge_tick(&mut values, &ctx);
@@ -476,7 +508,75 @@ mod tests {
             }
         }
         assert_eq!(algo.transfers(), 2);
+        assert_eq!(algo.designated_ticks(), 2 * m);
         assert!((values.sum() - sum).abs() < 1e-9);
+    }
+
+    #[test]
+    fn suppressed_designated_ticks_advance_the_epoch() {
+        // A suppressed m-th tick of e_c skips that epoch's transfer; the
+        // next transfer still lands on tick 2m, not one tick later.
+        let (g, p) = dumbbell(4).unwrap();
+        let config = SparseCutConfig::new()
+            .with_t_van_sum(3.0)
+            .with_epoch_constant(1.0);
+        let mut algo = SparseCutAlgorithm::from_partition(&g, &p, config).unwrap();
+        let m = algo.epoch_ticks();
+        assert!(m >= 2);
+        let ec = algo.designated_edge();
+        let ctx = |k: u64| EdgeTickContext {
+            graph: &g,
+            edge: g.edge(ec).unwrap(),
+            edge_id: ec,
+            time: k as f64,
+            global_tick_count: k,
+        };
+        let mut values = adversarial(&p);
+        for k in 1..=(2 * m) {
+            if k == m {
+                algo.on_suppressed_tick(&ctx(k));
+            } else {
+                algo.on_edge_tick(&mut values, &ctx(k));
+            }
+        }
+        assert_eq!(algo.transfers(), 1, "only the tick-2m transfer fires");
+        // Suppressed ticks of other edges leave the count alone.
+        let other = g.edge_ids().find(|&e| e != ec).unwrap();
+        algo.on_suppressed_tick(&EdgeTickContext {
+            graph: &g,
+            edge: g.edge(other).unwrap(),
+            edge_id: other,
+            time: 0.0,
+            global_tick_count: 0,
+        });
+        assert_eq!(algo.designated_ticks(), 2 * m);
+    }
+
+    #[test]
+    fn state_round_trips_through_a_fresh_instance() {
+        let (g, p) = dumbbell(4).unwrap();
+        let config = SparseCutConfig::new()
+            .with_t_van_sum(3.0)
+            .with_epoch_constant(1.0);
+        let mut algo = SparseCutAlgorithm::from_partition(&g, &p, config.clone()).unwrap();
+        let ec = algo.designated_edge();
+        let mut values = adversarial(&p);
+        for k in 1..=(algo.epoch_ticks() + 1) {
+            let ctx = EdgeTickContext {
+                graph: &g,
+                edge: g.edge(ec).unwrap(),
+                edge_id: ec,
+                time: k as f64,
+                global_tick_count: k,
+            };
+            algo.on_edge_tick(&mut values, &ctx);
+        }
+        let state = algo.save_state().unwrap();
+        let mut fresh = SparseCutAlgorithm::from_partition(&g, &p, config).unwrap();
+        fresh.load_state(&state).unwrap();
+        assert_eq!(fresh.designated_ticks(), algo.designated_ticks());
+        assert_eq!(fresh.transfers(), 1);
+        assert!(fresh.load_state(&HandlerState::default()).is_err());
     }
 
     #[test]
@@ -500,7 +600,6 @@ mod tests {
             edge: g.edge(ec).unwrap(),
             edge_id: ec,
             time: 1.0,
-            edge_tick_count: 1,
             global_tick_count: 1,
         };
         algo.on_edge_tick(&mut values, &ctx);
@@ -533,7 +632,6 @@ mod tests {
             edge: g.edge(ec).unwrap(),
             edge_id: ec,
             time: 1.0,
-            edge_tick_count: 1,
             global_tick_count: 1,
         };
         algo.on_edge_tick(&mut values, &ctx);

@@ -23,7 +23,7 @@
 //! sparse-cut bottleneck the way Algorithm A does.
 
 use crate::{CoreError, Result};
-use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler};
+use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState};
 use gossip_sim::values::NodeValues;
 
 /// Asynchronous momentum ("two-time-scale") gossip.
@@ -89,6 +89,23 @@ impl EdgeTickHandler for TwoTimeScaleGossip {
     fn name(&self) -> &str {
         "two-time-scale"
     }
+
+    /// `last_flow`, one real per edge.
+    fn save_state(&self) -> Option<HandlerState> {
+        Some(HandlerState {
+            integers: Vec::new(),
+            reals: self.last_flow.iter().copied().map(Some).collect(),
+        })
+    }
+
+    fn load_state(&mut self, state: &HandlerState) -> gossip_sim::Result<()> {
+        state.expect_shape(self.name(), 0, self.last_flow.len())?;
+        let flows: Option<Vec<f64>> = state.reals.iter().copied().collect();
+        self.last_flow = flows.ok_or_else(|| gossip_sim::SimError::CheckpointInvalid {
+            reason: "two-time-scale state has an empty flow slot".into(),
+        })?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -125,7 +142,6 @@ mod tests {
                 edge: g.edge(edge).unwrap(),
                 edge_id: edge,
                 time: t as f64,
-                edge_tick_count: 1,
                 global_tick_count: t + 1,
             };
             ttsg.on_edge_tick(&mut a, &ctx);
@@ -151,7 +167,6 @@ mod tests {
                 edge: g.edge(edge).unwrap(),
                 edge_id: edge,
                 time: t as f64,
-                edge_tick_count: 1,
                 global_tick_count: t + 1,
             };
             algo.on_edge_tick(&mut values, &ctx);
@@ -172,7 +187,6 @@ mod tests {
             edge: g.edge(EdgeId(0)).unwrap(),
             edge_id: EdgeId(0),
             time: k as f64,
-            edge_tick_count: k,
             global_tick_count: k,
         };
         algo.on_edge_tick(&mut values, &ctx(1));

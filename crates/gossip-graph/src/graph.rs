@@ -207,30 +207,6 @@ impl Graph {
         &self.adjacency
     }
 
-    /// Builds the packed flat endpoint table used by cache-conscious
-    /// simulation engines: entry `e` holds edge `e`'s normalized endpoints as
-    /// `(u << 32) | v`, in edge-identifier order.
-    ///
-    /// Edge identifiers are what the tick samplers draw, so identifier order
-    /// *is* the cache-conscious order for the event loop: one aligned 8-byte
-    /// load per event instead of a two-word [`Edge`].  Returns `None` when
-    /// the node count exceeds `u32::MAX + 1` (endpoints would no longer fit
-    /// the packing) — callers fall back to the [`Self::edges`] slice.
-    pub fn packed_edge_endpoints(&self) -> Option<Vec<u64>> {
-        if self.node_count > u32::MAX as usize + 1 {
-            return None;
-        }
-        Some(
-            self.edges
-                .iter()
-                .map(|edge| {
-                    let (u, v) = edge.endpoints();
-                    ((u.index() as u64) << 32) | v.index() as u64
-                })
-                .collect(),
-        )
-    }
-
     /// Looks up an edge by identifier.
     ///
     /// # Errors
@@ -567,20 +543,6 @@ mod tests {
             let flat: Vec<_> = adjacency[offsets[v.index()]..offsets[v.index() + 1]].to_vec();
             let iterated: Vec<_> = g.neighbors(v).collect();
             assert_eq!(flat, iterated);
-        }
-    }
-
-    #[test]
-    fn packed_endpoints_match_edge_slice_in_id_order() {
-        let g = Graph::from_edges(5, &[(3, 1), (0, 4), (2, 0)]).unwrap();
-        let packed = g.packed_edge_endpoints().unwrap();
-        assert_eq!(packed.len(), g.edge_count());
-        for (edge, word) in g.edges().iter().zip(&packed) {
-            let (u, v) = edge.endpoints();
-            assert_eq!(*word >> 32, u.index() as u64);
-            assert_eq!(*word & 0xFFFF_FFFF, v.index() as u64);
-            // Endpoints are normalized, so the packed word preserves order.
-            assert!(u.index() < v.index());
         }
     }
 

@@ -6,8 +6,11 @@
 //! sums (drift and all), the keystream positions of the clock / fault /
 //! adversary ChaCha8 streams together with their unconsumed batch buffers,
 //! the edge-clock queue, the injector counters and stale-replay histories,
-//! and the engine-side stop/settling bookkeeping.  The stopping rule itself
-//! is pure (see [`crate::stopping`]) and is reconstructed from the
+//! the handler's own state ([`HandlerState`]), and the engine-side
+//! stop/settling bookkeeping.  Apart from the per-edge clock queue (one
+//! entry per edge by construction) and whatever a handler keeps per edge,
+//! nothing in it grows with the edge count.  The stopping rule itself is
+//! pure (see [`crate::stopping`]) and is reconstructed from the
 //! [`SimulationConfig`] on restore.
 //!
 //! Capture is driven by [`SimulationConfig::checkpoint_every_ticks`] through
@@ -33,13 +36,17 @@ use crate::adversary::{AdversaryInjectorState, AdversaryStats};
 use crate::clock::{EdgeClockQueueState, GlobalTickProcessState};
 use crate::engine::ClockModel;
 use crate::fault::{FaultInjectorState, FaultStats};
+use crate::handler::HandlerState;
 use crate::{Result, SimError};
 use serde::json::Value;
 
 /// Version stamp of the checkpoint document layout.  Bumped on any change to
 /// the field set or encodings; a blob with a different version is rejected
 /// (a checkpoint is a bit-exact machine state, not a migratable record).
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2 dropped the samplers' per-edge tick counters and added the
+/// handler's state; version 1 blobs are rejected.
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Checkpointed state of one tick sampler (mirrors
 /// [`crate::engine`]'s internal sampler dispatch).
@@ -58,11 +65,14 @@ pub(crate) enum SamplerState {
 /// [`Self::from_value`] and handing it back to
 /// [`AsyncSimulator::restore`].
 ///
-/// Handler state is **not** captured: checkpointing targets the stateless /
-/// pairwise-kernel handlers the bench tiers run (the same restriction the
-/// sharded and flat engines already impose).  Restoring a run whose handler
-/// carries evolving internal state resumes that handler from its initial
-/// state.
+/// The handler's evolving state is captured through
+/// [`EdgeTickHandler::save_state`] and reinstalled through
+/// [`EdgeTickHandler::load_state`], so a resumed run matches the
+/// uninterrupted one for every handler that implements the pair; capture
+/// and restore both refuse a handler that does not.
+///
+/// [`EdgeTickHandler::save_state`]: crate::handler::EdgeTickHandler::save_state
+/// [`EdgeTickHandler::load_state`]: crate::handler::EdgeTickHandler::load_state
 ///
 /// [`AsyncSimulator`]: crate::engine::AsyncSimulator
 /// [`AsyncSimulator::restore`]: crate::engine::AsyncSimulator::restore
@@ -100,6 +110,8 @@ pub struct EngineCheckpoint {
     /// Adversary stream position, counters and replay histories, when a
     /// plan is active.
     pub(crate) adversary: Option<AdversaryInjectorState>,
+    /// The handler's own state.
+    pub(crate) handler: HandlerState,
 }
 
 impl EngineCheckpoint {
@@ -178,6 +190,7 @@ impl EngineCheckpoint {
                 None => Value::Null,
             },
         ));
+        fields.push(("handler".into(), handler_state_value(&self.handler)));
         Value::Object(fields)
     }
 
@@ -224,6 +237,7 @@ impl EngineCheckpoint {
             Value::Null => None,
             other => Some(parse_adversary_state(other)?),
         };
+        let handler = parse_handler_state(get(obj, "handler")?)?;
         Ok(EngineCheckpoint {
             ticks: get_u64(obj, "ticks")?,
             time: get_f64(obj, "time")?,
@@ -240,6 +254,7 @@ impl EngineCheckpoint {
             sampler,
             faults,
             adversary,
+            handler,
         })
     }
 }
@@ -346,17 +361,6 @@ fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool> {
     }
 }
 
-fn counts_value(counts: &[u64]) -> Value {
-    Value::Array(counts.iter().map(|&c| u64_value(c)).collect())
-}
-
-fn parse_counts(value: &Value, ctx: &str) -> Result<Vec<u64>> {
-    as_array(value, ctx)?
-        .iter()
-        .map(|v| value_u64(v, ctx))
-        .collect()
-}
-
 /// `(f64, usize)` pairs — queue entries and global-batch draws share the
 /// shape.
 fn pairs_value(pairs: &[(f64, usize)]) -> Value {
@@ -387,7 +391,6 @@ fn sampler_value(state: &SamplerState) -> Value {
             ("kind".into(), Value::String("queue".into())),
             ("entries".into(), pairs_value(&q.entries)),
             ("rng_word_pos".into(), u128_value(q.rng_word_pos)),
-            ("edge_tick_counts".into(), counts_value(&q.edge_tick_counts)),
             ("global_tick_count".into(), u64_value(q.global_tick_count)),
             ("now".into(), f64_value(q.now)),
             ("rate".into(), f64_value(q.rate)),
@@ -395,8 +398,6 @@ fn sampler_value(state: &SamplerState) -> Value {
         SamplerState::Global(g) => Value::Object(vec![
             ("kind".into(), Value::String("global".into())),
             ("rng_word_pos".into(), u128_value(g.rng_word_pos)),
-            ("edge_count".into(), Value::Number(g.edge_count as f64)),
-            ("edge_tick_counts".into(), counts_value(&g.edge_tick_counts)),
             ("global_tick_count".into(), u64_value(g.global_tick_count)),
             ("now".into(), f64_value(g.now)),
             ("batch_tail".into(), pairs_value(&g.batch_tail)),
@@ -414,15 +415,12 @@ fn parse_sampler(value: &Value) -> Result<SamplerState> {
         "queue" => Ok(SamplerState::Queue(EdgeClockQueueState {
             entries: parse_pairs(get(obj, "entries")?, "sampler entries")?,
             rng_word_pos: get_u128(obj, "rng_word_pos")?,
-            edge_tick_counts: parse_counts(get(obj, "edge_tick_counts")?, "edge_tick_counts")?,
             global_tick_count: get_u64(obj, "global_tick_count")?,
             now: get_f64(obj, "now")?,
             rate: get_f64(obj, "rate")?,
         })),
         "global" => Ok(SamplerState::Global(GlobalTickProcessState {
             rng_word_pos: get_u128(obj, "rng_word_pos")?,
-            edge_count: get_usize(obj, "edge_count")?,
-            edge_tick_counts: parse_counts(get(obj, "edge_tick_counts")?, "edge_tick_counts")?,
             global_tick_count: get_u64(obj, "global_tick_count")?,
             now: get_f64(obj, "now")?,
             batch_tail: parse_pairs(get(obj, "batch_tail")?, "batch_tail")?,
@@ -430,6 +428,44 @@ fn parse_sampler(value: &Value) -> Result<SamplerState> {
         })),
         other => Err(invalid(format!("unknown sampler kind {other:?}"))),
     }
+}
+
+/// Integers as decimal strings, reals as bit-pattern hex with `null` for an
+/// empty slot.
+fn handler_state_value(state: &HandlerState) -> Value {
+    Value::Object(vec![
+        (
+            "integers".into(),
+            Value::Array(state.integers.iter().map(|&i| u64_value(i)).collect()),
+        ),
+        (
+            "reals".into(),
+            Value::Array(
+                state
+                    .reals
+                    .iter()
+                    .map(|r| r.map_or(Value::Null, f64_value))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+fn parse_handler_state(value: &Value) -> Result<HandlerState> {
+    let obj = as_object(value, "handler")?;
+    Ok(HandlerState {
+        integers: as_array(get(obj, "integers")?, "handler integers")?
+            .iter()
+            .map(|v| value_u64(v, "handler integer"))
+            .collect::<Result<Vec<u64>>>()?,
+        reals: as_array(get(obj, "reals")?, "handler reals")?
+            .iter()
+            .map(|v| match v {
+                Value::Null => Ok(None),
+                other => value_f64(other, "handler real").map(Some),
+            })
+            .collect::<Result<Vec<Option<f64>>>>()?,
+    })
 }
 
 fn fault_state_value(state: &FaultInjectorState) -> Value {
@@ -634,6 +670,10 @@ mod tests {
                 },
                 stale_histories: vec![(2, vec![(7, 0.5), (9, -1.5)]), (4, vec![])],
             }),
+            handler: HandlerState {
+                integers: vec![0, 17, u64::MAX],
+                reals: vec![None, Some(-0.0), Some(2.5e-300), None],
+            },
         }
     }
 
@@ -641,7 +681,6 @@ mod tests {
         SamplerState::Queue(EdgeClockQueueState {
             entries: vec![(0.125, 3), (0.25, 0), (0.25, 1), (9.75, 2)],
             rng_word_pos: (3u128 << 80) + 5,
-            edge_tick_counts: vec![1, 0, 2, u64::MAX],
             global_tick_count: 1 << 40,
             now: 0.0625,
             rate: 1.0,
@@ -651,8 +690,6 @@ mod tests {
     fn global_sampler() -> SamplerState {
         SamplerState::Global(GlobalTickProcessState {
             rng_word_pos: 12345,
-            edge_count: 4,
-            edge_tick_counts: vec![5, 6, 7, 8],
             global_tick_count: 26,
             now: 3.5,
             batch_tail: vec![(0.001, 2), (0.002, 0)],
@@ -675,6 +712,56 @@ mod tests {
                 "-0.0 must survive the round trip"
             );
             assert!(restored.adversary.as_ref().unwrap().stats.report_min == f64::INFINITY);
+            assert_eq!(
+                restored.handler.reals[1].map(f64::to_bits),
+                Some((-0.0f64).to_bits()),
+                "handler reals keep their bits"
+            );
+        }
+    }
+
+    #[test]
+    fn version_one_blobs_are_rejected() {
+        // A v1 document carried per-edge tick counters and no handler state;
+        // its machine state cannot be reinstalled, so it is refused outright.
+        let mut value = sample_checkpoint(global_sampler()).to_value();
+        if let Value::Object(fields) = &mut value {
+            assert_eq!(fields[0].0, "version");
+            fields[0].1 = Value::Number(1.0);
+        }
+        let rejected = EngineCheckpoint::from_value(&value);
+        assert!(
+            matches!(&rejected, Err(SimError::CheckpointInvalid { reason }) if reason.contains("version 1")),
+            "{rejected:?}"
+        );
+    }
+
+    #[test]
+    fn malformed_handler_state_is_rejected() {
+        for bad in [
+            Value::Null,
+            Value::Object(vec![("integers".into(), Value::Array(vec![]))]),
+            Value::Object(vec![
+                ("integers".into(), Value::Array(vec![Value::Number(3.0)])),
+                ("reals".into(), Value::Array(vec![])),
+            ]),
+            Value::Object(vec![
+                ("integers".into(), Value::Array(vec![])),
+                ("reals".into(), Value::Array(vec![Value::Bool(true)])),
+            ]),
+        ] {
+            let mut value = sample_checkpoint(queue_sampler()).to_value();
+            if let Value::Object(fields) = &mut value {
+                let slot = fields.iter_mut().find(|(k, _)| k == "handler").unwrap();
+                slot.1 = bad.clone();
+            }
+            assert!(
+                matches!(
+                    EngineCheckpoint::from_value(&value),
+                    Err(SimError::CheckpointInvalid { .. })
+                ),
+                "accepted handler state {bad:?}"
+            );
         }
     }
 

@@ -7,18 +7,25 @@
 //! * [`EdgeClockQueue`] — simulate every edge's clock explicitly: keep the
 //!   next tick time of each edge in a priority queue and, after delivering an
 //!   event, re-arm that edge with a fresh `Exp(1)` inter-arrival time.  This
-//!   is the literal discrete-event view and also yields per-edge tick counts
-//!   (which Algorithm A needs: its non-convex update fires on every `k`-th
-//!   tick of the designated edge).
+//!   is the literal discrete-event view.
 //! * [`GlobalTickProcess`] — use the superposition property: the union of
 //!   `|E|` rate-1 processes is a rate-`|E|` Poisson process whose points are
 //!   assigned to edges uniformly at random.  This is cheaper (`O(1)` per
 //!   event) and is what large sweeps use.
 //!
-//! Both samplers are deterministic functions of their seed.
+//! Every [`TickEvent`] carries the ticking edge's endpoints, so no consumer
+//! indexes the edge table per tick.  The queue reads them as it pops an
+//! event; the global process resolves a whole batch of draws in one pass
+//! right after drawing it, where the table loads are independent of each
+//! other and the CPU overlaps their cache misses.
+//!
+//! Neither sampler counts ticks per edge: the only per-edge count the paper
+//! needs is Algorithm A's count of its designated edge, and that handler
+//! keeps it itself.  Both samplers are deterministic functions of their
+//! seed.
 
 use crate::{Result, SimError};
-use gossip_graph::{EdgeId, Graph};
+use gossip_graph::{Edge, EdgeId, Graph};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Ordering;
@@ -31,9 +38,8 @@ pub struct TickEvent {
     pub time: f64,
     /// The edge whose clock ticked.
     pub edge: EdgeId,
-    /// How many times this particular edge has ticked so far, counting this
-    /// tick (so the first tick of an edge has `edge_tick_count == 1`).
-    pub edge_tick_count: u64,
+    /// The endpoints of [`Self::edge`], as the graph stores them.
+    pub endpoints: Edge,
     /// How many ticks of any edge have occurred so far, counting this one.
     pub global_tick_count: u64,
 }
@@ -61,22 +67,22 @@ pub fn exponential_sample<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
-/// Recyclable sampler buffers: the per-edge tick counters, the clock queue's
-/// heap storage, and the global sampler's draw batch.
+/// Recyclable sampler buffers: the clock queue's heap storage and the global
+/// sampler's draw batch.
 ///
-/// Both samplers allocate O(|E|) at construction, which is pure churn for
-/// callers that build one simulator per derived seed (the averaging-time
-/// estimator runs 10–30 of them per estimate, per worker).  Constructing a
-/// sampler through its `*_with_scratch` variant steals these buffers instead
-/// of allocating, and `reclaim_scratch` hands them back when the simulator is
-/// torn down.  Reuse is allocation-only: the buffers are cleared and refilled
+/// The queue allocates O(|E|) at construction and the global sampler its
+/// batch buffers, which is pure churn for callers that build one simulator
+/// per derived seed (the averaging-time estimator runs 10–30 of them per
+/// estimate, per worker).  Constructing a sampler through its
+/// `*_with_scratch` variant steals these buffers instead of allocating, and
+/// `reclaim_scratch` hands them back when the simulator is torn down.  Reuse is allocation-only: the buffers are cleared and refilled
 /// exactly as a fresh construction would, so the delivered tick stream is
 /// bit-identical either way (pinned by `scratch_round_trip_is_bit_identical`).
 #[derive(Debug, Default)]
 pub struct ClockScratch {
-    tick_counts: Vec<u64>,
     entries: Vec<QueueEntry>,
-    batch: Vec<(f64, usize)>,
+    draws: Vec<(f64, usize)>,
+    endpoints: Vec<Edge>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,23 +112,24 @@ impl PartialOrd for QueueEntry {
 
 /// Literal per-edge Poisson clocks, delivered in time order.
 #[derive(Debug, Clone)]
-pub struct EdgeClockQueue {
+pub struct EdgeClockQueue<'g> {
+    /// The graph's edge table, read once per delivered tick.
+    edges: &'g [Edge],
     queue: BinaryHeap<QueueEntry>,
     rng: ChaCha8Rng,
-    edge_tick_counts: Vec<u64>,
     global_tick_count: u64,
     now: f64,
     rate: f64,
 }
 
-impl EdgeClockQueue {
+impl<'g> EdgeClockQueue<'g> {
     /// Creates clocks for every edge of `graph`, each with rate 1, seeded
     /// deterministically.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NoEdges`] if the graph has no edges.
-    pub fn new(graph: &Graph, seed: u64) -> Result<Self> {
+    pub fn new(graph: &'g Graph, seed: u64) -> Result<Self> {
         Self::with_rate(graph, seed, 1.0)
     }
 
@@ -132,7 +139,7 @@ impl EdgeClockQueue {
     ///
     /// Returns [`SimError::NoEdges`] if the graph has no edges, or
     /// [`SimError::InvalidConfig`] for a non-positive rate.
-    pub fn with_rate(graph: &Graph, seed: u64, rate: f64) -> Result<Self> {
+    pub fn with_rate(graph: &'g Graph, seed: u64, rate: f64) -> Result<Self> {
         Self::with_rate_scratch(graph, seed, rate, &mut ClockScratch::default())
     }
 
@@ -142,7 +149,11 @@ impl EdgeClockQueue {
     /// # Errors
     ///
     /// Same as [`Self::new`].
-    pub fn new_with_scratch(graph: &Graph, seed: u64, scratch: &mut ClockScratch) -> Result<Self> {
+    pub fn new_with_scratch(
+        graph: &'g Graph,
+        seed: u64,
+        scratch: &mut ClockScratch,
+    ) -> Result<Self> {
         Self::with_rate_scratch(graph, seed, 1.0, scratch)
     }
 
@@ -152,7 +163,7 @@ impl EdgeClockQueue {
     ///
     /// Same as [`Self::with_rate`].
     pub fn with_rate_scratch(
-        graph: &Graph,
+        graph: &'g Graph,
         seed: u64,
         rate: f64,
         scratch: &mut ClockScratch,
@@ -179,29 +190,20 @@ impl EdgeClockQueue {
         // stream — the only thing the engine observes — is the sorted order
         // either way.
         let queue = BinaryHeap::from(entries);
-        let mut edge_tick_counts = std::mem::take(&mut scratch.tick_counts);
-        edge_tick_counts.clear();
-        edge_tick_counts.resize(graph.edge_count(), 0);
         Ok(EdgeClockQueue {
+            edges: graph.edges(),
             queue,
             rng,
-            edge_tick_counts,
             global_tick_count: 0,
             now: 0.0,
             rate,
         })
     }
 
-    /// Number of ticks edge `edge` has delivered so far.
-    pub fn edge_tick_count(&self, edge: EdgeId) -> u64 {
-        self.edge_tick_counts[edge.index()]
-    }
-
     /// Tears the sampler down, returning its buffers to `scratch` for the
     /// next `*_with_scratch` construction.
     pub fn reclaim_scratch(self, scratch: &mut ClockScratch) {
         scratch.entries = self.queue.into_vec();
-        scratch.tick_counts = self.edge_tick_counts;
     }
 
     /// Crate-internal: captures the full resumable state.  The heap is
@@ -223,7 +225,6 @@ impl EdgeClockQueue {
         EdgeClockQueueState {
             entries,
             rng_word_pos: self.rng.get_word_pos(),
-            edge_tick_counts: self.edge_tick_counts.clone(),
             global_tick_count: self.global_tick_count,
             now: self.now,
             rate: self.rate,
@@ -234,7 +235,37 @@ impl EdgeClockQueue {
     /// be the seed the captured sampler was constructed with; the RNG is
     /// re-seeded and fast-forwarded to the captured keystream position, so
     /// every subsequent draw is bit-identical to the uninterrupted run.
-    pub(crate) fn restore_state(seed: u64, state: &EdgeClockQueueState) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CheckpointInvalid`] unless the captured queue holds every
+    /// edge of `graph` exactly once with a finite time.
+    pub(crate) fn restore_state(
+        graph: &'g Graph,
+        seed: u64,
+        state: &EdgeClockQueueState,
+    ) -> Result<Self> {
+        let mut seen = vec![false; graph.edge_count()];
+        for &(time, edge) in &state.entries {
+            if !time.is_finite() || edge >= seen.len() || seen[edge] {
+                return Err(SimError::CheckpointInvalid {
+                    reason: format!(
+                        "clock queue entry ({time}, edge {edge}) has a non-finite time, an \
+                         unknown edge, or an edge queued twice"
+                    ),
+                });
+            }
+            seen[edge] = true;
+        }
+        if state.entries.len() != graph.edge_count() {
+            return Err(SimError::CheckpointInvalid {
+                reason: format!(
+                    "clock queue holds {} entries for {} edges",
+                    state.entries.len(),
+                    graph.edge_count()
+                ),
+            });
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.set_word_pos(state.rng_word_pos);
         let entries: Vec<QueueEntry> = state
@@ -245,14 +276,14 @@ impl EdgeClockQueue {
                 edge: EdgeId(edge),
             })
             .collect();
-        EdgeClockQueue {
+        Ok(EdgeClockQueue {
+            edges: graph.edges(),
             queue: BinaryHeap::from(entries),
             rng,
-            edge_tick_counts: state.edge_tick_counts.clone(),
             global_tick_count: state.global_tick_count,
             now: state.now,
             rate: state.rate,
-        }
+        })
     }
 }
 
@@ -264,8 +295,6 @@ pub(crate) struct EdgeClockQueueState {
     pub(crate) entries: Vec<(f64, usize)>,
     /// Keystream position of the re-arm RNG.
     pub(crate) rng_word_pos: u128,
-    /// Ticks delivered per edge so far.
-    pub(crate) edge_tick_counts: Vec<u64>,
     /// Ticks delivered overall so far.
     pub(crate) global_tick_count: u64,
     /// Time of the last delivered tick.
@@ -274,7 +303,7 @@ pub(crate) struct EdgeClockQueueState {
     pub(crate) rate: f64,
 }
 
-impl TickProcess for EdgeClockQueue {
+impl TickProcess for EdgeClockQueue<'_> {
     #[inline]
     fn next_tick(&mut self) -> TickEvent {
         // Re-arm in place through `peek_mut`: writing the fresh arrival time
@@ -295,11 +324,10 @@ impl TickProcess for EdgeClockQueue {
         };
         self.now = time;
         self.global_tick_count += 1;
-        self.edge_tick_counts[edge.index()] += 1;
         TickEvent {
             time,
             edge,
-            edge_tick_count: self.edge_tick_counts[edge.index()],
+            endpoints: self.edges[edge.index()],
             global_tick_count: self.global_tick_count,
         }
     }
@@ -327,29 +355,31 @@ pub const GLOBAL_TICK_BATCH: usize = 1024;
 /// Superposition sampler: a global rate-`|E|` Poisson process with uniform
 /// edge assignment.
 #[derive(Debug, Clone)]
-pub struct GlobalTickProcess {
+pub struct GlobalTickProcess<'g> {
+    /// The graph's edge table, read once per draw when a batch is resolved.
+    edges: &'g [Edge],
     rng: ChaCha8Rng,
-    edge_count: usize,
-    edge_tick_counts: Vec<u64>,
     global_tick_count: u64,
     now: f64,
-    rate_per_edge: f64,
     /// Precomputed `(inter-arrival gap, edge index)` pairs, in draw order.
-    batch: Vec<(f64, usize)>,
-    /// Next unconsumed entry of `batch`.
+    draws: Vec<(f64, usize)>,
+    /// The endpoints of every entry of `draws`, resolved in one pass after
+    /// the batch is drawn.
+    endpoints: Vec<Edge>,
+    /// Next unconsumed entry of the batch.
     batch_pos: usize,
     /// Draws prefetched per refill ([`GLOBAL_TICK_BATCH`] unless built
     /// through [`Self::with_batch_capacity`]); never affects the stream.
     batch_capacity: usize,
 }
 
-impl GlobalTickProcess {
+impl<'g> GlobalTickProcess<'g> {
     /// Creates the process for `graph` with rate 1 per edge.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NoEdges`] if the graph has no edges.
-    pub fn new(graph: &Graph, seed: u64) -> Result<Self> {
+    pub fn new(graph: &'g Graph, seed: u64) -> Result<Self> {
         Self::new_with_scratch(graph, seed, &mut ClockScratch::default())
     }
 
@@ -359,7 +389,11 @@ impl GlobalTickProcess {
     /// # Errors
     ///
     /// Same as [`Self::new`].
-    pub fn new_with_scratch(graph: &Graph, seed: u64, scratch: &mut ClockScratch) -> Result<Self> {
+    pub fn new_with_scratch(
+        graph: &'g Graph,
+        seed: u64,
+        scratch: &mut ClockScratch,
+    ) -> Result<Self> {
         Self::with_capacity_scratch(graph, seed, GLOBAL_TICK_BATCH, scratch)
     }
 
@@ -374,12 +408,12 @@ impl GlobalTickProcess {
     ///
     /// Returns [`SimError::NoEdges`] if the graph has no edges, or
     /// [`SimError::InvalidConfig`] for a zero width.
-    pub fn with_batch_capacity(graph: &Graph, seed: u64, capacity: usize) -> Result<Self> {
+    pub fn with_batch_capacity(graph: &'g Graph, seed: u64, capacity: usize) -> Result<Self> {
         Self::with_capacity_scratch(graph, seed, capacity, &mut ClockScratch::default())
     }
 
     fn with_capacity_scratch(
-        graph: &Graph,
+        graph: &'g Graph,
         seed: u64,
         capacity: usize,
         scratch: &mut ClockScratch,
@@ -392,83 +426,108 @@ impl GlobalTickProcess {
                 reason: "global tick batch capacity must be at least 1".to_string(),
             });
         }
-        let mut edge_tick_counts = std::mem::take(&mut scratch.tick_counts);
-        edge_tick_counts.clear();
-        edge_tick_counts.resize(graph.edge_count(), 0);
-        let mut batch = std::mem::take(&mut scratch.batch);
-        batch.clear();
-        batch.reserve(capacity);
+        let mut draws = std::mem::take(&mut scratch.draws);
+        draws.clear();
+        draws.reserve(capacity);
+        let mut endpoints = std::mem::take(&mut scratch.endpoints);
+        endpoints.clear();
+        endpoints.reserve(capacity);
         Ok(GlobalTickProcess {
+            edges: graph.edges(),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            edge_count: graph.edge_count(),
-            edge_tick_counts,
             global_tick_count: 0,
             now: 0.0,
-            rate_per_edge: 1.0,
-            batch,
+            draws,
+            endpoints,
             batch_pos: 0,
             batch_capacity: capacity,
         })
     }
 
-    /// Number of ticks edge `edge` has delivered so far.
-    pub fn edge_tick_count(&self, edge: EdgeId) -> u64 {
-        self.edge_tick_counts[edge.index()]
-    }
-
     /// Tears the sampler down, returning its buffers to `scratch` for the
     /// next `*_with_scratch` construction.
     pub fn reclaim_scratch(self, scratch: &mut ClockScratch) {
-        scratch.tick_counts = self.edge_tick_counts;
-        scratch.batch = self.batch;
+        scratch.draws = self.draws;
+        scratch.endpoints = self.endpoints;
     }
 
     /// Crate-internal: captures the full resumable state.  The RNG position
     /// is taken *after* the last refill, so the unconsumed tail of the
     /// current batch must be captured verbatim — on restore it is replayed
-    /// before the next refill draws from the repositioned stream.
+    /// before the next refill draws from the repositioned stream.  Only the
+    /// draws are captured; their endpoints are the graph's.
     pub(crate) fn checkpoint_state(&self) -> GlobalTickProcessState {
         GlobalTickProcessState {
             rng_word_pos: self.rng.get_word_pos(),
-            edge_count: self.edge_count,
-            edge_tick_counts: self.edge_tick_counts.clone(),
             global_tick_count: self.global_tick_count,
             now: self.now,
-            batch_tail: self.batch[self.batch_pos..].to_vec(),
+            batch_tail: self.draws[self.batch_pos..].to_vec(),
             batch_capacity: self.batch_capacity,
         }
     }
 
-    /// Crate-internal: rebuilds the sampler from a checkpoint.  `seed` must
+    /// Crate-internal: rebuilds the sampler from a checkpoint, resolving the
+    /// endpoints of the captured batch tail from `graph` again.  `seed` must
     /// be the seed the captured sampler was constructed with.
-    pub(crate) fn restore_state(seed: u64, state: &GlobalTickProcessState) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CheckpointInvalid`] for a zero batch width or a batch
+    /// entry naming an edge `graph` does not have.
+    pub(crate) fn restore_state(
+        graph: &'g Graph,
+        seed: u64,
+        state: &GlobalTickProcessState,
+    ) -> Result<Self> {
+        if state.batch_capacity == 0 {
+            return Err(SimError::CheckpointInvalid {
+                reason: "global tick batch capacity is zero".into(),
+            });
+        }
+        let edges = graph.edges();
+        if let Some(&(_, edge)) = state.batch_tail.iter().find(|&&(_, e)| e >= edges.len()) {
+            return Err(SimError::CheckpointInvalid {
+                reason: format!(
+                    "batch draw names edge {edge} of a {}-edge graph",
+                    edges.len()
+                ),
+            });
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.set_word_pos(state.rng_word_pos);
-        GlobalTickProcess {
+        Ok(GlobalTickProcess {
+            edges,
             rng,
-            edge_count: state.edge_count,
-            edge_tick_counts: state.edge_tick_counts.clone(),
             global_tick_count: state.global_tick_count,
             now: state.now,
-            rate_per_edge: 1.0,
-            batch: state.batch_tail.clone(),
+            draws: state.batch_tail.clone(),
+            endpoints: state.batch_tail.iter().map(|&(_, e)| edges[e]).collect(),
             batch_pos: 0,
             batch_capacity: state.batch_capacity,
-        }
+        })
     }
 
     #[cold]
     fn refill_batch(&mut self) {
-        let total_rate = self.rate_per_edge * self.edge_count as f64;
-        self.batch.clear();
+        let edge_count = self.edges.len();
+        let total_rate = edge_count as f64;
+        self.draws.clear();
         for _ in 0..self.batch_capacity {
             // Draw order per event — gap first, then edge — matches the
             // historical one-event-at-a-time sampler, keeping the stream
             // bit-identical for every seed.
             let gap = exponential_sample(&mut self.rng, total_rate);
-            let edge = self.rng.gen_range(0..self.edge_count);
-            self.batch.push((gap, edge));
+            let edge = self.rng.gen_range(0..edge_count);
+            self.draws.push((gap, edge));
         }
+        // Resolve endpoints in a second pass: the loads depend only on the
+        // drawn indices, not on each other or on the RNG, so the CPU keeps
+        // many table misses in flight at once instead of taking one per
+        // tick on the engine's critical path.
+        let edges = self.edges;
+        self.endpoints.clear();
+        self.endpoints
+            .extend(self.draws.iter().map(|&(_, edge)| edges[edge]));
         self.batch_pos = 0;
     }
 }
@@ -479,10 +538,6 @@ impl GlobalTickProcess {
 pub(crate) struct GlobalTickProcessState {
     /// Keystream position of the draw RNG, after the last batch refill.
     pub(crate) rng_word_pos: u128,
-    /// Number of edges (the uniform mark range).
-    pub(crate) edge_count: usize,
-    /// Ticks delivered per edge so far.
-    pub(crate) edge_tick_counts: Vec<u64>,
     /// Ticks delivered overall so far.
     pub(crate) global_tick_count: u64,
     /// Time of the last delivered tick.
@@ -493,22 +548,21 @@ pub(crate) struct GlobalTickProcessState {
     pub(crate) batch_capacity: usize,
 }
 
-impl TickProcess for GlobalTickProcess {
+impl TickProcess for GlobalTickProcess<'_> {
     #[inline]
     fn next_tick(&mut self) -> TickEvent {
-        if self.batch_pos == self.batch.len() {
+        if self.batch_pos == self.draws.len() {
             self.refill_batch();
         }
-        let (gap, edge_index) = self.batch[self.batch_pos];
+        let (gap, edge_index) = self.draws[self.batch_pos];
+        let endpoints = self.endpoints[self.batch_pos];
         self.batch_pos += 1;
-        let edge = EdgeId(edge_index);
         self.now += gap;
         self.global_tick_count += 1;
-        self.edge_tick_counts[edge.index()] += 1;
         TickEvent {
             time: self.now,
-            edge,
-            edge_tick_count: self.edge_tick_counts[edge.index()],
+            edge: EdgeId(edge_index),
+            endpoints,
             global_tick_count: self.global_tick_count,
         }
     }
@@ -563,17 +617,28 @@ mod tests {
         let g = complete(5).unwrap();
         let mut clock = EdgeClockQueue::new(&g, 42).unwrap();
         let mut last = 0.0;
-        let mut per_edge = vec![0u64; g.edge_count()];
         for i in 1..=500u64 {
             let ev = clock.next_tick();
             assert!(ev.time >= last);
             assert!(ev.edge.index() < g.edge_count());
             last = ev.time;
-            per_edge[ev.edge.index()] += 1;
             assert_eq!(ev.global_tick_count, i);
-            assert_eq!(ev.edge_tick_count, per_edge[ev.edge.index()]);
-            assert_eq!(clock.edge_tick_count(ev.edge), ev.edge_tick_count);
             assert!((clock.now() - ev.time).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn events_carry_the_endpoints_of_their_edge() {
+        // Both samplers resolve endpoints themselves (the queue per pop, the
+        // global process per batch); every event must carry exactly the
+        // graph's edge, across several global refills.
+        let g = path(7).unwrap();
+        let mut queue = EdgeClockQueue::new(&g, 5).unwrap();
+        let mut global = GlobalTickProcess::with_batch_capacity(&g, 5, 7).unwrap();
+        for _ in 0..200 {
+            for ev in [queue.next_tick(), global.next_tick()] {
+                assert_eq!(ev.endpoints, g.edge(ev.edge).unwrap());
+            }
         }
     }
 
@@ -583,14 +648,14 @@ mod tests {
         // reference implementation is the historical pop + push (two sifts).
         // Entries are totally ordered, so both must deliver the exact same
         // tick stream — bit-for-bit, including re-arm draws.
-        struct Reference {
+        struct Reference<'g> {
+            graph: &'g Graph,
             queue: BinaryHeap<QueueEntry>,
             rng: ChaCha8Rng,
-            counts: Vec<u64>,
             global: u64,
         }
-        impl Reference {
-            fn new(graph: &Graph, seed: u64) -> Self {
+        impl<'g> Reference<'g> {
+            fn new(graph: &'g Graph, seed: u64) -> Self {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut queue = BinaryHeap::new();
                 for edge in graph.edge_ids() {
@@ -598,16 +663,15 @@ mod tests {
                     queue.push(QueueEntry { time: t, edge });
                 }
                 Reference {
+                    graph,
                     queue,
                     rng,
-                    counts: vec![0; graph.edge_count()],
                     global: 0,
                 }
             }
             fn next_tick(&mut self) -> TickEvent {
                 let entry = self.queue.pop().unwrap();
                 self.global += 1;
-                self.counts[entry.edge.index()] += 1;
                 let next = entry.time + exponential_sample(&mut self.rng, 1.0);
                 self.queue.push(QueueEntry {
                     time: next,
@@ -616,7 +680,7 @@ mod tests {
                 TickEvent {
                     time: entry.time,
                     edge: entry.edge,
-                    edge_tick_count: self.counts[entry.edge.index()],
+                    endpoints: self.graph.edge(entry.edge).unwrap(),
                     global_tick_count: self.global,
                 }
             }
@@ -634,7 +698,7 @@ mod tests {
                     b.time.to_bits(),
                     "seed {seed} tick {tick}"
                 );
-                assert_eq!(a.edge_tick_count, b.edge_tick_count);
+                assert_eq!(a.endpoints, b.endpoints);
                 assert_eq!(a.global_tick_count, b.global_tick_count);
             }
         }
@@ -666,7 +730,7 @@ mod tests {
         // prefetched exactly 256 draws per refill.  Widening must be a pure
         // prefetch change: both samplers consume the ChaCha stream in the
         // same per-event order, so every delivered tick — time bits, edge,
-        // counts — is identical across several refills of BOTH widths.
+        // endpoints — is identical across several refills of BOTH widths.
         const { assert!(GLOBAL_TICK_BATCH > 256, "the batch must stay widened") };
         for seed in [0u64, 7, 99, 0xC0FFEE] {
             let g = complete(6).unwrap();
@@ -681,7 +745,7 @@ mod tests {
                     b.time.to_bits(),
                     "seed {seed} tick {tick}"
                 );
-                assert_eq!(a.edge_tick_count, b.edge_tick_count);
+                assert_eq!(a.endpoints, b.endpoints);
                 assert_eq!(a.global_tick_count, b.global_tick_count);
             }
         }
@@ -719,7 +783,7 @@ mod tests {
             let b = recycled.next_tick();
             assert_eq!(a.edge, b.edge, "tick {tick}");
             assert_eq!(a.time.to_bits(), b.time.to_bits(), "tick {tick}");
-            assert_eq!(a.edge_tick_count, b.edge_tick_count);
+            assert_eq!(a.endpoints, b.endpoints);
         }
         recycled.reclaim_scratch(&mut scratch);
 
@@ -736,6 +800,7 @@ mod tests {
             let b = recycled.next_tick();
             assert_eq!(a.edge, b.edge, "tick {tick}");
             assert_eq!(a.time.to_bits(), b.time.to_bits(), "tick {tick}");
+            assert_eq!(a.endpoints, b.endpoints);
         }
     }
 
@@ -752,7 +817,7 @@ mod tests {
                     original.next_tick();
                 }
                 let state = original.checkpoint_state();
-                let mut restored = EdgeClockQueue::restore_state(seed, &state);
+                let mut restored = EdgeClockQueue::restore_state(&g, seed, &state).unwrap();
                 for tick in 0..2_000 {
                     let a = original.next_tick();
                     let b = restored.next_tick();
@@ -761,7 +826,7 @@ mod tests {
                         "queue seed {seed} warmup {warmup} tick {tick}"
                     );
                     assert_eq!(a.time.to_bits(), b.time.to_bits());
-                    assert_eq!(a.edge_tick_count, b.edge_tick_count);
+                    assert_eq!(a.endpoints, b.endpoints);
                     assert_eq!(a.global_tick_count, b.global_tick_count);
                 }
 
@@ -770,7 +835,7 @@ mod tests {
                     original.next_tick();
                 }
                 let state = original.checkpoint_state();
-                let mut restored = GlobalTickProcess::restore_state(seed, &state);
+                let mut restored = GlobalTickProcess::restore_state(&g, seed, &state).unwrap();
                 for tick in 0..(2 * GLOBAL_TICK_BATCH + 13) {
                     let a = original.next_tick();
                     let b = restored.next_tick();
@@ -779,11 +844,43 @@ mod tests {
                         "global seed {seed} warmup {warmup} tick {tick}"
                     );
                     assert_eq!(a.time.to_bits(), b.time.to_bits());
-                    assert_eq!(a.edge_tick_count, b.edge_tick_count);
+                    assert_eq!(a.endpoints, b.endpoints);
                     assert_eq!(a.global_tick_count, b.global_tick_count);
                 }
             }
         }
+    }
+
+    #[test]
+    fn sampler_restore_rejects_edges_the_graph_does_not_have() {
+        let g = complete(4).unwrap();
+        let mut queue = EdgeClockQueue::new(&g, 3).unwrap();
+        let mut global = GlobalTickProcess::new(&g, 3).unwrap();
+        queue.next_tick();
+        global.next_tick();
+
+        let mut state = queue.checkpoint_state();
+        state.entries[0].1 = g.edge_count();
+        assert!(matches!(
+            EdgeClockQueue::restore_state(&g, 3, &state),
+            Err(SimError::CheckpointInvalid { .. })
+        ));
+        let mut state = queue.checkpoint_state();
+        state.entries.pop();
+        assert!(EdgeClockQueue::restore_state(&g, 3, &state).is_err());
+        let mut state = queue.checkpoint_state();
+        state.entries[1].1 = state.entries[0].1;
+        assert!(EdgeClockQueue::restore_state(&g, 3, &state).is_err());
+
+        let mut state = global.checkpoint_state();
+        state.batch_tail[0].1 = g.edge_count();
+        assert!(matches!(
+            GlobalTickProcess::restore_state(&g, 3, &state),
+            Err(SimError::CheckpointInvalid { .. })
+        ));
+        let mut state = global.checkpoint_state();
+        state.batch_capacity = 0;
+        assert!(GlobalTickProcess::restore_state(&g, 3, &state).is_err());
     }
 
     #[test]
@@ -811,10 +908,15 @@ mod tests {
             assert_eq!(ev.global_tick_count, i);
             assert!(ev.edge.index() < g.edge_count());
         }
-        let total: u64 = (0..g.edge_count())
-            .map(|e| clock.edge_tick_count(EdgeId(e)))
-            .sum();
-        assert_eq!(total, 500);
+    }
+
+    /// Counts the ticks each edge receives over `ticks` events.
+    fn edge_marks(clock: &mut impl TickProcess, edges: usize, ticks: u64) -> Vec<u64> {
+        let mut counts = vec![0u64; edges];
+        for _ in 0..ticks {
+            counts[clock.next_tick().edge.index()] += 1;
+        }
+        counts
     }
 
     #[test]
@@ -847,12 +949,10 @@ mod tests {
         let ticks = 6_000;
         let mut q = EdgeClockQueue::new(&g, 3).unwrap();
         let mut gp = GlobalTickProcess::new(&g, 3).unwrap();
-        for _ in 0..ticks {
-            q.next_tick();
-            gp.next_tick();
-        }
+        let q_counts = edge_marks(&mut q, g.edge_count(), ticks);
+        let gp_counts = edge_marks(&mut gp, g.edge_count(), ticks);
         for e in g.edge_ids() {
-            for count in [q.edge_tick_count(e), gp.edge_tick_count(e)] {
+            for count in [q_counts[e.index()], gp_counts[e.index()]] {
                 let expected = ticks as f64 / g.edge_count() as f64;
                 assert!(
                     (count as f64 - expected).abs() < 5.0 * expected.sqrt(),
@@ -992,7 +1092,7 @@ mod tests {
                     width,
                     tick
                 );
-                prop_assert_eq!(a.edge_tick_count, b.edge_tick_count);
+                prop_assert_eq!(a.endpoints, b.endpoints);
                 prop_assert_eq!(a.global_tick_count, b.global_tick_count);
             }
         }
@@ -1006,16 +1106,14 @@ mod tests {
             let ticks = 6_000u64;
             let mut q = EdgeClockQueue::new(&g, seed).unwrap();
             let mut gp = GlobalTickProcess::new(&g, seed.wrapping_add(0x5eed)).unwrap();
-            for _ in 0..ticks {
-                q.next_tick();
-                gp.next_tick();
-            }
+            let q_counts = edge_marks(&mut q, g.edge_count(), ticks);
+            let gp_counts = edge_marks(&mut gp, g.edge_count(), ticks);
             let p = 1.0 / g.edge_count() as f64;
             let expected = ticks as f64 * p;
             let sd = (ticks as f64 * p * (1.0 - p)).sqrt();
             for e in g.edge_ids() {
                 for (which, count) in
-                    [("queue", q.edge_tick_count(e)), ("global", gp.edge_tick_count(e))]
+                    [("queue", q_counts[e.index()]), ("global", gp_counts[e.index()])]
                 {
                     prop_assert!(
                         (count as f64 - expected).abs() < 5.0 * sd,

@@ -14,7 +14,7 @@ use crate::stopping::{SimulationStatus, StopReason, StoppingRule};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use crate::values::NodeValues;
 use crate::{Result, SimError};
-use gossip_graph::{Edge, Graph, Partition};
+use gossip_graph::{Graph, Partition};
 use gossip_linalg::Vector;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -33,27 +33,24 @@ pub enum ClockModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum MemoryLayout {
     /// The historical layout: ticks are dispatched through the
-    /// [`EdgeTickHandler`] with an [`EdgeTickContext`], and endpoints come
-    /// from the array-of-structs [`Edge`] slice.  Byte-stable with every
-    /// earlier release.
+    /// [`EdgeTickHandler`] with an [`EdgeTickContext`].  Byte-stable with
+    /// every earlier release.
     #[default]
     Legacy,
-    /// Flat struct-of-arrays layout built for ~10⁶-node runs: endpoints come
-    /// from the packed CSR-companion table
-    /// ([`gossip_graph::Graph::packed_edge_endpoints`], 8 bytes per edge in
-    /// edge-id order — the order the samplers draw, so tick processing walks
-    /// it cache-consciously), values are mutated through the raw
-    /// struct-of-arrays slice with the moment tracker's shifted sums updated
-    /// alongside, and the handler is replaced by its
-    /// [`pairwise_kernel`].  **Bit-identical to [`Self::Legacy`]**: every
-    /// value read, kernel application, and `record_update` happens in the
-    /// same order with the same operands (see `tests/memscale_differential.rs`).
+    /// Flat struct-of-arrays layout built for ~10⁶-node runs: values are
+    /// mutated through the raw struct-of-arrays slice with the moment
+    /// tracker's shifted sums updated alongside, and the handler is replaced
+    /// by its [`pairwise_kernel`].  Both layouts read each tick's endpoints
+    /// from the sampler's event.  **Bit-identical to [`Self::Legacy`]**:
+    /// every value read, kernel application, and `record_update` happens in
+    /// the same order with the same operands (see
+    /// `tests/memscale_differential.rs`).
     ///
-    /// Requires a handler with a kernel, [`VarianceMode::Incremental`], no
-    /// trace, and at most `u32::MAX + 1` nodes; otherwise the engine
-    /// silently falls back to the legacy loop, exactly like
-    /// [`SimulationConfig::shards`] does.  When both `shards` and this are
-    /// set, sharding wins (it is its own deterministic mode).
+    /// Requires a handler with a kernel, [`VarianceMode::Incremental`], and
+    /// no trace; otherwise the engine silently falls back to the legacy
+    /// loop, exactly like [`SimulationConfig::shards`] does.  When both
+    /// `shards` and this are set, sharding wins (it is its own
+    /// deterministic mode).
     ///
     /// [`pairwise_kernel`]: crate::handler::EdgeTickHandler::pairwise_kernel
     FlatSoA,
@@ -146,9 +143,11 @@ pub struct SimulationConfig {
     pub memory_layout: MemoryLayout,
     /// Cadence (in ticks) at which [`AsyncSimulator::run_with_checkpoints`]
     /// hands an [`EngineCheckpoint`] to its sink; `0` (the default)
-    /// disables capture.  Captures land at the same deterministic
-    /// tick-boundary style as [`Self::moment_refresh_every_ticks`] (after
-    /// the tick's update, refresh, and stopping check), and capture itself
+    /// disables capture.  A non-zero cadence requires a handler that saves
+    /// its state ([`EdgeTickHandler::save_state`]).  Captures land at the
+    /// same deterministic tick-boundary style as
+    /// [`Self::moment_refresh_every_ticks`] (after the tick's update,
+    /// refresh, and stopping check), and capture itself
     /// never touches any RNG stream, so a checkpointing run is bit-identical
     /// to a non-checkpointing one.  Supported by the legacy and
     /// [`MemoryLayout::FlatSoA`] serial loops; requesting capture on a
@@ -346,16 +345,16 @@ impl SimulationOutcome {
     }
 }
 
-pub(crate) enum Sampler {
-    Queue(EdgeClockQueue),
-    Global(GlobalTickProcess),
+pub(crate) enum Sampler<'g> {
+    Queue(EdgeClockQueue<'g>),
+    Global(GlobalTickProcess<'g>),
 }
 
-impl Sampler {
+impl<'g> Sampler<'g> {
     /// Builds the sampler a [`SimulationConfig`] with this clock model and
     /// seed would use (shared with the f32 tier in [`crate::flat`], which
     /// has no `AsyncSimulator` of its own).
-    pub(crate) fn from_model(model: ClockModel, graph: &Graph, seed: u64) -> Result<Self> {
+    pub(crate) fn from_model(model: ClockModel, graph: &'g Graph, seed: u64) -> Result<Self> {
         Ok(match model {
             ClockModel::PerEdgeQueue => Sampler::Queue(EdgeClockQueue::new(graph, seed)?),
             ClockModel::GlobalUniform => Sampler::Global(GlobalTickProcess::new(graph, seed)?),
@@ -376,15 +375,10 @@ impl Sampler {
 /// See the crate-level documentation for an end-to-end example.
 pub struct AsyncSimulator<'g, H> {
     graph: &'g Graph,
-    /// Prevalidated edge table: the samplers only emit identifiers below the
-    /// edge count they were constructed with, so the hot loop indexes this
-    /// slice directly instead of going through the `Result`-returning
-    /// [`Graph::edge`] lookup on every tick.
-    edges: &'g [Edge],
     values: NodeValues,
     handler: H,
     config: SimulationConfig,
-    sampler: Sampler,
+    sampler: Sampler<'g>,
     initial_variance: f64,
     last_settle: f64,
     moment_refreshes: u64,
@@ -472,7 +466,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         let initial_variance = initial.variance();
         Ok(AsyncSimulator {
             graph,
-            edges: graph.edges(),
             values: initial,
             handler,
             config,
@@ -496,18 +489,20 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     ///
     /// `graph`, `handler`, and `config` must be the ones the original run
     /// was constructed with (the same pure inputs a cold start would use);
-    /// the checkpoint carries the evolved state.  Handler-internal state is
-    /// not checkpointed — see [`EngineCheckpoint`].
+    /// the checkpoint carries the evolved state, the handler's included,
+    /// which is reinstalled through [`EdgeTickHandler::load_state`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError::CheckpointInvalid`] when the checkpoint does not
-    /// match `config`/`graph` (seed, clock model, node/edge counts, or
-    /// fault/adversary plan presence), and [`SimError::InvalidConfig`] for
+    /// match `config`/`graph` (seed, clock model, node/edge counts, sampler
+    /// contents, or fault/adversary plan presence) or the handler's saved
+    /// state, [`SimError::HandlerStateUnsupported`] for a handler that
+    /// cannot load its state, and [`SimError::InvalidConfig`] for
     /// configurations checkpointing does not support (tracing, sharding).
     pub fn restore(
         graph: &'g Graph,
-        handler: H,
+        mut handler: H,
         config: SimulationConfig,
         checkpoint: &EngineCheckpoint,
     ) -> Result<Self> {
@@ -591,19 +586,19 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         }
         let sampler = match &checkpoint.sampler {
             SamplerState::Queue(state) => {
-                Sampler::Queue(EdgeClockQueue::restore_state(config.seed, state))
+                Sampler::Queue(EdgeClockQueue::restore_state(graph, config.seed, state)?)
             }
             SamplerState::Global(state) => {
-                Sampler::Global(GlobalTickProcess::restore_state(config.seed, state))
+                Sampler::Global(GlobalTickProcess::restore_state(graph, config.seed, state)?)
             }
         };
+        handler.load_state(&checkpoint.handler)?;
         let (len, shift, sum, sum_sq, refreshes) = checkpoint.moments;
         let moments =
             crate::moments::MomentTracker::from_raw_parts(len, shift, sum, sum_sq, refreshes);
         let values = NodeValues::from_parts(Vector::from(checkpoint.values.clone()), moments);
         Ok(AsyncSimulator {
             graph,
-            edges: graph.edges(),
             values,
             handler,
             config,
@@ -697,7 +692,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// Capture is supported by the serial loops (legacy and
     /// [`MemoryLayout::FlatSoA`]); a non-zero cadence on a traced or sharded
     /// run is rejected with [`SimError::InvalidConfig`] rather than silently
-    /// producing no checkpoints.
+    /// producing no checkpoints, and on a handler that cannot save its
+    /// state with [`SimError::HandlerStateUnsupported`], before the first
+    /// tick.
     ///
     /// # Errors
     ///
@@ -706,10 +703,15 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         &mut self,
         sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
     ) -> Result<SimulationOutcome> {
-        if self.config.checkpoint_every_ticks > 0 && self.config.trace.is_some() {
-            return Err(SimError::InvalidConfig {
-                reason: "checkpoint capture does not support trace recording".into(),
-            });
+        if self.config.checkpoint_every_ticks > 0 {
+            if self.config.trace.is_some() {
+                return Err(SimError::InvalidConfig {
+                    reason: "checkpoint capture does not support trace recording".into(),
+                });
+            }
+            if self.handler.save_state().is_none() {
+                return Err(self.handler_state_unsupported());
+            }
         }
         let mut recorder = self
             .config
@@ -757,21 +759,16 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             && self.handler.pairwise_kernel().is_some()
         {
             // Same silent-fallback contract as sharding: an ineligible
-            // configuration (trace, exact variance, kernel-less handler, or
-            // a graph too large to pack) runs the legacy loop below.  The
-            // topology packs every endpoint pair into one u64 in edge-id
-            // order — the order the samplers draw — so the hot loop touches
-            // 8 contiguous bytes per tick instead of a 3-word `Edge`.
-            if let Some(topology) = crate::flat::FlatTopology::new(self.graph) {
-                let stopped = match (self.faults.is_some(), self.adversary.is_some()) {
-                    (false, false) => self.run_flat::<false, false>(&topology, sink),
-                    (false, true) => self.run_flat::<false, true>(&topology, sink),
-                    (true, false) => self.run_flat::<true, false>(&topology, sink),
-                    (true, true) => self.run_flat::<true, true>(&topology, sink),
-                };
-                let (time, ticks, reason) = stopped?;
-                return Ok(self.finish(time, ticks, reason, None));
-            }
+            // configuration (trace, exact variance, kernel-less handler)
+            // runs the legacy loop below.
+            let stopped = match (self.faults.is_some(), self.adversary.is_some()) {
+                (false, false) => self.run_flat::<false, false>(sink),
+                (false, true) => self.run_flat::<false, true>(sink),
+                (true, false) => self.run_flat::<true, false>(sink),
+                (true, true) => self.run_flat::<true, true>(sink),
+            };
+            let (time, ticks, reason) = stopped?;
+            return Ok(self.finish(time, ticks, reason, None));
         }
 
         let stopped = match (
@@ -826,20 +823,20 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             let event = self.sampler.next_tick();
             ticks = event.global_tick_count;
             time = event.time;
-            let edge = self.edges[event.edge.index()];
+            let edge = event.endpoints;
             let ctx = EdgeTickContext {
                 graph: self.graph,
                 edge,
                 edge_id: event.edge,
                 time,
-                edge_tick_count: event.edge_tick_count,
                 global_tick_count: event.global_tick_count,
             };
             // Fault classification happens before the handler runs: a
             // suppressed contact skips the pairwise update atomically (never
             // half-applied), leaving the moment tracker untouched, while the
             // clock and time still advance — a down link loses messages, it
-            // does not slow the network.
+            // does not slow the network.  The handler still hears of the
+            // tick, so schedules that count an edge's ticks stay on time.
             let delivered = if FAULTS {
                 let injector = self
                     .faults
@@ -850,52 +847,52 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             } else {
                 true
             };
-            if ADVERSARY {
+            if !delivered {
+                self.handler.on_suppressed_tick(&ctx);
+            } else if ADVERSARY {
                 // Adversary classification runs only on fault-delivered
                 // contacts (a dropped message cannot be falsified), and
                 // before the pairwise update, so honest-subset mass
                 // accounting is exact: a censored contact skips the handler
-                // atomically, and a falsified contact substitutes the
+                // update atomically, and a falsified contact substitutes the
                 // adversary's report into the state for the duration of the
                 // handler call, restoring frozen-state behaviors afterwards.
-                if delivered {
-                    let (u, v) = edge.endpoints();
-                    let injector = self
-                        .adversary
-                        .as_mut()
-                        .expect("ADVERSARY is only instantiated with an injector present");
-                    let action = injector.classify(
-                        event.edge,
-                        edge,
-                        event.global_tick_count,
-                        self.values.get(u),
-                        self.values.get(v),
-                    );
-                    match action {
-                        AdversaryAction::Honest => {
-                            self.handler.on_edge_tick(&mut self.values, &ctx);
+                let (u, v) = edge.endpoints();
+                let injector = self
+                    .adversary
+                    .as_mut()
+                    .expect("ADVERSARY is only instantiated with an injector present");
+                let action = injector.classify(
+                    event.edge,
+                    edge,
+                    event.global_tick_count,
+                    self.values.get(u),
+                    self.values.get(v),
+                );
+                match action {
+                    AdversaryAction::Honest => {
+                        self.handler.on_edge_tick(&mut self.values, &ctx);
+                    }
+                    AdversaryAction::Censored => self.handler.on_suppressed_tick(&ctx),
+                    AdversaryAction::Falsified(contact) => {
+                        let before_u = self.values.get(u);
+                        let before_v = self.values.get(v);
+                        if let Some(report) = contact.u {
+                            self.values.set(u, report.value);
                         }
-                        AdversaryAction::Censored => {}
-                        AdversaryAction::Falsified(contact) => {
-                            let before_u = self.values.get(u);
-                            let before_v = self.values.get(v);
-                            if let Some(report) = contact.u {
-                                self.values.set(u, report.value);
-                            }
-                            if let Some(report) = contact.v {
-                                self.values.set(v, report.value);
-                            }
-                            self.handler.on_edge_tick(&mut self.values, &ctx);
-                            if contact.u.is_some_and(|r| r.restore) {
-                                self.values.set(u, before_u);
-                            }
-                            if contact.v.is_some_and(|r| r.restore) {
-                                self.values.set(v, before_v);
-                            }
+                        if let Some(report) = contact.v {
+                            self.values.set(v, report.value);
+                        }
+                        self.handler.on_edge_tick(&mut self.values, &ctx);
+                        if contact.u.is_some_and(|r| r.restore) {
+                            self.values.set(u, before_u);
+                        }
+                        if contact.v.is_some_and(|r| r.restore) {
+                            self.values.set(v, before_v);
                         }
                     }
                 }
-            } else if delivered {
+            } else {
                 self.handler.on_edge_tick(&mut self.values, &ctx);
             }
 
@@ -992,7 +989,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             // event; capture reads state only (no RNG draws), keeping the
             // run bit-identical to a non-checkpointing one.
             if cadence != 0 && ticks.is_multiple_of(cadence) {
-                sink(self.capture_checkpoint(time, ticks))?;
+                sink(self.capture_checkpoint(time, ticks)?)?;
             }
         }
     }
@@ -1003,9 +1000,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// same injector calls, applies the same kernel to the same operands,
     /// and mirrors every value write into the moment tracker with the exact
     /// `record_update` sequence [`NodeValues::set`] would have made — but
-    /// endpoints come from the packed topology and values are written
-    /// through the raw slice, so the per-tick working set is 8 bytes of
-    /// topology plus two value lanes.  Bit-identity is pinned by
+    /// values are written through the raw slice by the handler's kernel, with
+    /// no per-tick handler dispatch.  A kernel handler is stateless, so
+    /// suppressed ticks need no report to it.  Bit-identity is pinned by
     /// `tests/memscale_differential.rs`.
     ///
     /// Tracing is not supported (the dispatch in [`Self::run`] requires
@@ -1014,7 +1011,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// dispatch.
     fn run_flat<const FAULTS: bool, const ADVERSARY: bool>(
         &mut self,
-        topology: &crate::flat::FlatTopology,
         sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
     ) -> Result<(f64, u64, StopReason)> {
         let kernel = self
@@ -1032,9 +1028,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             let event = self.sampler.next_tick();
             ticks = event.global_tick_count;
             time = event.time;
-            let edge_index = event.edge.index();
+            let edge = event.endpoints;
+            let (u, v) = (edge.u().index(), edge.v().index());
             let delivered = if FAULTS {
-                let edge = self.edges[edge_index];
                 let injector = self
                     .faults
                     .as_mut()
@@ -1046,8 +1042,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             };
             if ADVERSARY {
                 if delivered {
-                    let edge = self.edges[edge_index];
-                    let (u, v) = topology.endpoints(edge_index);
                     let (xs, tracker) = self.values.as_mut_parts();
                     let xu = xs[u];
                     let xv = xs[v];
@@ -1102,7 +1096,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
                     }
                 }
             } else if delivered {
-                let (u, v) = topology.endpoints(edge_index);
                 let (xs, tracker) = self.values.as_mut_parts();
                 let xu = xs[u];
                 let xv = xs[v];
@@ -1166,7 +1159,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             // and stopping check), so checkpoints from either layout are
             // interchangeable.
             if cadence != 0 && ticks.is_multiple_of(cadence) {
-                sink(self.capture_checkpoint(time, ticks))?;
+                sink(self.capture_checkpoint(time, ticks)?)?;
             }
         }
     }
@@ -1220,7 +1213,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             for _ in 0..batch {
                 let event = self.sampler.next_tick();
                 time = event.time;
-                let edge = self.edges[event.edge.index()];
+                let edge = event.endpoints;
                 let delivered = match self.faults.as_mut() {
                     Some(injector) => {
                         injector.classify(event.edge, edge, event.global_tick_count)
@@ -1360,14 +1353,18 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
 
     /// Snapshots the full resumable state at a checkpoint boundary.  Pure
     /// read: no RNG stream advances, so capture never perturbs the run.
-    fn capture_checkpoint(&self, time: f64, ticks: u64) -> EngineCheckpoint {
-        EngineCheckpoint {
+    fn capture_checkpoint(&self, time: f64, ticks: u64) -> Result<EngineCheckpoint> {
+        let handler = self
+            .handler
+            .save_state()
+            .ok_or_else(|| self.handler_state_unsupported())?;
+        Ok(EngineCheckpoint {
             ticks,
             time,
             seed: self.config.seed,
             clock_model: self.config.clock_model,
             node_count: self.graph.node_count(),
-            edge_count: self.edges.len(),
+            edge_count: self.graph.edge_count(),
             values: self.values.as_slice().to_vec(),
             moments: self.values.moments().to_raw_parts(),
             initial_variance: self.initial_variance,
@@ -1380,6 +1377,13 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             },
             faults: self.faults.as_ref().map(|i| i.checkpoint_state()),
             adversary: self.adversary.as_ref().map(|i| i.checkpoint_state()),
+            handler,
+        })
+    }
+
+    fn handler_state_unsupported(&self) -> SimError {
+        SimError::HandlerStateUnsupported {
+            handler: self.handler.name().to_string(),
         }
     }
 
@@ -1445,7 +1449,7 @@ fn check_finite_slice(values: &[f64]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handler::NoOpHandler;
+    use crate::handler::{HandlerState, NoOpHandler};
     use gossip_graph::generators::{complete, dumbbell, path};
     use gossip_graph::NodeId;
 
@@ -1466,6 +1470,14 @@ mod tests {
                 let avg = 0.5 * (xu + xv);
                 (avg, avg)
             })
+        }
+
+        fn save_state(&self) -> Option<HandlerState> {
+            Some(HandlerState::default())
+        }
+
+        fn load_state(&mut self, state: &HandlerState) -> Result<()> {
+            state.expect_shape(self.name(), 0, 0)
         }
     }
 

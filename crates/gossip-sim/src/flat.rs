@@ -1,20 +1,11 @@
-//! Flat data structures for the million-node tier.
-//!
-//! Two things live here:
-//!
-//! * [`FlatTopology`] — the packed endpoint table behind
-//!   [`MemoryLayout::FlatSoA`](crate::engine::MemoryLayout::FlatSoA): one
-//!   `u64` per edge in edge-id order (the order the tick samplers draw), so
-//!   the hot loop reads 8 contiguous bytes per tick instead of chasing a
-//!   3-word [`gossip_graph::Edge`].
-//! * The **opt-in reduced-precision f32 value tier** ([`run_f32`]): node
-//!   values stored as `f32`, every kernel application performed in `f64` on
-//!   the widened operands and rounded back to `f32`, pinned by the a-priori
-//!   error-bound oracle [`F32Oracle`].  This is the same policy the
-//!   dense-vs-sparse and drift oracles established: a fast path is never
-//!   trusted on faith — it either meets a bound stated *before* the run or
-//!   the run is an error ([`SimError::PrecisionOracle`]), which the bench
-//!   trial plumbing guarantees never reaches a journal.
+//! The **opt-in reduced-precision f32 value tier** of the million-node tier
+//! ([`run_f32`]): node values stored as `f32`, every kernel application
+//! performed in `f64` on the widened operands and rounded back to `f32`,
+//! pinned by the a-priori error-bound oracle [`F32Oracle`].  This is the
+//! same policy the dense-vs-sparse and drift oracles established: a fast
+//! path is never trusted on faith — it either meets a bound stated *before*
+//! the run or the run is an error ([`SimError::PrecisionOracle`]), which the
+//! bench trial plumbing guarantees never reaches a journal.
 //!
 //! # The f32 error bound
 //!
@@ -46,45 +37,6 @@ use crate::stopping::{SimulationStatus, StopReason};
 use crate::values::NodeValues;
 use crate::{Result, SimError};
 use gossip_graph::Graph;
-
-/// Packed endpoint table: one `u64` per edge (`u` in the high 32 bits, `v`
-/// in the low 32), in edge-id order.
-///
-/// Edge-id order is deliberately preserved rather than re-sorted: the tick
-/// samplers map their draws to edge ids, so id order *is* the access order,
-/// and the packing is what makes each access one cache-line-friendly load.
-#[derive(Debug, Clone)]
-pub struct FlatTopology {
-    packed: Vec<u64>,
-}
-
-impl FlatTopology {
-    /// Packs `graph`'s edge endpoints; `None` when the node count does not
-    /// fit 32-bit indices (see
-    /// [`Graph::packed_edge_endpoints`]).
-    pub fn new(graph: &Graph) -> Option<Self> {
-        graph
-            .packed_edge_endpoints()
-            .map(|packed| FlatTopology { packed })
-    }
-
-    /// Number of packed edges.
-    pub fn edge_count(&self) -> usize {
-        self.packed.len()
-    }
-
-    /// The endpoint indices of `edge`, in the normalized `u < v` order of
-    /// the [`gossip_graph::Edge`] it was packed from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is out of range.
-    #[inline]
-    pub fn endpoints(&self, edge: usize) -> (usize, usize) {
-        let packed = self.packed[edge];
-        ((packed >> 32) as usize, (packed & 0xFFFF_FFFF) as usize)
-    }
-}
 
 /// The a-priori error bounds the f32 tier must meet (see the module docs
 /// for the derivation).  A violated bound is [`SimError::PrecisionOracle`],
@@ -256,9 +208,6 @@ pub fn run_f32(
             values: initial.len(),
         });
     }
-    let topology = FlatTopology::new(graph)
-        .ok_or_else(|| invalid("graph node count does not fit the packed 32-bit topology"))?;
-
     let mut xs: Vec<f32> = initial.as_slice().iter().map(|&x| x as f32).collect();
     if let Some(node) = xs.iter().position(|v| !v.is_finite()) {
         return Err(SimError::NonFiniteValue { node });
@@ -290,7 +239,7 @@ pub fn run_f32(
             let event = sampler.next_tick();
             ticks = event.global_tick_count;
             time = event.time;
-            let (u, v) = topology.endpoints(event.edge.index());
+            let (u, v) = (event.endpoints.u().index(), event.endpoints.v().index());
             let xu = f64::from(xs[u]);
             let xv = f64::from(xs[v]);
             let (new_u, new_v) = kernel(xu, xv);
@@ -387,7 +336,7 @@ mod tests {
     use crate::stopping::StoppingRule;
     use crate::trace::TraceConfig;
     use crate::values::NodeValues;
-    use gossip_graph::generators::{complete, cycle, dumbbell};
+    use gossip_graph::generators::{complete, cycle};
 
     fn vanilla_kernel(xu: f64, xv: f64) -> (f64, f64) {
         let avg = 0.5 * (xu + xv);
@@ -396,18 +345,6 @@ mod tests {
 
     fn spread(n: usize) -> NodeValues {
         NodeValues::from_values((0..n).map(|i| (i as f64) / (n as f64) - 0.5).collect()).unwrap()
-    }
-
-    #[test]
-    fn topology_packs_every_edge_in_id_order() {
-        let (graph, _) = dumbbell(5).unwrap();
-        let topology = FlatTopology::new(&graph).unwrap();
-        assert_eq!(topology.edge_count(), graph.edge_count());
-        for (i, edge) in graph.edges().iter().enumerate() {
-            let (u, v) = edge.endpoints();
-            assert_eq!(topology.endpoints(i), (u.index(), v.index()));
-            assert!(u.index() < v.index());
-        }
     }
 
     #[test]

@@ -31,10 +31,8 @@
 //! * [`engine::AsyncSimulator`] and [`sync::SyncSimulator`] — drivers that
 //!   advance the clocks, invoke the handler, record [`trace::Trace`]s and
 //!   evaluate [`stopping::StoppingRule`]s.
-//! * [`flat`] — the million-node tier: the packed struct-of-arrays layout
-//!   behind [`engine::MemoryLayout::FlatSoA`] (bit-identical to the legacy
-//!   loop) and the opt-in f32 value tier pinned by an a-priori error-bound
-//!   oracle.
+//! * [`flat`] — the million-node tier's opt-in f32 value tier, pinned by an
+//!   a-priori error-bound oracle.
 //!
 //! # Examples
 //!
@@ -92,8 +90,8 @@ pub use checkpoint::EngineCheckpoint;
 pub use clock::ClockScratch;
 pub use engine::{AsyncSimulator, MemoryLayout, SimulationConfig, SimulationOutcome, VarianceMode};
 pub use fault::{FaultPlan, FaultStats};
-pub use flat::{run_f32, F32Oracle, F32Outcome, FlatTopology};
-pub use handler::{EdgeTickContext, EdgeTickHandler, PairwiseKernel};
+pub use flat::{run_f32, F32Oracle, F32Outcome};
+pub use handler::{EdgeTickContext, EdgeTickHandler, HandlerState, PairwiseKernel};
 pub use moments::MomentTracker;
 pub use stopping::StoppingRule;
 pub use trace::{Trace, TraceConfig, TracePoint};
@@ -146,6 +144,14 @@ pub enum SimError {
         /// Human-readable description of the mismatch.
         reason: String,
     },
+    /// A run was asked to capture or restore a checkpoint, but its handler
+    /// cannot save or load its own state (see
+    /// [`handler::EdgeTickHandler::save_state`]), so the resumed run could
+    /// not match the uninterrupted one.
+    HandlerStateUnsupported {
+        /// The handler's [`handler::EdgeTickHandler::name`].
+        handler: String,
+    },
     /// A reduced-precision run finished but violated its a-priori error
     /// bound (see [`flat::F32Oracle`]); the result must be discarded, never
     /// journaled.
@@ -178,6 +184,11 @@ impl fmt::Display for SimError {
             SimError::CheckpointInvalid { reason } => {
                 write!(f, "invalid checkpoint: {reason}")
             }
+            SimError::HandlerStateUnsupported { handler } => write!(
+                f,
+                "handler {handler:?} cannot save or load its state, so its runs cannot be \
+                 checkpointed or restored"
+            ),
             SimError::PrecisionOracle { reason } => {
                 write!(f, "precision oracle violated: {reason}")
             }
@@ -227,6 +238,9 @@ mod tests {
             SimError::DeadlineExceeded { ticks: 12 },
             SimError::CheckpointInvalid {
                 reason: "bad".into(),
+            },
+            SimError::HandlerStateUnsupported {
+                handler: "bad".into(),
             },
             SimError::PrecisionOracle {
                 reason: "drift over bound".into(),

@@ -263,7 +263,7 @@ impl ExperimentId {
             ExperimentId::MemScale => ExperimentDescriptor {
                 id: self,
                 title: "Memory-scale tier: the flat SoA engine at 10⁶ nodes",
-                claim: "The packed CSR-companion/struct-of-arrays hot loop is byte-identical \
+                claim: "The struct-of-arrays hot loop is byte-identical \
                         to the legacy layout while completing 10⁶-node relaxations in bounded \
                         memory; peak RSS and ticks/s are reported per family so memory \
                         regressions are as visible as time regressions, and the f32 value \

@@ -70,7 +70,7 @@ pub mod prelude {
         VarianceMode, DEFAULT_MOMENT_REFRESH_TICKS,
     };
     pub use gossip_sim::fault::{FaultPlan, FaultStats};
-    pub use gossip_sim::flat::{run_f32, F32Oracle, F32Outcome, FlatTopology};
+    pub use gossip_sim::flat::{run_f32, F32Oracle, F32Outcome};
     pub use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler};
     pub use gossip_sim::moments::MomentTracker;
     pub use gossip_sim::stopping::StoppingRule;

@@ -96,6 +96,11 @@ pub mod seeds {
     /// `fault_differential`: fault-plan drop/churn stream of the mixed-fault
     /// conservation runs.
     pub const FAULT_PLAN: u64 = 454;
+    /// `fault_differential`: clock seed of the pinned Algorithm A run under
+    /// message loss.
+    pub const FAULT_ALGO_A_CLOCK: u64 = 455;
+    /// `fault_differential`: drop stream of the pinned Algorithm A run.
+    pub const FAULT_ALGO_A_PLAN: u64 = 456;
     /// `parallel_determinism`: estimator fan-out byte-identity oracle
     /// (jobs 1 vs 2 vs 4).
     pub const PARALLEL_ESTIMATOR: u64 = 461;
@@ -192,6 +197,8 @@ pub mod seeds {
             ("FAULT_SCENARIO", FAULT_SCENARIO),
             ("FAULT_CONSERVATION", FAULT_CONSERVATION),
             ("FAULT_PLAN", FAULT_PLAN),
+            ("FAULT_ALGO_A_CLOCK", FAULT_ALGO_A_CLOCK),
+            ("FAULT_ALGO_A_PLAN", FAULT_ALGO_A_PLAN),
             ("PARALLEL_ESTIMATOR", PARALLEL_ESTIMATOR),
             ("PARALLEL_PERF", PARALLEL_PERF),
             ("PARALLEL_SIM_SCALE", PARALLEL_SIM_SCALE),
@@ -316,6 +323,6 @@ mod seed_registry_tests {
     /// constant without registering it here is the failure mode).
     #[test]
     fn seed_registry_is_complete() {
-        assert_eq!(seeds::all().len(), 53);
+        assert_eq!(seeds::all().len(), 55);
     }
 }

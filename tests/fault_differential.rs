@@ -13,6 +13,9 @@
 //! conservation contract: suppressed contacts skip the pairwise update
 //! atomically, so total mass is conserved exactly and the class-C variance
 //! stays monotonically non-increasing no matter what the schedule does.
+//!
+//! A golden run pins Algorithm A under message loss bit for bit: its epoch
+//! counts every tick of the designated edge, dropped ones included.
 
 mod common;
 
@@ -219,4 +222,68 @@ fn killing_the_scheduled_outages_matches_the_plans_dynamic_view() {
         "each block alone mixes faster than the bridged whole \
          (block λ₂ = {degraded}, whole λ₂ = {intact})"
     );
+}
+
+#[test]
+fn algorithm_a_under_message_loss_is_pinned_bit_for_bit() {
+    // Pinned at the commit where the samplers still counted every edge's
+    // ticks and Algorithm A read its epoch from that count.  The handler
+    // now counts e_c's ticks itself, hearing of dropped ones through
+    // `on_suppressed_tick`; with a fifth of all contacts dropped, skipping
+    // those ticks would shift every epoch and change all of these bits.
+    let instance = Scenario::Dumbbell { half: 8 }
+        .instantiate(0)
+        .expect("valid scenario");
+    let plan = FaultProfile::MessageLoss { p: 0.2 }.compile(&instance, seeds::FAULT_ALGO_A_PLAN);
+    let algorithm = SparseCutAlgorithm::from_partition(
+        &instance.graph,
+        &instance.partition,
+        SparseCutConfig::new()
+            .with_t_van_sum(2.0)
+            .with_epoch_constant(1.0),
+    )
+    .expect("valid partition");
+    assert_eq!(algorithm.epoch_ticks(), 6);
+    let initial = AveragingTimeEstimator::adversarial_initial(&instance.partition);
+    let config = SimulationConfig::new(seeds::FAULT_ALGO_A_CLOCK)
+        .with_clock_model(ClockModel::GlobalUniform)
+        .with_stopping_rule(StoppingRule::max_time(100.0))
+        .with_fault_plan(plan);
+    let mut simulator =
+        AsyncSimulator::new(&instance.graph, initial, algorithm, config).expect("valid simulation");
+    let outcome = simulator.run().expect("run completes");
+
+    assert_eq!(
+        outcome.stop_reason,
+        sparse_cut_gossip::sim::stopping::StopReason::TimeLimit
+    );
+    assert_eq!(outcome.total_ticks, 5674);
+    assert_eq!(outcome.fault_stats.dropped, 1107);
+    assert_eq!(outcome.elapsed_time.to_bits(), 0x4059001340c2e507);
+    assert_eq!(simulator.handler().transfers(), 15);
+    let expected: [u64; 16] = [
+        0xbb222f0d7cd436ce,
+        0xbb222f0d7d6086c2,
+        0xbb222f0d7d1204cc,
+        0xbb222f0d7da14124,
+        0xbb222f0d7d2710ae,
+        0xbb222f0d7bfb82a4,
+        0xbb222f0d7d6086c2,
+        0xbb222f0d7d2710ae,
+        0xbb222f0d7e491182,
+        0xbb222f0d7d1ec8f2,
+        0xbb222f0d7d19a1d5,
+        0xbb222f0d7cf7c256,
+        0xbb222f0d7d1b3472,
+        0xbb222f0d7dafa2ae,
+        0xbb222f0d7dafa2ae,
+        0xbb222f0d7cf7c256,
+    ];
+    let bits: Vec<u64> = outcome
+        .final_values
+        .as_slice()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect();
+    assert_eq!(bits, expected);
 }

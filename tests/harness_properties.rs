@@ -40,10 +40,9 @@ fn check_class_c_tick_invariants<H: EdgeTickHandler>(
         let event = clock.next_tick();
         let ctx = EdgeTickContext {
             graph,
-            edge: graph.edge(event.edge).expect("edge exists"),
+            edge: event.endpoints,
             edge_id: event.edge,
             time: event.time,
-            edge_tick_count: event.edge_tick_count,
             global_tick_count: event.global_tick_count,
         };
         handler.on_edge_tick(&mut values, &ctx);
