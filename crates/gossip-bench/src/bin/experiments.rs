@@ -28,10 +28,7 @@
 //!
 //! `--jobs <n>` bounds the deterministic run executor that fans trials out
 //! over worker threads; every table and report is byte-identical at any
-//! `--jobs` value (wall-clock columns aside).  `--shards <k>` opts every
-//! kernel-capable simulation into the sharded engine — a *different
-//! deterministic mode* from the default legacy loop, with bit-identical
-//! outputs at every shard count.
+//! `--jobs` value (wall-clock columns aside).
 //!
 //! `--store-dir <dir>` journals every computed trial into an append-only
 //! run store (`<dir>/<tier>.jsonl`, one record per committed trial; see
@@ -48,7 +45,7 @@
 //! analysis view, and exits without running anything.
 //!
 //! `--checkpoint-every-ticks <n>` turns on crash-consistent *mid-run*
-//! checkpoints for the MEM_SCALE tier's timed flat run: every `n` ticks an
+//! checkpoints for the MEM_SCALE tier's timed runs: every `n` ticks an
 //! engine checkpoint is committed to `<dir>/mem_scale.ckpt.jsonl`, and a
 //! `--resume` restores the newest one instead of recomputing the trial
 //! from tick 0 (restored runs are bit-identical to uninterrupted ones).
@@ -244,7 +241,7 @@ impl<'a> Session<'a> {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments [--quick] [--seed <u64>] [--jobs <n>] [--shards <k>] \
+        "usage: experiments [--quick] [--seed <u64>] [--jobs <n>] \
          [--only E1 E2 ... SCALE SIM_SCALE MEM_SCALE ROBUSTNESS PERF ADVERSARY] [--json <path>] \
          [--store-dir <dir>] [--resume] [--store-summary] \
          [--checkpoint-every-ticks <n>] [--trial-deadline-secs <n>] [--trial-retries <n>] \
@@ -310,17 +307,6 @@ fn main() {
                     Some(jobs) if jobs >= 1 => config.jobs = Some(jobs),
                     _ => {
                         eprintln!("--jobs requires a positive integer");
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--shards" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(shards) if shards >= 1 => config.shards = Some(shards),
-                    _ => {
-                        eprintln!("--shards requires a positive integer");
                         print_usage();
                         std::process::exit(2);
                     }

@@ -29,8 +29,7 @@ use gossip_core::two_time_scale::TwoTimeScaleGossip;
 use gossip_exec::Executor;
 use gossip_graph::{Graph, NodeId, Partition};
 use gossip_sim::checkpoint::EngineCheckpoint;
-use gossip_sim::engine::{AsyncSimulator, ClockModel, SimulationConfig, SimulationOutcome};
-use gossip_sim::handler::EdgeTickHandler;
+use gossip_sim::engine::{AsyncSimulator, ClockModel, SimulationConfig};
 use gossip_sim::stopping::{StoppingRule, DEFINITION1_THRESHOLD};
 use gossip_sim::sync::{RoundHandler, SyncConfig, SyncSimulator};
 use gossip_sim::values::NodeValues;
@@ -63,16 +62,9 @@ pub struct HarnessConfig {
     /// and reports (wall-clock columns aside) — rows are collected in input
     /// order.
     pub jobs: Option<usize>,
-    /// Intra-run sharding threaded into every simulation the tiers build
-    /// (see `SimulationConfig::shards`).  `None` (the default) keeps the
-    /// legacy per-tick loop and the historical byte-stable outputs;
-    /// `Some(k)` switches every kernel-capable simulation to the sharded
-    /// engine, whose deterministic outputs are bit-identical across every
-    /// shard count — CI diffs `--shards 1` against `--shards 4`.
-    pub shards: Option<usize>,
     /// Mid-run checkpoint cadence in ticks, threaded into the tiers whose
     /// long relaxations support checkpoint capture (currently MEM_SCALE's
-    /// flat runs).  `0` (the default) disables capture; with a store-backed
+    /// timed runs).  `0` (the default) disables capture; with a store-backed
     /// sink, captured checkpoints are committed to the tier's
     /// `.ckpt.jsonl` log and a resumed run restores from the newest one.
     pub checkpoint_every_ticks: u64,
@@ -96,7 +88,6 @@ impl HarnessConfig {
             quick: true,
             seed: 0xC0FFEE,
             jobs: None,
-            shards: None,
             checkpoint_every_ticks: 0,
             trial_deadline: None,
             trial_retries: 1,
@@ -109,7 +100,6 @@ impl HarnessConfig {
             quick: false,
             seed: 0xC0FFEE,
             jobs: None,
-            shards: None,
             checkpoint_every_ticks: 0,
             trial_deadline: None,
             trial_retries: 1,
@@ -137,18 +127,14 @@ impl HarnessConfig {
         Executor::with_override(self.jobs)
     }
 
-    /// Applies the harness-wide shard setting and the per-trial wall-clock
-    /// deadline to a simulation config.  The deadline is what makes a
-    /// wedged run surface as `SimError::DeadlineExceeded`, which the trial
-    /// supervision in [`run_trials`] turns into a journaled
-    /// `deadline_censored` record instead of a hung sweep.
-    fn sharded(&self, sim_config: SimulationConfig) -> SimulationConfig {
-        let sim_config = match self.trial_deadline {
+    /// Applies the per-trial wall-clock deadline to a simulation config.
+    /// The deadline is what makes a wedged run surface as
+    /// `SimError::DeadlineExceeded`, which the trial supervision in
+    /// [`run_trials`] turns into a journaled `deadline_censored` record
+    /// instead of a hung sweep.
+    fn apply_deadline(&self, sim_config: SimulationConfig) -> SimulationConfig {
+        match self.trial_deadline {
             Some(deadline) => sim_config.with_wall_clock_deadline(deadline),
-            None => sim_config,
-        };
-        match self.shards {
-            Some(shards) => sim_config.with_shards(shards),
             None => sim_config,
         }
     }
@@ -169,8 +155,7 @@ impl HarnessConfig {
             EstimatorConfig::new(self.seed.wrapping_add(seed_offset))
                 .with_runs(self.runs())
                 .with_max_time(max_time)
-                .with_jobs(Some(1))
-                .with_shards(self.shards),
+                .with_jobs(Some(1)),
         )
     }
 }
@@ -475,7 +460,7 @@ pub fn run_e4(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(E4Re
             let n1 = partition.smaller_block_size() as f64;
             let initial = AveragingTimeEstimator::adversarial_initial(&partition);
             let probe = CutTickProbe::new(VanillaGossip::new(), partition.clone());
-            let sim_config = config.sharded(
+            let sim_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(4))
                     .with_stopping_rule(StoppingRule::max_time(horizon)),
             );
@@ -626,7 +611,7 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
             // epochs rather than on convergence.
             let target_epochs: f64 = if config.quick { 12.0 } else { 25.0 };
             let probe = EpochProbe::new(algorithm, designated, epoch_ticks).with_renormalization();
-            let sim_config = config.sharded(
+            let sim_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(50 + index as u64))
                     .with_stopping_rule(StoppingRule::max_time(
                         (target_epochs + 2.0) * epoch_ticks as f64,
@@ -1472,7 +1457,7 @@ pub fn sim_scale_rows(
                     "uniform",
                 ),
             };
-            let sim_config = config.sharded(
+            let sim_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(1500 + index as u64))
                     // The global sampler draws ticks in O(1); the per-edge
                     // queue's heap would add an O(log |E|) factor per event.
@@ -1563,7 +1548,7 @@ pub fn run_sim_scale(
 }
 
 // ---------------------------------------------------------------------------
-// MemScale: the flat SoA engine up to 10^6 nodes.
+// MemScale: the serial engine up to 10^6 nodes.
 // ---------------------------------------------------------------------------
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -1593,11 +1578,8 @@ pub fn peak_rss_bytes() -> Option<u64> {
     }
 }
 
-/// One row of the memory-scaling tier: a flat-SoA asynchronous run to the
-/// Definition 1 stop, its in-row legacy byte-identity oracle (at sizes where
-/// the double run is affordable), and an f32-tier run under its error-bound
-/// oracle.  Rows only reach the journal after every oracle passed — an
-/// identity mismatch or a precision violation is an `Err`.
+/// One row of the memory-scaling tier: a timed asynchronous run to the
+/// Definition 1 stop, with its throughput and the process's peak RSS.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemScaleRow {
     /// Scenario name (from `Scenario::name`).
@@ -1608,7 +1590,7 @@ pub struct MemScaleRow {
     pub edges: usize,
     /// Which initial condition was used (always `uniform` in this tier).
     pub initial: String,
-    /// Edge ticks processed until the flat-SoA run stopped.
+    /// Edge ticks processed until the run stopped.
     pub ticks: u64,
     /// Simulated time at which the run stopped.
     pub stop_time: f64,
@@ -1618,28 +1600,10 @@ pub struct MemScaleRow {
     pub variance_ratio: f64,
     /// Scheduled exact moment refreshes performed during the run.
     pub moment_refreshes: u64,
-    /// `true` when the in-row legacy-layout byte-identity oracle ran (sizes
-    /// ≤ 50k); a journaled row with `true` here *passed* it — a mismatch
-    /// never commits.
-    pub legacy_checked: bool,
-    /// Ticks of the f32-tier run (same clock seed; the tick stream never
-    /// reads the values, but the stop tick may differ — the f32 variance
-    /// crosses the threshold on its own schedule).
-    pub f32_ticks: u64,
-    /// Final normalized variance of the f32 run (exact recompute).
-    pub f32_variance_ratio: f64,
-    /// Measured f32 mean drift `|mean(final) − mean(initial)|`.
-    pub f32_mean_drift: f64,
-    /// The a-priori bound the drift was held to.
-    pub f32_mean_drift_bound: f64,
-    /// Measured f32 tracked-vs-exact final-variance error.
-    pub f32_variance_error: f64,
-    /// The bound the variance error was held to.
-    pub f32_variance_error_bound: f64,
-    /// Wall-clock milliseconds of the flat-SoA run (volatile; see
+    /// Wall-clock milliseconds of the run (volatile; see
     /// [`SimScaleRow::wall_ms`] for the contention caveat).
     pub wall_ms: f64,
-    /// Event throughput of the flat-SoA run (volatile).
+    /// Event throughput of the run (volatile).
     pub ticks_per_sec: f64,
     /// Process peak RSS in bytes after the row's runs ([`peak_rss_bytes`]).
     /// `None` — journaled and reported as `null` — when the probe is
@@ -1681,31 +1645,6 @@ impl serde::Serialize for MemScaleRow {
                 "moment_refreshes".to_string(),
                 self.moment_refreshes.to_json_value(),
             ),
-            (
-                "legacy_checked".to_string(),
-                self.legacy_checked.to_json_value(),
-            ),
-            ("f32_ticks".to_string(), self.f32_ticks.to_json_value()),
-            (
-                "f32_variance_ratio".to_string(),
-                self.f32_variance_ratio.to_json_value(),
-            ),
-            (
-                "f32_mean_drift".to_string(),
-                self.f32_mean_drift.to_json_value(),
-            ),
-            (
-                "f32_mean_drift_bound".to_string(),
-                self.f32_mean_drift_bound.to_json_value(),
-            ),
-            (
-                "f32_variance_error".to_string(),
-                self.f32_variance_error.to_json_value(),
-            ),
-            (
-                "f32_variance_error_bound".to_string(),
-                self.f32_variance_error_bound.to_json_value(),
-            ),
             ("wall_ms".to_string(), self.wall_ms.to_json_value()),
             (
                 "ticks_per_sec".to_string(),
@@ -1735,13 +1674,6 @@ impl TrialRow for MemScaleRow {
             stop_reason: value.field_str("stop_reason")?.to_string(),
             variance_ratio: value.field_f64("variance_ratio")?,
             moment_refreshes: value.field_u64("moment_refreshes")?,
-            legacy_checked: value.field_bool("legacy_checked")?,
-            f32_ticks: value.field_u64("f32_ticks")?,
-            f32_variance_ratio: value.field_f64("f32_variance_ratio")?,
-            f32_mean_drift: value.field_f64("f32_mean_drift")?,
-            f32_mean_drift_bound: value.field_f64("f32_mean_drift_bound")?,
-            f32_variance_error: value.field_f64("f32_variance_error")?,
-            f32_variance_error_bound: value.field_f64("f32_variance_error_bound")?,
             wall_ms: value.field_f64("wall_ms")?,
             ticks_per_sec: value.field_f64("ticks_per_sec")?,
             peak_rss_bytes: match value.get("peak_rss_bytes")? {
@@ -1770,29 +1702,10 @@ impl serde::Serialize for MemScaleReport {
     }
 }
 
-/// Largest size at which a mem-scale row doubles up with a legacy-layout run
-/// for the in-row byte-identity oracle; above this the second O(ticks) run
-/// would dominate the tier's wall-clock, and the identity is already pinned
-/// at this size on every family.
-pub const MEM_SCALE_IDENTITY_MAX_N: usize = 50_000;
-
-/// Runs one mem-scale row per scenario: a timed flat-SoA vanilla run to the
-/// Definition 1 stop, the legacy byte-identity oracle at sizes ≤
-/// [`MEM_SCALE_IDENTITY_MAX_N`], and an f32-tier run under
-/// [`gossip_sim::flat::F32Oracle`].  Row machinery of [`run_mem_scale`],
-/// exposed for the differential suites.
-///
-/// Unlike the other simulation tiers this one ignores `--shards`: the tier
-/// measures the *serial* flat loop (sharding would bypass the layout under
-/// test), so its engine fingerprint and journaled rows are shard-invariant
-/// by construction.
-///
-/// # Errors
-///
-/// Propagates graph-construction, simulation and journal errors; a legacy
-/// byte-identity mismatch or an f32 oracle violation is an `Err`, so such a
-/// row never reaches the journal.
-pub fn mem_scale_rows(
+/// Runs one mem-scale row per scenario: a timed vanilla run to the
+/// Definition 1 stop.  Row machinery of [`run_mem_scale`], split out so the
+/// unit tests can run it on a small suite.
+fn mem_scale_rows(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
     scenarios: &[Scenario],
@@ -1814,37 +1727,28 @@ pub fn mem_scale_rows(
                 Some(&instance.partition),
                 config.seed.wrapping_add(3100 + index as u64),
             )?;
-            let mut sim_config =
+            let sim_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(3200 + index as u64))
                     .with_clock_model(ClockModel::GlobalUniform)
                     .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
-                    .with_max_events(4_000_000_000);
-            // This tier bypasses `sharded()` (it measures the serial flat
-            // loop), so the trial deadline is threaded in here directly.
-            if let Some(deadline) = config.trial_deadline {
-                sim_config = sim_config.with_wall_clock_deadline(deadline);
-            }
-
-            let flat_config = sim_config
-                .clone()
-                .with_flat_layout()
-                .with_checkpoint_every_ticks(config.checkpoint_every_ticks);
+                    .with_max_events(4_000_000_000)
+                    .with_checkpoint_every_ticks(config.checkpoint_every_ticks),
+            );
 
             let start = std::time::Instant::now();
-            let flat = if config.checkpoint_every_ticks > 0 {
-                // Mid-run checkpointing: resume the timed flat run from the
-                // newest committed checkpoint (if any), and commit each new
+            let outcome = if config.checkpoint_every_ticks > 0 {
+                // Mid-run checkpointing: resume the timed run from the newest
+                // committed checkpoint (if any), and commit each new
                 // checkpoint through the sink as the run progresses.  The
                 // engine guarantees restored and checkpointing runs are
-                // bit-identical to an uninterrupted one, so the legacy
-                // byte-identity oracle below is unaffected.
+                // bit-identical to an uninterrupted one.
                 let key = trial_key(
                     "MEM_SCALE",
                     &scenario.fingerprint(),
                     config.seed,
                     &engine_fingerprint(config),
                 );
-                let mut flat_sim = match sink.latest_checkpoint("MEM_SCALE", key) {
+                let mut sim = match sink.latest_checkpoint("MEM_SCALE", key) {
                     Some((tick, blob)) => {
                         let checkpoint = EngineCheckpoint::from_value(&blob)?;
                         eprintln!(
@@ -1854,21 +1758,16 @@ pub fn mem_scale_rows(
                         AsyncSimulator::restore(
                             graph,
                             VanillaGossip::new(),
-                            flat_config,
+                            sim_config,
                             &checkpoint,
                         )?
                     }
-                    None => AsyncSimulator::new(
-                        graph,
-                        initial.clone(),
-                        VanillaGossip::new(),
-                        flat_config,
-                    )?,
+                    None => AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?,
                 };
                 // The engine's sink signature speaks `SimError`; carry any
                 // store failure across it in a slot and rethrow it as-is.
                 let mut store_failure = None;
-                let outcome = flat_sim.run_with_checkpoints(&mut |checkpoint| {
+                let outcome = sim.run_with_checkpoints(&mut |checkpoint| {
                     let record = CheckpointRecord {
                         key,
                         experiment: "MEM_SCALE".to_string(),
@@ -1887,72 +1786,22 @@ pub fn mem_scale_rows(
                     (Err(sim_error), None) => return Err(sim_error.into()),
                 }
             } else {
-                let mut flat_sim =
-                    AsyncSimulator::new(graph, initial.clone(), VanillaGossip::new(), flat_config)?;
-                flat_sim.run()?
+                AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?.run()?
             };
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            let legacy_checked = n <= MEM_SCALE_IDENTITY_MAX_N;
-            if legacy_checked {
-                let mut legacy_sim = AsyncSimulator::new(
-                    graph,
-                    initial.clone(),
-                    VanillaGossip::new(),
-                    sim_config.clone(),
-                )?;
-                let legacy = legacy_sim.run()?;
-                let identical = legacy.total_ticks == flat.total_ticks
-                    && legacy.elapsed_time.to_bits() == flat.elapsed_time.to_bits()
-                    && legacy.stop_reason == flat.stop_reason
-                    && legacy.moment_refreshes == flat.moment_refreshes
-                    && legacy.final_variance.to_bits() == flat.final_variance.to_bits()
-                    && legacy
-                        .final_values
-                        .as_slice()
-                        .iter()
-                        .zip(flat.final_values.as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if !identical {
-                    return Err(format!(
-                        "mem-scale identity oracle: flat-SoA run diverged from the legacy \
-                         layout on {} (n = {n})",
-                        instance.name
-                    )
-                    .into());
-                }
-            }
-
-            let kernel = VanillaGossip::new()
-                .pairwise_kernel()
-                .expect("vanilla gossip exposes its pairwise kernel");
-            let f32_outcome = gossip_sim::flat::run_f32(
-                graph,
-                &initial,
-                kernel,
-                &sim_config,
-                &gossip_sim::flat::F32Oracle::default(),
-            )?;
 
             Ok(MemScaleRow {
                 family: instance.name.clone(),
                 n,
                 edges: graph.edge_count(),
                 initial: "uniform".to_string(),
-                ticks: flat.total_ticks,
-                stop_time: flat.elapsed_time,
-                stop_reason: format!("{:?}", flat.stop_reason),
-                variance_ratio: flat.variance_ratio(),
-                moment_refreshes: flat.moment_refreshes,
-                legacy_checked,
-                f32_ticks: f32_outcome.total_ticks,
-                f32_variance_ratio: f32_outcome.variance_ratio(),
-                f32_mean_drift: f32_outcome.mean_drift,
-                f32_mean_drift_bound: f32_outcome.mean_drift_bound,
-                f32_variance_error: f32_outcome.variance_error,
-                f32_variance_error_bound: f32_outcome.variance_error_bound,
+                ticks: outcome.total_ticks,
+                stop_time: outcome.elapsed_time,
+                stop_reason: format!("{:?}", outcome.stop_reason),
+                variance_ratio: outcome.variance_ratio(),
+                moment_refreshes: outcome.moment_refreshes,
                 wall_ms,
-                ticks_per_sec: flat.total_ticks as f64 / (wall_ms / 1e3).max(1e-9),
+                ticks_per_sec: outcome.total_ticks as f64 / (wall_ms / 1e3).max(1e-9),
                 peak_rss_bytes: peak_rss_bytes(),
             })
         },
@@ -1960,21 +1809,19 @@ pub fn mem_scale_rows(
 }
 
 /// Runs the memory-scaling tier: for every size in `mem_scale_sizes` and
-/// every family of `sim_scale_suite`, one flat-SoA vanilla relaxation to the
-/// Definition 1 stop (timed, with peak-RSS accounting), the legacy
-/// byte-identity oracle at 50k, and an f32-tier run under its error-bound
-/// oracle.
+/// every family of `sim_scale_suite`, one vanilla relaxation to the
+/// Definition 1 stop, timed, with peak-RSS accounting.
 ///
 /// Every family starts from the **uniform** vector — including the chordal
 /// ring, which the SIM_SCALE tier starts arc-adversarially.  The deviation
 /// is deliberate: the arc-adversarial relaxation needs Ω(n²)-ish ticks on
 /// the ring and would make the 10⁶-node row wall-clock prohibitive, and
 /// worst-case *averaging time* is SIM_SCALE's claim — this tier's claims
-/// are memory-layout identity, bounded RSS, and throughput at scale.
+/// are bounded RSS and throughput at scale.
 ///
 /// # Errors
 ///
-/// See [`mem_scale_rows`].
+/// Propagates graph-construction, simulation and journal errors.
 pub fn run_mem_scale(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
@@ -1998,9 +1845,6 @@ pub fn run_mem_scale(
             "ticks",
             "T_stop",
             "var ratio",
-            "legacy✓",
-            "f32 drift",
-            "drift bound",
             "wall ms",
             "ticks/s",
             "RSS MiB",
@@ -2014,9 +1858,6 @@ pub fn run_mem_scale(
             row.ticks.to_string(),
             fmt(row.stop_time),
             fmt(row.variance_ratio),
-            if row.legacy_checked { "yes" } else { "-" }.to_string(),
-            fmt(row.f32_mean_drift),
-            fmt(row.f32_mean_drift_bound),
             fmt(row.wall_ms),
             fmt(row.ticks_per_sec),
             match row.peak_rss_bytes {
@@ -2201,7 +2042,7 @@ pub fn run_robustness(
                 .fault
                 .compile(&instance, config.seed.wrapping_add(1700 + index as u64));
             let initial = AveragingTimeEstimator::adversarial_initial(&instance.partition);
-            let base_config = config.sharded(
+            let base_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(1800 + index as u64))
                     .with_clock_model(ClockModel::GlobalUniform)
                     .with_stopping_rule(StoppingRule::definition1().or_max_ticks(200_000_000)),
@@ -2469,7 +2310,7 @@ fn honest_mean(values: &NodeValues, excluded: &[NodeId]) -> f64 {
 /// Runs the adversary tier: for every size in the robustness grid and every
 /// attack × aggregation case, one attack-free baseline run and one attacked
 /// run (same clock seed, adversarial cut-aligned start, global uniform
-/// clock, Definition 1 stop with the [`ADVERSARY_MAX_TICKS`] cap), checking
+/// clock, Definition 1 stop with the `ADVERSARY_MAX_TICKS` cap), checking
 /// the honest-subset drift oracle on every attacked run.  The report
 /// carries no wall-clock fields, so two runs at the same seed are
 /// byte-identical — CI diffs the JSON.
@@ -2503,7 +2344,7 @@ pub fn run_adversary(
                 .attack
                 .compile(&instance, config.seed.wrapping_add(2800 + index as u64));
             let initial = AveragingTimeEstimator::adversarial_initial(&instance.partition);
-            let base_config = config.sharded(
+            let base_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(2900 + index as u64))
                     .with_clock_model(ClockModel::GlobalUniform)
                     .with_stopping_rule(
@@ -2703,45 +2544,12 @@ pub struct PerfEstimatorRow {
     pub timings: Vec<PerfJobTiming>,
 }
 
-/// One sharded-relaxation row of the performance tier: a single large
-/// vanilla relaxation through the sharded engine at one shard versus the
-/// configured shard width, with the bitwise-identity invariant checked in
-/// code.
-///
-/// Both runs use `SimulationConfig::shards` (`Some(1)` versus `Some(k)`), so
-/// they execute the *same* event schedule and merge order — only the lane
-/// fan-out differs — and every deterministic field must agree bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfShardRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Shard width of the parallel run (volatile: `--shards`, default 4).
-    pub shards: usize,
-    /// Edge ticks processed until the run stopped (deterministic).
-    pub ticks: u64,
-    /// Why the run stopped (expected: `Converged`; deterministic).
-    pub stop_reason: String,
-    /// Final normalized variance (deterministic).
-    pub variance_ratio: f64,
-    /// Wall-clock milliseconds of the one-shard run (volatile).
-    pub wall_ms_serial: f64,
-    /// Wall-clock milliseconds of the `shards`-wide run (volatile).
-    pub wall_ms_sharded: f64,
-    /// `wall_ms_serial / wall_ms_sharded` (volatile).
-    pub speedup: f64,
-}
-
 /// The performance-tier report serialized to `BENCH_perf.json`.
 ///
-/// Volatile fields — `jobs`, `shards`, `wall_ms`, `wall_ms_serial`,
-/// `wall_ms_parallel`, `wall_ms_sharded`, `ticks_per_sec`, `speedup` — are
-/// the only ones that may differ between two runs at the same seed (or at
-/// different `--jobs` / `--shards`); CI strips exactly those lines before
-/// diffing the report.
+/// Volatile fields — `jobs`, `wall_ms`, `wall_ms_serial`,
+/// `wall_ms_parallel`, `ticks_per_sec`, `speedup` — are the only ones that
+/// may differ between two runs at the same seed (or at different `--jobs`);
+/// CI strips exactly those lines before diffing the report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfReport {
     /// Whether the quick size grid was used.
@@ -2751,14 +2559,10 @@ pub struct PerfReport {
     /// Resolved worker count of the parallel measurements (volatile: depends
     /// on `--jobs` / `GOSSIP_JOBS` / the machine).
     pub jobs: usize,
-    /// Shard width of the sharded-relaxation rows (volatile: `--shards`).
-    pub shards: usize,
     /// One timed relaxation per scale family.
     pub throughput: Vec<PerfThroughputRow>,
     /// One timed estimator job-grid comparison per scale family.
     pub estimator: Vec<PerfEstimatorRow>,
-    /// Timed one-shard-versus-`shards` relaxations with the bitwise oracle.
-    pub sharded: Vec<PerfShardRow>,
 }
 
 // Hand-written serde impls: the vendored derive is a no-op (vendor/README.md).
@@ -2825,32 +2629,6 @@ impl serde::Serialize for PerfEstimatorRow {
     }
 }
 
-impl serde::Serialize for PerfShardRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("edges".to_string(), self.edges.to_json_value()),
-            ("shards".to_string(), self.shards.to_json_value()),
-            ("ticks".to_string(), self.ticks.to_json_value()),
-            ("stop_reason".to_string(), self.stop_reason.to_json_value()),
-            (
-                "variance_ratio".to_string(),
-                self.variance_ratio.to_json_value(),
-            ),
-            (
-                "wall_ms_serial".to_string(),
-                self.wall_ms_serial.to_json_value(),
-            ),
-            (
-                "wall_ms_sharded".to_string(),
-                self.wall_ms_sharded.to_json_value(),
-            ),
-            ("speedup".to_string(), self.speedup.to_json_value()),
-        ])
-    }
-}
-
 impl TrialRow for PerfThroughputRow {
     fn to_value(&self) -> Value {
         serde::Serialize::to_json_value(self)
@@ -2911,27 +2689,6 @@ impl TrialRow for PerfEstimatorRow {
     }
 }
 
-impl TrialRow for PerfShardRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
-    }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(PerfShardRow {
-            family: value.field_str("family")?.to_string(),
-            n: value.field_usize("n")?,
-            edges: value.field_usize("edges")?,
-            shards: value.field_usize("shards")?,
-            ticks: value.field_u64("ticks")?,
-            stop_reason: value.field_str("stop_reason")?.to_string(),
-            variance_ratio: value.field_f64("variance_ratio")?,
-            wall_ms_serial: value.field_f64("wall_ms_serial")?,
-            wall_ms_sharded: value.field_f64("wall_ms_sharded")?,
-            speedup: value.field_f64("speedup")?,
-        })
-    }
-}
-
 impl serde::Serialize for PerfReport {
     fn to_json_value(&self) -> serde::json::Value {
         serde::json::Value::Object(vec![
@@ -2942,10 +2699,8 @@ impl serde::Serialize for PerfReport {
             ("quick".to_string(), self.quick.to_json_value()),
             ("seed".to_string(), self.seed.to_json_value()),
             ("jobs".to_string(), self.jobs.to_json_value()),
-            ("shards".to_string(), self.shards.to_json_value()),
             ("throughput".to_string(), self.throughput.to_json_value()),
             ("estimator".to_string(), self.estimator.to_json_value()),
-            ("sharded".to_string(), self.sharded.to_json_value()),
         ])
     }
 }
@@ -2984,29 +2739,25 @@ fn perf_estimator_suite(est_n: usize) -> Vec<Scenario> {
 /// * **Throughput**: one fault-free vanilla relaxation per scale family at
 ///   `sim_n` nodes (global uniform clock, Definition 1 stop), timed
 ///   strictly serially.
-/// * **Estimator**: per scale family (sizes from [`perf_estimator_suite`]),
+/// * **Estimator**: per scale family (sizes from `perf_estimator_suite`),
 ///   the Definition 1 estimator (`est_runs` runs, adversarial start) timed
 ///   end-to-end at every job count of the grid `{1, 2, 4, resolved}`
 ///   (deduplicated), after one untimed warmup pass that spawns the worker
 ///   pool and faults the instance in.  Every parallel estimate is compared
 ///   **bitwise** against the one-job estimate; any divergence is an error,
 ///   so the PERF tier is itself a serial-vs-parallel determinism oracle.
-/// * **Sharded**: large single relaxations (`shard_n` nodes) through the
-///   sharded engine at one shard versus the configured width, timed, with
-///   the bitwise-identity invariant checked in code.
 ///
 /// # Errors
 ///
 /// Propagates graph-construction, simulation and journal errors, and
-/// reports any parallel or sharded result that diverges from its serial
-/// twin as an error.
+/// reports any parallel estimate that diverges from its serial twin as an
+/// error.
 pub fn run_perf_sized(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
     sim_n: usize,
     est_n: usize,
     est_runs: usize,
-    shard_n: usize,
 ) -> BenchResult<(PerfReport, Vec<Table>)> {
     let jobs = config.executor().jobs();
     // ticks/s is this tier's headline metric, so every timed section runs
@@ -3043,7 +2794,7 @@ pub fn run_perf_sized(
                     config.seed.wrapping_add(2000 + index as u64),
                 )?,
             };
-            let sim_config = config.sharded(
+            let sim_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(2100 + index as u64))
                     .with_clock_model(ClockModel::GlobalUniform)
                     .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
@@ -3094,8 +2845,7 @@ pub fn run_perf_sized(
             let lower = bounds::theorem1_lower_bound(&instance.partition);
             let base = EstimatorConfig::new(config.seed.wrapping_add(2300 + index as u64))
                 .with_runs(est_runs)
-                .with_max_time(60.0 * lower + 500.0)
-                .with_shards(config.shards);
+                .with_max_time(60.0 * lower + 500.0);
 
             // Untimed warmup: spawns (and parks) the pool workers, faults the
             // instance's pages in, and fills the per-worker scratch arenas, so
@@ -3158,107 +2908,12 @@ pub fn run_perf_sized(
         },
     )?;
 
-    // Sharded relaxations: the same schedule at one shard versus the
-    // configured width must agree bit for bit (the merge-order invariant),
-    // while the wide run may only win wall clock.  The pool is already warm
-    // from the estimator grid above.
-    let shard_width = config.shards.unwrap_or(4).max(1);
-    let shard_suite = [
-        Scenario::ChordalRing { n: shard_n.max(3) },
-        Scenario::ExpanderDumbbell {
-            half: (shard_n / 2).max(3),
-        },
-    ];
-    let sharded_fingerprints: Vec<String> = shard_suite
-        .iter()
-        .map(|scenario| {
-            format!(
-                "{}+section=sharded,width={shard_width}",
-                scenario.fingerprint()
-            )
-        })
-        .collect();
-    let sharded_rows = run_trials(
-        config,
-        &serial,
-        sink,
-        "PERF",
-        &sharded_fingerprints,
-        |index| -> BenchResult<PerfShardRow> {
-            let scenario = &shard_suite[index];
-            let instance = scenario.instantiate(config.seed.wrapping_add(2400 + index as u64))?;
-            let graph = &instance.graph;
-            let n = graph.node_count();
-            let initial = match scenario {
-                Scenario::ChordalRing { .. } => {
-                    AveragingTimeEstimator::adversarial_initial(&instance.partition)
-                }
-                _ => InitialCondition::Uniform { lo: -1.0, hi: 1.0 }.generate(
-                    n,
-                    Some(&instance.partition),
-                    config.seed.wrapping_add(2500 + index as u64),
-                )?,
-            };
-            let base = SimulationConfig::new(config.seed.wrapping_add(2600 + index as u64))
-                .with_clock_model(ClockModel::GlobalUniform)
-                .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
-                .with_max_events(4_000_000_000);
-            let run_at = |shards: usize| -> BenchResult<(SimulationOutcome, f64)> {
-                let start = std::time::Instant::now();
-                let mut simulator = AsyncSimulator::new(
-                    graph,
-                    initial.clone(),
-                    VanillaGossip::new(),
-                    base.clone().with_shards(shards),
-                )?;
-                let outcome = simulator.run()?;
-                Ok((outcome, start.elapsed().as_secs_f64() * 1e3))
-            };
-            let (serial_outcome, wall_ms_serial) = run_at(1)?;
-            let (sharded_outcome, wall_ms_sharded) = run_at(shard_width)?;
-
-            let bitwise_equal = serial_outcome.total_ticks == sharded_outcome.total_ticks
-                && serial_outcome.stop_reason == sharded_outcome.stop_reason
-                && serial_outcome.moment_refreshes == sharded_outcome.moment_refreshes
-                && serial_outcome.fault_stats == sharded_outcome.fault_stats
-                && serial_outcome.elapsed_time.to_bits() == sharded_outcome.elapsed_time.to_bits()
-                && serial_outcome
-                    .final_values
-                    .as_slice()
-                    .iter()
-                    .zip(sharded_outcome.final_values.as_slice().iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !bitwise_equal {
-                return Err(format!(
-                    "sharded relaxation diverged from its one-shard twin on {} at {} shards",
-                    instance.name, shard_width
-                )
-                .into());
-            }
-
-            Ok(PerfShardRow {
-                family: instance.name.clone(),
-                n,
-                edges: graph.edge_count(),
-                shards: shard_width,
-                ticks: serial_outcome.total_ticks,
-                stop_reason: format!("{:?}", serial_outcome.stop_reason),
-                variance_ratio: serial_outcome.variance_ratio(),
-                wall_ms_serial,
-                wall_ms_sharded,
-                speedup: wall_ms_serial / wall_ms_sharded.max(1e-9),
-            })
-        },
-    )?;
-
     let report = PerfReport {
         quick: config.quick,
         seed: config.seed,
         jobs,
-        shards: shard_width,
         throughput,
         estimator: estimator_rows,
-        sharded: sharded_rows,
     };
 
     let descriptor = ExperimentId::Perf.descriptor();
@@ -3329,46 +2984,12 @@ pub fn run_perf_sized(
             },
         ]);
     }
-    let mut sharded_table = Table::new(
-        format!(
-            "{}: {} — sharded relaxation at 1 vs {} shards",
-            descriptor.id, descriptor.title, shard_width
-        ),
-        &[
-            "family",
-            "n",
-            "|E|",
-            "shards",
-            "ticks",
-            "stop",
-            "wall ms (1 shard)",
-            "wall ms (k shards)",
-            "speedup",
-        ],
-    );
-    for row in &report.sharded {
-        sharded_table.push_row(vec![
-            row.family.clone(),
-            row.n.to_string(),
-            row.edges.to_string(),
-            row.shards.to_string(),
-            row.ticks.to_string(),
-            row.stop_reason.clone(),
-            fmt(row.wall_ms_serial),
-            fmt(row.wall_ms_sharded),
-            fmt(row.speedup),
-        ]);
-    }
-    Ok((
-        report,
-        vec![throughput_table, estimator_table, sharded_table],
-    ))
+    Ok((report, vec![throughput_table, estimator_table]))
 }
 
 /// Runs the performance tier on the standard grid: throughput relaxations at
-/// 2 048 (quick) / 16 384 (full) nodes, estimator grids derived from 256 /
-/// 512 with 6 / 12 runs, sharded relaxations at 2 048 / 50 000 nodes.  See
-/// [`run_perf_sized`].
+/// 2 048 (quick) / 16 384 (full) nodes and estimator grids derived from
+/// 256 / 512 with 6 / 12 runs.  See [`run_perf_sized`].
 ///
 /// # Errors
 ///
@@ -3378,9 +2999,9 @@ pub fn run_perf(
     sink: &dyn TrialSink,
 ) -> BenchResult<(PerfReport, Vec<Table>)> {
     if config.quick {
-        run_perf_sized(config, sink, 2048, 256, 6, 2048)
+        run_perf_sized(config, sink, 2048, 256, 6)
     } else {
-        run_perf_sized(config, sink, 16384, 512, 12, 50_000)
+        run_perf_sized(config, sink, 16384, 512, 12)
     }
 }
 
@@ -3513,11 +3134,9 @@ mod tests {
     }
 
     #[test]
-    fn mem_scale_rows_pass_both_oracles_on_a_mini_suite() {
-        // Drive the real row machinery of `run_mem_scale` — the timed
-        // flat-SoA run, the in-row legacy byte-identity oracle (every size
-        // here is ≤ 50k, so it always runs), and the f32-tier oracle — on
-        // the smallest suite size so the unit suite stays fast.
+    fn mem_scale_rows_converge_on_a_mini_suite() {
+        // Drive the real row machinery of `run_mem_scale` on the smallest
+        // suite size so the unit suite stays fast.
         let mut config = HarnessConfig::quick();
         config.seed = 7;
         let scenarios = gossip_workloads::scenarios::sim_scale_suite(128);
@@ -3529,15 +3148,8 @@ mod tests {
                 "{} did not converge",
                 row.family
             );
-            assert!(
-                row.legacy_checked,
-                "{} skipped the identity oracle",
-                row.family
-            );
             assert!(row.variance_ratio < DEFINITION1_THRESHOLD);
-            assert!(row.f32_mean_drift <= row.f32_mean_drift_bound);
-            assert!(row.f32_variance_error <= row.f32_variance_error_bound);
-            assert!(row.f32_ticks > 0);
+            assert!(row.ticks > 0);
             // Round-trip through the journal encoding.
             let value = TrialRow::to_value(row);
             assert_eq!(MemScaleRow::from_value(&value).unwrap(), *row);

@@ -19,10 +19,9 @@
 //! 5. merge replayed and computed rows back in input order.
 //!
 //! The engine fingerprint folds in everything that changes trial *outputs*:
-//! quick/full mode and the legacy-vs-sharded engine.  Job counts and shard
-//! widths are deliberately excluded — outputs are byte-identical across
-//! them, so a journal written at `--jobs 8 --shards 4` replays under
-//! `--jobs 1 --shards 1` and vice versa.
+//! quick/full mode.  Job counts are deliberately excluded — outputs are
+//! byte-identical across them, so a journal written at `--jobs 8` replays
+//! under `--jobs 1` and vice versa.
 //!
 //! # Supervision
 //!
@@ -52,18 +51,13 @@ use serde::json::Value;
 use std::panic::{self, AssertUnwindSafe};
 
 /// The engine part of a trial key: every configuration axis that changes
-/// trial outputs (and nothing that doesn't).
+/// trial outputs (and nothing that doesn't).  `engine=legacy` names the one
+/// serial engine loop; the suffix stays so journals and checkpoints written
+/// when the harness could select other engines keep replaying.
 #[must_use]
 pub fn engine_fingerprint(config: &HarnessConfig) -> String {
-    format!(
-        "{};engine={}",
-        if config.quick { "quick" } else { "full" },
-        if config.shards.is_some() {
-            "sharded"
-        } else {
-            "legacy"
-        }
-    )
+    let mode = if config.quick { "quick" } else { "full" };
+    format!("{mode};engine=legacy")
 }
 
 /// A tier row that can round-trip through a journaled JSON value.
@@ -312,17 +306,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_fingerprint_tracks_mode_and_engine() {
+    fn engine_fingerprint_tracks_mode() {
         let mut config = HarnessConfig::quick();
         assert_eq!(engine_fingerprint(&config), "quick;engine=legacy");
         config.quick = false;
-        config.shards = Some(4);
-        assert_eq!(engine_fingerprint(&config), "full;engine=sharded");
-        // Job counts and shard widths never change outputs, so they never
-        // change the fingerprint.
+        assert_eq!(engine_fingerprint(&config), "full;engine=legacy");
+        // Job counts never change outputs, so they never change the
+        // fingerprint.
         let narrower = HarnessConfig {
             jobs: Some(1),
-            shards: Some(1),
             ..config
         };
         assert_eq!(engine_fingerprint(&narrower), engine_fingerprint(&config));

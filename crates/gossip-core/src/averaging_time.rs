@@ -84,13 +84,6 @@ pub struct EstimatorConfig {
     /// produces byte-identical estimates — runs are collected in run order —
     /// so this knob only changes wall-clock time.
     pub jobs: Option<usize>,
-    /// Intra-run sharding passed through to
-    /// [`SimulationConfig::shards`](gossip_sim::engine::SimulationConfig::shards):
-    /// `Some(k)` makes each simulation apply conflict-free event batches over
-    /// `k` workers (bit-identical across every shard count, including
-    /// `Some(1)`); `None` (the default) keeps the legacy per-tick loop.
-    /// Handlers without a pairwise kernel fall back to the legacy loop.
-    pub shards: Option<usize>,
 }
 
 impl EstimatorConfig {
@@ -108,7 +101,6 @@ impl EstimatorConfig {
             clock_model: ClockModel::PerEdgeQueue,
             quantile: 1.0 - (-1.0f64).exp(),
             jobs: None,
-            shards: None,
         }
     }
 
@@ -158,12 +150,6 @@ impl EstimatorConfig {
     /// [`Self::jobs`]).
     pub fn with_jobs(mut self, jobs: Option<usize>) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the intra-run shard count (see [`Self::shards`]).
-    pub fn with_shards(mut self, shards: Option<usize>) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -357,9 +343,6 @@ impl AveragingTimeEstimator {
                 .with_settling_threshold(self.config.threshold);
             if let Some(p) = partition {
                 sim_config = sim_config.with_partition(p.clone());
-            }
-            if let Some(shards) = self.config.shards {
-                sim_config = sim_config.with_shards(shards);
             }
             let run_initial = match scratch.values.take() {
                 Some(mut values) => {
@@ -599,29 +582,6 @@ mod tests {
                 .zip(parallel.settling_times.iter())
             {
                 assert_eq!(a.to_bits(), b.to_bits(), "jobs = {jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_estimates_are_byte_identical_across_shard_counts() {
-        let (g, p) = dumbbell(6).unwrap();
-        let estimate_at = |shards: usize| {
-            AveragingTimeEstimator::new(
-                EstimatorConfig::new(17)
-                    .with_runs(4)
-                    .with_max_time(2_000.0)
-                    .with_shards(Some(shards)),
-            )
-            .estimate(&g, &p, VanillaGossip::new)
-            .unwrap()
-        };
-        let one = estimate_at(1);
-        for shards in [2, 4] {
-            let sharded = estimate_at(shards);
-            assert_eq!(one, sharded, "shards = {shards}");
-            for (a, b) in one.settling_times.iter().zip(sharded.settling_times.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "shards = {shards}");
             }
         }
     }

@@ -8,7 +8,7 @@
 //! cut, mass can only leak across the cut at rate `O(|E₁₂|/min(n₁,n₂))` per
 //! unit time, so averaging needs `Ω(min(n₁,n₂)/|E₁₂|)` time.
 
-use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState, PairwiseKernel};
+use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState};
 use gossip_sim::values::NodeValues;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -36,15 +36,6 @@ impl EdgeTickHandler for VanillaGossip {
 
     fn name(&self) -> &str {
         "vanilla"
-    }
-
-    // Same arithmetic as `NodeValues::average_pair`, so the sharded engine's
-    // kernel path is bit-identical to the per-tick path.
-    fn pairwise_kernel(&self) -> Option<PairwiseKernel> {
-        Some(|xu, xv| {
-            let avg = 0.5 * (xu + xv);
-            (avg, avg)
-        })
     }
 
     fn save_state(&self) -> Option<HandlerState> {
@@ -197,28 +188,6 @@ mod tests {
         algo.on_edge_tick(&mut v, &ctx_for(&g, EdgeId(0)));
         assert_eq!(v.as_slice(), &[1.0, 1.0, 8.0]);
         assert_eq!(algo.name(), "vanilla");
-    }
-
-    #[test]
-    fn vanilla_kernel_matches_average_pair_bitwise() {
-        let g = path(2).unwrap();
-        let kernel = VanillaGossip::new().pairwise_kernel().expect("has kernel");
-        // Include pairs whose average is not exactly representable, so any
-        // arithmetic mismatch between the kernel and average_pair shows up.
-        for (a, b) in [
-            (2.0, 0.0),
-            (0.1, 0.2),
-            (1.0e-300, 3.0e17),
-            (-7.3, 11.9),
-            (f64::MIN_POSITIVE, 1.0),
-        ] {
-            let mut v = NodeValues::from_values(vec![a, b]).unwrap();
-            let mut algo = VanillaGossip::new();
-            algo.on_edge_tick(&mut v, &ctx_for(&g, EdgeId(0)));
-            let (ku, kv) = kernel(a, b);
-            assert_eq!(v.get(NodeId(0)).to_bits(), ku.to_bits());
-            assert_eq!(v.get(NodeId(1)).to_bits(), kv.to_bits());
-        }
     }
 
     #[test]

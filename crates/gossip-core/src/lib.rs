@@ -19,8 +19,8 @@
 //!   non-convex mass transfer across the cut.  Theorem 2 upper-bounds its
 //!   averaging time by `O(log n · (T_van(G₁)+T_van(G₂)))`.
 //! * [`robust`] — outlier-resistant aggregation for Byzantine environments:
-//!   [`robust::TrimmedMeanGossip`] (clamped innovations, mass-conserving,
-//!   sharded-kernel at the default radius) and
+//!   [`robust::TrimmedMeanGossip`] (clamped innovations, mass-conserving)
+//!   and
 //!   [`robust::MedianNeighborGossip`] (median-of-three with one-contact
 //!   memory), benchmarked against the adversaries of `gossip_sim::adversary`.
 //! * [`diffusion`] — synchronous first- and second-order diffusive load

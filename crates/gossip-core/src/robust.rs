@@ -11,8 +11,7 @@
 //!   subject to the honest-subset drift oracle
 //!   (`gossip_analysis::robust::honest_drift_bound`), while an extreme
 //!   report moves an honest node by at most `τ/2` no matter how large the
-//!   outlier.  At the canonical radius [`DEFAULT_TRIM_RADIUS`] the rule
-//!   exposes a [`PairwiseKernel`], so the sharded engine can apply it.
+//!   outlier.
 //! * [`MedianNeighborGossip`] averages each endpoint toward the **median**
 //!   of {own value, partner's report, previous report seen by this node}.
 //!   A single outlier report is outvoted by the node's own value and its
@@ -20,25 +19,13 @@
 //!   outright.  The median step is not antisymmetric (mass is not exactly
 //!   conserved between honest pairs), so the applicable oracle is the
 //!   convex-hull bound (`gossip_analysis::robust::hull_drift_bound`), and
-//!   the per-node memory makes the rule stateful — no pairwise kernel, the
-//!   sharded engine falls back to the legacy loop.
+//!   the per-node memory makes the rule stateful.
 
-use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState, PairwiseKernel};
+use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState};
 use gossip_sim::values::NodeValues;
 
-/// The canonical trim radius at which [`TrimmedMeanGossip`] exposes a
-/// pairwise kernel (kernels are plain `fn` pointers and cannot capture a
-/// runtime radius).
+/// The canonical trim radius of [`TrimmedMeanGossip::default_radius`].
 pub const DEFAULT_TRIM_RADIUS: f64 = 1.0;
-
-/// The [`DEFAULT_TRIM_RADIUS`] update as a capture-free kernel, bit-identical
-/// to [`TrimmedMeanGossip::on_edge_tick`] at that radius.
-fn trimmed_mean_default_kernel(xu: f64, xv: f64) -> (f64, f64) {
-    (
-        xu + 0.5 * (xv - xu).clamp(-DEFAULT_TRIM_RADIUS, DEFAULT_TRIM_RADIUS),
-        xv + 0.5 * (xu - xv).clamp(-DEFAULT_TRIM_RADIUS, DEFAULT_TRIM_RADIUS),
-    )
-}
 
 /// Pairwise trimmed-mean gossip: each endpoint moves half-way toward the
 /// other's report, but the innovation is clamped to `±radius`.
@@ -63,8 +50,7 @@ impl TrimmedMeanGossip {
         Ok(TrimmedMeanGossip { radius })
     }
 
-    /// The rule at the canonical [`DEFAULT_TRIM_RADIUS`] — the only radius
-    /// with a sharded-engine kernel.
+    /// The rule at the canonical [`DEFAULT_TRIM_RADIUS`].
     pub fn default_radius() -> Self {
         TrimmedMeanGossip {
             radius: DEFAULT_TRIM_RADIUS,
@@ -88,14 +74,6 @@ impl EdgeTickHandler for TrimmedMeanGossip {
 
     fn name(&self) -> &str {
         "trimmed"
-    }
-
-    fn pairwise_kernel(&self) -> Option<PairwiseKernel> {
-        if self.radius == DEFAULT_TRIM_RADIUS {
-            Some(trimmed_mean_default_kernel)
-        } else {
-            None
-        }
     }
 
     fn save_state(&self) -> Option<HandlerState> {
@@ -213,33 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_mean_kernel_matches_handler_bitwise_at_default_radius() {
-        let g = path(2).unwrap();
-        let kernel = TrimmedMeanGossip::default_radius()
-            .pairwise_kernel()
-            .expect("default radius has a kernel");
-        for (a, b) in [
-            (0.0, 100.0),
-            (0.1, 0.2),
-            (-7.3, 11.9),
-            (0.3, 0.7),
-            (1.0e-300, 3.0e17),
-        ] {
-            let mut v = NodeValues::from_values(vec![a, b]).unwrap();
-            let mut algo = TrimmedMeanGossip::default_radius();
-            algo.on_edge_tick(&mut v, &ctx_for(&g, EdgeId(0)));
-            let (ku, kv) = kernel(a, b);
-            assert_eq!(v.get(NodeId(0)).to_bits(), ku.to_bits());
-            assert_eq!(v.get(NodeId(1)).to_bits(), kv.to_bits());
-        }
-        // Non-canonical radii cannot be expressed as a capture-free kernel.
-        assert!(TrimmedMeanGossip::new(2.0)
-            .unwrap()
-            .pairwise_kernel()
-            .is_none());
-    }
-
-    #[test]
     fn median3_picks_the_middle_value() {
         for (a, b, c, want) in [
             (1.0, 2.0, 3.0, 2.0),
@@ -273,11 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn median_gossip_is_stateful_and_has_no_kernel() {
-        assert!(MedianNeighborGossip::new(4).pairwise_kernel().is_none());
-    }
-
-    #[test]
     fn robust_rules_converge_on_honest_complete_graphs() {
         let g = complete(8).unwrap();
         let initial: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0).collect();
@@ -303,39 +249,6 @@ mod tests {
                 outcome.final_values.max().unwrap() <= 7.0 / 8.0 + 1e-12,
                 "{name}"
             );
-        }
-    }
-
-    #[test]
-    fn trimmed_default_kernel_shards_bit_identically() {
-        // The default-radius kernel is what the sharded engine applies; all
-        // shard counts must agree bit-for-bit.
-        let g = complete(12).unwrap();
-        let initial: Vec<f64> = (0..12).map(|i| (i as f64 * 0.37).sin()).collect();
-        let run = |shards: usize| {
-            let config = SimulationConfig::new(19)
-                .with_stopping_rule(StoppingRule::variance_ratio_below(1e-6).or_max_ticks(500_000))
-                .with_shards(shards);
-            let mut sim = AsyncSimulator::new(
-                &g,
-                NodeValues::from_values(initial.clone()).unwrap(),
-                TrimmedMeanGossip::default_radius(),
-                config,
-            )
-            .unwrap();
-            sim.run().unwrap()
-        };
-        let one = run(1);
-        let four = run(4);
-        assert!(one.converged());
-        assert_eq!(one.total_ticks, four.total_ticks);
-        for (a, b) in one
-            .final_values
-            .as_slice()
-            .iter()
-            .zip(four.final_values.as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

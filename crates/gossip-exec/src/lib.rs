@@ -11,9 +11,9 @@
 //! The design is deliberately minimal (std-only — the workspace is
 //! vendored-only):
 //!
-//! * Fan-outs run on a **persistent process-wide worker pool** (see
-//!   [`mod@pool`]): workers are spawned once and park between calls, so a
-//!   `map_indexed` call costs a mutex round-trip rather than a spawn and
+//! * Fan-outs run on a **persistent process-wide worker pool** (the
+//!   private `pool` module): workers are spawned once and park between calls,
+//!   so a `map_indexed` call costs a mutex round-trip rather than a spawn and
 //!   join per worker.  PR-5's per-call `std::thread::scope` workers paid
 //!   ~50–100 µs of spawn/teardown each, which swallowed the entire parallel
 //!   gain on millisecond-scale runs — the measured ~1.0x "speedup" in the
@@ -130,7 +130,7 @@ pub fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 /// collection.
 ///
 /// The executor itself is a plain job count — cheap to copy, compare, and
-/// store in configs.  The threads live in the process-wide [`mod@pool`] and
+/// store in configs.  The threads live in the process-wide `pool` module and
 /// are shared by every executor; borrows of the caller's stack (graphs,
 /// initial vectors, handler factories) flow into tasks without `'static`
 /// bounds or reference counting because a fan-out call does not return
@@ -168,8 +168,7 @@ impl Executor {
     ///
     /// `f` must be a pure function of its index for the parallel output to
     /// be byte-identical to the serial output; everything this workspace
-    /// fans out (seeded simulation runs, scenario rows, sharded tick lanes)
-    /// is.
+    /// fans out (seeded simulation runs, scenario rows) is.
     ///
     /// # Panics
     ///
@@ -600,8 +599,8 @@ mod tests {
 
     #[test]
     fn nested_fanouts_complete_with_correct_results() {
-        // A fan-out inside a fan-out (the shape of a sharded simulation
-        // inside a parallel estimator) must run inline on the outer
+        // A fan-out inside a fan-out (the shape of a parallel estimator
+        // inside a parallel tier) must run inline on the outer
         // participants without deadlocking the single-job pool.
         let outer = Executor::new(3);
         let got = outer.map_indexed(6, |i| {

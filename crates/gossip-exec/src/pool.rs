@@ -22,8 +22,8 @@
 //!   inline as the `helpers + 1`-th participant, then clears the job and
 //!   blocks until every joined worker has finished.  Only then does it
 //!   return — which is the entire safety argument for the erased borrow.
-//! * Nested fan-outs (a sharded simulation inside an already-parallel
-//!   estimator, say) run inline on the calling participant: the outer job
+//! * Nested fan-outs (a parallel estimator inside an already-parallel
+//!   tier, say) run inline on the calling participant: the outer job
 //!   already owns every core, so nesting would only oversubscribe — and a
 //!   thread-local re-entry flag keeps it deadlock-free by construction.
 //!

@@ -192,21 +192,6 @@ impl Graph {
         &self.edges
     }
 
-    /// Borrows the CSR offset array: the `(neighbour, edge)` pairs of node
-    /// `i` live at `csr_adjacency()[csr_offsets()[i]..csr_offsets()[i + 1]]`.
-    ///
-    /// Together with [`Self::csr_adjacency`] this exposes the flat adjacency
-    /// representation the graph already stores internally, so large-`n`
-    /// engines can walk neighbourhoods without per-call iterator plumbing.
-    pub fn csr_offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Borrows the flattened CSR adjacency array (see [`Self::csr_offsets`]).
-    pub fn csr_adjacency(&self) -> &[(NodeId, EdgeId)] {
-        &self.adjacency
-    }
-
     /// Looks up an edge by identifier.
     ///
     /// # Errors
@@ -530,20 +515,6 @@ mod tests {
         assert!(b.add_edge_if_absent(0, 2).unwrap());
         assert_eq!(b.edge_count(), 2);
         assert_eq!(b.node_count(), 3);
-    }
-
-    #[test]
-    fn csr_accessors_mirror_neighbor_iteration() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
-        let offsets = g.csr_offsets();
-        let adjacency = g.csr_adjacency();
-        assert_eq!(offsets.len(), g.node_count() + 1);
-        assert_eq!(adjacency.len(), 2 * g.edge_count());
-        for v in g.nodes() {
-            let flat: Vec<_> = adjacency[offsets[v.index()]..offsets[v.index() + 1]].to_vec();
-            let iterated: Vec<_> = g.neighbors(v).collect();
-            assert_eq!(flat, iterated);
-        }
     }
 
     #[test]

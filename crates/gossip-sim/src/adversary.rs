@@ -29,6 +29,10 @@
 //! **byte-identical** to a run with no plan at all — mirroring the
 //! [`crate::fault::FaultPlan::none`] oracle pinned since PR 4;
 //! `tests/adversary_differential.rs` pins the same contract for this layer.
+//!
+//! [`BiasedInjector`]: AdversaryBehavior::BiasedInjector
+//! [`ExtremeValueNode`]: AdversaryBehavior::ExtremeValueNode
+//! [`StaleReplayNode`]: AdversaryBehavior::StaleReplayNode
 
 use crate::{Result, SimError};
 use gossip_graph::{Edge, EdgeId, Graph, NodeId};
@@ -470,24 +474,6 @@ impl AdversaryInjector {
         })
     }
 
-    /// Returns `true` if this contact can involve the adversary at all —
-    /// the sharded engine's fast path batches contacts for which this is
-    /// `false` without consulting the injector (pair with
-    /// [`Self::note_honest`] to keep the counters exact).
-    pub fn touches(&self, edge_id: EdgeId, edge: Edge) -> bool {
-        if self.censored_edges.contains_key(&edge_id.index()) {
-            return true;
-        }
-        let (u, v) = edge.endpoints();
-        self.behaviors[u.index()].is_some() || self.behaviors[v.index()].is_some()
-    }
-
-    /// Counts a delivered contact that was classified honest without going
-    /// through [`Self::classify`] (sharded fast path).
-    pub fn note_honest(&mut self) {
-        self.stats.honest_contacts += 1;
-    }
-
     /// Classifies the delivered contact at `tick` on `edge`, given the
     /// endpoints' current stored values, updating the counters.  The
     /// adversary stream is drawn from only for censor coins and extreme
@@ -734,7 +720,6 @@ mod tests {
         for t in 0..1000u64 {
             let id = EdgeId(t as usize % g.edge_count());
             let edge = g.edge(id).unwrap();
-            assert!(!injector.touches(id, edge));
             assert_eq!(
                 injector.classify(id, edge, t, 1.0, 2.0),
                 AdversaryAction::Honest
@@ -758,7 +743,6 @@ mod tests {
         let plan = AdversaryPlan::new(3).with_biased_injector(NodeId(0), 2.5);
         let mut injector = AdversaryInjector::new(&plan, &g).unwrap();
         let edge = g.edge(EdgeId(0)).unwrap();
-        assert!(injector.touches(EdgeId(0), edge));
         match injector.classify(EdgeId(0), edge, 1, 1.0, 5.0) {
             AdversaryAction::Falsified(contact) => {
                 let report = contact.u.expect("node 0 is adversarial");

@@ -199,9 +199,10 @@ impl EngineCheckpoint {
     /// # Errors
     ///
     /// Returns [`SimError::CheckpointInvalid`] for any structural problem:
-    /// wrong schema version, missing or mistyped fields, or unparseable
-    /// encodings.  Inconsistencies with the *target run* (seed, graph shape,
-    /// clock model, plans) are caught later by
+    /// wrong schema version, missing or mistyped fields, unparseable
+    /// encodings, or moments counting a different number of entries than
+    /// `values` holds.  Inconsistencies with the *target run* (seed, graph
+    /// shape, clock model, plans) are caught later by
     /// [`AsyncSimulator::restore`](crate::engine::AsyncSimulator::restore).
     pub fn from_value(value: &Value) -> Result<Self> {
         let obj = as_object(value, "checkpoint")?;
@@ -228,6 +229,16 @@ impl EngineCheckpoint {
             get_f64(moments_obj, "sum_sq")?,
             get_u64(moments_obj, "refreshes")?,
         );
+        if moments.0 != values.len() {
+            // A tracker of the wrong length reports a wrong variance, so a
+            // run resumed from it could stop as converged while the values
+            // are still far apart.
+            return Err(invalid(format!(
+                "moments count {} entries but the checkpoint holds {} values",
+                moments.0,
+                values.len()
+            )));
+        }
         let sampler = parse_sampler(get(obj, "sampler")?)?;
         let faults = match get(obj, "faults")? {
             Value::Null => None,
@@ -793,6 +804,24 @@ mod tests {
             EngineCheckpoint::from_value(&torn),
             Err(SimError::CheckpointInvalid { .. })
         ));
+        // A moment tracker whose length disagrees with the values: resumed,
+        // it would read a wrong variance and could stop as converged.
+        for len in [0.0, 1e12] {
+            let mut miscounted = value.clone();
+            if let Value::Object(fields) = &mut miscounted {
+                let (_, moments) = fields.iter_mut().find(|(k, _)| k == "moments").unwrap();
+                if let Value::Object(entries) = moments {
+                    entries[0] = ("len".into(), Value::Number(len));
+                }
+            }
+            assert!(
+                matches!(
+                    EngineCheckpoint::from_value(&miscounted),
+                    Err(SimError::CheckpointInvalid { .. })
+                ),
+                "accepted moments.len = {len}"
+            );
+        }
         // A mistyped float encoding.
         let mut mistyped = value;
         if let Value::Object(fields) = &mut mistyped {

@@ -9,7 +9,6 @@ use crate::checkpoint::{EngineCheckpoint, SamplerState};
 use crate::clock::{ClockScratch, EdgeClockQueue, GlobalTickProcess, TickProcess};
 use crate::fault::{ContactFate, FaultInjector, FaultPlan, FaultStats};
 use crate::handler::{EdgeTickContext, EdgeTickHandler};
-use crate::shard::{BatchPlanner, SharedValues, BATCH_TICKS};
 use crate::stopping::{SimulationStatus, StopReason, StoppingRule};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use crate::values::NodeValues;
@@ -27,33 +26,6 @@ pub enum ClockModel {
     /// Global rate-`|E|` process with uniform edge choice
     /// ([`GlobalTickProcess`]).
     GlobalUniform,
-}
-
-/// Which in-memory data layout the serial engine's hot loop runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MemoryLayout {
-    /// The historical layout: ticks are dispatched through the
-    /// [`EdgeTickHandler`] with an [`EdgeTickContext`].  Byte-stable with
-    /// every earlier release.
-    #[default]
-    Legacy,
-    /// Flat struct-of-arrays layout built for ~10⁶-node runs: values are
-    /// mutated through the raw struct-of-arrays slice with the moment
-    /// tracker's shifted sums updated alongside, and the handler is replaced
-    /// by its [`pairwise_kernel`].  Both layouts read each tick's endpoints
-    /// from the sampler's event.  **Bit-identical to [`Self::Legacy`]**:
-    /// every value read, kernel application, and `record_update` happens in
-    /// the same order with the same operands (see
-    /// `tests/memscale_differential.rs`).
-    ///
-    /// Requires a handler with a kernel, [`VarianceMode::Incremental`], and
-    /// no trace; otherwise the engine silently falls back to the legacy
-    /// loop, exactly like [`SimulationConfig::shards`] does.  When both
-    /// `shards` and this are set, sharding wins (it is its own
-    /// deterministic mode).
-    ///
-    /// [`pairwise_kernel`]: crate::handler::EdgeTickHandler::pairwise_kernel
-    FlatSoA,
 }
 
 /// How the variance fed to the stopping rule is obtained at each check.
@@ -121,26 +93,6 @@ pub struct SimulationConfig {
     /// `Some` plan for which [`AdversaryPlan::is_empty`] holds, are
     /// byte-identical to the adversary-free engine.
     pub adversary_plan: Option<AdversaryPlan>,
-    /// Intra-run sharding.  `None` (the default) runs the legacy serial
-    /// per-tick loop, byte-stable with earlier releases.  `Some(k)` switches
-    /// to the **sharded** engine: events are drawn serially (the RNG stream
-    /// is sequential by nature) but applied in conflict-free wavefront
-    /// rounds fanned out over up to `k` worker lanes, with a deterministic
-    /// (round, lane, event) merge order — so the outcome is bit-identical
-    /// for *every* shard count, `Some(1)` included, though it is a distinct
-    /// deterministic mode from `None` (stopping checks move to batch
-    /// granularity and the moment tracker sums lane partials in a different
-    /// float order).  Sharding requires a handler with a
-    /// [`pairwise_kernel`], [`VarianceMode::Incremental`], and no trace;
-    /// otherwise the engine silently falls back to the legacy loop.
-    ///
-    /// [`pairwise_kernel`]: crate::handler::EdgeTickHandler::pairwise_kernel
-    pub shards: Option<usize>,
-    /// Which data layout the serial hot loop runs on (see [`MemoryLayout`]).
-    /// [`MemoryLayout::FlatSoA`] is bit-identical to the default
-    /// [`MemoryLayout::Legacy`] and exists purely for memory locality at
-    /// large `n`.
-    pub memory_layout: MemoryLayout,
     /// Cadence (in ticks) at which [`AsyncSimulator::run_with_checkpoints`]
     /// hands an [`EngineCheckpoint`] to its sink; `0` (the default)
     /// disables capture.  A non-zero cadence requires a handler that saves
@@ -149,15 +101,13 @@ pub struct SimulationConfig {
     /// [`Self::moment_refresh_every_ticks`] (after the tick's update,
     /// refresh, and stopping check), and capture itself
     /// never touches any RNG stream, so a checkpointing run is bit-identical
-    /// to a non-checkpointing one.  Supported by the legacy and
-    /// [`MemoryLayout::FlatSoA`] serial loops; requesting capture on a
-    /// traced or sharded run is an [`SimError::InvalidConfig`] error.
+    /// to a non-checkpointing one.  Requesting capture on a traced run is
+    /// an [`SimError::InvalidConfig`] error.
     pub checkpoint_every_ticks: u64,
     /// Optional wall-clock budget for a single [`AsyncSimulator::run`]
-    /// call.  Checked every [`DEADLINE_CHECK_TICKS`] ticks (and once per
-    /// batch in the sharded engine); when it fires, `run` returns
-    /// [`SimError::DeadlineExceeded`] with the partial state left
-    /// observable on the simulator, so supervisors can censor the trial
+    /// call.  Checked every [`DEADLINE_CHECK_TICKS`] ticks; when it fires,
+    /// `run` returns [`SimError::DeadlineExceeded`] with the partial state
+    /// left observable on the simulator, so supervisors can censor the trial
     /// instead of hanging a sweep.  Does not affect determinism: the tick
     /// stream up to the cut-off is the same as in an unbudgeted run.
     pub wall_clock_deadline: Option<Duration>,
@@ -180,8 +130,6 @@ impl SimulationConfig {
             settling_threshold: None,
             fault_plan: None,
             adversary_plan: None,
-            shards: None,
-            memory_layout: MemoryLayout::default(),
             checkpoint_every_ticks: 0,
             wall_clock_deadline: None,
         }
@@ -255,27 +203,6 @@ impl SimulationConfig {
         self
     }
 
-    /// Enables intra-run sharding with up to `shards` worker lanes (clamped
-    /// to at least 1; see [`Self::shards`] for the exact semantics and the
-    /// fallback conditions).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// Selects the in-memory layout of the serial hot loop.
-    pub fn with_memory_layout(mut self, layout: MemoryLayout) -> Self {
-        self.memory_layout = layout;
-        self
-    }
-
-    /// Shorthand for `with_memory_layout(MemoryLayout::FlatSoA)` — the
-    /// million-node struct-of-arrays path (see [`MemoryLayout::FlatSoA`] for
-    /// the eligibility conditions and the bit-identity guarantee).
-    pub fn with_flat_layout(self) -> Self {
-        self.with_memory_layout(MemoryLayout::FlatSoA)
-    }
-
     /// Sets the checkpoint-capture cadence in ticks (see
     /// [`Self::checkpoint_every_ticks`]; `0` disables capture).
     pub fn with_checkpoint_every_ticks(mut self, ticks: u64) -> Self {
@@ -291,7 +218,7 @@ impl SimulationConfig {
     }
 }
 
-/// How often (in ticks) the engine loops compare elapsed wall-clock time
+/// How often (in ticks) the engine loop compares elapsed wall-clock time
 /// against [`SimulationConfig::wall_clock_deadline`].  Coarse enough that
 /// the `Instant::now` call never shows up in profiles, fine enough that an
 /// overrunning trial is cut within a fraction of a second.
@@ -345,24 +272,14 @@ impl SimulationOutcome {
     }
 }
 
-pub(crate) enum Sampler<'g> {
+enum Sampler<'g> {
     Queue(EdgeClockQueue<'g>),
     Global(GlobalTickProcess<'g>),
 }
 
 impl<'g> Sampler<'g> {
-    /// Builds the sampler a [`SimulationConfig`] with this clock model and
-    /// seed would use (shared with the f32 tier in [`crate::flat`], which
-    /// has no `AsyncSimulator` of its own).
-    pub(crate) fn from_model(model: ClockModel, graph: &'g Graph, seed: u64) -> Result<Self> {
-        Ok(match model {
-            ClockModel::PerEdgeQueue => Sampler::Queue(EdgeClockQueue::new(graph, seed)?),
-            ClockModel::GlobalUniform => Sampler::Global(GlobalTickProcess::new(graph, seed)?),
-        })
-    }
-
     #[inline]
-    pub(crate) fn next_tick(&mut self) -> crate::clock::TickEvent {
+    fn next_tick(&mut self) -> crate::clock::TickEvent {
         match self {
             Sampler::Queue(q) => q.next_tick(),
             Sampler::Global(g) => g.next_tick(),
@@ -484,8 +401,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// [`Self::run_with_checkpoints`], so that a subsequent [`Self::run`]
     /// continues the original run **bit-identically**: same stop tick, stop
     /// time, stop reason, refresh count, fault/adversary counters, and final
-    /// state bits as the uninterrupted run, for both [`MemoryLayout`]s and
-    /// both [`ClockModel`]s.
+    /// state bits as the uninterrupted run, for both [`ClockModel`]s.
     ///
     /// `graph`, `handler`, and `config` must be the ones the original run
     /// was constructed with (the same pure inputs a cold start would use);
@@ -499,7 +415,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// contents, or fault/adversary plan presence) or the handler's saved
     /// state, [`SimError::HandlerStateUnsupported`] for a handler that
     /// cannot load its state, and [`SimError::InvalidConfig`] for
-    /// configurations checkpointing does not support (tracing, sharding).
+    /// configurations checkpointing does not support (tracing).
     pub fn restore(
         graph: &'g Graph,
         mut handler: H,
@@ -509,11 +425,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         if config.trace.is_some() {
             return Err(SimError::InvalidConfig {
                 reason: "checkpoint restore does not support trace recording".into(),
-            });
-        }
-        if config.shards.is_some() {
-            return Err(SimError::InvalidConfig {
-                reason: "checkpoint restore does not support the sharded engine".into(),
             });
         }
         if checkpoint.seed != config.seed {
@@ -670,7 +581,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// The per-tick loop is monomorphized over whether faults and tracing
     /// are configured: the common fault-free, trace-free path carries no
     /// `Option` branches for either concern, and each variant is compiled
-    /// separately (see [`Self::run_loop`]).  The trace configuration and
+    /// separately (see `run_loop`).  The trace configuration and
     /// partition are **taken** out of the config by the first call (they are
     /// consumed by the recorder), not cloned on every call.
     ///
@@ -689,12 +600,10 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// touching any RNG stream, so the run itself is bit-identical to
     /// [`Self::run`]'s; a `sink` error aborts the run and is returned as-is.
     ///
-    /// Capture is supported by the serial loops (legacy and
-    /// [`MemoryLayout::FlatSoA`]); a non-zero cadence on a traced or sharded
-    /// run is rejected with [`SimError::InvalidConfig`] rather than silently
-    /// producing no checkpoints, and on a handler that cannot save its
-    /// state with [`SimError::HandlerStateUnsupported`], before the first
-    /// tick.
+    /// A non-zero cadence on a traced run is rejected with
+    /// [`SimError::InvalidConfig`] rather than silently producing no
+    /// checkpoints, and on a handler that cannot save its state with
+    /// [`SimError::HandlerStateUnsupported`], before the first tick.
     ///
     /// # Errors
     ///
@@ -733,42 +642,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             if let Some(reason) = self.config.stopping_rule.evaluate(&initial_status) {
                 return Ok(self.finish(0.0, 0, reason, recorder));
             }
-        }
-
-        if let Some(shards) = self.config.shards {
-            // Sharding needs a pure pairwise kernel, the incremental moment
-            // tracker, and no trace; anything else falls through to the
-            // legacy loop below (`shards` is then ignored, not an error).
-            if recorder.is_none()
-                && self.config.variance_mode == VarianceMode::Incremental
-                && self.handler.pairwise_kernel().is_some()
-            {
-                if self.config.checkpoint_every_ticks > 0 {
-                    return Err(SimError::InvalidConfig {
-                        reason: "checkpoint capture does not support the sharded engine".into(),
-                    });
-                }
-                let (time, ticks, reason) = self.run_sharded(shards)?;
-                return Ok(self.finish(time, ticks, reason, None));
-            }
-        }
-
-        if self.config.memory_layout == MemoryLayout::FlatSoA
-            && recorder.is_none()
-            && self.config.variance_mode == VarianceMode::Incremental
-            && self.handler.pairwise_kernel().is_some()
-        {
-            // Same silent-fallback contract as sharding: an ineligible
-            // configuration (trace, exact variance, kernel-less handler)
-            // runs the legacy loop below.
-            let stopped = match (self.faults.is_some(), self.adversary.is_some()) {
-                (false, false) => self.run_flat::<false, false>(sink),
-                (false, true) => self.run_flat::<false, true>(sink),
-                (true, false) => self.run_flat::<true, false>(sink),
-                (true, true) => self.run_flat::<true, true>(sink),
-            };
-            let (time, ticks, reason) = stopped?;
-            return Ok(self.finish(time, ticks, reason, None));
         }
 
         let stopped = match (
@@ -994,363 +867,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         }
     }
 
-    /// The flat struct-of-arrays loop (see [`MemoryLayout::FlatSoA`]):
-    /// operation-for-operation the same run as [`Self::run_loop`] — every
-    /// tick draws the same event, classifies faults and adversaries with the
-    /// same injector calls, applies the same kernel to the same operands,
-    /// and mirrors every value write into the moment tracker with the exact
-    /// `record_update` sequence [`NodeValues::set`] would have made — but
-    /// values are written through the raw slice by the handler's kernel, with
-    /// no per-tick handler dispatch.  A kernel handler is stateless, so
-    /// suppressed ticks need no report to it.  Bit-identity is pinned by
-    /// `tests/memscale_differential.rs`.
-    ///
-    /// Tracing is not supported (the dispatch in [`Self::run`] requires
-    /// `recorder.is_none()`), so there is no `TRACE` parameter; the variance
-    /// mode is guaranteed [`VarianceMode::Incremental`] by the same
-    /// dispatch.
-    fn run_flat<const FAULTS: bool, const ADVERSARY: bool>(
-        &mut self,
-        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
-    ) -> Result<(f64, u64, StopReason)> {
-        let kernel = self
-            .handler
-            .pairwise_kernel()
-            .expect("run() only dispatches here with a kernel present");
-        let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
-        let cadence = self.config.checkpoint_every_ticks;
-        let mut ticks = 0u64;
-        let mut time;
-        loop {
-            if ticks >= self.config.max_events {
-                return Err(SimError::EventBudgetExhausted { events: ticks });
-            }
-            let event = self.sampler.next_tick();
-            ticks = event.global_tick_count;
-            time = event.time;
-            let edge = event.endpoints;
-            let (u, v) = (edge.u().index(), edge.v().index());
-            let delivered = if FAULTS {
-                let injector = self
-                    .faults
-                    .as_mut()
-                    .expect("FAULTS is only instantiated with an injector present");
-                injector.classify(event.edge, edge, event.global_tick_count)
-                    == ContactFate::Delivered
-            } else {
-                true
-            };
-            if ADVERSARY {
-                if delivered {
-                    let (xs, tracker) = self.values.as_mut_parts();
-                    let xu = xs[u];
-                    let xv = xs[v];
-                    let injector = self
-                        .adversary
-                        .as_mut()
-                        .expect("ADVERSARY is only instantiated with an injector present");
-                    let action =
-                        injector.classify(event.edge, edge, event.global_tick_count, xu, xv);
-                    match action {
-                        AdversaryAction::Honest => {
-                            let (new_u, new_v) = kernel(xu, xv);
-                            xs[u] = new_u;
-                            tracker.record_update(xu, new_u);
-                            xs[v] = new_v;
-                            tracker.record_update(xv, new_v);
-                        }
-                        AdversaryAction::Censored => {}
-                        AdversaryAction::Falsified(contact) => {
-                            // The same substitute → update → restore value
-                            // and tracker sequence as the legacy loop's
-                            // literal `set` calls (six `record_update`s at
-                            // most, in the same order with the same
-                            // operands) — *not* the sharded engine's
-                            // net-effect collapse.
-                            let mut cur_u = xu;
-                            let mut cur_v = xv;
-                            if let Some(report) = contact.u {
-                                xs[u] = report.value;
-                                tracker.record_update(cur_u, report.value);
-                                cur_u = report.value;
-                            }
-                            if let Some(report) = contact.v {
-                                xs[v] = report.value;
-                                tracker.record_update(cur_v, report.value);
-                                cur_v = report.value;
-                            }
-                            let (new_u, new_v) = kernel(cur_u, cur_v);
-                            xs[u] = new_u;
-                            tracker.record_update(cur_u, new_u);
-                            xs[v] = new_v;
-                            tracker.record_update(cur_v, new_v);
-                            if contact.u.is_some_and(|r| r.restore) {
-                                xs[u] = xu;
-                                tracker.record_update(new_u, xu);
-                            }
-                            if contact.v.is_some_and(|r| r.restore) {
-                                xs[v] = xv;
-                                tracker.record_update(new_v, xv);
-                            }
-                        }
-                    }
-                }
-            } else if delivered {
-                let (xs, tracker) = self.values.as_mut_parts();
-                let xu = xs[u];
-                let xv = xs[v];
-                let (new_u, new_v) = kernel(xu, xv);
-                xs[u] = new_u;
-                tracker.record_update(xu, new_u);
-                xs[v] = new_v;
-                tracker.record_update(xv, new_v);
-            }
-
-            // From here down this is the legacy loop's Incremental
-            // refresh/check logic verbatim (the dispatch guarantees the
-            // mode), so refresh ticks, salvage decisions, and stop checks
-            // land on identical ticks with identical float state.
-            if ticks.is_multiple_of(self.config.moment_refresh_every_ticks) {
-                self.values.refresh_moments();
-                self.moment_refreshes += 1;
-                if !self.values.moments_finite() {
-                    self.values.check_finite()?;
-                    self.moments_overflowed = true;
-                }
-            }
-
-            if ticks.is_multiple_of(self.config.check_every_ticks) {
-                if self.values.moments_finite() {
-                    self.moments_overflowed = false;
-                    if self.values.moments_need_recenter() {
-                        self.values.refresh_moments();
-                        self.moment_refreshes += 1;
-                    }
-                } else if !self.moments_overflowed {
-                    self.values.check_finite()?;
-                    self.values.refresh_moments();
-                    self.moment_refreshes += 1;
-                    if !self.values.moments_finite() {
-                        self.moments_overflowed = true;
-                    }
-                }
-                let status = SimulationStatus {
-                    time,
-                    ticks,
-                    variance: self.values.incremental_variance(),
-                    initial_variance: self.initial_variance,
-                };
-                self.note_settling(&status);
-                if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
-                    if self.moments_overflowed {
-                        self.values.check_finite()?;
-                    }
-                    return Ok((time, ticks, reason));
-                }
-            }
-
-            if let Some((started, budget)) = deadline {
-                if ticks.is_multiple_of(DEADLINE_CHECK_TICKS) && started.elapsed() >= budget {
-                    return Err(SimError::DeadlineExceeded { ticks });
-                }
-            }
-
-            // Same capture point as the legacy loop (after update, refresh,
-            // and stopping check), so checkpoints from either layout are
-            // interchangeable.
-            if cadence != 0 && ticks.is_multiple_of(cadence) {
-                sink(self.capture_checkpoint(time, ticks)?)?;
-            }
-        }
-    }
-
-    /// The sharded engine (see [`SimulationConfig::shards`]): events are
-    /// drawn and fault-classified serially in tick order — keeping both the
-    /// clock and drop RNG streams identical to the legacy loop's — then the
-    /// delivered events of each batch are applied in conflict-free wavefront
-    /// rounds fanned out over up to `shards` lanes with a deterministic
-    /// merge order ([`crate::shard`]).  Adversary-involved contacts flush
-    /// the pending parallel batch and run serially against the
-    /// fully-applied state, so classification reads and falsified updates
-    /// are shard-count-invariant.  Stopping, settling, recentring, and
-    /// overflow salvage run at **batch** granularity (batches are cut at
-    /// exact moment-refresh boundaries and the event cap), mirroring the
-    /// legacy per-check logic; every decision depends only on the event
-    /// sequence, so the run is bit-identical for every shard count.
-    fn run_sharded(&mut self, shards: usize) -> Result<(f64, u64, StopReason)> {
-        let kernel = self
-            .handler
-            .pairwise_kernel()
-            .expect("run() only dispatches here with a kernel present");
-        let executor = gossip_exec::Executor::new(shards);
-        let shared = SharedValues::from_values(&self.values);
-        let mut tracker = *self.values.moments();
-        let mut planner = BatchPlanner::new(self.values.len());
-        let mut snapshot: Vec<f64> = Vec::new();
-        let refresh_every = self.config.moment_refresh_every_ticks;
-        let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
-        let mut time = 0.0_f64;
-        let mut ticks = 0_u64;
-        let stopped = loop {
-            if ticks >= self.config.max_events {
-                break Err(SimError::EventBudgetExhausted { events: ticks });
-            }
-            // Batch granularity is coarse enough that one `Instant::now`
-            // per iteration is free.
-            if let Some((started, budget)) = deadline {
-                if started.elapsed() >= budget {
-                    break Err(SimError::DeadlineExceeded { ticks });
-                }
-            }
-            // Cut the batch at the next exact-refresh boundary and the event
-            // cap, so refreshes land on the exact same ticks as in a run
-            // with any other shard count.
-            let until_refresh = refresh_every - (ticks % refresh_every);
-            let batch = BATCH_TICKS
-                .min(until_refresh)
-                .min(self.config.max_events - ticks);
-            planner.clear();
-            for _ in 0..batch {
-                let event = self.sampler.next_tick();
-                time = event.time;
-                let edge = event.endpoints;
-                let delivered = match self.faults.as_mut() {
-                    Some(injector) => {
-                        injector.classify(event.edge, edge, event.global_tick_count)
-                            == ContactFate::Delivered
-                    }
-                    None => true,
-                };
-                if !delivered {
-                    continue;
-                }
-                let (u, v) = edge.endpoints();
-                let adversarial = match self.adversary.as_mut() {
-                    None => false,
-                    Some(injector) => {
-                        if injector.touches(event.edge, edge) {
-                            true
-                        } else {
-                            injector.note_honest();
-                            false
-                        }
-                    }
-                };
-                if !adversarial {
-                    planner.push(u.index(), v.index());
-                    continue;
-                }
-                // Adversary-involved contact: flush the pending parallel
-                // batch first, so the classification (which may read the
-                // endpoints' values) and the serial application below both
-                // observe the fully-applied state.  Every flush point and
-                // every value read depends only on the event sequence, so
-                // the run stays bit-identical for every shard count.
-                let (d_sum, d_sum_sq) = planner.apply(&executor, &shared, kernel, tracker.shift());
-                tracker.apply_delta(d_sum, d_sum_sq);
-                planner.clear();
-                let injector = self
-                    .adversary
-                    .as_mut()
-                    .expect("adversarial contacts only arise with an injector present");
-                let value_u = shared.get(u.index());
-                let value_v = shared.get(v.index());
-                let action =
-                    injector.classify(event.edge, edge, event.global_tick_count, value_u, value_v);
-                match action {
-                    AdversaryAction::Honest => planner.push(u.index(), v.index()),
-                    AdversaryAction::Censored => {}
-                    AdversaryAction::Falsified(contact) => {
-                        // Substitute-run-restore collapsed to its net effect,
-                        // applied with the same kernel and the same per-entry
-                        // moment arithmetic as a parallel lane.
-                        let in_u = contact.u.map_or(value_u, |r| r.value);
-                        let in_v = contact.v.map_or(value_v, |r| r.value);
-                        let (out_u, out_v) = kernel(in_u, in_v);
-                        let new_u = if contact.u.is_some_and(|r| r.restore) {
-                            value_u
-                        } else {
-                            out_u
-                        };
-                        let new_v = if contact.v.is_some_and(|r| r.restore) {
-                            value_v
-                        } else {
-                            out_v
-                        };
-                        shared.set(u.index(), new_u);
-                        shared.set(v.index(), new_v);
-                        let shift = tracker.shift();
-                        let (mut d_sum, mut d_sum_sq) = (0.0, 0.0);
-                        for (old, new) in [(value_u, new_u), (value_v, new_v)] {
-                            let d_old = old - shift;
-                            let d_new = new - shift;
-                            d_sum += d_new - d_old;
-                            d_sum_sq += d_new * d_new - d_old * d_old;
-                        }
-                        tracker.apply_delta(d_sum, d_sum_sq);
-                    }
-                }
-            }
-            ticks += batch;
-            let (d_sum, d_sum_sq) = planner.apply(&executor, &shared, kernel, tracker.shift());
-            tracker.apply_delta(d_sum, d_sum_sq);
-
-            if ticks.is_multiple_of(refresh_every) {
-                shared.snapshot_into(&mut snapshot);
-                tracker.refresh(&snapshot);
-                self.moment_refreshes += 1;
-                if !tracker.is_finite() {
-                    // Same split as the legacy loop: a genuinely non-finite
-                    // value errors out; finite values whose squared
-                    // deviations overflow keep running as "not converged".
-                    check_finite_slice(&snapshot)?;
-                    self.moments_overflowed = true;
-                }
-            }
-
-            // Batch-granularity stopping check, mirroring the legacy loop's
-            // per-check recentring and one-shot overflow salvage.
-            if tracker.is_finite() {
-                self.moments_overflowed = false;
-                if tracker.needs_recenter() {
-                    shared.snapshot_into(&mut snapshot);
-                    tracker.refresh(&snapshot);
-                    self.moment_refreshes += 1;
-                }
-            } else if !self.moments_overflowed {
-                shared.snapshot_into(&mut snapshot);
-                check_finite_slice(&snapshot)?;
-                tracker.refresh(&snapshot);
-                self.moment_refreshes += 1;
-                if !tracker.is_finite() {
-                    self.moments_overflowed = true;
-                }
-            }
-            let status = SimulationStatus {
-                time,
-                ticks,
-                variance: tracker.variance(),
-                initial_variance: self.initial_variance,
-            };
-            self.note_settling(&status);
-            if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
-                break Ok((time, ticks, reason));
-            }
-        };
-        // Install the evolved state back into `self.values` regardless of
-        // how the loop ended, so `values()` (and the terminal finiteness
-        // scan below) observe it just as they would after the legacy loop.
-        shared.snapshot_into(&mut snapshot);
-        self.values.overwrite_from_slice(&snapshot);
-        let (time, ticks, reason) = stopped?;
-        if self.moments_overflowed {
-            // The overflow flag suppressed per-batch finiteness scans; honor
-            // `run`'s error contract for the terminal state.
-            self.values.check_finite()?;
-        }
-        Ok((time, ticks, reason))
-    }
-
     /// Snapshots the full resumable state at a checkpoint boundary.  Pure
     /// read: no RNG stream advances, so capture never perturbs the run.
     fn capture_checkpoint(&self, time: f64, ticks: u64) -> Result<EngineCheckpoint> {
@@ -1438,14 +954,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     }
 }
 
-/// `NodeValues::check_finite`, for a raw snapshot slice.
-fn check_finite_slice(values: &[f64]) -> Result<()> {
-    if let Some(node) = values.iter().position(|v| !v.is_finite()) {
-        return Err(SimError::NonFiniteValue { node });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1463,13 +971,6 @@ mod tests {
 
         fn name(&self) -> &str {
             "vanilla"
-        }
-
-        fn pairwise_kernel(&self) -> Option<fn(f64, f64) -> (f64, f64)> {
-            Some(|xu, xv| {
-                let avg = 0.5 * (xu + xv);
-                (avg, avg)
-            })
         }
 
         fn save_state(&self) -> Option<HandlerState> {
@@ -1678,13 +1179,11 @@ mod tests {
             .with_settling_threshold(0.25)
             .with_fault_plan(FaultPlan::new(3).with_drop_probability(0.1))
             .with_adversary_plan(AdversaryPlan::new(4).with_biased_injector(NodeId(0), 1.0))
-            .with_shards(0)
             .with_checkpoint_every_ticks(4096)
             .with_wall_clock_deadline(Duration::from_secs(5));
         assert_eq!(c.seed, 7);
         assert_eq!(c.checkpoint_every_ticks, 4096);
         assert_eq!(c.wall_clock_deadline, Some(Duration::from_secs(5)));
-        assert_eq!(c.shards, Some(1), "with_shards clamps to at least 1");
         assert_eq!(
             c.fault_plan,
             Some(FaultPlan::new(3).with_drop_probability(0.1))
@@ -1707,241 +1206,8 @@ mod tests {
         assert_eq!(d.settling_threshold, None);
         assert_eq!(d.fault_plan, None);
         assert_eq!(d.adversary_plan, None);
-        assert_eq!(d.shards, None);
         assert_eq!(d.checkpoint_every_ticks, 0);
         assert_eq!(d.wall_clock_deadline, None);
-    }
-
-    #[test]
-    fn sharded_runs_are_bit_identical_across_shard_counts() {
-        // shards ∈ {1, 2, 4} must agree on everything observable — stop
-        // tick, final bits, refresh count, fault stats — under both clock
-        // models and with a fault plan in play.
-        let g = dumbbell(8).unwrap().0;
-        for model in [ClockModel::PerEdgeQueue, ClockModel::GlobalUniform] {
-            let run = |shards: usize| {
-                let config = SimulationConfig::new(23)
-                    .with_clock_model(model)
-                    .with_stopping_rule(StoppingRule::definition1().or_max_ticks(500_000))
-                    .with_moment_refresh_every_ticks(512)
-                    .with_settling_threshold(0.5)
-                    .with_fault_plan(FaultPlan::new(7).with_drop_probability(0.2))
-                    .with_shards(shards);
-                let mut sim = AsyncSimulator::new(&g, spike(16), Vanilla, config).unwrap();
-                sim.run().unwrap()
-            };
-            let one = run(1);
-            assert!(one.converged(), "{model:?}");
-            assert!(one.fault_stats.dropped > 0);
-            for shards in [2usize, 4] {
-                let many = run(shards);
-                assert_eq!(one.total_ticks, many.total_ticks, "{model:?} x{shards}");
-                assert_eq!(one.stop_reason, many.stop_reason);
-                assert_eq!(one.moment_refreshes, many.moment_refreshes);
-                assert_eq!(one.fault_stats, many.fault_stats);
-                assert_eq!(
-                    one.elapsed_time.to_bits(),
-                    many.elapsed_time.to_bits(),
-                    "{model:?} x{shards}"
-                );
-                assert_eq!(
-                    one.settling_time.unwrap().to_bits(),
-                    many.settling_time.unwrap().to_bits()
-                );
-                for (a, b) in one
-                    .final_values
-                    .as_slice()
-                    .iter()
-                    .zip(many.final_values.as_slice())
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{model:?} x{shards}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_run_conserves_mass_and_converges_like_serial() {
-        // The sharded mode is a different float schedule than the legacy
-        // loop, but it simulates the same process: same tick stream, same
-        // updates, sum conserved, and a genuine Definition 1 stop.
-        let g = complete(12).unwrap();
-        let initial = spike(12);
-        let mean = initial.mean();
-        let config = SimulationConfig::new(31)
-            .with_stopping_rule(StoppingRule::definition1().or_max_ticks(1_000_000))
-            .with_shards(4);
-        let mut sim = AsyncSimulator::new(&g, initial, Vanilla, config).unwrap();
-        let outcome = sim.run().unwrap();
-        assert!(outcome.converged());
-        assert!((outcome.final_values.mean() - mean).abs() < 1e-9);
-        assert!(outcome.variance_ratio() < crate::stopping::DEFINITION1_THRESHOLD);
-    }
-
-    #[test]
-    fn sharding_without_a_kernel_falls_back_to_the_legacy_loop() {
-        // `NoOpHandler` has no pairwise kernel: `shards` must be ignored and
-        // the run must match the unsharded one byte for byte.
-        let g = complete(4).unwrap();
-        let run = |shards: Option<usize>| {
-            let mut config = SimulationConfig::new(5)
-                .with_stopping_rule(StoppingRule::definition1().or_max_time(3.0));
-            config.shards = shards;
-            let mut sim = AsyncSimulator::new(&g, spike(4), NoOpHandler, config).unwrap();
-            sim.run().unwrap()
-        };
-        let legacy = run(None);
-        let fallback = run(Some(4));
-        assert_eq!(legacy.total_ticks, fallback.total_ticks);
-        assert_eq!(
-            legacy.elapsed_time.to_bits(),
-            fallback.elapsed_time.to_bits()
-        );
-        assert_eq!(legacy.stop_reason, fallback.stop_reason);
-    }
-
-    #[test]
-    fn sharding_with_a_trace_falls_back_and_still_records() {
-        let (g, partition) = dumbbell(3).unwrap();
-        let config = SimulationConfig::new(2)
-            .with_partition(partition)
-            .with_trace(TraceConfig::every_ticks(1).with_block_statistics())
-            .with_stopping_rule(StoppingRule::definition1().or_max_ticks(200_000))
-            .with_shards(4);
-        let mut sim = AsyncSimulator::new(&g, spike(6), Vanilla, config).unwrap();
-        let outcome = sim.run().unwrap();
-        let trace = outcome.trace.as_ref().expect("trace requested");
-        assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn sharded_event_budget_guard_fires() {
-        let g = complete(4).unwrap();
-        let config = SimulationConfig::new(5)
-            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0))
-            .with_max_events(10_000)
-            .with_shards(2);
-        let mut sim = AsyncSimulator::new(&g, spike(4), Vanilla, config).unwrap();
-        assert!(matches!(
-            sim.run(),
-            Err(SimError::EventBudgetExhausted { events: 10_000 })
-        ));
-    }
-
-    #[test]
-    fn flat_layout_is_bit_identical_to_legacy() {
-        // The SoA/CSR loop must reproduce the legacy loop byte for byte —
-        // stop tick/time/reason, refresh count, injector stats, final state
-        // bits — under both clock models, fault-free and with faults and an
-        // adversary in play.  `tests/memscale_differential.rs` repeats this
-        // at bench scale; this is the in-crate smoke version.
-        let g = dumbbell(8).unwrap().0;
-        for model in [ClockModel::PerEdgeQueue, ClockModel::GlobalUniform] {
-            for hostile in [false, true] {
-                let run = |layout: MemoryLayout| {
-                    let mut config = SimulationConfig::new(29)
-                        .with_clock_model(model)
-                        .with_stopping_rule(StoppingRule::definition1().or_max_ticks(500_000))
-                        .with_moment_refresh_every_ticks(512)
-                        .with_settling_threshold(0.5)
-                        .with_memory_layout(layout);
-                    if hostile {
-                        config = config
-                            .with_fault_plan(
-                                FaultPlan::new(7)
-                                    .with_drop_probability(0.1)
-                                    .with_node_pause(NodeId(0), 100, 400),
-                            )
-                            .with_adversary_plan(
-                                crate::adversary::AdversaryPlan::new(13)
-                                    .with_biased_injector(NodeId(1), 0.4)
-                                    .with_extreme_value_node(NodeId(9), 50.0),
-                            );
-                    }
-                    let mut sim = AsyncSimulator::new(&g, spike(16), Vanilla, config).unwrap();
-                    sim.run().unwrap()
-                };
-                let legacy = run(MemoryLayout::Legacy);
-                let flat = run(MemoryLayout::FlatSoA);
-                assert!(legacy.total_ticks > 0);
-                assert_eq!(legacy.total_ticks, flat.total_ticks, "{model:?}");
-                assert_eq!(legacy.stop_reason, flat.stop_reason);
-                assert_eq!(legacy.moment_refreshes, flat.moment_refreshes);
-                assert_eq!(legacy.fault_stats, flat.fault_stats);
-                assert_eq!(legacy.adversary_stats, flat.adversary_stats);
-                assert_eq!(
-                    legacy.elapsed_time.to_bits(),
-                    flat.elapsed_time.to_bits(),
-                    "{model:?} hostile={hostile}"
-                );
-                assert_eq!(
-                    legacy.final_variance.to_bits(),
-                    flat.final_variance.to_bits()
-                );
-                assert_eq!(
-                    legacy.settling_time.unwrap().to_bits(),
-                    flat.settling_time.unwrap().to_bits()
-                );
-                for (a, b) in legacy
-                    .final_values
-                    .as_slice()
-                    .iter()
-                    .zip(flat.final_values.as_slice())
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{model:?} hostile={hostile}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn flat_layout_without_a_kernel_falls_back_to_the_legacy_loop() {
-        // `NoOpHandler` has no pairwise kernel, so the flat dispatch must
-        // silently run the legacy loop — same contract as sharding.
-        let g = complete(4).unwrap();
-        let run = |layout: MemoryLayout| {
-            let config = SimulationConfig::new(5)
-                .with_stopping_rule(StoppingRule::definition1().or_max_time(3.0))
-                .with_memory_layout(layout);
-            let mut sim = AsyncSimulator::new(&g, spike(4), NoOpHandler, config).unwrap();
-            sim.run().unwrap()
-        };
-        let legacy = run(MemoryLayout::Legacy);
-        let fallback = run(MemoryLayout::FlatSoA);
-        assert_eq!(legacy.total_ticks, fallback.total_ticks);
-        assert_eq!(
-            legacy.elapsed_time.to_bits(),
-            fallback.elapsed_time.to_bits()
-        );
-        assert_eq!(legacy.stop_reason, fallback.stop_reason);
-    }
-
-    #[test]
-    fn flat_layout_with_a_trace_falls_back_and_still_records() {
-        let (g, partition) = dumbbell(3).unwrap();
-        let config = SimulationConfig::new(2)
-            .with_partition(partition)
-            .with_trace(TraceConfig::every_ticks(1).with_block_statistics())
-            .with_stopping_rule(StoppingRule::definition1().or_max_ticks(200_000))
-            .with_flat_layout();
-        let mut sim = AsyncSimulator::new(&g, spike(6), Vanilla, config).unwrap();
-        let outcome = sim.run().unwrap();
-        let trace = outcome.trace.as_ref().expect("trace requested");
-        assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn flat_event_budget_guard_fires() {
-        let g = complete(4).unwrap();
-        let config = SimulationConfig::new(5)
-            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0))
-            .with_max_events(10_000)
-            .with_flat_layout();
-        let mut sim = AsyncSimulator::new(&g, spike(4), Vanilla, config).unwrap();
-        assert!(matches!(
-            sim.run(),
-            Err(SimError::EventBudgetExhausted { events: 10_000 })
-        ));
     }
 
     #[test]
@@ -2352,84 +1618,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_adversary_runs_are_bit_identical_across_shard_counts() {
-        // The full gauntlet — faults, a mixed adversary plan (frozen liar,
-        // extreme outliers, stale replay, censored edge), both clock models
-        // — must agree bit-for-bit at every shard count.
-        let g = dumbbell(8).unwrap().0;
-        for model in [ClockModel::PerEdgeQueue, ClockModel::GlobalUniform] {
-            let run = |shards: usize| {
-                let plan = AdversaryPlan::new(41)
-                    .with_biased_injector(NodeId(2), 3.0)
-                    .with_extreme_value_node(NodeId(11), 25.0)
-                    .with_stale_replay_node(NodeId(5), 200)
-                    .with_censoring_bridge(vec![gossip_graph::EdgeId(0)], 0.5)
-                    .with_detection_threshold(5.0);
-                let config = SimulationConfig::new(23)
-                    .with_clock_model(model)
-                    .with_stopping_rule(StoppingRule::max_ticks(60_000))
-                    .with_moment_refresh_every_ticks(512)
-                    .with_fault_plan(FaultPlan::new(7).with_drop_probability(0.2))
-                    .with_adversary_plan(plan)
-                    .with_shards(shards);
-                let mut sim = AsyncSimulator::new(&g, spike(16), Vanilla, config).unwrap();
-                sim.run().unwrap()
-            };
-            let one = run(1);
-            assert!(one.adversary_stats.falsified_contacts > 0, "{model:?}");
-            assert!(one.adversary_stats.censored_contacts > 0, "{model:?}");
-            for shards in [2usize, 4] {
-                let many = run(shards);
-                assert_eq!(one.total_ticks, many.total_ticks, "{model:?} x{shards}");
-                assert_eq!(one.stop_reason, many.stop_reason);
-                assert_eq!(one.moment_refreshes, many.moment_refreshes);
-                assert_eq!(one.fault_stats, many.fault_stats);
-                assert_eq!(one.adversary_stats, many.adversary_stats);
-                assert_eq!(
-                    one.elapsed_time.to_bits(),
-                    many.elapsed_time.to_bits(),
-                    "{model:?} x{shards}"
-                );
-                for (a, b) in one
-                    .final_values
-                    .as_slice()
-                    .iter()
-                    .zip(many.final_values.as_slice())
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{model:?} x{shards}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_noop_adversary_plan_is_bit_identical_to_no_plan() {
-        let g = dumbbell(8).unwrap().0;
-        let run = |plan: Option<AdversaryPlan>| {
-            let mut config = SimulationConfig::new(23)
-                .with_stopping_rule(StoppingRule::definition1().or_max_ticks(500_000))
-                .with_shards(4);
-            config.adversary_plan = plan;
-            let mut sim = AsyncSimulator::new(&g, spike(16), Vanilla, config).unwrap();
-            sim.run().unwrap()
-        };
-        let baseline = run(None);
-        let noop = run(Some(AdversaryPlan::none()));
-        assert_eq!(baseline.total_ticks, noop.total_ticks);
-        assert_eq!(baseline.stop_reason, noop.stop_reason);
-        assert_eq!(baseline.moment_refreshes, noop.moment_refreshes);
-        for (a, b) in baseline
-            .final_values
-            .as_slice()
-            .iter()
-            .zip(noop.final_values.as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(noop.adversary_stats.honest_contacts, noop.total_ticks);
-    }
-
-    #[test]
     fn settling_time_is_tracked_when_requested() {
         let g = complete(8).unwrap();
         let config = SimulationConfig::new(9)
@@ -2479,66 +1667,61 @@ mod tests {
     #[test]
     fn checkpoint_restore_is_bit_identical_to_uninterrupted() {
         // The in-crate smoke version of `tests/checkpoint_restore.rs`: for
-        // both clock models, both layouts, and a hostile fault + adversary
-        // environment, a run resumed from any committed mid-run checkpoint
-        // (round-tripped through its JSON document, as the blob store would)
-        // must match the uninterrupted run on every observable bit.
+        // both clock models and a hostile fault + adversary environment, a
+        // run resumed from any committed mid-run checkpoint (round-tripped
+        // through its JSON document, as the blob store would) must match the
+        // uninterrupted run on every observable bit.
         let g = dumbbell(8).unwrap().0;
         for model in [ClockModel::PerEdgeQueue, ClockModel::GlobalUniform] {
-            for layout in [MemoryLayout::Legacy, MemoryLayout::FlatSoA] {
-                // `variance_ratio_below(0.0)` can never fire, so every combo
-                // runs the full 20 000 ticks: plenty of refreshes (every 128)
-                // and checkpoints (every 128) before the stop.
-                let config = SimulationConfig::new(29)
-                    .with_clock_model(model)
-                    .with_stopping_rule(
-                        StoppingRule::variance_ratio_below(0.0).or_max_ticks(20_000),
-                    )
-                    .with_moment_refresh_every_ticks(128)
-                    .with_settling_threshold(0.5)
-                    .with_memory_layout(layout)
-                    .with_fault_plan(
-                        FaultPlan::new(7)
-                            .with_drop_probability(0.1)
-                            .with_node_pause(NodeId(0), 100, 400),
-                    )
-                    .with_adversary_plan(
-                        crate::adversary::AdversaryPlan::new(13)
-                            .with_biased_injector(NodeId(1), 0.4)
-                            .with_extreme_value_node(NodeId(9), 50.0)
-                            .with_stale_replay_node(NodeId(5), 64),
-                    )
-                    .with_checkpoint_every_ticks(128);
-                let mut checkpoints: Vec<EngineCheckpoint> = Vec::new();
-                let mut sim = AsyncSimulator::new(&g, spike(16), Vanilla, config.clone()).unwrap();
-                let baseline = sim
-                    .run_with_checkpoints(&mut |cp| {
-                        checkpoints.push(cp);
-                        Ok(())
-                    })
-                    .unwrap();
-                assert!(
-                    checkpoints.len() >= 2,
-                    "{model:?} {layout:?}: run too short to exercise restore"
+            // `variance_ratio_below(0.0)` can never fire, so every run goes
+            // the full 20 000 ticks: plenty of refreshes (every 128) and
+            // checkpoints (every 128) before the stop.
+            let config = SimulationConfig::new(29)
+                .with_clock_model(model)
+                .with_stopping_rule(StoppingRule::variance_ratio_below(0.0).or_max_ticks(20_000))
+                .with_moment_refresh_every_ticks(128)
+                .with_settling_threshold(0.5)
+                .with_fault_plan(
+                    FaultPlan::new(7)
+                        .with_drop_probability(0.1)
+                        .with_node_pause(NodeId(0), 100, 400),
+                )
+                .with_adversary_plan(
+                    crate::adversary::AdversaryPlan::new(13)
+                        .with_biased_injector(NodeId(1), 0.4)
+                        .with_extreme_value_node(NodeId(9), 50.0)
+                        .with_stale_replay_node(NodeId(5), 64),
+                )
+                .with_checkpoint_every_ticks(128);
+            let mut checkpoints: Vec<EngineCheckpoint> = Vec::new();
+            let mut sim = AsyncSimulator::new(&g, spike(16), Vanilla, config.clone()).unwrap();
+            let baseline = sim
+                .run_with_checkpoints(&mut |cp| {
+                    checkpoints.push(cp);
+                    Ok(())
+                })
+                .unwrap();
+            assert!(
+                checkpoints.len() >= 2,
+                "{model:?}: run too short to exercise restore"
+            );
+            assert!(baseline.fault_stats.total_suppressed() > 0);
+            assert!(baseline.adversary_stats.falsified_contacts > 0);
+            // Resume from the first and from a middle checkpoint; round trip
+            // each through its serialized document first, exactly like a
+            // store-loaded blob.
+            for index in [0, checkpoints.len() / 2] {
+                let blob = checkpoints[index].to_value();
+                let reloaded = EngineCheckpoint::from_value(&blob).unwrap();
+                assert_eq!(reloaded, checkpoints[index]);
+                let mut resumed =
+                    AsyncSimulator::restore(&g, Vanilla, config.clone(), &reloaded).unwrap();
+                let outcome = resumed.run().unwrap();
+                assert_outcomes_bit_identical(
+                    &baseline,
+                    &outcome,
+                    &format!("{model:?} from checkpoint {index}"),
                 );
-                assert!(baseline.fault_stats.total_suppressed() > 0);
-                assert!(baseline.adversary_stats.falsified_contacts > 0);
-                // Resume from the first and from a middle checkpoint; round
-                // trip each through its serialized document first, exactly
-                // like a store-loaded blob.
-                for index in [0, checkpoints.len() / 2] {
-                    let blob = checkpoints[index].to_value();
-                    let reloaded = EngineCheckpoint::from_value(&blob).unwrap();
-                    assert_eq!(reloaded, checkpoints[index]);
-                    let mut resumed =
-                        AsyncSimulator::restore(&g, Vanilla, config.clone(), &reloaded).unwrap();
-                    let outcome = resumed.run().unwrap();
-                    assert_outcomes_bit_identical(
-                        &baseline,
-                        &outcome,
-                        &format!("{model:?} {layout:?} from checkpoint {index}"),
-                    );
-                }
             }
         }
     }
@@ -2571,19 +1754,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_capture_rejects_traced_and_sharded_runs() {
+    fn checkpoint_capture_rejects_traced_runs() {
         let (g, partition) = dumbbell(3).unwrap();
         let config = SimulationConfig::new(2)
             .with_partition(partition)
             .with_trace(TraceConfig::every_ticks(1))
             .with_stopping_rule(StoppingRule::max_ticks(10))
-            .with_checkpoint_every_ticks(4);
-        let mut sim = AsyncSimulator::new(&g, spike(6), Vanilla, config).unwrap();
-        assert!(matches!(sim.run(), Err(SimError::InvalidConfig { .. })));
-
-        let config = SimulationConfig::new(2)
-            .with_stopping_rule(StoppingRule::max_ticks(10))
-            .with_shards(2)
             .with_checkpoint_every_ticks(4);
         let mut sim = AsyncSimulator::new(&g, spike(6), Vanilla, config).unwrap();
         assert!(matches!(sim.run(), Err(SimError::InvalidConfig { .. })));
@@ -2632,8 +1808,8 @@ mod tests {
             AsyncSimulator::restore(&g, Vanilla, wrong, checkpoint),
             Err(SimError::CheckpointInvalid { .. })
         ));
-        // Unsupported modes are rejected up front.
-        let wrong = config.clone().with_shards(2);
+        // Tracing is rejected up front.
+        let wrong = config.clone().with_trace(TraceConfig::every_ticks(1));
         assert!(matches!(
             AsyncSimulator::restore(&g, Vanilla, wrong, checkpoint),
             Err(SimError::InvalidConfig { .. })
@@ -2657,22 +1833,6 @@ mod tests {
             })
         ));
         assert_eq!(sim.values().len(), 4);
-
-        // The flat loop shares the check.
-        let config = SimulationConfig::new(5)
-            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0))
-            .with_flat_layout()
-            .with_wall_clock_deadline(Duration::ZERO);
-        let mut sim = AsyncSimulator::new(&g, spike(4), Vanilla, config).unwrap();
-        assert!(matches!(sim.run(), Err(SimError::DeadlineExceeded { .. })));
-
-        // The sharded engine checks at batch granularity.
-        let config = SimulationConfig::new(5)
-            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0))
-            .with_shards(2)
-            .with_wall_clock_deadline(Duration::ZERO);
-        let mut sim = AsyncSimulator::new(&g, spike(4), Vanilla, config).unwrap();
-        assert!(matches!(sim.run(), Err(SimError::DeadlineExceeded { .. })));
 
         // A generous deadline never interferes.
         let config = SimulationConfig::new(5)

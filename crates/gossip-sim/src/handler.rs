@@ -22,12 +22,6 @@ use crate::values::NodeValues;
 use crate::{Result, SimError};
 use gossip_graph::{Edge, EdgeId, Graph};
 
-/// A pure endpoint update `(x_u, x_v) → (x_u', x_v')`.
-///
-/// See [`EdgeTickHandler::pairwise_kernel`] for the contract a handler takes
-/// on by exposing one.
-pub type PairwiseKernel = fn(f64, f64) -> (f64, f64);
-
 /// Everything an update rule may consult when an edge ticks.
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeTickContext<'a> {
@@ -94,9 +88,6 @@ pub trait EdgeTickHandler {
     /// suppressed, so [`Self::on_edge_tick`] does not run for it.  The
     /// clock still ticked: a rule whose schedule counts an edge's ticks
     /// (Algorithm A) counts this one too.  The default does nothing.
-    ///
-    /// Engines that apply a [`Self::pairwise_kernel`] directly never call
-    /// this: a handler with a kernel is stateless by that method's contract.
     fn on_suppressed_tick(&mut self, ctx: &EdgeTickContext<'_>) {
         let _ = ctx;
     }
@@ -104,21 +95,6 @@ pub trait EdgeTickHandler {
     /// A short human-readable name used in traces and experiment tables.
     fn name(&self) -> &str {
         "unnamed"
-    }
-
-    /// The update as a pure endpoint function `(x_u, x_v) → (x_u', x_v')`,
-    /// when the rule has one.
-    ///
-    /// Returning `Some` asserts the handler is **stateless and memoryless**:
-    /// the tick's effect depends only on the two incident values — not on
-    /// the context, internal handler state, or other nodes — and applying
-    /// the kernel is observably identical to calling
-    /// [`Self::on_edge_tick`].  The sharded engine
-    /// (`SimulationConfig::shards`) applies conflict-free event batches
-    /// through this kernel; handlers that return `None` (the default) make
-    /// the engine fall back to the serial per-tick loop.
-    fn pairwise_kernel(&self) -> Option<PairwiseKernel> {
-        None
     }
 
     /// The handler's evolving state, for a checkpoint; `None` (the default)
@@ -161,10 +137,6 @@ impl<T: EdgeTickHandler + ?Sized> EdgeTickHandler for &mut T {
         (**self).name()
     }
 
-    fn pairwise_kernel(&self) -> Option<PairwiseKernel> {
-        (**self).pairwise_kernel()
-    }
-
     fn save_state(&self) -> Option<HandlerState> {
         (**self).save_state()
     }
@@ -185,10 +157,6 @@ impl<T: EdgeTickHandler + ?Sized> EdgeTickHandler for Box<T> {
 
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn pairwise_kernel(&self) -> Option<PairwiseKernel> {
-        (**self).pairwise_kernel()
     }
 
     fn save_state(&self) -> Option<HandlerState> {

@@ -31,8 +31,6 @@
 //! * [`engine::AsyncSimulator`] and [`sync::SyncSimulator`] — drivers that
 //!   advance the clocks, invoke the handler, record [`trace::Trace`]s and
 //!   evaluate [`stopping::StoppingRule`]s.
-//! * [`flat`] — the million-node tier's opt-in f32 value tier, pinned by an
-//!   a-priori error-bound oracle.
 //!
 //! # Examples
 //!
@@ -76,10 +74,8 @@ pub mod checkpoint;
 pub mod clock;
 pub mod engine;
 pub mod fault;
-pub mod flat;
 pub mod handler;
 pub mod moments;
-mod shard;
 pub mod stopping;
 pub mod sync;
 pub mod trace;
@@ -88,10 +84,9 @@ pub mod values;
 pub use adversary::{AdversaryBehavior, AdversaryPlan, AdversaryStats, CensoringBridge};
 pub use checkpoint::EngineCheckpoint;
 pub use clock::ClockScratch;
-pub use engine::{AsyncSimulator, MemoryLayout, SimulationConfig, SimulationOutcome, VarianceMode};
+pub use engine::{AsyncSimulator, SimulationConfig, SimulationOutcome, VarianceMode};
 pub use fault::{FaultPlan, FaultStats};
-pub use flat::{run_f32, F32Oracle, F32Outcome};
-pub use handler::{EdgeTickContext, EdgeTickHandler, HandlerState, PairwiseKernel};
+pub use handler::{EdgeTickContext, EdgeTickHandler, HandlerState};
 pub use moments::MomentTracker;
 pub use stopping::StoppingRule;
 pub use trace::{Trace, TraceConfig, TracePoint};
@@ -152,13 +147,6 @@ pub enum SimError {
         /// The handler's [`handler::EdgeTickHandler::name`].
         handler: String,
     },
-    /// A reduced-precision run finished but violated its a-priori error
-    /// bound (see [`flat::F32Oracle`]); the result must be discarded, never
-    /// journaled.
-    PrecisionOracle {
-        /// Which bound was violated, with the measured and allowed values.
-        reason: String,
-    },
     /// An underlying graph operation failed.
     Graph(gossip_graph::GraphError),
 }
@@ -189,9 +177,6 @@ impl fmt::Display for SimError {
                 "handler {handler:?} cannot save or load its state, so its runs cannot be \
                  checkpointed or restored"
             ),
-            SimError::PrecisionOracle { reason } => {
-                write!(f, "precision oracle violated: {reason}")
-            }
             SimError::Graph(e) => write!(f, "graph error: {e}"),
         }
     }
@@ -241,9 +226,6 @@ mod tests {
             },
             SimError::HandlerStateUnsupported {
                 handler: "bad".into(),
-            },
-            SimError::PrecisionOracle {
-                reason: "drift over bound".into(),
             },
             SimError::Graph(gossip_graph::GraphError::Disconnected),
         ];

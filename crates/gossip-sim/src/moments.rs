@@ -170,23 +170,6 @@ impl MomentTracker {
         self.sum_sq += d_new * d_new - d_old * d_old;
     }
 
-    /// The current shift.  Crate-internal: the sharded engine accumulates
-    /// per-lane update deltas relative to this shift and folds them in with
-    /// [`Self::apply_delta`].
-    pub(crate) fn shift(&self) -> f64 {
-        self.shift
-    }
-
-    /// Adds pre-accumulated shifted deltas to the running sums.  The deltas
-    /// must have been computed relative to [`Self::shift`] with the exact
-    /// per-update arithmetic of [`Self::record_update`]; only the summation
-    /// order may differ (which is what makes the sharded engine's merged
-    /// lane partials a well-defined — though distinct — float schedule).
-    pub(crate) fn apply_delta(&mut self, d_sum: f64, d_sum_sq: f64) {
-        self.sum += d_sum;
-        self.sum_sq += d_sum_sq;
-    }
-
     /// Rebuilds both sums with an exact O(n) pass, re-centring the shift on
     /// the current mean (the scheduled drift bound), and counts the refresh.
     pub fn refresh(&mut self, values: &[f64]) {

@@ -357,31 +357,12 @@ impl NodeValues {
         self.moments = source.moments;
     }
 
-    /// Crate-internal: splits the state into its raw value slice and the
-    /// moment tracker so the flat struct-of-arrays engine can index values
-    /// directly while keeping every mutation paired with the same
-    /// `record_update` call [`Self::set`] would have made.  Callers own the
-    /// invariant that every slice write is mirrored into the tracker.
-    pub(crate) fn as_mut_parts(&mut self) -> (&mut [f64], &mut MomentTracker) {
-        (self.values.as_mut_slice(), &mut self.moments)
-    }
-
     /// Crate-internal: reassembles a state from checkpointed parts — the
     /// value vector plus the *exact* (possibly drifted) moment tracker it
     /// carried when captured.  No finiteness check and no tracker rebuild:
     /// a restored run must continue with bit-identical sums, drift and all.
     pub(crate) fn from_parts(values: Vector, moments: MomentTracker) -> Self {
         NodeValues { values, moments }
-    }
-
-    /// Crate-internal: overwrites the values from a raw slice and rebuilds
-    /// the tracker with an exact pass, **without** a finiteness check — the
-    /// sharded engine installs its (possibly poisoned) final state through
-    /// this before deciding whether to surface an error, mirroring how the
-    /// serial loop's state stays observable after a failed run.
-    pub(crate) fn overwrite_from_slice(&mut self, values: &[f64]) {
-        self.values.as_mut_slice().copy_from_slice(values);
-        self.moments = MomentTracker::from_slice(values);
     }
 
     /// Checks that every entry is finite.

@@ -45,13 +45,6 @@ impl EdgeTickHandler for Vanilla {
         "vanilla"
     }
 
-    fn pairwise_kernel(&self) -> Option<fn(f64, f64) -> (f64, f64)> {
-        Some(|xu, xv| {
-            let avg = 0.5 * (xu + xv);
-            (avg, avg)
-        })
-    }
-
     fn save_state(&self) -> Option<HandlerState> {
         Some(HandlerState::default())
     }

@@ -81,10 +81,10 @@ impl Default for KeyHasher {
 ///   parameter encoded; see `gossip_workloads::Scenario::fingerprint`).
 /// * `seed` — the harness base seed (per-trial offsets are derived
 ///   deterministically from it, so the base seed pins them all).
-/// * `engine` — the engine-config fingerprint (quick/full grid, legacy
-///   versus sharded engine — everything that changes a trial's bytes other
-///   than the seed; job counts are deliberately excluded because outputs
-///   are byte-identical at any width).
+/// * `engine` — the engine-config fingerprint (the quick/full grid —
+///   everything that changes a trial's bytes other than the seed; job
+///   counts are deliberately excluded because outputs are byte-identical
+///   at any width).
 #[must_use]
 pub fn trial_key(experiment: &str, fingerprint: &str, seed: u64, engine: &str) -> TrialKey {
     let mut hasher = KeyHasher::new();

@@ -438,19 +438,6 @@ mod tests {
         assert!(AggregationKind::Vanilla.is_mass_conserving());
         assert!(AggregationKind::TrimmedMean.is_mass_conserving());
         assert!(!AggregationKind::MedianOfNeighbors.is_mass_conserving());
-        // The sharded engine can only accelerate the stateless kernels.
-        assert!(AggregationKind::Vanilla
-            .build(8)
-            .pairwise_kernel()
-            .is_some());
-        assert!(AggregationKind::TrimmedMean
-            .build(8)
-            .pairwise_kernel()
-            .is_some());
-        assert!(AggregationKind::MedianOfNeighbors
-            .build(8)
-            .pairwise_kernel()
-            .is_none());
     }
 
     #[test]

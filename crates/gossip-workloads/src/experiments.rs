@@ -44,10 +44,9 @@ pub enum ExperimentId {
     /// aggregation, with honest-subset drift oracles), reported as
     /// `BENCH_adversary.json`.
     Adversary,
-    /// The memory-scaling tier (flat SoA/CSR engine up to 10⁶ nodes with
-    /// peak-RSS and throughput accounting, legacy byte-identity checks at
-    /// 50k, and the f32 value tier under its error-bound oracle), reported
-    /// as `BENCH_mem_scale.json`.
+    /// The memory-scaling tier (the serial engine loop up to 10⁶ nodes with
+    /// peak-RSS and throughput accounting), reported as
+    /// `BENCH_mem_scale.json`.
     MemScale,
 }
 
@@ -262,18 +261,14 @@ impl ExperimentId {
             },
             ExperimentId::MemScale => ExperimentDescriptor {
                 id: self,
-                title: "Memory-scale tier: the flat SoA engine at 10⁶ nodes",
-                claim: "The struct-of-arrays hot loop is byte-identical \
-                        to the legacy layout while completing 10⁶-node relaxations in bounded \
+                title: "Memory-scale tier: the serial engine at 10⁶ nodes",
+                claim: "The serial per-tick loop completes 10⁶-node relaxations in bounded \
                         memory; peak RSS and ticks/s are reported per family so memory \
-                        regressions are as visible as time regressions, and the f32 value \
-                        tier converges within its a-priori mean-drift and variance-error \
-                        bounds on every row.",
+                        regressions are as visible as time regressions.",
                 workload: "The four asynchronous-relaxation families (chordal ring, expander \
                            dumbbell/barbell, ring of cliques) with uniform starts at \
                            n ∈ {50k, 250k, 10⁶} (quick: {50k}), vanilla gossip, global \
-                           uniform clock; per row one flat-f64 run (legacy byte-identity \
-                           checked at 50k) and one f32-tier run under its oracle.",
+                           uniform clock; one timed run per row.",
                 bench_target: "gossip-bench runner::run_mem_scale + BENCH_mem_scale.json",
             },
         }

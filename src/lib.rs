@@ -66,11 +66,10 @@ pub mod prelude {
     pub use gossip_linalg::{CsrMatrix, Lanczos, LinearOperator, Matrix, Vector};
     pub use gossip_sim::adversary::{AdversaryPlan, AdversaryStats};
     pub use gossip_sim::engine::{
-        AsyncSimulator, ClockModel, MemoryLayout, SimulationConfig, SimulationOutcome,
-        VarianceMode, DEFAULT_MOMENT_REFRESH_TICKS,
+        AsyncSimulator, ClockModel, SimulationConfig, SimulationOutcome, VarianceMode,
+        DEFAULT_MOMENT_REFRESH_TICKS,
     };
     pub use gossip_sim::fault::{FaultPlan, FaultStats};
-    pub use gossip_sim::flat::{run_f32, F32Oracle, F32Outcome};
     pub use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler};
     pub use gossip_sim::moments::MomentTracker;
     pub use gossip_sim::stopping::StoppingRule;

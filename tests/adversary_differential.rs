@@ -12,8 +12,7 @@
 //! keep the honest-subset mean within the per-capita falsification bound
 //! (`gossip_analysis::robust::honest_drift_bound`); the robust aggregation
 //! rules must converge under an extreme-value attack that pins vanilla
-//! gossip away from the Definition 1 stop; and the sharded engine must stay
-//! bit-identical across shard counts when the handler's kernel opts in.
+//! gossip away from the Definition 1 stop.
 
 mod common;
 
@@ -296,76 +295,5 @@ fn robust_aggregation_converges_where_extreme_outliers_pin_vanilla_gossip() {
     // Detection fired on every arm (|±50 − honest| far exceeds 25).
     for outcome in [&vanilla, &trimmed, &median] {
         assert!(outcome.adversary_stats.flagged_reports > 0);
-    }
-}
-
-#[test]
-fn sharded_adversary_runs_with_an_opted_in_kernel_are_bit_identical_across_shard_counts() {
-    // The trimmed-mean rule exposes a pairwise kernel at its default radius,
-    // so the sharded engine accepts it; under a mixed adversary plan the
-    // final state must be bitwise invariant in the shard count, under both
-    // clock models.
-    let scenario = Scenario::ExpanderDumbbell { half: 16 };
-    let instance = scenario
-        .instantiate(seeds::ADVERSARY_SCENARIO)
-        .expect("valid scenario");
-    let cut_edge = instance.partition.cut_edges()[0];
-    let plan = AdversaryPlan::new(seeds::ADVERSARY_PLAN)
-        .with_biased_injector(NodeId(2), 3.0)
-        .with_extreme_value_node(NodeId(11), 25.0)
-        .with_stale_replay_node(NodeId(5), 200)
-        .with_censoring_bridge(vec![cut_edge], 0.5)
-        .with_detection_threshold(5.0);
-    let initial = AveragingTimeEstimator::adversarial_initial(&instance.partition);
-
-    for clock_model in [ClockModel::GlobalUniform, ClockModel::PerEdgeQueue] {
-        let outcomes: Vec<SimulationOutcome> = [1usize, 2, 4]
-            .into_iter()
-            .map(|shards| {
-                let config = SimulationConfig::new(seeds::ADVERSARY_SHARDED)
-                    .with_clock_model(clock_model)
-                    .with_stopping_rule(StoppingRule::definition1().or_max_ticks(100_000))
-                    .with_adversary_plan(plan.clone())
-                    .with_shards(shards);
-                let mut simulator = AsyncSimulator::new(
-                    &instance.graph,
-                    initial.clone(),
-                    TrimmedMeanGossip::default_radius(),
-                    config,
-                )
-                .expect("valid simulation");
-                simulator.run().expect("run completes")
-            })
-            .collect();
-
-        let reference = &outcomes[0];
-        assert!(
-            reference.adversary_stats.falsified_contacts > 0
-                && reference.adversary_stats.censored_contacts > 0,
-            "{clock_model:?}: the mixed plan never engaged"
-        );
-        for (outcome, shards) in outcomes.iter().zip([1, 2, 4]) {
-            assert_eq!(
-                reference.total_ticks, outcome.total_ticks,
-                "{clock_model:?}/shards {shards}: ticks diverged"
-            );
-            assert_eq!(
-                reference.adversary_stats, outcome.adversary_stats,
-                "{clock_model:?}/shards {shards}: stats diverged"
-            );
-            for (node, (a, b)) in reference
-                .final_values
-                .as_slice()
-                .iter()
-                .zip(outcome.final_values.as_slice())
-                .enumerate()
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{clock_model:?}/shards {shards}: node {node} diverged ({a} vs {b})"
-                );
-            }
-        }
     }
 }

@@ -113,13 +113,6 @@ pub mod seeds {
     /// `parallel_determinism`: fully deterministic bench table (E9) rendered
     /// at jobs 1 vs 4.
     pub const PARALLEL_TABLE: u64 = 464;
-    /// `sharded_determinism`: scenario instantiation and clock seed of the
-    /// shards-{1,2,4} bit-identity oracle (offset by the case index).
-    pub const SHARDED_DETERMINISM: u64 = 471;
-    /// `sharded_determinism`: uniform initial vectors of the oracle runs.
-    pub const SHARDED_INITIAL: u64 = 472;
-    /// `sharded_determinism`: fault-plan stream of the faulted oracle runs.
-    pub const SHARDED_FAULT: u64 = 473;
     /// `adversary_differential`: clock seed of the no-op-adversary-plan
     /// bit-identity oracle (offset by the family index).
     pub const ADVERSARY_DIFFERENTIAL: u64 = 481;
@@ -134,31 +127,12 @@ pub mod seeds {
     /// `adversary_differential`: clock seed of the vanilla-vs-robust
     /// aggregation comparison.
     pub const ADVERSARY_ROBUST: u64 = 485;
-    /// `adversary_differential`: clock seed of the sharded bit-identity
-    /// oracle (shards 1 vs 2 vs 4 under a mixed adversary plan).
-    pub const ADVERSARY_SHARDED: u64 = 486;
     /// `run_store`: base seed of the journal/resume suite (fresh runs,
     /// crash recovery, full-replay byte identity).
     pub const RUN_STORE_SWEEP: u64 = 491;
     /// `run_store`: the deliberately different seed proving trial keys
     /// separate seeds (nothing replays across a seed change).
     pub const RUN_STORE_RESEED: u64 = 492;
-    /// `memscale_differential`: scenario instantiation of the flat-vs-legacy
-    /// bit-identity oracle families (offset by the family index).
-    pub const MEMSCALE_SCENARIO: u64 = 501;
-    /// `memscale_differential`: uniform initial vectors of the oracle runs.
-    pub const MEMSCALE_INITIAL: u64 = 502;
-    /// `memscale_differential`: clock seed of the bit-identity runs (offset
-    /// by the family index).
-    pub const MEMSCALE_CLOCK: u64 = 503;
-    /// `memscale_differential`: fault-plan stream of the mixed
-    /// fault + adversary bit-identity runs.
-    pub const MEMSCALE_FAULT: u64 = 504;
-    /// `memscale_differential`: adversary stream of the mixed runs.
-    pub const MEMSCALE_ADVERSARY: u64 = 505;
-    /// `f32_tier_oracle`: base seed of the f32-tier convergence and
-    /// oracle-violation suite (offset by the family index).
-    pub const F32_TIER: u64 = 506;
 
     /// Every pinned seed of the registry with its name — the collision
     /// check below asserts no two suites reuse a seed, so any new constant
@@ -203,23 +177,13 @@ pub mod seeds {
             ("PARALLEL_PERF", PARALLEL_PERF),
             ("PARALLEL_SIM_SCALE", PARALLEL_SIM_SCALE),
             ("PARALLEL_TABLE", PARALLEL_TABLE),
-            ("SHARDED_DETERMINISM", SHARDED_DETERMINISM),
-            ("SHARDED_INITIAL", SHARDED_INITIAL),
-            ("SHARDED_FAULT", SHARDED_FAULT),
             ("ADVERSARY_DIFFERENTIAL", ADVERSARY_DIFFERENTIAL),
             ("ADVERSARY_SCENARIO", ADVERSARY_SCENARIO),
             ("ADVERSARY_PLAN", ADVERSARY_PLAN),
             ("ADVERSARY_FAULT", ADVERSARY_FAULT),
             ("ADVERSARY_ROBUST", ADVERSARY_ROBUST),
-            ("ADVERSARY_SHARDED", ADVERSARY_SHARDED),
             ("RUN_STORE_SWEEP", RUN_STORE_SWEEP),
             ("RUN_STORE_RESEED", RUN_STORE_RESEED),
-            ("MEMSCALE_SCENARIO", MEMSCALE_SCENARIO),
-            ("MEMSCALE_INITIAL", MEMSCALE_INITIAL),
-            ("MEMSCALE_CLOCK", MEMSCALE_CLOCK),
-            ("MEMSCALE_FAULT", MEMSCALE_FAULT),
-            ("MEMSCALE_ADVERSARY", MEMSCALE_ADVERSARY),
-            ("F32_TIER", F32_TIER),
         ]
     }
 }
@@ -323,6 +287,6 @@ mod seed_registry_tests {
     /// constant without registering it here is the failure mode).
     #[test]
     fn seed_registry_is_complete() {
-        assert_eq!(seeds::all().len(), 55);
+        assert_eq!(seeds::all().len(), 45);
     }
 }

@@ -23,7 +23,6 @@ fn strip_volatile(json: &str) -> String {
         .filter(|line| {
             ![
                 "\"jobs\":",
-                "\"shards\":",
                 "\"wall_ms",
                 "\"ticks_per_sec\":",
                 "\"speedup\":",
@@ -76,7 +75,7 @@ fn perf_report_is_byte_identical_across_job_counts() {
             jobs: Some(jobs),
             ..HarnessConfig::quick()
         };
-        let (report, _) = runner::run_perf_sized(&config, &gossip_store::NullSink, 256, 96, 4, 256)
+        let (report, _) = runner::run_perf_sized(&config, &gossip_store::NullSink, 256, 96, 4)
             .expect("perf tier runs");
         report
     };

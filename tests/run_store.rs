@@ -15,7 +15,8 @@
 mod common;
 
 use common::seeds;
-use gossip_bench::runner::{self, HarnessConfig, SimScaleReport};
+use gossip_bench::runner::{self, HarnessConfig, MemScaleRow, SimScaleReport};
+use gossip_bench::trial::{engine_fingerprint, TrialRow};
 use gossip_store::{RunStore, StoreSink};
 use std::path::{Path, PathBuf};
 
@@ -185,4 +186,54 @@ fn a_different_seed_replays_nothing() {
     assert_eq!(computed, reseeded.rows.len());
     assert_eq!(reseeded.rows.len(), reference.rows.len());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn journals_from_before_the_single_engine_loop_still_replay() {
+    // Trial keys hash the engine fingerprint, so these exact strings are
+    // what lets journals and checkpoints committed under them replay.
+    assert_eq!(
+        engine_fingerprint(&HarnessConfig::quick()),
+        "quick;engine=legacy"
+    );
+    assert_eq!(
+        engine_fingerprint(&HarnessConfig::full()),
+        "full;engine=legacy"
+    );
+
+    // A MEM_SCALE row as journaled when the tier also recorded a
+    // legacy-layout identity check and an f32 tier: the dropped columns
+    // are ignored and every surviving field decodes unchanged.
+    let journaled = r#"{"family": "chordring-50000", "n": 50000, "edges": 750000,
+        "initial": "uniform", "ticks": 102516, "stop_time": 0.1366249976674129,
+        "stop_reason": "Converged", "variance_ratio": 0.13533446609705174,
+        "moment_refreshes": 1, "legacy_checked": true, "f32_ticks": 102516,
+        "f32_variance_ratio": 0.13533446606444896,
+        "f32_mean_drift": 5.724298726000887e-11,
+        "f32_mean_drift_bound": 2.909009586742286e-06,
+        "f32_variance_error": 1.4363510381087963e-15,
+        "f32_variance_error_bound": 1e-09, "wall_ms": 18.104397000000002,
+        "ticks_per_sec": 5662491.824499871, "peak_rss_bytes": 71098368}"#;
+    let value = serde_json::from_str(journaled).expect("row parses");
+    let row = MemScaleRow::from_value(&value).expect("older row decodes");
+    assert_eq!(
+        row,
+        MemScaleRow {
+            family: "chordring-50000".to_string(),
+            n: 50_000,
+            edges: 750_000,
+            initial: "uniform".to_string(),
+            ticks: 102_516,
+            stop_time: 0.1366249976674129,
+            stop_reason: "Converged".to_string(),
+            variance_ratio: 0.13533446609705174,
+            moment_refreshes: 1,
+            wall_ms: 18.104397000000002,
+            ticks_per_sec: 5662491.824499871,
+            peak_rss_bytes: Some(71_098_368),
+        }
+    );
+    // Re-encoded, the row carries exactly the surviving columns.
+    let reencoded = serde_json::to_string(&row).expect("row renders");
+    assert!(!reencoded.contains("legacy_checked") && !reencoded.contains("f32_"));
 }
