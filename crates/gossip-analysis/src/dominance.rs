@@ -25,7 +25,6 @@
 
 use crate::random_walk::TwoPointWalk;
 use crate::{AnalysisError, Result};
-use serde::{Deserialize, Serialize};
 
 /// The dominating lazy walk `W̃_k` for a graph on `n` nodes.
 #[derive(Debug, Clone)]
@@ -120,7 +119,7 @@ pub fn couple_observed(observed_increments: &[f64], n: usize) -> Result<Vec<f64>
 }
 
 /// Outcome of the empirical dominance check (experiment E5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DominanceReport {
     /// Number of epochs examined.
     pub epochs: usize,

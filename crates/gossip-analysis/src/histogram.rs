@@ -5,11 +5,10 @@
 //! in [`crate::concentration`].
 
 use crate::{AnalysisError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A fixed-width histogram over `[lo, hi)` with values outside the range
 /// clamped into the first/last bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

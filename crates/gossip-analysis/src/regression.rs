@@ -9,10 +9,9 @@
 //! data first.
 
 use crate::{AnalysisError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Result of a simple linear regression `y ≈ slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,

@@ -1,7 +1,6 @@
 //! Descriptive statistics: means, variances, quantiles, confidence intervals.
 
 use crate::{AnalysisError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean of a sample.
 ///
@@ -158,7 +157,7 @@ pub fn median(sample: &[f64]) -> Result<f64> {
 }
 
 /// A normal-approximation confidence interval for the mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (the sample mean).
     pub estimate: f64,
@@ -196,9 +195,8 @@ pub fn mean_confidence_interval95(sample: &[f64]) -> Result<ConfidenceInterval> 
     })
 }
 
-/// A five-number-plus summary of a sample, serializable for the experiment
-/// harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A five-number-plus summary of a sample.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub count: usize,

@@ -1,8 +1,8 @@
 //! Experiment harness binary.
 //!
 //! Regenerates every experiment table of the reproduction (E1–E10, see
-//! `DESIGN.md` §5 and `EXPERIMENTS.md`) plus the SCALE, SIM_SCALE,
-//! MEM_SCALE, ROBUSTNESS, PERF and ADVERSARY tiers.
+//! `gossip_workloads::experiments`) plus the SCALE, SIM_SCALE, MEM_SCALE,
+//! ROBUSTNESS, PERF and ADVERSARY tiers.
 //!
 //! Usage:
 //!
@@ -61,9 +61,8 @@
 //! `schema_version` field — the shared `gossip_store::SCHEMA_VERSION`
 //! constant that also stamps every journal record.  The robustness and
 //! adversary reports carry no wall-clock fields, so CI diffs them
-//! byte-for-byte; the perf report is diffed after stripping the wall-clock
-//! and `jobs` fields, the mem-scale report after stripping `wall_ms`,
-//! `ticks_per_sec` and `peak_rss_bytes`.
+//! byte-for-byte; the others are diffed after stripping the fields their
+//! report declares volatile (e.g. `runner::PerfReport::VOLATILE`).
 
 use gossip_bench::runner::{self, BenchResult, HarnessConfig};
 use gossip_bench::Table;
@@ -350,20 +349,31 @@ fn main() {
                 }
             }
             "--only" => {
+                let valid = || valid_tokens.iter().copied().collect::<Vec<_>>().join(" ");
                 i += 1;
+                let first = i;
                 while i < args.len() && !args[i].starts_with("--") {
                     let token = args[i].to_uppercase();
                     if !valid_tokens.contains(token.as_str()) {
                         eprintln!(
                             "unknown experiment '{}' for --only; valid tokens: {}",
                             args[i],
-                            valid_tokens.iter().copied().collect::<Vec<_>>().join(" ")
+                            valid()
                         );
                         print_usage();
                         std::process::exit(2);
                     }
                     only.insert(token);
                     i += 1;
+                }
+                // An empty set would read as "every tier" below.
+                if i == first {
+                    eprintln!(
+                        "--only requires at least one token; valid tokens: {}",
+                        valid()
+                    );
+                    print_usage();
+                    std::process::exit(2);
                 }
                 continue;
             }

@@ -1,9 +1,9 @@
 //! Benchmark and experiment harness for the sparse-cut gossip reproduction.
 //!
 //! The paper has no numbered tables or figures, so the harness regenerates
-//! one table per quantitative claim (experiments E1–E10, see `DESIGN.md` §5
-//! and `gossip_workloads::experiments`).  The same runner functions back
-//! three consumers:
+//! one table per quantitative claim (experiments E1–E10, see
+//! `gossip_workloads::experiments`).  The same runner functions back three
+//! consumers:
 //!
 //! * the `experiments` binary (`cargo run -p gossip-bench --release --bin
 //!   experiments`), which prints every table and optionally dumps JSON;

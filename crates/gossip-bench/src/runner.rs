@@ -1,5 +1,5 @@
-//! Experiment runners E1–E10 plus the Scale, SimScale, Robustness, Perf and
-//! Adversary tiers.
+//! Experiment runners E1–E10 plus the Scale, SimScale, MemScale,
+//! Robustness, Perf and Adversary tiers.
 //!
 //! Every function is deterministic given the [`HarnessConfig`] (all
 //! randomness is seeded), returns structured data plus a rendered
@@ -16,7 +16,7 @@
 
 use crate::probes::{CutTickProbe, EpochProbe};
 use crate::table::Table;
-use crate::trial::{engine_fingerprint, run_trials, TrialRow};
+use crate::trial::{engine_fingerprint, run_trials, schema};
 use gossip_analysis::dominance::DominanceReport;
 use gossip_analysis::random_walk::simple_walk_tail_frequency;
 use gossip_analysis::{concentration, regression, robust};
@@ -34,12 +34,10 @@ use gossip_sim::stopping::{StoppingRule, DEFINITION1_THRESHOLD};
 use gossip_sim::sync::{RoundHandler, SyncConfig, SyncSimulator};
 use gossip_sim::values::NodeValues;
 use gossip_sim::SimError;
-use gossip_store::{trial_key, CheckpointRecord, TrialSink, ValueExt};
+use gossip_store::{trial_key, CheckpointRecord, TrialSink};
 use gossip_workloads::scenarios::robustness_suite;
 use gossip_workloads::sweep;
 use gossip_workloads::{ExperimentId, InitialCondition, Scenario};
-use serde::json::Value;
-use serde::{Deserialize, Serialize};
 
 /// Convenience error type of the harness (it aggregates errors from every
 /// workspace crate, so a boxed error keeps the signatures readable).
@@ -49,10 +47,10 @@ pub type BenchError = Box<dyn std::error::Error + Send + Sync>;
 pub type BenchResult<T> = Result<T, BenchError>;
 
 /// Global configuration of the harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarnessConfig {
     /// Quick mode: fewer runs and smaller maximum sizes (used by tests and
-    /// CI); full mode matches the numbers recorded in `EXPERIMENTS.md`.
+    /// CI); full mode runs the sizes the README's tier sections quote.
     pub quick: bool,
     /// Base seed; every experiment derives its own sub-seeds from it.
     pub seed: u64,
@@ -94,7 +92,7 @@ impl HarnessConfig {
         }
     }
 
-    /// Full configuration (the numbers recorded in `EXPERIMENTS.md`).
+    /// Full configuration (the sizes the README's tier sections quote).
     pub fn full() -> Self {
         HarnessConfig {
             quick: false,
@@ -174,60 +172,33 @@ fn fmt(v: f64) -> String {
 // E1–E3: the dumbbell sweep.
 // ---------------------------------------------------------------------------
 
-/// One row of the dumbbell sweep (experiments E1–E3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DumbbellSweepRow {
-    /// Total number of nodes.
-    pub n: usize,
-    /// Theorem 1 quantity `min(n1,n2)/|E12|`.
-    pub lower_bound: f64,
-    /// Theorem 2 quantity `C·ln n·(T_van(G1)+T_van(G2))` with the default C.
-    pub upper_bound: f64,
-    /// Measured averaging time of vanilla gossip.
-    pub vanilla: f64,
-    /// Measured averaging time of weighted convex gossip (α = 0.7).
-    pub weighted: f64,
-    /// Measured averaging time of random-neighbour gossip.
-    pub random_neighbor: f64,
-    /// Measured averaging time of Algorithm A.
-    pub algorithm_a: f64,
+schema! { row
+    /// One row of the dumbbell sweep (experiments E1–E3).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DumbbellSweepRow {
+        /// Total number of nodes.
+        pub n: usize,
+        /// Theorem 1 quantity `min(n1,n2)/|E12|`.
+        pub lower_bound: f64,
+        /// Theorem 2 quantity `C·ln n·(T_van(G1)+T_van(G2))` with the default C.
+        pub upper_bound: f64,
+        /// Measured averaging time of vanilla gossip.
+        pub vanilla: f64,
+        /// Measured averaging time of weighted convex gossip (α = 0.7).
+        pub weighted: f64,
+        /// Measured averaging time of random-neighbour gossip.
+        pub random_neighbor: f64,
+        /// Measured averaging time of Algorithm A.
+        pub algorithm_a: f64,
+    }
 }
 
 /// The dumbbell sweep: measured averaging times of the class-`C` algorithms
 /// and Algorithm A for doubling sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DumbbellSweep {
     /// One row per graph size.
     pub rows: Vec<DumbbellSweepRow>,
-}
-
-impl TrialRow for DumbbellSweepRow {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("n".to_string(), Value::Number(self.n as f64)),
-            ("lower_bound".to_string(), Value::Number(self.lower_bound)),
-            ("upper_bound".to_string(), Value::Number(self.upper_bound)),
-            ("vanilla".to_string(), Value::Number(self.vanilla)),
-            ("weighted".to_string(), Value::Number(self.weighted)),
-            (
-                "random_neighbor".to_string(),
-                Value::Number(self.random_neighbor),
-            ),
-            ("algorithm_a".to_string(), Value::Number(self.algorithm_a)),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(DumbbellSweepRow {
-            n: value.field_usize("n")?,
-            lower_bound: value.field_f64("lower_bound")?,
-            upper_bound: value.field_f64("upper_bound")?,
-            vanilla: value.field_f64("vanilla")?,
-            weighted: value.field_f64("weighted")?,
-            random_neighbor: value.field_f64("random_neighbor")?,
-            algorithm_a: value.field_f64("algorithm_a")?,
-        })
-    }
 }
 
 /// Runs the dumbbell sweep shared by experiments E1, E2 and E3 (journaled
@@ -373,70 +344,26 @@ pub fn table_e3(sweep: &DumbbellSweep) -> Table {
 // E4: Section 2 proof mechanics.
 // ---------------------------------------------------------------------------
 
-/// Result of experiment E4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E4Result {
-    /// Number of nodes of the instance.
-    pub n: usize,
-    /// The Section 2 per-tick bound `2/n1`.
-    pub per_tick_bound: f64,
-    /// Largest observed per-cut-tick movement of `y(t)`.
-    pub max_observed_delta: f64,
-    /// Number of cut-edge ticks observed by the horizon.
-    pub observed_cut_ticks: usize,
-    /// Expected number of cut-edge ticks (`horizon · |E12|`).
-    pub expected_cut_ticks: f64,
-    /// Simulated horizon.
-    pub horizon: f64,
-    /// Final `var X` and the Section 2 lower bound `n1·y²/n` at the horizon.
-    pub final_variance: f64,
-    /// The `n1·y²/n` lower bound at the horizon.
-    pub variance_lower_bound: f64,
-}
-
-impl TrialRow for E4Result {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("n".to_string(), Value::Number(self.n as f64)),
-            (
-                "per_tick_bound".to_string(),
-                Value::Number(self.per_tick_bound),
-            ),
-            (
-                "max_observed_delta".to_string(),
-                Value::Number(self.max_observed_delta),
-            ),
-            (
-                "observed_cut_ticks".to_string(),
-                Value::Number(self.observed_cut_ticks as f64),
-            ),
-            (
-                "expected_cut_ticks".to_string(),
-                Value::Number(self.expected_cut_ticks),
-            ),
-            ("horizon".to_string(), Value::Number(self.horizon)),
-            (
-                "final_variance".to_string(),
-                Value::Number(self.final_variance),
-            ),
-            (
-                "variance_lower_bound".to_string(),
-                Value::Number(self.variance_lower_bound),
-            ),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(E4Result {
-            n: value.field_usize("n")?,
-            per_tick_bound: value.field_f64("per_tick_bound")?,
-            max_observed_delta: value.field_f64("max_observed_delta")?,
-            observed_cut_ticks: value.field_usize("observed_cut_ticks")?,
-            expected_cut_ticks: value.field_f64("expected_cut_ticks")?,
-            horizon: value.field_f64("horizon")?,
-            final_variance: value.field_f64("final_variance")?,
-            variance_lower_bound: value.field_f64("variance_lower_bound")?,
-        })
+schema! { row
+    /// Result of experiment E4.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct E4Result {
+        /// Number of nodes of the instance.
+        pub n: usize,
+        /// The Section 2 per-tick bound `2/n1`.
+        pub per_tick_bound: f64,
+        /// Largest observed per-cut-tick movement of `y(t)`.
+        pub max_observed_delta: f64,
+        /// Number of cut-edge ticks observed by the horizon.
+        pub observed_cut_ticks: usize,
+        /// Expected number of cut-edge ticks (`horizon · |E12|`).
+        pub expected_cut_ticks: f64,
+        /// Simulated horizon.
+        pub horizon: f64,
+        /// Final `var X` and the Section 2 lower bound `n1·y²/n` at the horizon.
+        pub final_variance: f64,
+        /// The `n1·y²/n` lower bound at the horizon.
+        pub variance_lower_bound: f64,
     }
 }
 
@@ -512,61 +439,25 @@ pub fn run_e4(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(E4Re
 // E5: Section 3 proof mechanics.
 // ---------------------------------------------------------------------------
 
-/// One row of experiment E5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E5Row {
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of epochs (transfers) observed.
-    pub epochs: usize,
-    /// Fraction of epochs achieving the `≤ −(3/2)·log n` contraction.
-    pub contraction_fraction: f64,
-    /// Fraction of epochs exceeding the `+log n` ceiling.
-    pub ceiling_violation_fraction: f64,
-    /// Whether the observed log-variance path is dominated pointwise by the
-    /// coupled lazy walk.
-    pub dominated: bool,
-    /// Final observed `log var` drop.
-    pub final_observed_drop: f64,
-    /// Final value of the coupled dominating walk.
-    pub final_dominating: f64,
-}
-
-impl TrialRow for E5Row {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("n".to_string(), Value::Number(self.n as f64)),
-            ("epochs".to_string(), Value::Number(self.epochs as f64)),
-            (
-                "contraction_fraction".to_string(),
-                Value::Number(self.contraction_fraction),
-            ),
-            (
-                "ceiling_violation_fraction".to_string(),
-                Value::Number(self.ceiling_violation_fraction),
-            ),
-            ("dominated".to_string(), Value::Bool(self.dominated)),
-            (
-                "final_observed_drop".to_string(),
-                Value::Number(self.final_observed_drop),
-            ),
-            (
-                "final_dominating".to_string(),
-                Value::Number(self.final_dominating),
-            ),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(E5Row {
-            n: value.field_usize("n")?,
-            epochs: value.field_usize("epochs")?,
-            contraction_fraction: value.field_f64("contraction_fraction")?,
-            ceiling_violation_fraction: value.field_f64("ceiling_violation_fraction")?,
-            dominated: value.field_bool("dominated")?,
-            final_observed_drop: value.field_f64("final_observed_drop")?,
-            final_dominating: value.field_f64("final_dominating")?,
-        })
+schema! { row
+    /// One row of experiment E5.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct E5Row {
+        /// Number of nodes.
+        pub n: usize,
+        /// Number of epochs (transfers) observed.
+        pub epochs: usize,
+        /// Fraction of epochs achieving the `≤ −(3/2)·log n` contraction.
+        pub contraction_fraction: f64,
+        /// Fraction of epochs exceeding the `+log n` ceiling.
+        pub ceiling_violation_fraction: f64,
+        /// Whether the observed log-variance path is dominated pointwise by the
+        /// coupled lazy walk.
+        pub dominated: bool,
+        /// Final observed `log var` drop.
+        pub final_observed_drop: f64,
+        /// Final value of the coupled dominating walk.
+        pub final_dominating: f64,
     }
 }
 
@@ -952,45 +843,18 @@ pub fn run_e9(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
 // E10: transfer-coefficient ablation.
 // ---------------------------------------------------------------------------
 
-/// One row of the transfer-coefficient ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E10Row {
-    /// Human-readable name of the coefficient choice.
-    pub coefficient: String,
-    /// Resolved numeric value of γ.
-    pub gamma: f64,
-    /// Measured averaging time (censored at the cap when not converged).
-    pub averaging_time: f64,
-    /// Number of runs that failed to reach the confirmation level.
-    pub censored_runs: usize,
-}
-
-impl TrialRow for E10Row {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "coefficient".to_string(),
-                Value::String(self.coefficient.clone()),
-            ),
-            ("gamma".to_string(), Value::Number(self.gamma)),
-            (
-                "averaging_time".to_string(),
-                Value::Number(self.averaging_time),
-            ),
-            (
-                "censored_runs".to_string(),
-                Value::Number(self.censored_runs as f64),
-            ),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(E10Row {
-            coefficient: value.field_str("coefficient")?.to_string(),
-            gamma: value.field_f64("gamma")?,
-            averaging_time: value.field_f64("averaging_time")?,
-            censored_runs: value.field_usize("censored_runs")?,
-        })
+schema! { row
+    /// One row of the transfer-coefficient ablation.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct E10Row {
+        /// Human-readable name of the coefficient choice.
+        pub coefficient: String,
+        /// Resolved numeric value of γ.
+        pub gamma: f64,
+        /// Measured averaging time (censored at the cap when not converged).
+        pub averaging_time: f64,
+        /// Number of runs that failed to reach the confirmation level.
+        pub censored_runs: usize,
     }
 }
 
@@ -1080,127 +944,58 @@ pub fn run_e10(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec
 // Scale: the sparse spectral pipeline at large n.
 // ---------------------------------------------------------------------------
 
-/// One row of the scaling-tier experiment: the sparse-path spectral profile
-/// of a bounded-degree sparse-cut family, with wall-clock build/solve times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges (the sparse path is O(|E|) per matvec).
-    pub edges: usize,
-    /// Cut width `|E12|` of the canonical partition.
-    pub cut_edges: usize,
-    /// Fiedler value `λ₂` of the Laplacian.
-    pub algebraic_connectivity: f64,
-    /// Largest Laplacian eigenvalue.
-    pub laplacian_lambda_max: f64,
-    /// Spectral gap of the expected gossip matrix `W̄`.
-    pub gossip_spectral_gap: f64,
-    /// Spectral `T_van` estimate in absolute time.
-    pub t_van_estimate: f64,
-    /// Wall-clock milliseconds to build the graph.  Rows fan out over the
-    /// harness executor, so at `jobs > 1` this includes contention from
-    /// sibling rows; for timings comparable across machines run with
-    /// `--jobs 1`, or use the PERF tier, whose throughput rows are always
-    /// timed serially.
-    pub build_ms: f64,
-    /// Wall-clock milliseconds for the sparse spectral profile
-    /// (contention-dependent at `jobs > 1`, like [`Self::build_ms`]).
-    pub spectral_ms: f64,
-}
-
-/// The scaling-tier report serialized to `BENCH_scale.json`: the perf
-/// trajectory's seed artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleReport {
-    /// Whether the quick size grid was used.
-    pub quick: bool,
-    /// Harness seed (scenario instantiation only — the spectral pipeline
-    /// itself is deterministic).
-    pub seed: u64,
-    /// The dense/sparse dispatch threshold in effect.
-    pub sparse_dispatch_threshold: usize,
-    /// Largest dense matrix dimension allocated while the experiment ran —
-    /// must stay below the threshold, proving the large-n path is sparse.
-    pub largest_dense_dimension: usize,
-    /// One row per (size, family) pair.
-    pub rows: Vec<ScaleRow>,
-}
-
-// The vendored serde derive is a no-op (see vendor/README.md), so the types
-// written to BENCH_scale.json carry hand-written impls like `Table` does.
-impl serde::Serialize for ScaleRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("edges".to_string(), self.edges.to_json_value()),
-            ("cut_edges".to_string(), self.cut_edges.to_json_value()),
-            (
-                "algebraic_connectivity".to_string(),
-                self.algebraic_connectivity.to_json_value(),
-            ),
-            (
-                "laplacian_lambda_max".to_string(),
-                self.laplacian_lambda_max.to_json_value(),
-            ),
-            (
-                "gossip_spectral_gap".to_string(),
-                self.gossip_spectral_gap.to_json_value(),
-            ),
-            (
-                "t_van_estimate".to_string(),
-                self.t_van_estimate.to_json_value(),
-            ),
-            ("build_ms".to_string(), self.build_ms.to_json_value()),
-            ("spectral_ms".to_string(), self.spectral_ms.to_json_value()),
-        ])
+schema! { row
+    /// One row of the scaling-tier experiment: the sparse-path spectral profile
+    /// of a bounded-degree sparse-cut family, with wall-clock build/solve times.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScaleRow {
+        /// Scenario name (from `Scenario::name`).
+        pub family: String,
+        /// Number of nodes.
+        pub n: usize,
+        /// Number of edges (the sparse path is O(|E|) per matvec).
+        pub edges: usize,
+        /// Cut width `|E12|` of the canonical partition.
+        pub cut_edges: usize,
+        /// Fiedler value `λ₂` of the Laplacian.
+        pub algebraic_connectivity: f64,
+        /// Largest Laplacian eigenvalue.
+        pub laplacian_lambda_max: f64,
+        /// Spectral gap of the expected gossip matrix `W̄`.
+        pub gossip_spectral_gap: f64,
+        /// Spectral `T_van` estimate in absolute time.
+        pub t_van_estimate: f64,
+        /// Wall-clock milliseconds to build the graph.  Rows fan out over the
+        /// harness executor, so at `jobs > 1` this includes contention from
+        /// sibling rows; for timings comparable across machines run with
+        /// `--jobs 1`, or use the PERF tier, whose throughput rows are always
+        /// timed serially.
+        pub build_ms: f64,
+        /// Wall-clock milliseconds for the sparse spectral profile
+        /// (contention-dependent at `jobs > 1`, like [`Self::build_ms`]).
+        pub spectral_ms: f64,
     }
 }
 
-impl TrialRow for ScaleRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
+schema! { report
+    /// The scaling-tier report serialized to `BENCH_scale.json`: the perf
+    /// trajectory's seed artifact.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScaleReport {
+        /// Whether the quick size grid was used.
+        pub quick: bool,
+        /// Harness seed (scenario instantiation only — the spectral pipeline
+        /// itself is deterministic).
+        pub seed: u64,
+        /// The dense/sparse dispatch threshold in effect.
+        pub sparse_dispatch_threshold: usize,
+        /// Largest dense matrix dimension allocated while the experiment ran —
+        /// must stay below the threshold, proving the large-n path is sparse.
+        pub largest_dense_dimension: usize,
+        /// One row per (size, family) pair.
+        pub rows: Vec<ScaleRow>,
     }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(ScaleRow {
-            family: value.field_str("family")?.to_string(),
-            n: value.field_usize("n")?,
-            edges: value.field_usize("edges")?,
-            cut_edges: value.field_usize("cut_edges")?,
-            algebraic_connectivity: value.field_f64("algebraic_connectivity")?,
-            laplacian_lambda_max: value.field_f64("laplacian_lambda_max")?,
-            gossip_spectral_gap: value.field_f64("gossip_spectral_gap")?,
-            t_van_estimate: value.field_f64("t_van_estimate")?,
-            build_ms: value.field_f64("build_ms")?,
-            spectral_ms: value.field_f64("spectral_ms")?,
-        })
-    }
-}
-
-impl serde::Serialize for ScaleReport {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                gossip_store::SCHEMA_VERSION.to_json_value(),
-            ),
-            ("quick".to_string(), self.quick.to_json_value()),
-            ("seed".to_string(), self.seed.to_json_value()),
-            (
-                "sparse_dispatch_threshold".to_string(),
-                self.sparse_dispatch_threshold.to_json_value(),
-            ),
-            (
-                "largest_dense_dimension".to_string(),
-                self.largest_dense_dimension.to_json_value(),
-            ),
-            ("rows".to_string(), self.rows.to_json_value()),
-        ])
-    }
+    volatile: [build_ms, spectral_ms]
 }
 
 /// Runs the scaling-tier experiment: for every size in the scale grid and
@@ -1298,118 +1093,55 @@ pub fn run_scale(
 // SimScale: the asynchronous simulation at large n.
 // ---------------------------------------------------------------------------
 
-/// One row of the simulation scaling-tier experiment: a complete
-/// asynchronous run to the Definition 1 stop with per-tick O(1) checking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimScaleRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Which initial condition was used (`arc-adversarial` or `uniform`).
-    pub initial: String,
-    /// Edge ticks processed until the run stopped.
-    pub ticks: u64,
-    /// Simulated time at which the run stopped.
-    pub stop_time: f64,
-    /// Why the run stopped (expected: `Converged`).
-    pub stop_reason: String,
-    /// Final normalized variance `var X(T)/var X(0)` (exact recompute).
-    pub variance_ratio: f64,
-    /// Scheduled exact moment refreshes performed during the run — the only
-    /// O(n) variance passes on the hot path.
-    pub moment_refreshes: u64,
-    /// Wall-clock milliseconds for the run.  Rows fan out over the harness
-    /// executor, so at `jobs > 1` this includes contention from sibling
-    /// rows; for clean throughput numbers run with `--jobs 1`, or use the
-    /// PERF tier, whose throughput rows are always timed serially.
-    pub wall_ms: f64,
-    /// Event throughput (ticks per wall-clock second; contention-dependent
-    /// at `jobs > 1`, like [`Self::wall_ms`]).
-    pub ticks_per_sec: f64,
-}
-
-/// The simulation scaling-tier report serialized to `BENCH_sim_scale.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimScaleReport {
-    /// Whether the quick size grid was used.
-    pub quick: bool,
-    /// Harness seed.
-    pub seed: u64,
-    /// Exact-refresh period of the incremental moments, in ticks.
-    pub moment_refresh_every_ticks: u64,
-    /// One row per (size, family) pair.
-    pub rows: Vec<SimScaleRow>,
-}
-
-// Hand-written serde impls: the vendored derive is a no-op (vendor/README.md).
-impl serde::Serialize for SimScaleRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("edges".to_string(), self.edges.to_json_value()),
-            ("initial".to_string(), self.initial.to_json_value()),
-            ("ticks".to_string(), self.ticks.to_json_value()),
-            ("stop_time".to_string(), self.stop_time.to_json_value()),
-            ("stop_reason".to_string(), self.stop_reason.to_json_value()),
-            (
-                "variance_ratio".to_string(),
-                self.variance_ratio.to_json_value(),
-            ),
-            (
-                "moment_refreshes".to_string(),
-                self.moment_refreshes.to_json_value(),
-            ),
-            ("wall_ms".to_string(), self.wall_ms.to_json_value()),
-            (
-                "ticks_per_sec".to_string(),
-                self.ticks_per_sec.to_json_value(),
-            ),
-        ])
+schema! { row
+    /// One row of the simulation scaling-tier experiment: a complete
+    /// asynchronous run to the Definition 1 stop with per-tick O(1) checking.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimScaleRow {
+        /// Scenario name (from `Scenario::name`).
+        pub family: String,
+        /// Number of nodes.
+        pub n: usize,
+        /// Number of edges.
+        pub edges: usize,
+        /// Which initial condition was used (`arc-adversarial` or `uniform`).
+        pub initial: String,
+        /// Edge ticks processed until the run stopped.
+        pub ticks: u64,
+        /// Simulated time at which the run stopped.
+        pub stop_time: f64,
+        /// Why the run stopped (expected: `Converged`).
+        pub stop_reason: String,
+        /// Final normalized variance `var X(T)/var X(0)` (exact recompute).
+        pub variance_ratio: f64,
+        /// Scheduled exact moment refreshes performed during the run — the only
+        /// O(n) variance passes on the hot path.
+        pub moment_refreshes: u64,
+        /// Wall-clock milliseconds for the run.  Rows fan out over the harness
+        /// executor, so at `jobs > 1` this includes contention from sibling
+        /// rows; for clean throughput numbers run with `--jobs 1`, or use the
+        /// PERF tier, whose throughput rows are always timed serially.
+        pub wall_ms: f64,
+        /// Event throughput (ticks per wall-clock second; contention-dependent
+        /// at `jobs > 1`, like [`Self::wall_ms`]).
+        pub ticks_per_sec: f64,
     }
 }
 
-impl TrialRow for SimScaleRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
+schema! { report
+    /// The simulation scaling-tier report serialized to `BENCH_sim_scale.json`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimScaleReport {
+        /// Whether the quick size grid was used.
+        pub quick: bool,
+        /// Harness seed.
+        pub seed: u64,
+        /// Exact-refresh period of the incremental moments, in ticks.
+        pub moment_refresh_every_ticks: u64,
+        /// One row per (size, family) pair.
+        pub rows: Vec<SimScaleRow>,
     }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(SimScaleRow {
-            family: value.field_str("family")?.to_string(),
-            n: value.field_usize("n")?,
-            edges: value.field_usize("edges")?,
-            initial: value.field_str("initial")?.to_string(),
-            ticks: value.field_u64("ticks")?,
-            stop_time: value.field_f64("stop_time")?,
-            stop_reason: value.field_str("stop_reason")?.to_string(),
-            variance_ratio: value.field_f64("variance_ratio")?,
-            moment_refreshes: value.field_u64("moment_refreshes")?,
-            wall_ms: value.field_f64("wall_ms")?,
-            ticks_per_sec: value.field_f64("ticks_per_sec")?,
-        })
-    }
-}
-
-impl serde::Serialize for SimScaleReport {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                gossip_store::SCHEMA_VERSION.to_json_value(),
-            ),
-            ("quick".to_string(), self.quick.to_json_value()),
-            ("seed".to_string(), self.seed.to_json_value()),
-            (
-                "moment_refresh_every_ticks".to_string(),
-                self.moment_refresh_every_ticks.to_json_value(),
-            ),
-            ("rows".to_string(), self.rows.to_json_value()),
-        ])
-    }
+    volatile: [wall_ms, ticks_per_sec]
 }
 
 /// Runs one sim-scale row per scenario — an asynchronous vanilla run to the
@@ -1578,128 +1310,57 @@ pub fn peak_rss_bytes() -> Option<u64> {
     }
 }
 
-/// One row of the memory-scaling tier: a timed asynchronous run to the
-/// Definition 1 stop, with its throughput and the process's peak RSS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemScaleRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Which initial condition was used (always `uniform` in this tier).
-    pub initial: String,
-    /// Edge ticks processed until the run stopped.
-    pub ticks: u64,
-    /// Simulated time at which the run stopped.
-    pub stop_time: f64,
-    /// Why the run stopped (expected: `Converged`).
-    pub stop_reason: String,
-    /// Final normalized variance `var X(T)/var X(0)` (exact recompute).
-    pub variance_ratio: f64,
-    /// Scheduled exact moment refreshes performed during the run.
-    pub moment_refreshes: u64,
-    /// Wall-clock milliseconds of the run (volatile; see
-    /// [`SimScaleRow::wall_ms`] for the contention caveat).
-    pub wall_ms: f64,
-    /// Event throughput of the run (volatile).
-    pub ticks_per_sec: f64,
-    /// Process peak RSS in bytes after the row's runs ([`peak_rss_bytes`]).
-    /// `None` — journaled and reported as `null` — when the probe is
-    /// unavailable (off Linux, or `/proc/self/status` unreadable); an absent
-    /// reading is not an error and not a `0`-byte footprint.  Volatile and
-    /// monotone across rows in the same process.
-    pub peak_rss_bytes: Option<u64>,
-}
-
-/// The memory-scaling report serialized to `BENCH_mem_scale.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemScaleReport {
-    /// Whether the quick size grid was used.
-    pub quick: bool,
-    /// Harness seed.
-    pub seed: u64,
-    /// Exact-refresh period of the incremental moments, in ticks.
-    pub moment_refresh_every_ticks: u64,
-    /// One row per (size, family) pair.
-    pub rows: Vec<MemScaleRow>,
-}
-
-// Hand-written serde impls: the vendored derive is a no-op (vendor/README.md).
-impl serde::Serialize for MemScaleRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("edges".to_string(), self.edges.to_json_value()),
-            ("initial".to_string(), self.initial.to_json_value()),
-            ("ticks".to_string(), self.ticks.to_json_value()),
-            ("stop_time".to_string(), self.stop_time.to_json_value()),
-            ("stop_reason".to_string(), self.stop_reason.to_json_value()),
-            (
-                "variance_ratio".to_string(),
-                self.variance_ratio.to_json_value(),
-            ),
-            (
-                "moment_refreshes".to_string(),
-                self.moment_refreshes.to_json_value(),
-            ),
-            ("wall_ms".to_string(), self.wall_ms.to_json_value()),
-            (
-                "ticks_per_sec".to_string(),
-                self.ticks_per_sec.to_json_value(),
-            ),
-            (
-                "peak_rss_bytes".to_string(),
-                self.peak_rss_bytes.to_json_value(),
-            ),
-        ])
+schema! { row
+    /// One row of the memory-scaling tier: a timed asynchronous run to the
+    /// Definition 1 stop, with its throughput and the process's peak RSS.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MemScaleRow {
+        /// Scenario name (from `Scenario::name`).
+        pub family: String,
+        /// Number of nodes.
+        pub n: usize,
+        /// Number of edges.
+        pub edges: usize,
+        /// Which initial condition was used (always `uniform` in this tier).
+        pub initial: String,
+        /// Edge ticks processed until the run stopped.
+        pub ticks: u64,
+        /// Simulated time at which the run stopped.
+        pub stop_time: f64,
+        /// Why the run stopped (expected: `Converged`).
+        pub stop_reason: String,
+        /// Final normalized variance `var X(T)/var X(0)` (exact recompute).
+        pub variance_ratio: f64,
+        /// Scheduled exact moment refreshes performed during the run.
+        pub moment_refreshes: u64,
+        /// Wall-clock milliseconds of the run (volatile; see
+        /// [`SimScaleRow::wall_ms`] for the contention caveat).
+        pub wall_ms: f64,
+        /// Event throughput of the run (volatile).
+        pub ticks_per_sec: f64,
+        /// Process peak RSS in bytes after the row's runs ([`peak_rss_bytes`]).
+        /// `None` — journaled and reported as `null` — when the probe is
+        /// unavailable (off Linux, or `/proc/self/status` unreadable); an absent
+        /// reading is not an error and not a `0`-byte footprint.  Volatile and
+        /// monotone across rows in the same process.
+        pub peak_rss_bytes: Option<u64>,
     }
 }
 
-impl TrialRow for MemScaleRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
+schema! { report
+    /// The memory-scaling report serialized to `BENCH_mem_scale.json`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MemScaleReport {
+        /// Whether the quick size grid was used.
+        pub quick: bool,
+        /// Harness seed.
+        pub seed: u64,
+        /// Exact-refresh period of the incremental moments, in ticks.
+        pub moment_refresh_every_ticks: u64,
+        /// One row per (size, family) pair.
+        pub rows: Vec<MemScaleRow>,
     }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(MemScaleRow {
-            family: value.field_str("family")?.to_string(),
-            n: value.field_usize("n")?,
-            edges: value.field_usize("edges")?,
-            initial: value.field_str("initial")?.to_string(),
-            ticks: value.field_u64("ticks")?,
-            stop_time: value.field_f64("stop_time")?,
-            stop_reason: value.field_str("stop_reason")?.to_string(),
-            variance_ratio: value.field_f64("variance_ratio")?,
-            moment_refreshes: value.field_u64("moment_refreshes")?,
-            wall_ms: value.field_f64("wall_ms")?,
-            ticks_per_sec: value.field_f64("ticks_per_sec")?,
-            peak_rss_bytes: match value.get("peak_rss_bytes")? {
-                Value::Null => None,
-                _ => Some(value.field_u64("peak_rss_bytes")?),
-            },
-        })
-    }
-}
-
-impl serde::Serialize for MemScaleReport {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                gossip_store::SCHEMA_VERSION.to_json_value(),
-            ),
-            ("quick".to_string(), self.quick.to_json_value()),
-            ("seed".to_string(), self.seed.to_json_value()),
-            (
-                "moment_refresh_every_ticks".to_string(),
-                self.moment_refresh_every_ticks.to_json_value(),
-            ),
-            ("rows".to_string(), self.rows.to_json_value()),
-        ])
-    }
+    volatile: [wall_ms, ticks_per_sec, peak_rss_bytes]
 }
 
 /// Runs one mem-scale row per scenario: a timed vanilla run to the
@@ -1873,140 +1534,64 @@ pub fn run_mem_scale(
 // Robustness: fault injection and dynamic topology.
 // ---------------------------------------------------------------------------
 
-/// One row of the robustness tier: a faulted asynchronous run against its
-/// fault-free baseline, with conservation-oracle and surviving-topology
-/// columns.  Deliberately contains no wall-clock fields: the report is part
-/// of the CI determinism gate and must be byte-identical across runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Fault profile name (from `FaultProfile::name`).
-    pub fault: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Per-contact drop probability of the profile (0 for topological
-    /// faults).
-    pub drop_probability: f64,
-    /// Ticks to the stop of the fault-free baseline run (same clock seed).
-    pub baseline_ticks: u64,
-    /// Ticks to the stop of the faulted run.
-    pub ticks: u64,
-    /// Why the faulted run stopped (expected: `Converged`).
-    pub stop_reason: String,
-    /// Final normalized variance of the faulted run (exact recompute).
-    pub variance_ratio: f64,
-    /// Conservation oracle: `|mean X(T) − mean X(0)|` of the faulted run.
-    /// Suppressed contacts skip the pairwise update atomically, so this must
-    /// stay at rounding-noise level no matter the schedule.
-    pub mean_drift: f64,
-    /// Contacts whose handler ran.
-    pub delivered: u64,
-    /// Contacts dropped by the message-loss process.
-    pub dropped: u64,
-    /// Contacts suppressed by link outages.
-    pub edge_down_skips: u64,
-    /// Contacts suppressed by node pauses.
-    pub node_pause_skips: u64,
-    /// Worst-surviving-subgraph spectral probe: the minimum algebraic
-    /// connectivity over the components that remain when every edge the
-    /// plan ever takes down (and every edge incident to an ever-paused
-    /// node) is removed; `0.0` if nothing with an edge survives.
-    pub worst_surviving_lambda2: f64,
-}
-
-/// The robustness-tier report serialized to `BENCH_robustness.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessReport {
-    /// Whether the quick size grid was used.
-    pub quick: bool,
-    /// Harness seed.
-    pub seed: u64,
-    /// One row per (size, churn case) pair.
-    pub rows: Vec<RobustnessRow>,
-}
-
-// Hand-written serde impls: the vendored derive is a no-op (vendor/README.md).
-impl serde::Serialize for RobustnessRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("fault".to_string(), self.fault.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("edges".to_string(), self.edges.to_json_value()),
-            (
-                "drop_probability".to_string(),
-                self.drop_probability.to_json_value(),
-            ),
-            (
-                "baseline_ticks".to_string(),
-                self.baseline_ticks.to_json_value(),
-            ),
-            ("ticks".to_string(), self.ticks.to_json_value()),
-            ("stop_reason".to_string(), self.stop_reason.to_json_value()),
-            (
-                "variance_ratio".to_string(),
-                self.variance_ratio.to_json_value(),
-            ),
-            ("mean_drift".to_string(), self.mean_drift.to_json_value()),
-            ("delivered".to_string(), self.delivered.to_json_value()),
-            ("dropped".to_string(), self.dropped.to_json_value()),
-            (
-                "edge_down_skips".to_string(),
-                self.edge_down_skips.to_json_value(),
-            ),
-            (
-                "node_pause_skips".to_string(),
-                self.node_pause_skips.to_json_value(),
-            ),
-            (
-                "worst_surviving_lambda2".to_string(),
-                self.worst_surviving_lambda2.to_json_value(),
-            ),
-        ])
+schema! { row
+    /// One row of the robustness tier: a faulted asynchronous run against its
+    /// fault-free baseline, with conservation-oracle and surviving-topology
+    /// columns.  Deliberately contains no wall-clock fields: the report is part
+    /// of the CI determinism gate and must be byte-identical across runs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RobustnessRow {
+        /// Scenario name (from `Scenario::name`).
+        pub family: String,
+        /// Fault profile name (from `FaultProfile::name`).
+        pub fault: String,
+        /// Number of nodes.
+        pub n: usize,
+        /// Number of edges.
+        pub edges: usize,
+        /// Per-contact drop probability of the profile (0 for topological
+        /// faults).
+        pub drop_probability: f64,
+        /// Ticks to the stop of the fault-free baseline run (same clock seed).
+        pub baseline_ticks: u64,
+        /// Ticks to the stop of the faulted run.
+        pub ticks: u64,
+        /// Why the faulted run stopped (expected: `Converged`).
+        pub stop_reason: String,
+        /// Final normalized variance of the faulted run (exact recompute).
+        pub variance_ratio: f64,
+        /// Conservation oracle: `|mean X(T) − mean X(0)|` of the faulted run.
+        /// Suppressed contacts skip the pairwise update atomically, so this must
+        /// stay at rounding-noise level no matter the schedule.
+        pub mean_drift: f64,
+        /// Contacts whose handler ran.
+        pub delivered: u64,
+        /// Contacts dropped by the message-loss process.
+        pub dropped: u64,
+        /// Contacts suppressed by link outages.
+        pub edge_down_skips: u64,
+        /// Contacts suppressed by node pauses.
+        pub node_pause_skips: u64,
+        /// Worst-surviving-subgraph spectral probe: the minimum algebraic
+        /// connectivity over the components that remain when every edge the
+        /// plan ever takes down (and every edge incident to an ever-paused
+        /// node) is removed; `0.0` if nothing with an edge survives.
+        pub worst_surviving_lambda2: f64,
     }
 }
 
-impl TrialRow for RobustnessRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
+schema! { report
+    /// The robustness-tier report serialized to `BENCH_robustness.json`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RobustnessReport {
+        /// Whether the quick size grid was used.
+        pub quick: bool,
+        /// Harness seed.
+        pub seed: u64,
+        /// One row per (size, churn case) pair.
+        pub rows: Vec<RobustnessRow>,
     }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(RobustnessRow {
-            family: value.field_str("family")?.to_string(),
-            fault: value.field_str("fault")?.to_string(),
-            n: value.field_usize("n")?,
-            edges: value.field_usize("edges")?,
-            drop_probability: value.field_f64("drop_probability")?,
-            baseline_ticks: value.field_u64("baseline_ticks")?,
-            ticks: value.field_u64("ticks")?,
-            stop_reason: value.field_str("stop_reason")?.to_string(),
-            variance_ratio: value.field_f64("variance_ratio")?,
-            mean_drift: value.field_f64("mean_drift")?,
-            delivered: value.field_u64("delivered")?,
-            dropped: value.field_u64("dropped")?,
-            edge_down_skips: value.field_u64("edge_down_skips")?,
-            node_pause_skips: value.field_u64("node_pause_skips")?,
-            worst_surviving_lambda2: value.field_f64("worst_surviving_lambda2")?,
-        })
-    }
-}
-
-impl serde::Serialize for RobustnessReport {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                gossip_store::SCHEMA_VERSION.to_json_value(),
-            ),
-            ("quick".to_string(), self.quick.to_json_value()),
-            ("seed".to_string(), self.seed.to_json_value()),
-            ("rows".to_string(), self.rows.to_json_value()),
-        ])
-    }
+    volatile: []
 }
 
 /// Runs the robustness tier: for every size in the robustness grid and every
@@ -2149,147 +1734,69 @@ pub fn run_robustness(
 /// reason, not a failure, and the cap bounds the tier's runtime.
 const ADVERSARY_MAX_TICKS: u64 = 20_000_000;
 
-/// One row of the adversary tier: an attacked asynchronous run against its
-/// attack-free baseline under the same aggregation rule, with the
-/// honest-subset drift oracle and the detection counters.  Deliberately
-/// contains no wall-clock fields: the report is part of the CI determinism
-/// gate and must be byte-identical across runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdversaryRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Attack profile name (from `AdversaryProfile::name`).
-    pub attack: String,
-    /// Aggregation rule name (from `AggregationKind::name`).
-    pub aggregation: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Number of misbehaving nodes (0 for censor-only attacks).
-    pub adversaries: usize,
-    /// Ticks to the stop of the attack-free baseline run (same clock seed,
-    /// same aggregation rule).
-    pub clean_ticks: u64,
-    /// Ticks to the stop of the attacked run.
-    pub ticks: u64,
-    /// Why the attacked run stopped (`Converged` or — under persistent
-    /// attacks that pin the variance — `MaxTicks`).
-    pub stop_reason: String,
-    /// Final normalized variance of the attacked run (exact recompute).
-    pub variance_ratio: f64,
-    /// `|mean of honest final values − mean of honest initial values|` of
-    /// the attacked run: how far the adversary dragged the honest subset.
-    pub honest_drift: f64,
-    /// The oracle bound on `honest_drift`: the per-capita falsification
-    /// bound (`gossip_analysis::robust::honest_drift_bound`) for
-    /// mass-conserving rules, the convex-hull bound
-    /// (`gossip_analysis::robust::hull_drift_bound`) for median gossip.
-    pub drift_bound: f64,
-    /// Whether `honest_drift ≤ drift_bound + 1e-9` — must be `true` on
-    /// every row.
-    pub drift_oracle_ok: bool,
-    /// Contacts suppressed by censoring bridges.
-    pub censored_contacts: u64,
-    /// Delivered contacts with at least one falsified report.
-    pub falsified_contacts: u64,
-    /// Falsified reports (facing an honest partner) beyond the plan's
-    /// detection threshold.
-    pub flagged_reports: u64,
-}
-
-/// The adversary-tier report serialized to `BENCH_adversary.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdversaryReport {
-    /// Whether the quick size grid was used.
-    pub quick: bool,
-    /// Harness seed.
-    pub seed: u64,
-    /// One row per (size, attack × aggregation) case.
-    pub rows: Vec<AdversaryRow>,
-}
-
-// Hand-written serde impls: the vendored derive is a no-op (vendor/README.md).
-impl serde::Serialize for AdversaryRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("attack".to_string(), self.attack.to_json_value()),
-            ("aggregation".to_string(), self.aggregation.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("edges".to_string(), self.edges.to_json_value()),
-            ("adversaries".to_string(), self.adversaries.to_json_value()),
-            ("clean_ticks".to_string(), self.clean_ticks.to_json_value()),
-            ("ticks".to_string(), self.ticks.to_json_value()),
-            ("stop_reason".to_string(), self.stop_reason.to_json_value()),
-            (
-                "variance_ratio".to_string(),
-                self.variance_ratio.to_json_value(),
-            ),
-            (
-                "honest_drift".to_string(),
-                self.honest_drift.to_json_value(),
-            ),
-            ("drift_bound".to_string(), self.drift_bound.to_json_value()),
-            (
-                "drift_oracle_ok".to_string(),
-                self.drift_oracle_ok.to_json_value(),
-            ),
-            (
-                "censored_contacts".to_string(),
-                self.censored_contacts.to_json_value(),
-            ),
-            (
-                "falsified_contacts".to_string(),
-                self.falsified_contacts.to_json_value(),
-            ),
-            (
-                "flagged_reports".to_string(),
-                self.flagged_reports.to_json_value(),
-            ),
-        ])
+schema! { row
+    /// One row of the adversary tier: an attacked asynchronous run against its
+    /// attack-free baseline under the same aggregation rule, with the
+    /// honest-subset drift oracle and the detection counters.  Deliberately
+    /// contains no wall-clock fields: the report is part of the CI determinism
+    /// gate and must be byte-identical across runs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct AdversaryRow {
+        /// Scenario name (from `Scenario::name`).
+        pub family: String,
+        /// Attack profile name (from `AdversaryProfile::name`).
+        pub attack: String,
+        /// Aggregation rule name (from `AggregationKind::name`).
+        pub aggregation: String,
+        /// Number of nodes.
+        pub n: usize,
+        /// Number of edges.
+        pub edges: usize,
+        /// Number of misbehaving nodes (0 for censor-only attacks).
+        pub adversaries: usize,
+        /// Ticks to the stop of the attack-free baseline run (same clock seed,
+        /// same aggregation rule).
+        pub clean_ticks: u64,
+        /// Ticks to the stop of the attacked run.
+        pub ticks: u64,
+        /// Why the attacked run stopped (`Converged` or — under persistent
+        /// attacks that pin the variance — `MaxTicks`).
+        pub stop_reason: String,
+        /// Final normalized variance of the attacked run (exact recompute).
+        pub variance_ratio: f64,
+        /// `|mean of honest final values − mean of honest initial values|` of
+        /// the attacked run: how far the adversary dragged the honest subset.
+        pub honest_drift: f64,
+        /// The oracle bound on `honest_drift`: the per-capita falsification
+        /// bound (`gossip_analysis::robust::honest_drift_bound`) for
+        /// mass-conserving rules, the convex-hull bound
+        /// (`gossip_analysis::robust::hull_drift_bound`) for median gossip.
+        pub drift_bound: f64,
+        /// Whether `honest_drift ≤ drift_bound + 1e-9` — must be `true` on
+        /// every row.
+        pub drift_oracle_ok: bool,
+        /// Contacts suppressed by censoring bridges.
+        pub censored_contacts: u64,
+        /// Delivered contacts with at least one falsified report.
+        pub falsified_contacts: u64,
+        /// Falsified reports (facing an honest partner) beyond the plan's
+        /// detection threshold.
+        pub flagged_reports: u64,
     }
 }
 
-impl TrialRow for AdversaryRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
+schema! { report
+    /// The adversary-tier report serialized to `BENCH_adversary.json`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct AdversaryReport {
+        /// Whether the quick size grid was used.
+        pub quick: bool,
+        /// Harness seed.
+        pub seed: u64,
+        /// One row per (size, attack × aggregation) case.
+        pub rows: Vec<AdversaryRow>,
     }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(AdversaryRow {
-            family: value.field_str("family")?.to_string(),
-            attack: value.field_str("attack")?.to_string(),
-            aggregation: value.field_str("aggregation")?.to_string(),
-            n: value.field_usize("n")?,
-            edges: value.field_usize("edges")?,
-            adversaries: value.field_usize("adversaries")?,
-            clean_ticks: value.field_u64("clean_ticks")?,
-            ticks: value.field_u64("ticks")?,
-            stop_reason: value.field_str("stop_reason")?.to_string(),
-            variance_ratio: value.field_f64("variance_ratio")?,
-            honest_drift: value.field_f64("honest_drift")?,
-            drift_bound: value.field_f64("drift_bound")?,
-            drift_oracle_ok: value.field_bool("drift_oracle_ok")?,
-            censored_contacts: value.field_u64("censored_contacts")?,
-            falsified_contacts: value.field_u64("falsified_contacts")?,
-            flagged_reports: value.field_u64("flagged_reports")?,
-        })
-    }
-}
-
-impl serde::Serialize for AdversaryReport {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                gossip_store::SCHEMA_VERSION.to_json_value(),
-            ),
-            ("quick".to_string(), self.quick.to_json_value()),
-            ("seed".to_string(), self.seed.to_json_value()),
-            ("rows".to_string(), self.rows.to_json_value()),
-        ])
-    }
+    volatile: []
 }
 
 /// Mean of the values at the nodes **not** listed in `excluded` (the honest
@@ -2471,238 +1978,106 @@ pub fn run_adversary(
 // Perf: hot-loop throughput and parallel-estimator speedup.
 // ---------------------------------------------------------------------------
 
-/// One throughput row of the performance tier: a timed fault-free vanilla
-/// relaxation through the devirtualized hot loop.
-///
-/// `wall_ms` and `ticks_per_sec` are **wall-clock fields** and vary run to
-/// run; everything else is a pure function of the seed.  The CI determinism
-/// gate diffs the report with the wall-clock fields (and `jobs`) stripped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfThroughputRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Edge ticks processed until the run stopped (deterministic).
-    pub ticks: u64,
-    /// Why the run stopped (expected: `Converged`; deterministic).
-    pub stop_reason: String,
-    /// Final normalized variance (deterministic).
-    pub variance_ratio: f64,
-    /// Wall-clock milliseconds for the run (volatile).
-    pub wall_ms: f64,
-    /// Event throughput in ticks per wall-clock second (volatile).
-    pub ticks_per_sec: f64,
-}
-
-/// One timed pass of an estimator comparison at a fixed job count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfJobTiming {
-    /// Worker count of this pass (volatile: the top of the grid depends on
-    /// `--jobs` / `GOSSIP_JOBS` / the machine).
-    pub jobs: usize,
-    /// Wall-clock milliseconds of the full estimate (volatile).
-    pub wall_ms: f64,
-    /// One-job wall clock divided by this pass's wall clock (volatile).
-    pub speedup: f64,
-}
-
-/// One estimator row of the performance tier: the Definition 1 estimator
-/// timed end-to-end at every job count of the grid (1, 2, 4 and the
-/// resolved width, deduplicated), with a bitwise comparison of every
-/// parallel estimate against the one-job estimate built in — a perf
-/// measurement that doubles as a determinism oracle.
-///
-/// Each family's instance is sized so one run costs milliseconds to tens of
-/// milliseconds: the timed workload has to dwarf per-run dispatch, or the
-/// "speedup" would measure pool overhead instead of the estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfEstimatorRow {
-    /// Scenario name (from `Scenario::name`).
-    pub family: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Independent runs per estimate.
-    pub runs: usize,
-    /// The estimated averaging time — identical (bitwise) at every job
-    /// count, or `run_perf` errors out.
-    pub averaging_time: f64,
-    /// Mean per-run settling time (deterministic).
-    pub mean_settling_time: f64,
-    /// Runs that confirmed convergence (deterministic).
-    pub confirmed_runs: usize,
-    /// Wall-clock milliseconds of the 1-job estimate (volatile).
-    pub wall_ms_serial: f64,
-    /// Wall-clock milliseconds at the top of the job grid (volatile).
-    pub wall_ms_parallel: f64,
-    /// `wall_ms_serial / wall_ms_parallel` (volatile).
-    pub speedup: f64,
-    /// One timed pass per job count of the grid, ascending (the first entry
-    /// is the one-job pass the others are compared against).
-    pub timings: Vec<PerfJobTiming>,
-}
-
-/// The performance-tier report serialized to `BENCH_perf.json`.
-///
-/// Volatile fields — `jobs`, `wall_ms`, `wall_ms_serial`,
-/// `wall_ms_parallel`, `ticks_per_sec`, `speedup` — are the only ones that
-/// may differ between two runs at the same seed (or at different `--jobs`);
-/// CI strips exactly those lines before diffing the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfReport {
-    /// Whether the quick size grid was used.
-    pub quick: bool,
-    /// Harness seed.
-    pub seed: u64,
-    /// Resolved worker count of the parallel measurements (volatile: depends
-    /// on `--jobs` / `GOSSIP_JOBS` / the machine).
-    pub jobs: usize,
-    /// One timed relaxation per scale family.
-    pub throughput: Vec<PerfThroughputRow>,
-    /// One timed estimator job-grid comparison per scale family.
-    pub estimator: Vec<PerfEstimatorRow>,
-}
-
-// Hand-written serde impls: the vendored derive is a no-op (vendor/README.md).
-impl serde::Serialize for PerfThroughputRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("edges".to_string(), self.edges.to_json_value()),
-            ("ticks".to_string(), self.ticks.to_json_value()),
-            ("stop_reason".to_string(), self.stop_reason.to_json_value()),
-            (
-                "variance_ratio".to_string(),
-                self.variance_ratio.to_json_value(),
-            ),
-            ("wall_ms".to_string(), self.wall_ms.to_json_value()),
-            (
-                "ticks_per_sec".to_string(),
-                self.ticks_per_sec.to_json_value(),
-            ),
-        ])
+schema! { row
+    /// One throughput row of the performance tier: a timed fault-free vanilla
+    /// relaxation through the devirtualized hot loop.
+    ///
+    /// `wall_ms` and `ticks_per_sec` are **wall-clock fields** and vary run to
+    /// run; everything else is a pure function of the seed.  The CI determinism
+    /// gate diffs the report with the wall-clock fields (and `jobs`) stripped.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PerfThroughputRow {
+        /// Scenario name (from `Scenario::name`).
+        pub family: String,
+        /// Number of nodes.
+        pub n: usize,
+        /// Number of edges.
+        pub edges: usize,
+        /// Edge ticks processed until the run stopped (deterministic).
+        pub ticks: u64,
+        /// Why the run stopped (expected: `Converged`; deterministic).
+        pub stop_reason: String,
+        /// Final normalized variance (deterministic).
+        pub variance_ratio: f64,
+        /// Wall-clock milliseconds for the run (volatile).
+        pub wall_ms: f64,
+        /// Event throughput in ticks per wall-clock second (volatile).
+        pub ticks_per_sec: f64,
     }
 }
 
-impl serde::Serialize for PerfJobTiming {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("jobs".to_string(), self.jobs.to_json_value()),
-            ("wall_ms".to_string(), self.wall_ms.to_json_value()),
-            ("speedup".to_string(), self.speedup.to_json_value()),
-        ])
+schema! { row
+    /// One timed pass of an estimator comparison at a fixed job count.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PerfJobTiming {
+        /// Worker count of this pass (volatile: the top of the grid depends on
+        /// `--jobs` / `GOSSIP_JOBS` / the machine).
+        pub jobs: usize,
+        /// Wall-clock milliseconds of the full estimate (volatile).
+        pub wall_ms: f64,
+        /// One-job wall clock divided by this pass's wall clock (volatile).
+        pub speedup: f64,
     }
 }
 
-impl serde::Serialize for PerfEstimatorRow {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("family".to_string(), self.family.to_json_value()),
-            ("n".to_string(), self.n.to_json_value()),
-            ("runs".to_string(), self.runs.to_json_value()),
-            (
-                "averaging_time".to_string(),
-                self.averaging_time.to_json_value(),
-            ),
-            (
-                "mean_settling_time".to_string(),
-                self.mean_settling_time.to_json_value(),
-            ),
-            (
-                "confirmed_runs".to_string(),
-                self.confirmed_runs.to_json_value(),
-            ),
-            (
-                "wall_ms_serial".to_string(),
-                self.wall_ms_serial.to_json_value(),
-            ),
-            (
-                "wall_ms_parallel".to_string(),
-                self.wall_ms_parallel.to_json_value(),
-            ),
-            ("speedup".to_string(), self.speedup.to_json_value()),
-            ("timings".to_string(), self.timings.to_json_value()),
-        ])
+schema! { row
+    /// One estimator row of the performance tier: the Definition 1 estimator
+    /// timed end-to-end at every job count of the grid (1, 2, 4 and the
+    /// resolved width, deduplicated), with a bitwise comparison of every
+    /// parallel estimate against the one-job estimate built in — a perf
+    /// measurement that doubles as a determinism oracle.
+    ///
+    /// Each family's instance is sized so one run costs milliseconds to tens of
+    /// milliseconds: the timed workload has to dwarf per-run dispatch, or the
+    /// "speedup" would measure pool overhead instead of the estimator.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PerfEstimatorRow {
+        /// Scenario name (from `Scenario::name`).
+        pub family: String,
+        /// Number of nodes.
+        pub n: usize,
+        /// Independent runs per estimate.
+        pub runs: usize,
+        /// The estimated averaging time — identical (bitwise) at every job
+        /// count, or `run_perf` errors out.
+        pub averaging_time: f64,
+        /// Mean per-run settling time (deterministic).
+        pub mean_settling_time: f64,
+        /// Runs that confirmed convergence (deterministic).
+        pub confirmed_runs: usize,
+        /// Wall-clock milliseconds of the 1-job estimate (volatile).
+        pub wall_ms_serial: f64,
+        /// Wall-clock milliseconds at the top of the job grid (volatile).
+        pub wall_ms_parallel: f64,
+        /// `wall_ms_serial / wall_ms_parallel` (volatile).
+        pub speedup: f64,
+        /// One timed pass per job count of the grid, ascending (the first entry
+        /// is the one-job pass the others are compared against).
+        pub timings: Vec<PerfJobTiming>,
     }
 }
 
-impl TrialRow for PerfThroughputRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
+schema! { report
+    /// The performance-tier report serialized to `BENCH_perf.json`.
+    ///
+    /// Its volatile fields are the only ones that may differ between two
+    /// runs at the same seed (or at different `--jobs`); CI strips exactly
+    /// those lines before diffing the report.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PerfReport {
+        /// Whether the quick size grid was used.
+        pub quick: bool,
+        /// Harness seed.
+        pub seed: u64,
+        /// Resolved worker count of the parallel measurements (volatile: depends
+        /// on `--jobs` / `GOSSIP_JOBS` / the machine).
+        pub jobs: usize,
+        /// One timed relaxation per scale family.
+        pub throughput: Vec<PerfThroughputRow>,
+        /// One timed estimator job-grid comparison per scale family.
+        pub estimator: Vec<PerfEstimatorRow>,
     }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(PerfThroughputRow {
-            family: value.field_str("family")?.to_string(),
-            n: value.field_usize("n")?,
-            edges: value.field_usize("edges")?,
-            ticks: value.field_u64("ticks")?,
-            stop_reason: value.field_str("stop_reason")?.to_string(),
-            variance_ratio: value.field_f64("variance_ratio")?,
-            wall_ms: value.field_f64("wall_ms")?,
-            ticks_per_sec: value.field_f64("ticks_per_sec")?,
-        })
-    }
-}
-
-impl TrialRow for PerfJobTiming {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
-    }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(PerfJobTiming {
-            jobs: value.field_usize("jobs")?,
-            wall_ms: value.field_f64("wall_ms")?,
-            speedup: value.field_f64("speedup")?,
-        })
-    }
-}
-
-impl TrialRow for PerfEstimatorRow {
-    fn to_value(&self) -> Value {
-        serde::Serialize::to_json_value(self)
-    }
-
-    fn from_value(value: &Value) -> Option<Self> {
-        let timings = value
-            .get("timings")?
-            .as_array()?
-            .iter()
-            .map(PerfJobTiming::from_value)
-            .collect::<Option<Vec<_>>>()?;
-        Some(PerfEstimatorRow {
-            family: value.field_str("family")?.to_string(),
-            n: value.field_usize("n")?,
-            runs: value.field_usize("runs")?,
-            averaging_time: value.field_f64("averaging_time")?,
-            mean_settling_time: value.field_f64("mean_settling_time")?,
-            confirmed_runs: value.field_usize("confirmed_runs")?,
-            wall_ms_serial: value.field_f64("wall_ms_serial")?,
-            wall_ms_parallel: value.field_f64("wall_ms_parallel")?,
-            speedup: value.field_f64("speedup")?,
-            timings,
-        })
-    }
-}
-
-impl serde::Serialize for PerfReport {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                gossip_store::SCHEMA_VERSION.to_json_value(),
-            ),
-            ("quick".to_string(), self.quick.to_json_value()),
-            ("seed".to_string(), self.seed.to_json_value()),
-            ("jobs".to_string(), self.jobs.to_json_value()),
-            ("throughput".to_string(), self.throughput.to_json_value()),
-            ("estimator".to_string(), self.estimator.to_json_value()),
-        ])
-    }
+    volatile: [jobs, wall_ms, wall_ms_serial, wall_ms_parallel, ticks_per_sec, speedup]
 }
 
 /// The estimator scenarios of the performance tier, sized per family so a
@@ -3078,6 +2453,7 @@ pub fn bench_scenarios() -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trial::FromValue;
     use gossip_store::NullSink;
 
     #[test]
@@ -3151,7 +2527,7 @@ mod tests {
             assert!(row.variance_ratio < DEFINITION1_THRESHOLD);
             assert!(row.ticks > 0);
             // Round-trip through the journal encoding.
-            let value = TrialRow::to_value(row);
+            let value = serde::Serialize::to_json_value(row);
             assert_eq!(MemScaleRow::from_value(&value).unwrap(), *row);
         }
     }

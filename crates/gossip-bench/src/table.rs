@@ -1,12 +1,10 @@
 //! Minimal table rendering for the experiment harness.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rectangular table of strings with a title, rendered as GitHub-flavoured
-/// markdown (so the harness output can be pasted into `EXPERIMENTS.md`
-/// verbatim).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// markdown (so the harness output can be pasted into a document verbatim).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Table title (printed above the table).
     pub title: String,
@@ -67,9 +65,9 @@ impl Table {
     }
 }
 
-// The vendored `serde` stand-in ships a no-op derive (see vendor/README.md),
-// so the one type this workspace actually writes to disk carries a
-// hand-written impl against the vendored JSON data model.
+// The vendored `serde` has no derive (see vendor/README.md).  Tables are
+// rendered for `--json` but never journaled, so this encoder is written by
+// hand rather than through `schema!`, which would add an unused decoder.
 impl serde::Serialize for Table {
     fn to_json_value(&self) -> serde::json::Value {
         serde::json::Value::Object(vec![

@@ -46,8 +46,9 @@
 use crate::runner::{BenchResult, HarnessConfig};
 use gossip_exec::{describe_panic, Executor};
 use gossip_sim::SimError;
-use gossip_store::{trial_key, TrialRecord, TrialSink};
+use gossip_store::{trial_key, TrialRecord, TrialSink, ValueExt};
 use serde::json::Value;
+use serde::Serialize;
 use std::panic::{self, AssertUnwindSafe};
 
 /// The engine part of a trial key: every configuration axis that changes
@@ -60,29 +61,43 @@ pub fn engine_fingerprint(config: &HarnessConfig) -> String {
     format!("{mode};engine=legacy")
 }
 
-/// A tier row that can round-trip through a journaled JSON value.
+/// The replay half of a journaled row: decodes a JSON value back into a
+/// row or one of its fields.  [`serde::Serialize`] is the encode half, and
+/// the crate-private `schema!` macro writes both from one struct declaration.
 ///
-/// `from_value` is the *decoder*: it must accept exactly what `to_value`
-/// produced and return `None` on anything else (missing field, wrong type,
-/// non-integral count).  [`run_trials`] treats a `None` as "recompute this
-/// trial" — recomputing is always safe, misdecoding never is.
-pub trait TrialRow: Sized + Send {
-    /// Encodes the row as the journal's JSON value.
-    fn to_value(&self) -> Value;
-    /// Decodes a journaled value back into the row; `None` on any mismatch.
+/// A decoder returns `None` on anything its encoder could not have
+/// produced: a missing field, a wrong type, a fractional, negative or
+/// out-of-range count, `null` where a number is expected.  [`run_trials`]
+/// treats `None` as "recompute this trial" — recomputing is always safe,
+/// misdecoding never is.
+pub trait FromValue: Sized {
+    /// Decodes a journaled value; `None` on any mismatch.
     fn from_value(value: &Value) -> Option<Self>;
 }
 
-/// Optional rows journal as `null` / the inner row's value (E5 skips
-/// configurations whose estimator cannot certify a bound).
-impl<T: TrialRow> TrialRow for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(row) => row.to_value(),
-            None => Value::Null,
+// Counts go through `as_u64`, which rejects fractional, negative and
+// out-of-range numbers.
+macro_rules! impl_from_value {
+    ($($ty:ty => $decode:expr),* $(,)?) => {$(
+        impl FromValue for $ty {
+            fn from_value(value: &Value) -> Option<Self> {
+                $decode(value)
+            }
         }
-    }
+    )*};
+}
+impl_from_value!(
+    f64 => Value::as_f64,
+    u64 => Value::as_u64,
+    usize => |value: &Value| value.as_u64().and_then(|n| usize::try_from(n).ok()),
+    bool => Value::as_bool,
+    String => |value: &Value| value.as_str().map(str::to_string),
+);
 
+/// `null` decodes to `None` (E5 journals a configuration that observed no
+/// epoch as `null`, MEM_SCALE an unavailable RSS probe).  A *missing*
+/// `Option` field still fails the row's decode.
+impl<T: FromValue> FromValue for Option<T> {
     fn from_value(value: &Value) -> Option<Self> {
         match value {
             Value::Null => Some(None),
@@ -91,25 +106,97 @@ impl<T: TrialRow> TrialRow for Option<T> {
     }
 }
 
-/// Plain string-list rows (the E6 sweeps journal their rendered cells).
-impl TrialRow for Vec<String> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().cloned().map(Value::String).collect())
-    }
-
+impl<T: FromValue> FromValue for Vec<T> {
     fn from_value(value: &Value) -> Option<Self> {
-        match value {
-            Value::Array(items) => items
-                .iter()
-                .map(|item| match item {
-                    Value::String(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .collect(),
-            _ => None,
-        }
+        value.as_array()?.iter().map(T::from_value).collect()
     }
 }
+
+/// Declares a journaled row or a `BENCH_*.json` report once.
+///
+/// Takes a struct as written (docs, derives, `pub` fields) and emits the
+/// struct plus its [`serde::Serialize`] encoder, fields in declaration
+/// order.  A `row` also gets its [`FromValue`] decoder, which looks every
+/// field up by name: extra fields (such as `supervision_retries`) are
+/// ignored, a missing one fails the decode.  A `report` encodes
+/// `schema_version` first and ends with `volatile: [..]`, which becomes
+/// `VOLATILE`: the fields of the report and its rows that vary between
+/// runs of the same seed.  `runner.rs` declares every tier's rows and
+/// reports this way.
+macro_rules! schema {
+    (row
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $crate::trial::schema! { @encode []
+            $(#[$meta])*
+            pub struct $name {
+                $($(#[$field_meta])* pub $field: $ty,)*
+            }
+        }
+
+        impl $crate::trial::FromValue for $name {
+            fn from_value(value: &::serde::json::Value) -> Option<Self> {
+                Some($name {
+                    $($field: $crate::trial::FromValue::from_value(
+                        ::gossip_store::ValueExt::get(value, stringify!($field))?,
+                    )?,)*
+                })
+            }
+        }
+    };
+    (report
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
+        }
+        volatile: [$($volatile:ident),*]
+    ) => {
+        $crate::trial::schema! {
+            @encode [(
+                "schema_version".to_string(),
+                ::serde::Serialize::to_json_value(&::gossip_store::SCHEMA_VERSION),
+            )]
+            $(#[$meta])*
+            pub struct $name {
+                $($(#[$field_meta])* pub $field: $ty,)*
+            }
+        }
+
+        impl $name {
+            /// The fields of this report and its rows that vary between
+            /// runs of the same seed; the determinism gates strip exactly
+            /// these before diffing.
+            pub const VOLATILE: &'static [&'static str] = &[$(stringify!($volatile)),*];
+        }
+    };
+    (@encode [$($head:expr),*]
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)*
+        }
+
+        impl ::serde::Serialize for $name {
+            fn to_json_value(&self) -> ::serde::json::Value {
+                ::serde::json::Value::Object(vec![
+                    $($head,)*
+                    $((
+                        stringify!($field).to_string(),
+                        ::serde::Serialize::to_json_value(&self.$field),
+                    ),)*
+                ])
+            }
+        }
+    };
+}
+pub(crate) use schema;
 
 /// Walks an error's source chain looking for the engine's deadline signal;
 /// returns the tick count the simulation had reached when it was cut off.
@@ -125,8 +212,8 @@ fn deadline_exceeded(error: &crate::runner::BenchError) -> Option<u64> {
 }
 
 /// The journal row written in place of a deadline-censored trial.  Shaped
-/// so no tier's [`TrialRow::from_value`] decoder accepts it: a resume sees
-/// the trial as "committed but undecodable" and recomputes it.
+/// so no tier's [`FromValue`] decoder accepts it: a resume sees the trial
+/// as "committed but undecodable" and recomputes it.
 fn censored_marker(reason: &str) -> Value {
     Value::Object(vec![
         ("deadline_censored".to_string(), Value::Bool(true)),
@@ -160,7 +247,7 @@ fn stamp_retries(mut value: Value, retries: u32) -> Value {
 /// and the same seeds, and a [`SimError::DeadlineExceeded`] failure
 /// journals an explicit `deadline_censored` marker and drops the trial
 /// from the returned rows instead of failing the sweep.
-pub fn run_trials<T: TrialRow>(
+pub fn run_trials<T: Serialize + FromValue + Send>(
     config: &HarnessConfig,
     executor: &Executor,
     sink: &dyn TrialSink,
@@ -244,7 +331,7 @@ pub fn run_trials<T: TrialRow>(
                 }
             };
 
-            let mut value = row.to_value();
+            let mut value = row.to_json_value();
             if retries > 0 {
                 value = stamp_retries(value, retries);
             }
@@ -273,24 +360,10 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[derive(Debug, Clone, PartialEq)]
-    struct Row {
-        index: usize,
-    }
-
-    impl TrialRow for Row {
-        fn to_value(&self) -> Value {
-            Value::Object(vec![(
-                "index".to_string(),
-                Value::Number(self.index as f64),
-            )])
-        }
-
-        fn from_value(value: &Value) -> Option<Self> {
-            use gossip_store::ValueExt;
-            Some(Row {
-                index: value.field_usize("index")?,
-            })
+    schema! { row
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Row {
+            pub index: usize,
         }
     }
 
@@ -533,28 +606,88 @@ mod tests {
         let executor = Executor::new(1);
         let engine = engine_fingerprint(&config);
 
-        // Commit a row whose shape the decoder rejects.
+        // Commit rows whose shape the decoder rejects: a missing field, a
+        // fractional, negative or out-of-range count, and `null`.
+        let bad_rows = [
+            r#"{"wrong":true}"#,
+            r#"{"index":0.5}"#,
+            r#"{"index":-1}"#,
+            r#"{"index":18446744073709551616}"#,
+            r#"{"index":null}"#,
+        ];
         let mut store = RunStore::open(&dir, false).unwrap();
-        store
-            .commit(TrialRecord {
-                key: trial_key("E8", "probe(i=0)", config.seed, &engine),
-                experiment: "E8".to_string(),
-                fingerprint: "probe(i=0)".to_string(),
-                seed: config.seed,
-                row: Value::Object(vec![("wrong".to_string(), Value::Bool(true))]),
-            })
-            .unwrap();
+        for (i, row) in bad_rows.iter().enumerate() {
+            let fingerprint = format!("probe(i={i})");
+            store
+                .commit(TrialRecord {
+                    key: trial_key("E8", &fingerprint, config.seed, &engine),
+                    experiment: "E8".to_string(),
+                    fingerprint,
+                    seed: config.seed,
+                    row: serde_json::from_str(row).unwrap(),
+                })
+                .unwrap();
+        }
         drop(store);
 
         let sink = StoreSink::new(RunStore::open(&dir, true).unwrap());
         let calls = AtomicUsize::new(0);
-        let rows = run_trials(&config, &executor, &sink, "E8", &fingerprints(1), |i| {
+        let trials = fingerprints(bad_rows.len());
+        let rows = run_trials(&config, &executor, &sink, "E8", &trials, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok(Row { index: i })
         })
         .unwrap();
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(rows, vec![Row { index: 0 }]);
+        assert_eq!(calls.load(Ordering::Relaxed), bad_rows.len());
+        assert_eq!(
+            rows,
+            (0..bad_rows.len())
+                .map(|index| Row { index })
+                .collect::<Vec<_>>()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    schema! { row
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Probe {
+            pub ratio: f64,
+            pub rss: Option<u64>,
+            pub cells: Vec<String>,
+        }
+    }
+
+    #[test]
+    fn field_decoders_follow_the_replay_rules() {
+        let decode = |text: &str| Probe::from_value(&serde_json::from_str(text).unwrap());
+        let probe = |rss| {
+            Some(Probe {
+                ratio: 0.5,
+                rss,
+                cells: vec!["a".to_string()],
+            })
+        };
+        // A `null` `Option` field decodes to `None`; a missing one fails.
+        assert_eq!(
+            decode(r#"{"ratio":0.5,"rss":null,"cells":["a"]}"#),
+            probe(None)
+        );
+        assert_eq!(decode(r#"{"ratio":0.5,"cells":["a"]}"#), None);
+        // Extra fields are ignored.
+        assert_eq!(
+            decode(r#"{"ratio":0.5,"rss":7,"cells":["a"],"supervision_retries":1}"#),
+            probe(Some(7))
+        );
+        for bad in [
+            r#"{"ratio":null,"rss":7,"cells":["a"]}"#,
+            r#"{"ratio":0.5,"rss":7.5,"cells":["a"]}"#,
+            r#"{"ratio":0.5,"rss":7,"cells":[1]}"#,
+            r#"{"ratio":0.5,"rss":7,"cells":null}"#,
+        ] {
+            assert_eq!(decode(bad), None, "{bad}");
+        }
+        assert_eq!(Probe::from_value(&censored_marker("deadline")), None);
+        // A whole optional row journaled as `null` replays as `None`.
+        assert_eq!(Option::<Probe>::from_value(&Value::Null), Some(None));
     }
 }

@@ -40,7 +40,6 @@ use gossip_sim::handler::EdgeTickHandler;
 use gossip_sim::stopping::{StoppingRule, DEFINITION1_THRESHOLD};
 use gossip_sim::values::NodeValues;
 use gossip_sim::{ClockScratch, SimError};
-use serde::{Deserialize, Serialize};
 
 /// Per-worker reusable buffers for the run fan-out: one state vector and one
 /// set of clock-queue buffers, recycled across every run a worker claims so
@@ -52,7 +51,7 @@ struct RunScratch {
 }
 
 /// Configuration of the estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorConfig {
     /// Base RNG seed; run `r` uses `seed + r`.
     pub seed: u64,
@@ -195,7 +194,7 @@ impl EstimatorConfig {
 }
 
 /// The estimator's result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AveragingTimeEstimate {
     /// The reported averaging time: the configured quantile of the per-run
     /// settling times.

@@ -11,7 +11,6 @@ use crate::Result;
 use gossip_graph::partition::Block;
 use gossip_graph::spectral::SpectralProfile;
 use gossip_graph::{Graph, Partition};
-use serde::{Deserialize, Serialize};
 
 /// Theorem 1: every convex algorithm needs at least (a constant times)
 /// `min(n₁, n₂) / |E₁₂|` absolute time to average.
@@ -82,7 +81,7 @@ pub fn epoch_length_ticks(epoch_constant: f64, t_van_sum: f64, n: f64) -> u64 {
 
 /// Everything the experiment harness reports about an instance's theoretical
 /// quantities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundsSummary {
     /// Number of nodes `n`.
     pub n: usize,

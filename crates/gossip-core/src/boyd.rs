@@ -19,10 +19,9 @@
 use crate::{CoreError, Result};
 use gossip_graph::{laplacian, Graph, Partition};
 use gossip_linalg::{Matrix, SymmetricEigen, Vector};
-use serde::{Deserialize, Serialize};
 
 /// Spectral analysis of the expected single-tick gossip matrix `W̄`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GossipMatrixAnalysis {
     /// Number of nodes.
     pub node_count: usize,

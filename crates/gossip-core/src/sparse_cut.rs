@@ -34,18 +34,17 @@
 //! blocks are balanced, and asymptotically `n₁` when `n₂ ≫ n₁`, so the
 //! paper's `Θ(n₁)` scaling is unchanged).  [`TransferCoefficient::ExactBalance`]
 //! (the default) uses `γ*`; [`TransferCoefficient::PaperLiteral`] uses the
-//! paper's `n₁` so the deviation can be measured (experiment E10 in
-//! `EXPERIMENTS.md`).
+//! paper's `n₁` so the deviation can be measured (experiment E10 of
+//! `gossip_workloads::experiments`).
 
 use crate::{CoreError, Result};
 use gossip_graph::partition::Block;
 use gossip_graph::{EdgeId, Graph, NodeId, Partition};
 use gossip_sim::handler::{EdgeTickContext, EdgeTickHandler, HandlerState};
 use gossip_sim::values::NodeValues;
-use serde::{Deserialize, Serialize};
 
 /// Choice of the non-convex transfer coefficient `γ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TransferCoefficient {
     /// `γ = n₁·n₂/n` — cancels the between-block imbalance exactly (up to the
     /// within-block deviations); the default.
@@ -69,7 +68,7 @@ impl TransferCoefficient {
 }
 
 /// Configuration of [`SparseCutAlgorithm`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseCutConfig {
     /// The paper's universal constant `C` multiplying the epoch length.
     pub epoch_constant: f64,

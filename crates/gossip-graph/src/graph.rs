@@ -6,12 +6,11 @@
 //! edge: the simulator iterates over [`EdgeId`]s, not node pairs.
 
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node, an index in `0..graph.node_count()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -34,7 +33,7 @@ impl From<usize> for NodeId {
 }
 
 /// Identifier of an edge, an index in `0..graph.edge_count()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize);
 
 impl EdgeId {
@@ -60,7 +59,7 @@ impl From<usize> for EdgeId {
 ///
 /// The endpoints are stored in normalized order (`u < v`), so two `Edge`
 /// values compare equal exactly when they join the same pair of nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     u: NodeId,
     v: NodeId,
@@ -139,7 +138,7 @@ impl fmt::Display for Edge {
 /// assert_eq!(graph.degree(NodeId(1)), 2);
 /// # Ok::<(), gossip_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     node_count: usize,
     edges: Vec<Edge>,

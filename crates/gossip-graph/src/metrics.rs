@@ -3,10 +3,9 @@
 //! workload descriptions.
 
 use crate::{traversal, Graph, Result};
-use serde::{Deserialize, Serialize};
 
 /// Structural summary of a graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphMetrics {
     /// Number of nodes.
     pub node_count: usize,

@@ -8,11 +8,10 @@
 //! bounds every convex algorithm (Theorem 1).
 
 use crate::{Graph, GraphError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which side of a two-block partition a node belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Block {
     /// The first block, `V₁` (by convention the smaller or equal one once the
     /// partition is normalized).
@@ -55,7 +54,7 @@ impl fmt::Display for Block {
 /// assert!((partition.theorem1_ratio() - 2.0).abs() < 1e-12);
 /// # Ok::<(), gossip_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     /// `membership[i]` is the block of node `i`.
     membership: Vec<Block>,

@@ -11,7 +11,6 @@
 
 use crate::{laplacian, Graph, GraphError, Result};
 use gossip_linalg::{Lanczos, SymmetricEigen, Vector};
-use serde::{Deserialize, Serialize};
 
 /// Node count above which [`SpectralProfile::compute`] (and the other
 /// dispatching helpers in this module) switch from the dense Jacobi path to
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 pub const SPARSE_DISPATCH_THRESHOLD: usize = 512;
 
 /// Summary of the spectral quantities relevant to gossip averaging.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpectralProfile {
     /// Algebraic connectivity: second-smallest eigenvalue of the Laplacian.
     pub algebraic_connectivity: f64,

@@ -6,7 +6,6 @@
 //! straightforward `O(n²)`/`O(n³)` kernels is more than fast enough.
 
 use crate::{LinalgError, Result, Vector, DEFAULT_TOLERANCE};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +49,7 @@ pub fn reset_largest_dense_dimension() {
 /// assert_eq!(y.as_slice(), &[3.0, 7.0]);
 /// # Ok::<(), gossip_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

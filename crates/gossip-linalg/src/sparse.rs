@@ -15,7 +15,6 @@
 //! counterpart on every generator family.
 
 use crate::{LinalgError, Matrix, Result, Vector};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A sparse `f64` matrix in compressed-sparse-row form.
@@ -38,7 +37,7 @@ use std::fmt;
 /// assert_eq!(lap.nnz(), 4);
 /// # Ok::<(), gossip_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

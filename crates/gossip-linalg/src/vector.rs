@@ -4,7 +4,6 @@
 //! averaging error is measured).
 
 use crate::{LinalgError, Result};
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// An owned dense vector of `f64`.
@@ -25,7 +24,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// assert!((v.dot(&v)? - 14.0).abs() < 1e-12);
 /// # Ok::<(), gossip_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector(Vec<f64>);
 
 impl Vector {

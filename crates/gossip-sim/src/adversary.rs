@@ -38,11 +38,10 @@ use crate::{Result, SimError};
 use gossip_graph::{Edge, EdgeId, Graph, NodeId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// What a misbehaving node does when one of its edges ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdversaryBehavior {
     /// Reports its stored value offset by `bias`.  The node's stored value
     /// is frozen (it lies but never listens), so against vanilla gossip the
@@ -79,7 +78,7 @@ impl AdversaryBehavior {
 }
 
 /// One misbehaving node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryNode {
     /// The misbehaving node.
     pub node: NodeId,
@@ -91,7 +90,7 @@ pub struct AdversaryNode {
 /// is suppressed with probability `probability` (coin drawn from the
 /// adversary stream), so cross-cut information flow is selectively starved
 /// while intra-block gossip proceeds untouched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CensoringBridge {
     /// The attacked (cut) edges.
     pub edges: Vec<EdgeId>,
@@ -115,7 +114,7 @@ pub struct CensoringBridge {
 /// assert!(!plan.is_empty());
 /// assert!(AdversaryPlan::none().is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryPlan {
     /// Seed of the dedicated adversary ChaCha8 stream (independent of the
     /// clock sampler's stream and the fault layer's drop stream, so adding
@@ -306,7 +305,7 @@ impl AdversaryPlan {
 
 /// Counters of what the adversary did during a run.  All zeros (with empty
 /// report range) when the run had no adversary plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryStats {
     /// Delivered contacts with no adversarial involvement.
     pub honest_contacts: u64,

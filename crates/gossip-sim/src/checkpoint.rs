@@ -622,19 +622,8 @@ fn parse_adversary_state(value: &Value) -> Result<AdversaryInjectorState> {
 mod tests {
     use super::*;
 
-    /// The vendored `serde_json::to_string` wants a `Serialize` impl; this
-    /// newtype hands it an already-built [`Value`] verbatim, the same idiom
-    /// the store's journal uses.
-    struct Direct(Value);
-
-    impl serde::Serialize for Direct {
-        fn to_json_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-
     fn render(value: Value) -> String {
-        serde_json::to_string(&Direct(value)).expect("vendored serialization is infallible")
+        serde_json::to_string(&value).expect("vendored serialization is infallible")
     }
 
     fn sample_checkpoint(sampler: SamplerState) -> EngineCheckpoint {

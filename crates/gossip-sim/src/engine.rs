@@ -15,11 +15,10 @@ use crate::values::NodeValues;
 use crate::{Result, SimError};
 use gossip_graph::{Graph, Partition};
 use gossip_linalg::Vector;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Which tick sampler the simulator uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockModel {
     /// Explicit per-edge exponential clocks ([`EdgeClockQueue`]).
     PerEdgeQueue,
@@ -29,7 +28,7 @@ pub enum ClockModel {
 }
 
 /// How the variance fed to the stopping rule is obtained at each check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarianceMode {
     /// O(1) running moments (see [`crate::moments::MomentTracker`]) with the
     /// deterministic exact-refresh schedule
@@ -49,7 +48,7 @@ pub enum VarianceMode {
 pub const DEFAULT_MOMENT_REFRESH_TICKS: u64 = 65_536;
 
 /// Configuration of an asynchronous run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// RNG seed; every run is a deterministic function of the seed.
     pub seed: u64,

@@ -26,11 +26,10 @@ use crate::{Result, SimError};
 use gossip_graph::{Edge, EdgeId, Graph, NodeId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A half-open window `[from, until)` in global-tick coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TickWindow {
     /// First tick (inclusive) at which the fault is active.
     pub from: u64,
@@ -56,7 +55,7 @@ impl TickWindow {
 }
 
 /// One scheduled link outage: `edge` delivers nothing during `window`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeOutage {
     /// The edge that goes down.
     pub edge: EdgeId,
@@ -66,7 +65,7 @@ pub struct EdgeOutage {
 
 /// One scheduled node pause: every contact incident to `node` is suppressed
 /// during `window` (a crashed or sleeping node neither sends nor receives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodePause {
     /// The paused node.
     pub node: NodeId,
@@ -89,7 +88,7 @@ pub struct NodePause {
 /// assert!(!plan.is_empty());
 /// assert!(FaultPlan::none().is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the dedicated drop-sampling ChaCha8 stream (independent of
     /// the clock sampler's stream, so adding drops never perturbs the tick
@@ -231,7 +230,7 @@ pub enum ContactFate {
 
 /// Counters of what the injector did during a run.  All zeros when the run
 /// had no fault plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Contacts whose handler ran.
     pub delivered: u64,

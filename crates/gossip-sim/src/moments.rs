@@ -27,8 +27,6 @@
 //! numerically benign.  Pairwise gossip updates conserve the sum, so the
 //! shift chosen at construction remains valid between refreshes.
 
-use serde::{Deserialize, Serialize};
-
 /// Running (shifted) sum and sum-of-squares of a state vector, maintained in
 /// O(1) per single-entry update.
 ///
@@ -43,7 +41,7 @@ use serde::{Deserialize, Serialize};
 /// tracker.record_update(4.0, 1.0);
 /// assert!((tracker.mean() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MomentTracker {
     len: usize,
     /// The common offset subtracted from every value before summing; the

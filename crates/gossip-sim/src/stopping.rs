@@ -6,8 +6,6 @@
 //! combined with safety limits on simulated time and tick count so that runs
 //! of slow algorithms (the whole point of Theorem 1) still terminate.
 
-use serde::{Deserialize, Serialize};
-
 /// The threshold `1/e²` from Definition 1.
 pub const DEFINITION1_THRESHOLD: f64 = 0.135_335_283_236_612_7;
 
@@ -47,7 +45,7 @@ impl SimulationStatus {
 }
 
 /// Why a simulation stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The variance-ratio threshold was reached.
     Converged,
@@ -58,7 +56,7 @@ pub enum StopReason {
 }
 
 /// A composable stopping rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StoppingRule {
     /// Stop (as [`StopReason::Converged`]) once
     /// `var X(t) / var X(0) < threshold`.

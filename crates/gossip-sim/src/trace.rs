@@ -10,10 +10,9 @@
 use crate::values::NodeValues;
 use gossip_graph::partition::Block;
 use gossip_graph::Partition;
-use serde::{Deserialize, Serialize};
 
 /// Sampling configuration for traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Record a point every this many ticks (the first tick is always
     /// recorded).  A value of 1 records every tick.
@@ -46,7 +45,7 @@ impl Default for TraceConfig {
 }
 
 /// One sampled point of a simulation trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracePoint {
     /// Simulated time of the sample.
     pub time: f64,
@@ -65,7 +64,7 @@ pub struct TracePoint {
 }
 
 /// A recorded trajectory.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     points: Vec<TracePoint>,
 }

@@ -19,7 +19,6 @@ use crate::moments::MomentTracker;
 use crate::{Result, SimError};
 use gossip_graph::{NodeId, Partition};
 use gossip_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// The values held by the nodes at a moment in (simulated) time.
 ///
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((values.mean() - 2.0).abs() < 1e-12);
 /// # Ok::<(), gossip_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeValues {
     values: Vector,
     moments: MomentTracker,

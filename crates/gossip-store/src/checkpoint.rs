@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use serde::json::Value;
 
 use crate::hash::{format_key, parse_key, TrialKey};
-use crate::journal::{append_line, scan_lines, Direct};
+use crate::journal::{append_line, scan_lines};
 use crate::value::ValueExt;
 use crate::{Result, SCHEMA_VERSION};
 
@@ -65,7 +65,7 @@ impl CheckpointRecord {
             ("tick".to_string(), Value::String(self.tick.to_string())),
             ("blob".to_string(), self.blob.clone()),
         ]);
-        serde_json::to_string(&Direct(doc)).expect("vendored serialization is infallible")
+        serde_json::to_string(&doc).expect("vendored serialization is infallible")
     }
 
     /// Decodes one log line; the error shape matches the journal decoder

@@ -70,7 +70,7 @@ impl TrialRecord {
             ("seed".to_string(), Value::String(self.seed.to_string())),
             ("row".to_string(), self.row.clone()),
         ]);
-        serde_json::to_string(&Direct(doc)).expect("vendored serialization is infallible")
+        serde_json::to_string(&doc).expect("vendored serialization is infallible")
     }
 
     /// Decodes one journal line.  The error distinguishes a schema-version
@@ -111,16 +111,6 @@ impl TrialRecord {
             seed,
             row,
         })
-    }
-}
-
-/// Wrapper giving a raw [`Value`] a `Serialize` impl (the vendored serde
-/// has no blanket impl for its own data model).
-pub(crate) struct Direct(pub(crate) Value);
-
-impl serde::Serialize for Direct {
-    fn to_json_value(&self) -> Value {
-        self.0.clone()
     }
 }
 
@@ -474,8 +464,8 @@ mod tests {
         journal.append(&rec).unwrap();
         drop(journal);
         let load = Journal::load(&path).unwrap();
-        let direct = serde_json::to_string(&Direct(row)).unwrap();
-        let replayed = serde_json::to_string(&Direct(load.records[0].row.clone())).unwrap();
+        let direct = serde_json::to_string(&row).unwrap();
+        let replayed = serde_json::to_string(&load.records[0].row).unwrap();
         assert_eq!(direct, replayed);
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,10 +1,10 @@
 //! Field accessors for decoding journaled rows.
 //!
 //! The vendored `serde::json::Value` is a bare enum with no lookup helpers;
-//! every tier's replay path needs "get field `x` of this object as an
+//! every replay path needs "get field `x` of this object as an
 //! `f64`/`u64`/`&str`".  [`ValueExt`] provides those as a small extension
-//! trait so the decoders in `gossip-bench` read like field accesses instead
-//! of nested pattern matches.
+//! trait; the store's record decoders and `gossip-bench`'s row decoders
+//! are built on it instead of on nested pattern matches.
 
 use serde::json::Value;
 
@@ -18,8 +18,6 @@ pub trait ValueExt {
     /// The value as an unsigned integer, if it is a number with an exact
     /// `u64` representation.
     fn as_u64(&self) -> Option<u64>;
-    /// The value as a `usize` (via [`ValueExt::as_u64`]).
-    fn as_usize(&self) -> Option<usize>;
     /// The value as a string slice.
     fn as_str(&self) -> Option<&str>;
     /// The value as a boolean.
@@ -27,25 +25,13 @@ pub trait ValueExt {
     /// The value as an array slice.
     fn as_array(&self) -> Option<&[Value]>;
 
-    /// Field lookup + float coercion in one step.
-    fn field_f64(&self, key: &str) -> Option<f64> {
-        self.get(key)?.as_f64()
-    }
     /// Field lookup + unsigned-integer coercion in one step.
     fn field_u64(&self, key: &str) -> Option<u64> {
         self.get(key)?.as_u64()
     }
-    /// Field lookup + `usize` coercion in one step.
-    fn field_usize(&self, key: &str) -> Option<usize> {
-        self.get(key)?.as_usize()
-    }
     /// Field lookup + string coercion in one step.
     fn field_str(&self, key: &str) -> Option<&str> {
         self.get(key)?.as_str()
-    }
-    /// Field lookup + boolean coercion in one step.
-    fn field_bool(&self, key: &str) -> Option<bool> {
-        self.get(key)?.as_bool()
     }
 }
 
@@ -68,15 +54,13 @@ impl ValueExt for Value {
         match self {
             // Journal numbers come through f64, which is exact for the
             // integer counts the tiers store (all far below 2^53).
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64 itself, so the bound is
+            // strict: 2^64 must not saturate to `u64::MAX`.
+            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
         }
-    }
-
-    fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     fn as_str(&self) -> Option<&str> {
@@ -124,11 +108,10 @@ mod tests {
     #[test]
     fn accessors_coerce_matching_types() {
         let v = sample();
-        assert_eq!(v.field_usize("n"), Some(1000));
         assert_eq!(v.field_u64("n"), Some(1000));
-        assert_eq!(v.field_f64("ratio"), Some(0.25));
+        assert_eq!(v.get("ratio").and_then(ValueExt::as_f64), Some(0.25));
         assert_eq!(v.field_str("name"), Some("dumbbell-500"));
-        assert_eq!(v.field_bool("ok"), Some(true));
+        assert_eq!(v.get("ok").and_then(ValueExt::as_bool), Some(true));
         assert_eq!(
             v.get("rows")
                 .and_then(ValueExt::as_array)
@@ -141,9 +124,11 @@ mod tests {
     fn accessors_reject_mismatched_types() {
         let v = sample();
         assert_eq!(v.field_u64("ratio"), None, "fractional number is not a u64");
+        let two_pow_64 = serde_json::from_str("18446744073709551616").unwrap();
+        assert_eq!(two_pow_64.as_u64(), None, "2^64 overflows a u64");
         assert_eq!(v.field_str("n"), None);
-        assert_eq!(v.field_f64("name"), None);
-        assert_eq!(v.field_f64("missing"), None);
+        assert_eq!(v.get("name").and_then(ValueExt::as_f64), None);
+        assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Null.get("n"), None);
     }
 }

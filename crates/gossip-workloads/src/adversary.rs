@@ -20,7 +20,6 @@ use gossip_sim::adversary::AdversaryPlan;
 use gossip_sim::EdgeTickHandler;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Salt for the node-selection stream, so picking *which* nodes misbehave
@@ -29,7 +28,7 @@ use std::collections::BTreeSet;
 const SELECTION_SALT: u64 = 0xAD5E_C7ED;
 
 /// A declarative attack, lowered to an [`AdversaryPlan`] per instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdversaryProfile {
     /// No adversary: the control arm (compiles to [`AdversaryPlan::none`],
     /// which is byte-identical to running without a plan at all).
@@ -177,7 +176,7 @@ impl AdversaryProfile {
 
 /// Which update rule the honest nodes run: the aggregation arm of an
 /// adversary-tier row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregationKind {
     /// Plain pairwise averaging (`gossip_core::convex::VanillaGossip`).
     Vanilla,
@@ -229,7 +228,7 @@ impl AggregationKind {
 
 /// A scenario paired with an attack and a defense: one row of the adversary
 /// tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryCase {
     /// The (static) graph family.
     pub scenario: Scenario,

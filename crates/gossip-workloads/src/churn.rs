@@ -14,10 +14,9 @@ use crate::scenarios::{Scenario, ScenarioInstance};
 use gossip_sim::fault::FaultPlan;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A declarative fault environment, lowered to a [`FaultPlan`] per instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultProfile {
     /// No faults: the control arm (compiles to [`FaultPlan::none`], which is
     /// byte-identical to running without a plan at all).
@@ -177,7 +176,7 @@ impl FaultProfile {
 }
 
 /// A scenario paired with a fault profile: one row of the robustness tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnCase {
     /// The (static) graph family.
     pub scenario: Scenario,

@@ -1,16 +1,14 @@
 //! The experiment index.
 //!
 //! The paper is a theory paper without numbered tables or figures, so the
-//! reproduction defines one experiment per quantitative claim (see
-//! `DESIGN.md` §5).  [`ExperimentId`] enumerates them; [`ExperimentDescriptor`]
-//! carries the metadata the harness prints at the top of every table and
-//! that `EXPERIMENTS.md` records.
+//! reproduction defines one experiment per quantitative claim.
+//! [`ExperimentId`] enumerates them; [`ExperimentDescriptor`] carries the
+//! metadata (title, claim) the harness prints at the top of every table.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a reproduction experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum ExperimentId {
     E1,
@@ -282,7 +280,7 @@ impl fmt::Display for ExperimentId {
 }
 
 /// Metadata describing one experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentDescriptor {
     /// Which experiment this is.
     pub id: ExperimentId,

@@ -11,10 +11,9 @@ use gossip_graph::Partition;
 use gossip_sim::values::NodeValues;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A recipe for the initial node values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InitialCondition {
     /// The Section 2 adversarial vector: `+1` on block one, `−n₁/n₂` on block
     /// two (zero mean).  Requires a partition.

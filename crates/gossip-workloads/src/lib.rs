@@ -6,8 +6,9 @@
 //! ([`churn`]) or a Byzantine attack paired with a defending aggregation
 //! rule for the adversary tier ([`adversary`]), and the parameter grid to
 //! sweep over ([`sweep`]).
-//! [`experiments`] ties these together into the experiment index (E1–E10)
-//! documented in `DESIGN.md` and regenerated by the `gossip-bench` harness.
+//! [`experiments`] ties these together into the experiment index (E1–E10
+//! plus the SCALE, SIM_SCALE, MEM_SCALE, ROBUSTNESS, ADVERSARY and PERF
+//! tiers) that the `gossip-bench` harness regenerates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

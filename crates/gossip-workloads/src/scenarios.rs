@@ -8,10 +8,9 @@
 use crate::{Result, WorkloadError};
 use gossip_graph::generators;
 use gossip_graph::{Graph, Partition};
-use serde::{Deserialize, Serialize};
 
 /// A declarative description of a sparse-cut workload graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Scenario {
     /// Two cliques `K_half` joined by one bridge edge (the paper's example).
     Dumbbell {

@@ -6,10 +6,9 @@
 //! agree on what was measured.
 
 use crate::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// A one-dimensional parameter sweep with a label for tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sweep<T> {
     /// Name of the swept parameter (e.g. `"n"`, `"|E12|"`, `"C"`).
     pub parameter: String,

@@ -13,22 +13,19 @@
 mod common;
 
 use common::seeds;
-use gossip_bench::runner::{self, HarnessConfig};
+use gossip_bench::runner::{self, HarnessConfig, MemScaleReport, PerfReport, SimScaleReport};
 use sparse_cut_gossip::prelude::*;
+use std::collections::BTreeSet;
 
-/// Strips the volatile lines — the same field set the CI determinism gate
-/// filters with `grep -vE` — from a pretty-printed perf report.
+/// Strips the lines of the perf report's declared volatile fields — the
+/// set the CI determinism gate filters with `grep -vE` — from a
+/// pretty-printed perf report.
 fn strip_volatile(json: &str) -> String {
     json.lines()
         .filter(|line| {
-            ![
-                "\"jobs\":",
-                "\"wall_ms",
-                "\"ticks_per_sec\":",
-                "\"speedup\":",
-            ]
-            .iter()
-            .any(|needle| line.trim_start().starts_with(needle))
+            !PerfReport::VOLATILE
+                .iter()
+                .any(|field| line.trim_start().starts_with(&format!("\"{field}\":")))
         })
         .collect::<Vec<_>>()
         .join("\n")
@@ -97,6 +94,52 @@ fn perf_report_is_byte_identical_across_job_counts() {
     // renames silently emptying the CI gate).
     assert!(serial_json.contains("\"wall_ms\""));
     assert!(!strip_volatile(&serial_json).contains("\"wall_ms\""));
+}
+
+#[test]
+fn ci_gate_filters_name_exactly_the_declared_volatile_fields() {
+    let ci = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/.github/workflows/ci.yml"
+    ))
+    .expect("CI workflow is readable");
+    let words: Vec<&str> = ci.split_whitespace().collect();
+    let declared = [
+        ("--perf-json", PerfReport::VOLATILE),
+        ("--sim-scale-json", SimScaleReport::VOLATILE),
+        ("--mem-scale-json", MemScaleReport::VOLATILE),
+    ];
+    let mut gated = Vec::new();
+    for (i, word) in words.iter().enumerate() {
+        let Some(alternation) = word.strip_prefix("filter='\"(") else {
+            continue;
+        };
+        // The filter's first `grep -vE "$filter" <report>` names the report;
+        // the `--*-json` flag that wrote it names the tier.
+        let applied = words[i..].iter().position(|w| *w == "\"$filter\"");
+        let report = words[i + applied.expect("the filter is applied") + 1];
+        let flag = words
+            .windows(2)
+            .find(|pair| pair[1] == report)
+            .expect("written")[0];
+        let (_, volatile) = declared.iter().find(|(f, _)| *f == flag).expect("a tier");
+        assert_eq!(
+            alternation
+                .trim_end_matches(")\":'")
+                .split('|')
+                .collect::<BTreeSet<_>>(),
+            volatile.iter().copied().collect::<BTreeSet<_>>(),
+            "the filter on {report} ({flag})"
+        );
+        gated.push(flag);
+    }
+    let expected = [
+        "--perf-json",
+        "--sim-scale-json",
+        "--mem-scale-json",
+        "--mem-scale-json",
+    ];
+    assert_eq!(gated, expected);
 }
 
 #[test]

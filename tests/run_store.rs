@@ -15,8 +15,11 @@
 mod common;
 
 use common::seeds;
-use gossip_bench::runner::{self, HarnessConfig, MemScaleRow, SimScaleReport};
-use gossip_bench::trial::{engine_fingerprint, TrialRow};
+use gossip_bench::runner::{
+    self, AdversaryRow, DumbbellSweepRow, E10Row, E4Result, E5Row, HarnessConfig, MemScaleRow,
+    PerfEstimatorRow, PerfThroughputRow, RobustnessRow, ScaleRow, SimScaleReport, SimScaleRow,
+};
+use gossip_bench::trial::{engine_fingerprint, FromValue};
 use gossip_store::{RunStore, StoreSink};
 use std::path::{Path, PathBuf};
 
@@ -59,15 +62,16 @@ fn journal_lines(dir: &Path) -> Vec<String> {
         .collect()
 }
 
-/// Strips the wall-clock lines — the same field set the CI gate filters
-/// with `grep -vE` — so interrupted-then-resumed reports (whose recomputed
-/// trials re-time themselves) diff clean against uninterrupted ones.
+/// Strips the lines of the report's declared volatile fields — the set the
+/// CI gate filters with `grep -vE` — so interrupted-then-resumed reports
+/// (whose recomputed trials re-time themselves) diff clean against
+/// uninterrupted ones.
 fn strip_wall_clock(json: &str) -> String {
     json.lines()
         .filter(|line| {
-            !["\"wall_ms\":", "\"ticks_per_sec\":"]
+            !SimScaleReport::VOLATILE
                 .iter()
-                .any(|needle| line.trim_start().starts_with(needle))
+                .any(|field| line.trim_start().starts_with(&format!("\"{field}\":")))
         })
         .collect::<Vec<_>>()
         .join("\n")
@@ -236,4 +240,52 @@ fn journals_from_before_the_single_engine_loop_still_replay() {
     // Re-encoded, the row carries exactly the surviving columns.
     let reencoded = serde_json::to_string(&row).expect("row renders");
     assert!(!reencoded.contains("legacy_checked") && !reencoded.contains("f32_"));
+}
+
+/// Decodes a journaled row and renders it again: the bytes must not move.
+fn assert_replays_verbatim<T: FromValue + serde::Serialize>(journaled: &str) {
+    let value = serde_json::from_str(journaled).expect("row parses");
+    let row = T::from_value(&value).unwrap_or_else(|| panic!("row does not decode: {journaled}"));
+    assert_eq!(serde_json::to_string(&row).expect("row renders"), journaled);
+}
+
+#[test]
+fn rows_journaled_before_the_schema_macro_replay_byte_for_byte() {
+    // One journaled row per row type, verbatim from a store written by
+    // `experiments --quick --seed 99` while every encoder and decoder was
+    // still written by hand.
+    assert_replays_verbatim::<DumbbellSweepRow>(
+        r#"{"n":16,"lower_bound":8,"upper_bound":22.621227222995966,"vanilla":9.049921997645066,"weighted":21.749878830727294,"random_neighbor":8.638338306767643,"algorithm_a":28.721514063815498}"#,
+    );
+    assert_replays_verbatim::<E4Result>(
+        r#"{"n":64,"per_tick_bound":0.0625,"max_observed_delta":0.03125,"observed_cut_ticks":25,"expected_cut_ticks":20,"horizon":20,"final_variance":0.20936741356972066,"variance_lower_bound":0.10401360153291998}"#,
+    );
+    assert_replays_verbatim::<Option<E5Row>>(
+        r#"{"n":32,"epochs":13,"contraction_fraction":0.9230769230769231,"ceiling_violation_fraction":0,"dominated":true,"final_observed_drop":-844.0314198771243,"final_dominating":-58.917510347595346}"#,
+    );
+    assert_replays_verbatim::<Vec<String>>(r#"["2","8.00","9.52","57.91"]"#);
+    assert_replays_verbatim::<E10Row>(
+        r#"{"coefficient":"exact balance n1·n2/n","gamma":8,"averaging_time":21.278885212199782,"censored_runs":0}"#,
+    );
+    assert_replays_verbatim::<ScaleRow>(
+        r#"{"family":"xdumbbell-500","n":1000,"edges":8001,"cut_edges":1,"algebraic_connectivity":0.0035194390967729916,"laplacian_lambda_max":24.23820902059675,"gossip_spectral_gap":0.00000021993745136689112,"t_van_estimate":5062.031212388215,"build_ms":1.497153,"spectral_ms":5.343229}"#,
+    );
+    assert_replays_verbatim::<SimScaleRow>(
+        r#"{"family":"xdumbbell-500","n":1000,"edges":8001,"initial":"uniform","ticks":2136,"stop_time":0.26014391009498883,"stop_reason":"Converged","variance_ratio":0.13520089702446136,"moment_refreshes":0,"wall_ms":0.208541,"ticks_per_sec":10242590.186102493}"#,
+    );
+    assert_replays_verbatim::<MemScaleRow>(
+        r#"{"family":"xdumbbell-25000","n":50000,"edges":700001,"initial":"uniform","ticks":103010,"stop_time":0.14702028235238965,"stop_reason":"Converged","variance_ratio":0.13532046146795487,"moment_refreshes":1,"wall_ms":9.341913,"ticks_per_sec":11026649.466763392,"peak_rss_bytes":122724352}"#,
+    );
+    assert_replays_verbatim::<RobustnessRow>(
+        r#"{"family":"xdumbbell-48","fault":"bridge-outage-0-4608","n":96,"edges":481,"drop_probability":0,"baseline_ticks":27432,"ticks":30549,"stop_reason":"Converged","variance_ratio":0.13478407093201686,"mean_drift":0.0000000000000001249000902703301,"delivered":30540,"dropped":0,"edge_down_skips":9,"node_pause_skips":0,"worst_surviving_lambda2":4.000000000000028}"#,
+    );
+    assert_replays_verbatim::<AdversaryRow>(
+        r#"{"family":"chordring-96","attack":"biased-f0.10-b10","aggregation":"trimmed","n":96,"edges":576,"adversaries":9,"clean_ticks":413,"ticks":20000000,"stop_reason":"TickLimit","variance_ratio":8.555122368082502,"honest_drift":9.59780405718835,"drift_bound":28934.70078339245,"drift_oracle_ok":true,"censored_contacts":0,"falsified_contacts":3542959,"flagged_reports":783}"#,
+    );
+    assert_replays_verbatim::<PerfThroughputRow>(
+        r#"{"family":"chordring-2048","n":2048,"edges":21504,"ticks":9366,"stop_reason":"Converged","variance_ratio":0.13485395990421267,"wall_ms":0.840717,"ticks_per_sec":11140490.79535682}"#,
+    );
+    assert_replays_verbatim::<PerfEstimatorRow>(
+        r#"{"family":"chordring-2048","n":2048,"runs":6,"averaging_time":0.441766694745985,"mean_settling_time":0.44116806989359253,"confirmed_runs":6,"wall_ms_serial":52.130348,"wall_ms_parallel":26.476149,"speedup":1.9689550772659574,"timings":[{"jobs":1,"wall_ms":52.130348,"speedup":1},{"jobs":2,"wall_ms":27.080500999999998,"speedup":1.9250141642505063},{"jobs":4,"wall_ms":26.476149,"speedup":1.9689550772659574}]}"#,
+    );
 }
