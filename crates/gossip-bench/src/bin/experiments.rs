@@ -49,6 +49,8 @@
 //! engine checkpoint is committed to `<dir>/mem_scale.ckpt.jsonl`, and a
 //! `--resume` restores the newest one instead of recomputing the trial
 //! from tick 0 (restored runs are bit-identical to uninterrupted ones).
+//! Like `--resume` and `--store-summary`, a non-zero cadence requires
+//! `--store-dir`; `0` (the default) disables capture.
 //! `--trial-deadline-secs <n>` puts a wall-clock deadline on every
 //! simulation trial; a trial that exceeds it is journaled as
 //! `deadline_censored` and dropped from the sweep instead of hanging it.
@@ -412,8 +414,12 @@ fn main() {
         i += 1;
     }
 
-    if (resume || store_summary) && store_dir.is_none() {
-        eprintln!("--resume and --store-summary require --store-dir");
+    // Checkpoints are committed to the store, so a non-zero cadence without
+    // one would capture and encode every checkpoint only to drop it.
+    if (resume || store_summary || config.checkpoint_every_ticks != 0) && store_dir.is_none() {
+        eprintln!(
+            "--resume, --store-summary and a non-zero --checkpoint-every-ticks require --store-dir"
+        );
         print_usage();
         std::process::exit(2);
     }

@@ -138,11 +138,6 @@ impl HarnessConfig {
     }
 
     fn estimator(&self, seed_offset: u64, max_time: f64) -> AveragingTimeEstimator {
-        // Stopping checks are O(1) against the incremental moment tracker,
-        // so the estimator keeps its default per-tick resolution
-        // (`check_every_ticks = 1`): measured averaging times no longer
-        // overshoot by up to an |E|/10 check interval.
-        //
         // Estimators built here run inside a tier's row-level fan-out, so
         // their own run fan-out is pinned to one job: the rows already
         // saturate the pool, and a nested pool per row would oversubscribe
@@ -2222,9 +2217,9 @@ pub fn run_perf_sized(
                 .with_runs(est_runs)
                 .with_max_time(60.0 * lower + 500.0);
 
-            // Untimed warmup: spawns (and parks) the pool workers, faults the
-            // instance's pages in, and fills the per-worker scratch arenas, so
-            // the first timed pass doesn't pay one-time setup costs.
+            // Untimed warmup: spawns (and parks) the pool workers and faults
+            // the instance's pages in, so the first timed pass doesn't pay
+            // one-time setup costs.
             AveragingTimeEstimator::new(
                 base.clone()
                     .with_runs(est_runs.min(2))

@@ -1,6 +1,6 @@
 //! Command-line contract of the `experiments` binary: malformed `--only`
-//! arguments are usage errors (exit status 2, the valid tokens listed on
-//! stderr) that run no tier.
+//! arguments, and store-only flags given without `--store-dir`, are usage
+//! errors (exit status 2) that run no tier.
 
 use std::process::{Command, Output};
 
@@ -27,5 +27,26 @@ fn only_without_a_valid_token_is_a_usage_error() {
             stderr.contains("valid tokens: ") && stderr.contains("E10"),
             "{args:?}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn store_flags_without_a_store_dir_are_usage_errors() {
+    for args in [
+        &["--resume"][..],
+        &["--store-summary"],
+        &[
+            "--quick",
+            "--only",
+            "MEM_SCALE",
+            "--checkpoint-every-ticks",
+            "1000",
+        ],
+    ] {
+        let output = experiments(args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("require --store-dir"), "{args:?}: {stderr}");
     }
 }

@@ -13,9 +13,9 @@
 //!    which the normalized variance was still `≥ 1/e²` (runs continue until
 //!    the variance has fallen well below the threshold, so later excursions
 //!    by non-monotone algorithms such as Algorithm A are captured).  The
-//!    engine tracks this in O(1) per check against the incremental moment
-//!    tracker, so no trace needs to be recorded and the default per-tick
-//!    check resolution costs neither time nor memory;
+//!    engine tracks this in O(1) per tick against the incremental moment
+//!    tracker, so the per-tick check resolution costs neither time nor
+//!    memory;
 //! 3. report the `(1 − 1/e)`-quantile of the settling times, the empirical
 //!    analogue of Definition 1, along with the mean and the raw samples.
 //!
@@ -39,16 +39,12 @@ use gossip_sim::engine::{AsyncSimulator, ClockModel, SimulationConfig};
 use gossip_sim::handler::EdgeTickHandler;
 use gossip_sim::stopping::{StoppingRule, DEFINITION1_THRESHOLD};
 use gossip_sim::values::NodeValues;
-use gossip_sim::{ClockScratch, SimError};
+use gossip_sim::SimError;
 
-/// Per-worker reusable buffers for the run fan-out: one state vector and one
-/// set of clock-queue buffers, recycled across every run a worker claims so
-/// the hot path stops allocating per derived seed.
-#[derive(Debug, Default)]
-struct RunScratch {
-    values: Option<NodeValues>,
-    clock: ClockScratch,
-}
+/// Each run continues until the variance ratio falls below
+/// `DEFINITION1_THRESHOLD × CONFIRMATION_FACTOR` (or the time cap), so that
+/// late excursions above the threshold are observed.
+const CONFIRMATION_FACTOR: f64 = 0.05;
 
 /// Configuration of the estimator.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,26 +53,13 @@ pub struct EstimatorConfig {
     pub seed: u64,
     /// Number of independent runs.
     pub runs: usize,
-    /// The variance-ratio threshold of Definition 1 (default `1/e²`).
-    pub threshold: f64,
-    /// Each run continues until the variance ratio falls below
-    /// `threshold × confirmation_factor` (or the time cap), so that late
-    /// excursions above the threshold are observed.  Must lie in `(0, 1]`.
-    pub confirmation_factor: f64,
     /// Hard cap on simulated time per run.
     pub max_time: f64,
     /// Hard cap on processed events per run; a run exhausting it is recorded
     /// as a censored observation.
     pub max_events: u64,
-    /// How often (in ticks) the variance is checked.  Checks are O(1)
-    /// against the incremental moment tracker, so the default of 1 (exact
-    /// per-tick settling resolution) is affordable at any graph size.
-    pub check_every_ticks: u64,
     /// Which clock sampler to use.
     pub clock_model: ClockModel,
-    /// The quantile of settling times reported as the averaging time
-    /// (default `1 − 1/e`, matching Definition 1).
-    pub quantile: f64,
     /// Worker threads the independent runs fan out over.  `None` (the
     /// default) resolves `GOSSIP_JOBS`, then the machine's available
     /// parallelism; `Some(1)` forces the serial path.  Every setting
@@ -86,19 +69,15 @@ pub struct EstimatorConfig {
 }
 
 impl EstimatorConfig {
-    /// Creates a configuration with the given seed and defaults
-    /// (15 runs, Definition 1 threshold, `1 − 1/e` quantile).
+    /// Creates a configuration with the given seed and defaults (15 runs,
+    /// per-edge clocks).
     pub fn new(seed: u64) -> Self {
         EstimatorConfig {
             seed,
             runs: 15,
-            threshold: DEFINITION1_THRESHOLD,
-            confirmation_factor: 0.05,
             max_time: 1e6,
             max_events: 200_000_000,
-            check_every_ticks: 1,
             clock_model: ClockModel::PerEdgeQueue,
-            quantile: 1.0 - (-1.0f64).exp(),
             jobs: None,
         }
     }
@@ -106,12 +85,6 @@ impl EstimatorConfig {
     /// Sets the number of runs.
     pub fn with_runs(mut self, runs: usize) -> Self {
         self.runs = runs;
-        self
-    }
-
-    /// Sets the variance-ratio threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
         self
     }
 
@@ -127,21 +100,9 @@ impl EstimatorConfig {
         self
     }
 
-    /// Sets the variance sampling stride in ticks.
-    pub fn with_check_every_ticks(mut self, ticks: u64) -> Self {
-        self.check_every_ticks = ticks.max(1);
-        self
-    }
-
     /// Selects the clock sampler.
     pub fn with_clock_model(mut self, model: ClockModel) -> Self {
         self.clock_model = model;
-        self
-    }
-
-    /// Sets the reported quantile.
-    pub fn with_quantile(mut self, quantile: f64) -> Self {
-        self.quantile = quantile;
         self
     }
 
@@ -158,19 +119,6 @@ impl EstimatorConfig {
                 reason: "estimator requires at least one run".into(),
             });
         }
-        if !(0.0 < self.threshold && self.threshold < 1.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("threshold must lie in (0, 1), got {}", self.threshold),
-            });
-        }
-        if !(0.0 < self.confirmation_factor && self.confirmation_factor <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "confirmation factor must lie in (0, 1], got {}",
-                    self.confirmation_factor
-                ),
-            });
-        }
         if !(self.max_time > 0.0 && self.max_time.is_finite()) {
             return Err(CoreError::InvalidConfig {
                 reason: format!(
@@ -184,11 +132,6 @@ impl EstimatorConfig {
                 reason: "max_events must be at least 1".into(),
             });
         }
-        if !(0.0 < self.quantile && self.quantile < 1.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("quantile must lie in (0, 1), got {}", self.quantile),
-            });
-        }
         Ok(())
     }
 }
@@ -196,8 +139,8 @@ impl EstimatorConfig {
 /// The estimator's result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AveragingTimeEstimate {
-    /// The reported averaging time: the configured quantile of the per-run
-    /// settling times.
+    /// The reported averaging time: the `(1 − 1/e)`-quantile of the per-run
+    /// settling times (Definition 1).
     pub averaging_time: f64,
     /// Mean of the per-run settling times.
     pub mean_settling_time: f64,
@@ -293,7 +236,7 @@ impl AveragingTimeEstimator {
         F: Fn() -> H + Sync,
     {
         let initial = Self::adversarial_initial(partition);
-        self.estimate_with_initial(graph, Some(partition), &initial, factory)
+        self.estimate_with_initial(graph, &initial, factory)
     }
 
     /// Estimates the averaging time from an explicit initial condition.
@@ -312,7 +255,6 @@ impl AveragingTimeEstimator {
     pub fn estimate_with_initial<H, F>(
         &self,
         graph: &Graph,
-        partition: Option<&Partition>,
         initial: &NodeValues,
         factory: F,
     ) -> Result<AveragingTimeEstimate>
@@ -324,39 +266,18 @@ impl AveragingTimeEstimator {
         let initial_variance = initial.variance();
 
         // One task per run: a pure function of the derived per-run seed,
-        // returning (confirmed?, settling time).  Each worker recycles one
-        // `RunScratch` — its state vector and clock buffers — across all the
-        // runs it claims; the simulator rebuilds both from scratch-agnostic
-        // inputs, so recycling cannot leak state between runs.
-        let run_one = |scratch: &mut RunScratch, run: usize| -> gossip_sim::Result<(bool, f64)> {
+        // returning (confirmed?, settling time).
+        let run_one = |run: usize| -> gossip_sim::Result<(bool, f64)> {
             let seed = derive_run_seed(self.config.seed, run as u64);
-            let stop = StoppingRule::variance_ratio_below(
-                self.config.threshold * self.config.confirmation_factor,
-            )
-            .or_max_time(self.config.max_time);
-            let mut sim_config = SimulationConfig::new(seed)
+            let stop =
+                StoppingRule::variance_ratio_below(DEFINITION1_THRESHOLD * CONFIRMATION_FACTOR)
+                    .or_max_time(self.config.max_time);
+            let sim_config = SimulationConfig::new(seed)
                 .with_stopping_rule(stop)
                 .with_clock_model(self.config.clock_model)
-                .with_check_every_ticks(self.config.check_every_ticks)
                 .with_max_events(self.config.max_events)
-                .with_settling_threshold(self.config.threshold);
-            if let Some(p) = partition {
-                sim_config = sim_config.with_partition(p.clone());
-            }
-            let run_initial = match scratch.values.take() {
-                Some(mut values) => {
-                    values.copy_from(initial);
-                    values
-                }
-                None => initial.clone(),
-            };
-            let mut simulator = AsyncSimulator::new_with_scratch(
-                graph,
-                run_initial,
-                factory(),
-                sim_config,
-                &mut scratch.clock,
-            )?;
+                .with_settling_threshold(DEFINITION1_THRESHOLD);
+            let mut simulator = AsyncSimulator::new(graph, initial.clone(), factory(), sim_config)?;
             let confirmed = match simulator.run() {
                 Ok(outcome) => outcome.converged(),
                 // A run that exhausts its hard event budget is censored,
@@ -374,13 +295,10 @@ impl AveragingTimeEstimator {
             } else {
                 simulator.settling_time()
             };
-            let (_, values) = simulator.into_parts_with_scratch(&mut scratch.clock);
-            scratch.values = Some(values);
             Ok((confirmed, settle))
         };
         let executor = Executor::with_override(self.config.jobs);
-        let observations =
-            executor.try_map_indexed_with(self.config.runs, RunScratch::default, run_one)?;
+        let observations = executor.try_map_indexed(self.config.runs, run_one)?;
 
         let mut settling_times = Vec::with_capacity(self.config.runs);
         let mut confirmed_runs = 0usize;
@@ -396,9 +314,9 @@ impl AveragingTimeEstimator {
 
         let mut sorted = settling_times.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("settling times are finite"));
-        let index = ((self.config.quantile * sorted.len() as f64).ceil() as usize)
-            .clamp(1, sorted.len())
-            - 1;
+        // Definition 1 reports the (1 − 1/e)-quantile of the settling times.
+        let quantile = 1.0 - (-1.0f64).exp();
+        let index = ((quantile * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
         let averaging_time = sorted[index];
         let mean_settling_time = settling_times.iter().sum::<f64>() / settling_times.len() as f64;
         let max_settling_time = sorted.last().copied().unwrap_or(0.0);
@@ -425,19 +343,12 @@ mod tests {
     #[test]
     fn config_validation() {
         let bad_runs = EstimatorConfig::new(1).with_runs(0);
-        let bad_threshold = EstimatorConfig::new(1).with_threshold(0.0);
         let bad_time = EstimatorConfig::new(1).with_max_time(0.0);
-        let bad_quantile = EstimatorConfig::new(1).with_quantile(1.0);
         let (g, p) = dumbbell(3).unwrap();
-        for config in [bad_runs, bad_threshold, bad_time, bad_quantile] {
+        for config in [bad_runs, bad_time] {
             let est = AveragingTimeEstimator::new(config);
             assert!(est.estimate(&g, &p, VanillaGossip::new).is_err());
         }
-        let mut ok = EstimatorConfig::new(1);
-        ok.confirmation_factor = 0.0;
-        assert!(AveragingTimeEstimator::new(ok)
-            .estimate(&g, &p, VanillaGossip::new)
-            .is_err());
     }
 
     #[test]
@@ -476,11 +387,10 @@ mod tests {
     #[test]
     fn zero_variance_initial_settles_immediately() {
         let g = complete(4).unwrap();
-        let p = Partition::from_block_one(&g, &[gossip_graph::NodeId(0)]).unwrap();
         let est = AveragingTimeEstimator::new(EstimatorConfig::new(3).with_runs(3));
         let initial = NodeValues::constant(4, 1.0);
         let result = est
-            .estimate_with_initial(&g, Some(&p), &initial, VanillaGossip::new)
+            .estimate_with_initial(&g, &initial, VanillaGossip::new)
             .unwrap();
         assert_eq!(result.averaging_time, 0.0);
         assert!(result.fully_confirmed());

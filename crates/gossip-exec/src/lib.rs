@@ -35,10 +35,6 @@
 //!   the lowest index.  The caller sees exactly the error (or re-raised
 //!   panic payload, after every worker has drained) that the serial loop
 //!   would have produced, without paying for the rest of the workload.
-//! * [`Executor::try_map_indexed_with`] threads a lazily-created
-//!   **per-worker scratch arena** through consecutive claims, so a worker
-//!   that processes forty seeded runs allocates its buffers once, not forty
-//!   times.
 //!
 //! Job-count resolution follows the workspace convention: an explicit
 //! override (e.g. a `--jobs` flag) wins, then the `GOSSIP_JOBS` environment
@@ -185,7 +181,7 @@ impl Executor {
             return (0..len).map(f).collect();
         }
         let result: Result<Vec<T>, std::convert::Infallible> =
-            self.pooled(len, |_scratch: &mut Option<()>, index| Ok(f(index)));
+            self.pooled(len, |index| Ok(f(index)));
         match result {
             Ok(values) => values,
             Err(never) => match never {},
@@ -218,55 +214,17 @@ impl Executor {
         if self.jobs == 1 || len <= 1 {
             return (0..len).map(f).collect();
         }
-        self.pooled(len, |_scratch: &mut Option<()>, index| f(index))
-    }
-
-    /// Like [`Executor::try_map_indexed`], but threads a **per-worker
-    /// scratch arena** through the claim loop: each participating worker
-    /// calls `init` once (lazily, on its first claim) and then reuses that
-    /// scratch for every index it processes.
-    ///
-    /// This is the allocation-churn fix for hot fan-outs: a worker that
-    /// runs dozens of seeded simulations can reuse one set of value/clock
-    /// buffers instead of reallocating them per derived seed.  `f` must
-    /// leave the result *independent* of the scratch's prior contents (the
-    /// scratch is an arena, not an accumulator) — otherwise output would
-    /// depend on which worker processed which index.  Ordering, failure,
-    /// and panic semantics are identical to [`Executor::try_map_indexed`].
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-index failing task, if any.
-    pub fn try_map_indexed_with<S, T, E, I, F>(
-        &self,
-        len: usize,
-        init: I,
-        f: F,
-    ) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> Result<T, E> + Sync,
-    {
-        if self.jobs == 1 || len <= 1 {
-            if len == 0 {
-                return Ok(Vec::new());
-            }
-            let mut scratch = init();
-            return (0..len).map(|index| f(&mut scratch, index)).collect();
-        }
-        self.pooled(len, f_with_init(init, f))
+        self.pooled(len, f)
     }
 
     /// The shared fan-out: ordered slots, increasing-index claiming, and
     /// lowest-index failure tracking for both errors and panics, executed
     /// by pool workers plus the calling thread.
-    fn pooled<S, T, E, F>(&self, len: usize, f: F) -> Result<Vec<T>, E>
+    fn pooled<T, E, F>(&self, len: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
-        F: Fn(&mut Option<S>, usize) -> Result<T, E> + Sync,
+        F: Fn(usize) -> Result<T, E> + Sync,
     {
         enum Failure<E> {
             Error(E),
@@ -291,10 +249,6 @@ impl Executor {
         let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
         let participants = self.jobs.min(len);
         let claim_loop = || {
-            // Per-participant scratch, created lazily inside the task
-            // closure (never before the first claim, never after a
-            // failure is already known).
-            let mut scratch: Option<S> = None;
             loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 if index >= len {
@@ -307,11 +261,7 @@ impl Executor {
                 // every failure ends in an error return or a re-raised
                 // panic, so state a panic may have left behind in `f`'s
                 // captures is never observed through a normal return.
-                // (A panicking participant also never claims again: its
-                // own index becomes the skip threshold for everything
-                // above it, so a scratch the panic may have corrupted is
-                // never reused.)
-                match panic::catch_unwind(panic::AssertUnwindSafe(|| f(&mut scratch, index))) {
+                match panic::catch_unwind(panic::AssertUnwindSafe(|| f(index))) {
                     Ok(Ok(value)) => {
                         *slots[index].lock().expect(
                             "result slot lock is never poisoned: each slot is \
@@ -342,19 +292,6 @@ impl Executor {
             })
             .collect())
     }
-}
-
-/// Adapts a scratch-taking task to the `Option<S>`-scratch claim loop,
-/// initializing the scratch on first use.
-fn f_with_init<S, T, E, I, F>(
-    init: I,
-    f: F,
-) -> impl Fn(&mut Option<S>, usize) -> Result<T, E> + Sync
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
-{
-    move |scratch, index| f(scratch.get_or_insert_with(&init), index)
 }
 
 impl Default for Executor {
@@ -442,54 +379,6 @@ mod tests {
             let expected: Vec<u64> = (0..64).map(|i| round * 1000 + i).collect();
             assert_eq!(got, expected, "round = {round}");
         }
-    }
-
-    #[test]
-    fn scratch_is_reused_within_a_worker_and_results_stay_ordered() {
-        let inits = AtomicU64::new(0);
-        let result: Result<Vec<usize>, std::convert::Infallible> = Executor::new(4)
-            .try_map_indexed_with(
-                200,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<u8>::with_capacity(1024)
-                },
-                |scratch, i| {
-                    scratch.clear();
-                    scratch.extend(std::iter::repeat_n(i as u8, 16));
-                    Ok(scratch.len() + i)
-                },
-            );
-        let values = result.unwrap();
-        assert_eq!(values, (0..200).map(|i| 16 + i).collect::<Vec<_>>());
-        // At most one scratch per participant (4 workers incl. the caller),
-        // not one per index — that is the whole point of the arena.
-        let created = inits.load(Ordering::Relaxed);
-        assert!(
-            (1..=4).contains(&created),
-            "expected ≤ 4 scratch arenas for 200 tasks, got {created}"
-        );
-    }
-
-    #[test]
-    fn scratch_variant_matches_serial_and_short_circuits_on_error() {
-        let serial: Result<Vec<u64>, String> =
-            Executor::new(1).try_map_indexed_with(50, || 0u64, |_s, i| Ok(i as u64 * 3));
-        let parallel: Result<Vec<u64>, String> =
-            Executor::new(4).try_map_indexed_with(50, || 0u64, |_s, i| Ok(i as u64 * 3));
-        assert_eq!(serial.unwrap(), parallel.unwrap());
-        let failing: Result<Vec<u64>, String> = Executor::new(4).try_map_indexed_with(
-            50,
-            || (),
-            |_s, i| {
-                if i >= 9 {
-                    Err(format!("task {i} failed"))
-                } else {
-                    Ok(i as u64)
-                }
-            },
-        );
-        assert_eq!(failing.unwrap_err(), "task 9 failed");
     }
 
     #[test]

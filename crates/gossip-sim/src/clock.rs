@@ -67,24 +67,6 @@ pub fn exponential_sample<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
-/// Recyclable sampler buffers: the clock queue's heap storage and the global
-/// sampler's draw batch.
-///
-/// The queue allocates O(|E|) at construction and the global sampler its
-/// batch buffers, which is pure churn for callers that build one simulator
-/// per derived seed (the averaging-time estimator runs 10–30 of them per
-/// estimate, per worker).  Constructing a sampler through its
-/// `*_with_scratch` variant steals these buffers instead of allocating, and
-/// `reclaim_scratch` hands them back when the simulator is torn down.  Reuse is allocation-only: the buffers are cleared and refilled
-/// exactly as a fresh construction would, so the delivered tick stream is
-/// bit-identical either way (pinned by `scratch_round_trip_is_bit_identical`).
-#[derive(Debug, Default)]
-pub struct ClockScratch {
-    entries: Vec<QueueEntry>,
-    draws: Vec<(f64, usize)>,
-    endpoints: Vec<Edge>,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueueEntry {
     time: f64,
@@ -140,34 +122,6 @@ impl<'g> EdgeClockQueue<'g> {
     /// Returns [`SimError::NoEdges`] if the graph has no edges, or
     /// [`SimError::InvalidConfig`] for a non-positive rate.
     pub fn with_rate(graph: &'g Graph, seed: u64, rate: f64) -> Result<Self> {
-        Self::with_rate_scratch(graph, seed, rate, &mut ClockScratch::default())
-    }
-
-    /// Like [`Self::new`], reusing buffers from `scratch` instead of
-    /// allocating (see [`ClockScratch`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::new`].
-    pub fn new_with_scratch(
-        graph: &'g Graph,
-        seed: u64,
-        scratch: &mut ClockScratch,
-    ) -> Result<Self> {
-        Self::with_rate_scratch(graph, seed, 1.0, scratch)
-    }
-
-    /// Like [`Self::with_rate`], reusing buffers from `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::with_rate`].
-    pub fn with_rate_scratch(
-        graph: &'g Graph,
-        seed: u64,
-        rate: f64,
-        scratch: &mut ClockScratch,
-    ) -> Result<Self> {
         if graph.edge_count() == 0 {
             return Err(SimError::NoEdges);
         }
@@ -177,9 +131,7 @@ impl<'g> EdgeClockQueue<'g> {
             });
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut entries = std::mem::take(&mut scratch.entries);
-        entries.clear();
-        entries.reserve(graph.edge_count());
+        let mut entries = Vec::with_capacity(graph.edge_count());
         for edge in graph.edge_ids() {
             let t = exponential_sample(&mut rng, rate);
             entries.push(QueueEntry { time: t, edge });
@@ -198,12 +150,6 @@ impl<'g> EdgeClockQueue<'g> {
             now: 0.0,
             rate,
         })
-    }
-
-    /// Tears the sampler down, returning its buffers to `scratch` for the
-    /// next `*_with_scratch` construction.
-    pub fn reclaim_scratch(self, scratch: &mut ClockScratch) {
-        scratch.entries = self.queue.into_vec();
     }
 
     /// Crate-internal: captures the full resumable state.  The heap is
@@ -380,21 +326,7 @@ impl<'g> GlobalTickProcess<'g> {
     ///
     /// Returns [`SimError::NoEdges`] if the graph has no edges.
     pub fn new(graph: &'g Graph, seed: u64) -> Result<Self> {
-        Self::new_with_scratch(graph, seed, &mut ClockScratch::default())
-    }
-
-    /// Like [`Self::new`], reusing buffers from `scratch` instead of
-    /// allocating (see [`ClockScratch`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::new`].
-    pub fn new_with_scratch(
-        graph: &'g Graph,
-        seed: u64,
-        scratch: &mut ClockScratch,
-    ) -> Result<Self> {
-        Self::with_capacity_scratch(graph, seed, GLOBAL_TICK_BATCH, scratch)
+        Self::with_batch_capacity(graph, seed, GLOBAL_TICK_BATCH)
     }
 
     /// Like [`Self::new`] with an explicit batch width instead of
@@ -409,15 +341,6 @@ impl<'g> GlobalTickProcess<'g> {
     /// Returns [`SimError::NoEdges`] if the graph has no edges, or
     /// [`SimError::InvalidConfig`] for a zero width.
     pub fn with_batch_capacity(graph: &'g Graph, seed: u64, capacity: usize) -> Result<Self> {
-        Self::with_capacity_scratch(graph, seed, capacity, &mut ClockScratch::default())
-    }
-
-    fn with_capacity_scratch(
-        graph: &'g Graph,
-        seed: u64,
-        capacity: usize,
-        scratch: &mut ClockScratch,
-    ) -> Result<Self> {
         if graph.edge_count() == 0 {
             return Err(SimError::NoEdges);
         }
@@ -426,29 +349,16 @@ impl<'g> GlobalTickProcess<'g> {
                 reason: "global tick batch capacity must be at least 1".to_string(),
             });
         }
-        let mut draws = std::mem::take(&mut scratch.draws);
-        draws.clear();
-        draws.reserve(capacity);
-        let mut endpoints = std::mem::take(&mut scratch.endpoints);
-        endpoints.clear();
-        endpoints.reserve(capacity);
         Ok(GlobalTickProcess {
             edges: graph.edges(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             global_tick_count: 0,
             now: 0.0,
-            draws,
-            endpoints,
+            draws: Vec::with_capacity(capacity),
+            endpoints: Vec::with_capacity(capacity),
             batch_pos: 0,
             batch_capacity: capacity,
         })
-    }
-
-    /// Tears the sampler down, returning its buffers to `scratch` for the
-    /// next `*_with_scratch` construction.
-    pub fn reclaim_scratch(self, scratch: &mut ClockScratch) {
-        scratch.draws = self.draws;
-        scratch.endpoints = self.endpoints;
     }
 
     /// Crate-internal: captures the full resumable state.  The RNG position
@@ -758,50 +668,6 @@ mod tests {
             GlobalTickProcess::with_batch_capacity(&g, 1, 0),
             Err(SimError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn scratch_round_trip_is_bit_identical() {
-        // Constructing a sampler from recycled buffers — even buffers
-        // reclaimed from a *different* graph's sampler — must deliver the
-        // exact tick stream of a fresh construction.
-        let small = path(4).unwrap();
-        let g = complete(6).unwrap();
-        let mut scratch = ClockScratch::default();
-
-        // Dirty the scratch on a smaller graph first.
-        let mut warm = EdgeClockQueue::new_with_scratch(&small, 3, &mut scratch).unwrap();
-        for _ in 0..50 {
-            warm.next_tick();
-        }
-        warm.reclaim_scratch(&mut scratch);
-
-        let mut fresh = EdgeClockQueue::new(&g, 42).unwrap();
-        let mut recycled = EdgeClockQueue::new_with_scratch(&g, 42, &mut scratch).unwrap();
-        for tick in 0..2_000 {
-            let a = fresh.next_tick();
-            let b = recycled.next_tick();
-            assert_eq!(a.edge, b.edge, "tick {tick}");
-            assert_eq!(a.time.to_bits(), b.time.to_bits(), "tick {tick}");
-            assert_eq!(a.endpoints, b.endpoints);
-        }
-        recycled.reclaim_scratch(&mut scratch);
-
-        let mut warm = GlobalTickProcess::new_with_scratch(&small, 3, &mut scratch).unwrap();
-        for _ in 0..50 {
-            warm.next_tick();
-        }
-        warm.reclaim_scratch(&mut scratch);
-
-        let mut fresh = GlobalTickProcess::new(&g, 42).unwrap();
-        let mut recycled = GlobalTickProcess::new_with_scratch(&g, 42, &mut scratch).unwrap();
-        for tick in 0..(2 * GLOBAL_TICK_BATCH + 13) {
-            let a = fresh.next_tick();
-            let b = recycled.next_tick();
-            assert_eq!(a.edge, b.edge, "tick {tick}");
-            assert_eq!(a.time.to_bits(), b.time.to_bits(), "tick {tick}");
-            assert_eq!(a.endpoints, b.endpoints);
-        }
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //!
 //! [`AsyncSimulator`] owns the state vector, a tick sampler, and a handler;
 //! [`AsyncSimulator::run`] repeatedly draws the next edge tick, invokes the
-//! handler, updates the trace, and evaluates the stopping rule.
+//! handler, and evaluates the stopping rule.
 
 use crate::adversary::{AdversaryAction, AdversaryInjector, AdversaryPlan, AdversaryStats};
 use crate::checkpoint::{EngineCheckpoint, SamplerState};
-use crate::clock::{ClockScratch, EdgeClockQueue, GlobalTickProcess, TickProcess};
+use crate::clock::{EdgeClockQueue, GlobalTickProcess, TickProcess};
 use crate::fault::{ContactFate, FaultInjector, FaultPlan, FaultStats};
 use crate::handler::{EdgeTickContext, EdgeTickHandler};
 use crate::stopping::{SimulationStatus, StopReason, StoppingRule};
-use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use crate::values::NodeValues;
 use crate::{Result, SimError};
-use gossip_graph::{Graph, Partition};
+use gossip_graph::Graph;
 use gossip_linalg::Vector;
 use std::time::{Duration, Instant};
 
@@ -56,20 +55,12 @@ pub struct SimulationConfig {
     pub stopping_rule: StoppingRule,
     /// Which tick sampler to use.
     pub clock_model: ClockModel,
-    /// Optional trace recording.
-    pub trace: Option<TraceConfig>,
-    /// Optional partition, used for block statistics in traces and available
-    /// to analyses of the outcome.
-    pub partition: Option<Partition>,
     /// Hard safety cap on the number of processed events, independent of the
     /// stopping rule.
     pub max_events: u64,
-    /// How often (in ticks) the stopping rule is evaluated.  With the
-    /// default [`VarianceMode::Incremental`] a check is O(1), so the default
-    /// of 1 (per-tick checking, no stopping latency) is affordable at any
-    /// graph size.
-    pub check_every_ticks: u64,
-    /// How the per-check variance is obtained.
+    /// How the variance fed to the stopping rule is obtained.  The rule is
+    /// evaluated after every tick; with the default
+    /// [`VarianceMode::Incremental`] that check is O(1) at any graph size.
     pub variance_mode: VarianceMode,
     /// Period (in ticks) of the deterministic exact recompute of the running
     /// moments under [`VarianceMode::Incremental`]; bounds float drift.
@@ -100,8 +91,7 @@ pub struct SimulationConfig {
     /// [`Self::moment_refresh_every_ticks`] (after the tick's update,
     /// refresh, and stopping check), and capture itself
     /// never touches any RNG stream, so a checkpointing run is bit-identical
-    /// to a non-checkpointing one.  Requesting capture on a traced run is
-    /// an [`SimError::InvalidConfig`] error.
+    /// to a non-checkpointing one.
     pub checkpoint_every_ticks: u64,
     /// Optional wall-clock budget for a single [`AsyncSimulator::run`]
     /// call.  Checked every [`DEADLINE_CHECK_TICKS`] ticks; when it fires,
@@ -114,16 +104,13 @@ pub struct SimulationConfig {
 
 impl SimulationConfig {
     /// Creates a configuration with the given seed and defaults: Definition 1
-    /// stopping with a generous tick guard, per-edge clocks, no trace.
+    /// stopping with a generous tick guard, per-edge clocks.
     pub fn new(seed: u64) -> Self {
         SimulationConfig {
             seed,
             stopping_rule: StoppingRule::default(),
             clock_model: ClockModel::PerEdgeQueue,
-            trace: None,
-            partition: None,
             max_events: 200_000_000,
-            check_every_ticks: 1,
             variance_mode: VarianceMode::Incremental,
             moment_refresh_every_ticks: DEFAULT_MOMENT_REFRESH_TICKS,
             settling_threshold: None,
@@ -146,27 +133,9 @@ impl SimulationConfig {
         self
     }
 
-    /// Enables trace recording.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Attaches a partition (for block statistics and downstream analysis).
-    pub fn with_partition(mut self, partition: Partition) -> Self {
-        self.partition = Some(partition);
-        self
-    }
-
     /// Sets the hard event cap.
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
-        self
-    }
-
-    /// Sets how often the stopping rule is evaluated.
-    pub fn with_check_every_ticks(mut self, ticks: u64) -> Self {
-        self.check_every_ticks = ticks.max(1);
         self
     }
 
@@ -238,8 +207,6 @@ pub struct SimulationOutcome {
     pub total_ticks: u64,
     /// Why the run stopped.
     pub stop_reason: StopReason,
-    /// The recorded trace, if tracing was enabled.
-    pub trace: Option<Trace>,
     /// The last checked time at which the variance ratio was still at or
     /// above [`SimulationConfig::settling_threshold`]; `None` when no
     /// settling threshold was configured.
@@ -327,31 +294,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         handler: H,
         config: SimulationConfig,
     ) -> Result<Self> {
-        Self::new_with_scratch(
-            graph,
-            initial,
-            handler,
-            config,
-            &mut ClockScratch::default(),
-        )
-    }
-
-    /// Like [`Self::new`], building the tick sampler from recycled buffers
-    /// (see [`ClockScratch`]); pair with [`Self::into_parts_with_scratch`]
-    /// to run many simulators with zero sampler allocation churn.  Buffer
-    /// reuse is bit-neutral: every seeded output is identical to
-    /// [`Self::new`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::new`].
-    pub fn new_with_scratch(
-        graph: &'g Graph,
-        initial: NodeValues,
-        handler: H,
-        config: SimulationConfig,
-        scratch: &mut ClockScratch,
-    ) -> Result<Self> {
         if initial.len() != graph.node_count() {
             return Err(SimError::StateSizeMismatch {
                 nodes: graph.node_count(),
@@ -368,16 +310,10 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             None => None,
         };
         let sampler = match config.clock_model {
-            ClockModel::PerEdgeQueue => Sampler::Queue(EdgeClockQueue::new_with_scratch(
-                graph,
-                config.seed,
-                scratch,
-            )?),
-            ClockModel::GlobalUniform => Sampler::Global(GlobalTickProcess::new_with_scratch(
-                graph,
-                config.seed,
-                scratch,
-            )?),
+            ClockModel::PerEdgeQueue => Sampler::Queue(EdgeClockQueue::new(graph, config.seed)?),
+            ClockModel::GlobalUniform => {
+                Sampler::Global(GlobalTickProcess::new(graph, config.seed)?)
+            }
         };
         let initial_variance = initial.variance();
         Ok(AsyncSimulator {
@@ -412,20 +348,14 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// Returns [`SimError::CheckpointInvalid`] when the checkpoint does not
     /// match `config`/`graph` (seed, clock model, node/edge counts, sampler
     /// contents, or fault/adversary plan presence) or the handler's saved
-    /// state, [`SimError::HandlerStateUnsupported`] for a handler that
-    /// cannot load its state, and [`SimError::InvalidConfig`] for
-    /// configurations checkpointing does not support (tracing).
+    /// state, and [`SimError::HandlerStateUnsupported`] for a handler that
+    /// cannot load its state.
     pub fn restore(
         graph: &'g Graph,
         mut handler: H,
         config: SimulationConfig,
         checkpoint: &EngineCheckpoint,
     ) -> Result<Self> {
-        if config.trace.is_some() {
-            return Err(SimError::InvalidConfig {
-                reason: "checkpoint restore does not support trace recording".into(),
-            });
-        }
         if checkpoint.seed != config.seed {
             return Err(SimError::CheckpointInvalid {
                 reason: format!(
@@ -545,17 +475,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         (self.handler, self.values)
     }
 
-    /// Like [`Self::into_parts`], additionally returning the sampler's
-    /// buffers to `scratch` so the next [`Self::new_with_scratch`] can reuse
-    /// them.
-    pub fn into_parts_with_scratch(self, scratch: &mut ClockScratch) -> (H, NodeValues) {
-        match self.sampler {
-            Sampler::Queue(queue) => queue.reclaim_scratch(scratch),
-            Sampler::Global(global) => global.reclaim_scratch(scratch),
-        }
-        (self.handler, self.values)
-    }
-
     /// The last checked time at which the variance ratio was still at or
     /// above the configured [`SimulationConfig::settling_threshold`] (`0.0`
     /// before any such check, or when no threshold is configured).
@@ -577,12 +496,11 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
 
     /// Runs until the stopping rule fires.
     ///
-    /// The per-tick loop is monomorphized over whether faults and tracing
-    /// are configured: the common fault-free, trace-free path carries no
-    /// `Option` branches for either concern, and each variant is compiled
-    /// separately (see `run_loop`).  The trace configuration and
-    /// partition are **taken** out of the config by the first call (they are
-    /// consumed by the recorder), not cloned on every call.
+    /// The stopping rule is evaluated after every tick.  The per-tick loop
+    /// is monomorphized over whether faults and adversaries are configured:
+    /// the common fault-free, honest path carries no `Option` branches for
+    /// either concern, and each variant is compiled separately (see
+    /// `run_loop`).
     ///
     /// # Errors
     ///
@@ -599,10 +517,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// touching any RNG stream, so the run itself is bit-identical to
     /// [`Self::run`]'s; a `sink` error aborts the run and is returned as-is.
     ///
-    /// A non-zero cadence on a traced run is rejected with
-    /// [`SimError::InvalidConfig`] rather than silently producing no
-    /// checkpoints, and on a handler that cannot save its state with
-    /// [`SimError::HandlerStateUnsupported`], before the first tick.
+    /// A non-zero cadence on a handler that cannot save its state is
+    /// rejected with [`SimError::HandlerStateUnsupported`] before the first
+    /// tick.
     ///
     /// # Errors
     ///
@@ -611,21 +528,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         &mut self,
         sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
     ) -> Result<SimulationOutcome> {
-        if self.config.checkpoint_every_ticks > 0 {
-            if self.config.trace.is_some() {
-                return Err(SimError::InvalidConfig {
-                    reason: "checkpoint capture does not support trace recording".into(),
-                });
-            }
-            if self.handler.save_state().is_none() {
-                return Err(self.handler_state_unsupported());
-            }
+        if self.config.checkpoint_every_ticks > 0 && self.handler.save_state().is_none() {
+            return Err(self.handler_state_unsupported());
         }
-        let mut recorder = self
-            .config
-            .trace
-            .take()
-            .map(|cfg| TraceRecorder::new(cfg, self.config.partition.take()));
 
         // A run may be asked to stop before any event (e.g. zero initial
         // variance).  A restored run skips this: the original run performed
@@ -639,49 +544,27 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             };
             self.note_settling(&initial_status);
             if let Some(reason) = self.config.stopping_rule.evaluate(&initial_status) {
-                return Ok(self.finish(0.0, 0, reason, recorder));
+                return Ok(self.finish(0.0, 0, reason));
             }
         }
 
-        let stopped = match (
-            self.faults.is_some(),
-            self.adversary.is_some(),
-            recorder.is_some(),
-        ) {
-            (false, false, false) => self.run_loop::<false, false, false>(&mut recorder, sink),
-            (false, false, true) => self.run_loop::<false, false, true>(&mut recorder, sink),
-            (false, true, false) => self.run_loop::<false, true, false>(&mut recorder, sink),
-            (false, true, true) => self.run_loop::<false, true, true>(&mut recorder, sink),
-            (true, false, false) => self.run_loop::<true, false, false>(&mut recorder, sink),
-            (true, false, true) => self.run_loop::<true, false, true>(&mut recorder, sink),
-            (true, true, false) => self.run_loop::<true, true, false>(&mut recorder, sink),
-            (true, true, true) => self.run_loop::<true, true, true>(&mut recorder, sink),
-        };
-        let (time, ticks, reason) = match stopped {
-            Ok(stopped) => stopped,
-            Err(error) => {
-                // Hand the moved-in trace configuration and partition back
-                // so a later `run` on this simulator still traces.
-                if let Some(rec) = recorder {
-                    let (_, cfg, partition) = rec.finish_with_parts();
-                    self.config.trace = Some(cfg);
-                    self.config.partition = partition;
-                }
-                return Err(error);
-            }
-        };
-        Ok(self.finish(time, ticks, reason, recorder))
+        let (time, ticks, reason) = match (self.faults.is_some(), self.adversary.is_some()) {
+            (false, false) => self.run_loop::<false, false>(sink),
+            (false, true) => self.run_loop::<false, true>(sink),
+            (true, false) => self.run_loop::<true, false>(sink),
+            (true, true) => self.run_loop::<true, true>(sink),
+        }?;
+        Ok(self.finish(time, ticks, reason))
     }
 
-    /// The per-tick loop, compiled once per `(FAULTS, ADVERSARY, TRACE)`
-    /// combination so the fault-free path has no injector branch, the
-    /// honest path no adversary classification, and the untraced path no
-    /// recorder check.  The const parameters mirror `self.faults.is_some()`,
-    /// `self.adversary.is_some()`, and `recorder.is_some()` — [`Self::run`]
-    /// is the only caller and keeps them in sync.
-    fn run_loop<const FAULTS: bool, const ADVERSARY: bool, const TRACE: bool>(
+    /// The per-tick loop, compiled once per `(FAULTS, ADVERSARY)`
+    /// combination so the fault-free path has no injector branch and the
+    /// honest path no adversary classification.  The const parameters
+    /// mirror `self.faults.is_some()` and `self.adversary.is_some()` —
+    /// [`Self::run_with_checkpoints`] is the only caller and keeps them in
+    /// sync.
+    fn run_loop<const FAULTS: bool, const ADVERSARY: bool>(
         &mut self,
-        recorder: &mut Option<TraceRecorder>,
         sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
     ) -> Result<(f64, u64, StopReason)> {
         let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
@@ -768,13 +651,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
                 self.handler.on_edge_tick(&mut self.values, &ctx);
             }
 
-            if TRACE {
-                recorder
-                    .as_mut()
-                    .expect("TRACE is only instantiated with a recorder present")
-                    .record(time, ticks, &self.values, false);
-            }
-
             if self.config.variance_mode == VarianceMode::Incremental
                 && ticks.is_multiple_of(self.config.moment_refresh_every_ticks)
             {
@@ -791,63 +667,61 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
                 }
             }
 
-            if ticks.is_multiple_of(self.config.check_every_ticks) {
-                let variance = match self.config.variance_mode {
-                    VarianceMode::Incremental => {
-                        if self.values.moments_finite() {
-                            self.moments_overflowed = false;
-                            if self.values.moments_need_recenter() {
-                                // A handler re-baselined the state through
-                                // `set` (pairwise updates conserve the sum,
-                                // so this never fires for the paper's
-                                // algorithms): re-centre immediately rather
-                                // than letting cancellation around the stale
-                                // shift masquerade as convergence until the
-                                // next scheduled refresh.
-                                self.values.refresh_moments();
-                                self.moment_refreshes += 1;
-                            }
-                        } else if !self.moments_overflowed {
-                            // A poisoned running sum means a genuinely
-                            // non-finite node value (surface it with the node
-                            // index), a transient that has since been
-                            // overwritten (NaN is sticky in the tracker), or
-                            // finite values whose squared deviations overflow
-                            // f64; the exact refresh tells them apart.  The
-                            // overflow flag makes the salvage run once per
-                            // episode, keeping the hot path O(1) instead of
-                            // retrying two O(n) passes at every check.
-                            self.values.check_finite()?;
+            let variance = match self.config.variance_mode {
+                VarianceMode::Incremental => {
+                    if self.values.moments_finite() {
+                        self.moments_overflowed = false;
+                        if self.values.moments_need_recenter() {
+                            // A handler re-baselined the state through
+                            // `set` (pairwise updates conserve the sum,
+                            // so this never fires for the paper's
+                            // algorithms): re-centre immediately rather
+                            // than letting cancellation around the stale
+                            // shift masquerade as convergence until the
+                            // next scheduled refresh.
                             self.values.refresh_moments();
                             self.moment_refreshes += 1;
-                            if !self.values.moments_finite() {
-                                self.moments_overflowed = true;
-                            }
                         }
-                        self.values.incremental_variance()
-                    }
-                    VarianceMode::ExactEveryCheck => {
+                    } else if !self.moments_overflowed {
+                        // A poisoned running sum means a genuinely
+                        // non-finite node value (surface it with the node
+                        // index), a transient that has since been
+                        // overwritten (NaN is sticky in the tracker), or
+                        // finite values whose squared deviations overflow
+                        // f64; the exact refresh tells them apart.  The
+                        // overflow flag makes the salvage run once per
+                        // episode, keeping the hot path O(1) instead of
+                        // retrying two O(n) passes at every check.
                         self.values.check_finite()?;
-                        self.values.variance()
+                        self.values.refresh_moments();
+                        self.moment_refreshes += 1;
+                        if !self.values.moments_finite() {
+                            self.moments_overflowed = true;
+                        }
                     }
-                };
-                let status = SimulationStatus {
-                    time,
-                    ticks,
-                    variance,
-                    initial_variance: self.initial_variance,
-                };
-                self.note_settling(&status);
-                if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
-                    if self.moments_overflowed {
-                        // The overflow flag suppressed per-check finiteness
-                        // scans; make the terminal state honor `run`'s error
-                        // contract (a NaN/∞ introduced after the overflow
-                        // must still surface, not leak into the outcome).
-                        self.values.check_finite()?;
-                    }
-                    return Ok((time, ticks, reason));
+                    self.values.incremental_variance()
                 }
+                VarianceMode::ExactEveryCheck => {
+                    self.values.check_finite()?;
+                    self.values.variance()
+                }
+            };
+            let status = SimulationStatus {
+                time,
+                ticks,
+                variance,
+                initial_variance: self.initial_variance,
+            };
+            self.note_settling(&status);
+            if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
+                if self.moments_overflowed {
+                    // The overflow flag suppressed per-check finiteness
+                    // scans; make the terminal state honor `run`'s error
+                    // contract (a NaN/∞ introduced after the overflow
+                    // must still surface, not leak into the outcome).
+                    self.values.check_finite()?;
+                }
+                return Ok((time, ticks, reason));
             }
 
             if let Some((started, budget)) = deadline {
@@ -902,23 +776,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         }
     }
 
-    fn finish(
-        &mut self,
-        time: f64,
-        ticks: u64,
-        reason: StopReason,
-        recorder: Option<TraceRecorder>,
-    ) -> SimulationOutcome {
-        let trace = recorder.map(|mut rec| {
-            rec.record(time, ticks.max(1), &self.values, true);
-            // Restore the moved-in trace configuration and partition so a
-            // later `run` on this simulator records again (they are taken,
-            // not cloned, at the top of `run`).
-            let (trace, cfg, partition) = rec.finish_with_parts();
-            self.config.trace = Some(cfg);
-            self.config.partition = partition;
-            trace
-        });
+    fn finish(&self, time: f64, ticks: u64, reason: StopReason) -> SimulationOutcome {
         SimulationOutcome {
             final_variance: self.values.variance(),
             final_values: self.values.clone(),
@@ -926,7 +784,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             elapsed_time: time,
             total_ticks: ticks,
             stop_reason: reason,
-            trace,
             settling_time: self.config.settling_threshold.map(|_| self.last_settle),
             moment_refreshes: self.moment_refreshes,
             fault_stats: self.fault_stats(),
@@ -957,7 +814,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
 mod tests {
     use super::*;
     use crate::handler::{HandlerState, NoOpHandler};
-    use gossip_graph::generators::{complete, dumbbell, path};
+    use gossip_graph::generators::{complete, dumbbell};
     use gossip_graph::NodeId;
 
     struct Vanilla;
@@ -1108,71 +965,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_recording_and_block_statistics() {
-        let (g, partition) = dumbbell(3).unwrap();
-        let initial = NodeValues::from_values(vec![1.0, 1.0, 1.0, -1.0, -1.0, -1.0]).unwrap();
-        let config = SimulationConfig::new(2)
-            .with_partition(partition)
-            .with_trace(TraceConfig::every_ticks(1).with_block_statistics())
-            .with_stopping_rule(StoppingRule::definition1().or_max_ticks(200_000));
-        let mut sim = AsyncSimulator::new(&g, initial, Vanilla, config).unwrap();
-        let outcome = sim.run().unwrap();
-        let trace = outcome.trace.as_ref().expect("trace requested");
-        assert!(!trace.is_empty());
-        // The first recorded point must carry block statistics.
-        assert!(trace.points()[0].block_mean_one.is_some());
-        // Variance at the last point matches the outcome.
-        let last = trace.last().unwrap();
-        assert!((last.variance - outcome.final_variance).abs() < 1e-12);
-        // The mean column is constant (mass conservation) across the trace.
-        for p in trace.points() {
-            assert!(p.mean.abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn tracing_survives_repeated_runs() {
-        // The trace configuration and partition are moved into the recorder
-        // (not cloned per run) and restored when the run finishes, so a
-        // second `run` on the same simulator must still record a trace with
-        // block statistics.
-        let (g, partition) = dumbbell(3).unwrap();
-        let config = SimulationConfig::new(2)
-            .with_partition(partition)
-            .with_trace(TraceConfig::every_ticks(1).with_block_statistics())
-            .with_stopping_rule(StoppingRule::max_ticks(25));
-        let mut sim = AsyncSimulator::new(&g, spike(6), Vanilla, config).unwrap();
-        let first = sim.run().unwrap();
-        let second = sim.run().unwrap();
-        for outcome in [&first, &second] {
-            let trace = outcome.trace.as_ref().expect("trace requested");
-            assert!(!trace.is_empty());
-            assert!(trace.points()[0].block_mean_one.is_some());
-        }
-    }
-
-    #[test]
-    fn check_every_ticks_reduces_evaluations_but_still_stops() {
-        let g = path(10).unwrap();
-        let config = SimulationConfig::new(4)
-            .with_check_every_ticks(50)
-            .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000));
-        let mut sim = AsyncSimulator::new(&g, spike(10), Vanilla, config).unwrap();
-        let outcome = sim.run().unwrap();
-        assert!(outcome.converged());
-        assert_eq!(outcome.total_ticks % 50, 0);
-    }
-
-    #[test]
     fn config_builder_round_trip() {
-        let (_, partition) = dumbbell(2).unwrap();
         let c = SimulationConfig::new(7)
             .with_stopping_rule(StoppingRule::max_ticks(10))
             .with_clock_model(ClockModel::GlobalUniform)
-            .with_trace(TraceConfig::every_ticks(2))
-            .with_partition(partition.clone())
             .with_max_events(123)
-            .with_check_every_ticks(0)
             .with_variance_mode(VarianceMode::ExactEveryCheck)
             .with_moment_refresh_every_ticks(0)
             .with_settling_threshold(0.25)
@@ -1193,12 +990,9 @@ mod tests {
         );
         assert_eq!(c.clock_model, ClockModel::GlobalUniform);
         assert_eq!(c.max_events, 123);
-        assert_eq!(c.check_every_ticks, 1);
         assert_eq!(c.variance_mode, VarianceMode::ExactEveryCheck);
         assert_eq!(c.moment_refresh_every_ticks, 1);
         assert_eq!(c.settling_threshold, Some(0.25));
-        assert_eq!(c.partition, Some(partition));
-        assert!(c.trace.is_some());
         let d = SimulationConfig::new(1);
         assert_eq!(d.variance_mode, VarianceMode::Incremental);
         assert_eq!(d.moment_refresh_every_ticks, DEFAULT_MOMENT_REFRESH_TICKS);
@@ -1207,46 +1001,6 @@ mod tests {
         assert_eq!(d.adversary_plan, None);
         assert_eq!(d.checkpoint_every_ticks, 0);
         assert_eq!(d.wall_clock_deadline, None);
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical_to_fresh_construction() {
-        let g = dumbbell(6).unwrap().0;
-        let config = SimulationConfig::new(17)
-            .with_stopping_rule(StoppingRule::definition1().or_max_ticks(500_000));
-        let mut fresh = AsyncSimulator::new(&g, spike(12), Vanilla, config.clone()).unwrap();
-        let baseline = fresh.run().unwrap();
-
-        let mut scratch = ClockScratch::default();
-        // Dirty the scratch on an unrelated run first.
-        let small = complete(3).unwrap();
-        let sim = AsyncSimulator::new_with_scratch(
-            &small,
-            spike(3),
-            NoOpHandler,
-            SimulationConfig::new(1).with_stopping_rule(StoppingRule::max_ticks(64)),
-            &mut scratch,
-        )
-        .unwrap();
-        sim.into_parts_with_scratch(&mut scratch);
-
-        let mut recycled =
-            AsyncSimulator::new_with_scratch(&g, spike(12), Vanilla, config, &mut scratch).unwrap();
-        let outcome = recycled.run().unwrap();
-        assert_eq!(baseline.total_ticks, outcome.total_ticks);
-        assert_eq!(
-            baseline.elapsed_time.to_bits(),
-            outcome.elapsed_time.to_bits()
-        );
-        for (a, b) in baseline
-            .final_values
-            .as_slice()
-            .iter()
-            .zip(outcome.final_values.as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        recycled.into_parts_with_scratch(&mut scratch);
     }
 
     #[test]
@@ -1753,18 +1507,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_capture_rejects_traced_runs() {
-        let (g, partition) = dumbbell(3).unwrap();
-        let config = SimulationConfig::new(2)
-            .with_partition(partition)
-            .with_trace(TraceConfig::every_ticks(1))
-            .with_stopping_rule(StoppingRule::max_ticks(10))
-            .with_checkpoint_every_ticks(4);
-        let mut sim = AsyncSimulator::new(&g, spike(6), Vanilla, config).unwrap();
-        assert!(matches!(sim.run(), Err(SimError::InvalidConfig { .. })));
-    }
-
-    #[test]
     fn restore_rejects_mismatched_identities() {
         let g = dumbbell(4).unwrap().0;
         let config = SimulationConfig::new(5)
@@ -1806,12 +1548,6 @@ mod tests {
         assert!(matches!(
             AsyncSimulator::restore(&g, Vanilla, wrong, checkpoint),
             Err(SimError::CheckpointInvalid { .. })
-        ));
-        // Tracing is rejected up front.
-        let wrong = config.clone().with_trace(TraceConfig::every_ticks(1));
-        assert!(matches!(
-            AsyncSimulator::restore(&g, Vanilla, wrong, checkpoint),
-            Err(SimError::InvalidConfig { .. })
         ));
     }
 

@@ -92,7 +92,7 @@ pub trait EdgeTickHandler {
         let _ = ctx;
     }
 
-    /// A short human-readable name used in traces and experiment tables.
+    /// A short human-readable name used in experiment tables.
     fn name(&self) -> &str {
         "unnamed"
     }

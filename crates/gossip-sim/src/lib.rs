@@ -29,8 +29,9 @@
 //!   each pairwise update on their own RNG stream, with exact
 //!   honest-subset falsification accounting for the drift oracles.
 //! * [`engine::AsyncSimulator`] and [`sync::SyncSimulator`] — drivers that
-//!   advance the clocks, invoke the handler, record [`trace::Trace`]s and
-//!   evaluate [`stopping::StoppingRule`]s.
+//!   advance the clocks, invoke the handler and evaluate
+//!   [`stopping::StoppingRule`]s.  A caller that needs a run's trajectory
+//!   wraps its handler and records what it needs after each update.
 //!
 //! # Examples
 //!
@@ -78,18 +79,15 @@ pub mod handler;
 pub mod moments;
 pub mod stopping;
 pub mod sync;
-pub mod trace;
 pub mod values;
 
 pub use adversary::{AdversaryBehavior, AdversaryPlan, AdversaryStats, CensoringBridge};
 pub use checkpoint::EngineCheckpoint;
-pub use clock::ClockScratch;
 pub use engine::{AsyncSimulator, SimulationConfig, SimulationOutcome, VarianceMode};
 pub use fault::{FaultPlan, FaultStats};
 pub use handler::{EdgeTickContext, EdgeTickHandler, HandlerState};
 pub use moments::MomentTracker;
 pub use stopping::StoppingRule;
-pub use trace::{Trace, TraceConfig, TracePoint};
 pub use values::NodeValues;
 
 use std::error::Error;

@@ -10,10 +10,9 @@
 //! asynchronous model's absolute time.
 
 use crate::stopping::{SimulationStatus, StopReason, StoppingRule};
-use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use crate::values::NodeValues;
 use crate::{Result, SimError};
-use gossip_graph::{Graph, Partition};
+use gossip_graph::Graph;
 
 /// A synchronous update rule: computes the next state from the current one.
 pub trait RoundHandler {
@@ -54,10 +53,6 @@ pub struct SyncConfig {
     /// once, and the asynchronous model activates edges at aggregate rate
     /// `|E|`).
     pub stopping_rule: StoppingRule,
-    /// Optional trace recording (one point per round).
-    pub trace: Option<TraceConfig>,
-    /// Optional partition for block statistics.
-    pub partition: Option<Partition>,
     /// Hard cap on the number of rounds.
     pub max_rounds: u64,
 }
@@ -67,8 +62,6 @@ impl SyncConfig {
     pub fn new() -> Self {
         SyncConfig {
             stopping_rule: StoppingRule::default(),
-            trace: None,
-            partition: None,
             max_rounds: 10_000_000,
         }
     }
@@ -76,18 +69,6 @@ impl SyncConfig {
     /// Sets the stopping rule.
     pub fn with_stopping_rule(mut self, rule: StoppingRule) -> Self {
         self.stopping_rule = rule;
-        self
-    }
-
-    /// Enables trace recording.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Attaches a partition.
-    pub fn with_partition(mut self, partition: Partition) -> Self {
-        self.partition = Some(partition);
         self
     }
 
@@ -120,8 +101,6 @@ pub struct SyncOutcome {
     pub equivalent_time: f64,
     /// Why the run stopped.
     pub stop_reason: StopReason,
-    /// The recorded trace, if tracing was enabled.
-    pub trace: Option<Trace>,
 }
 
 impl SyncOutcome {
@@ -192,12 +171,6 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
     /// reached without a stopping rule firing, and
     /// [`SimError::NonFiniteValue`] if the handler produces non-finite values.
     pub fn run(&mut self) -> Result<SyncOutcome> {
-        let mut recorder = self
-            .config
-            .trace
-            .clone()
-            .map(|cfg| TraceRecorder::new(cfg, self.config.partition.clone()));
-
         let initial_status = SimulationStatus {
             time: 0.0,
             ticks: 0,
@@ -205,7 +178,7 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
             initial_variance: self.initial_variance,
         };
         if let Some(reason) = self.config.stopping_rule.evaluate(&initial_status) {
-            return Ok(self.finish(0, reason, recorder));
+            return Ok(self.finish(0, reason));
         }
 
         let mut round = 0u64;
@@ -216,9 +189,6 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
             round += 1;
             self.handler.on_round(&mut self.values, round, self.graph);
             self.values.check_finite()?;
-            if let Some(rec) = recorder.as_mut() {
-                rec.record(round as f64, round, &self.values, false);
-            }
             let status = SimulationStatus {
                 time: round as f64,
                 ticks: round,
@@ -226,21 +196,12 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
                 initial_variance: self.initial_variance,
             };
             if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
-                return Ok(self.finish(round, reason, recorder));
+                return Ok(self.finish(round, reason));
             }
         }
     }
 
-    fn finish(
-        &mut self,
-        rounds: u64,
-        reason: StopReason,
-        recorder: Option<TraceRecorder>,
-    ) -> SyncOutcome {
-        let trace = recorder.map(|mut rec| {
-            rec.record(rounds as f64, rounds.max(1), &self.values, true);
-            rec.finish()
-        });
+    fn finish(&self, rounds: u64, reason: StopReason) -> SyncOutcome {
         SyncOutcome {
             final_variance: self.values.variance(),
             final_values: self.values.clone(),
@@ -248,7 +209,6 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
             rounds,
             equivalent_time: rounds as f64,
             stop_reason: reason,
-            trace,
         }
     }
 }
@@ -364,36 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_recorded_per_round() {
-        let g = path(4).unwrap();
-        let config = SyncConfig::new()
-            .with_trace(TraceConfig::every_ticks(1))
-            .with_stopping_rule(StoppingRule::max_ticks(10));
-        let mut sim = SyncSimulator::new(
-            &g,
-            NodeValues::from_values(vec![4.0, 0.0, 0.0, 0.0]).unwrap(),
-            Diffusion { step: 0.25 },
-            config,
-        )
-        .unwrap();
-        let outcome = sim.run().unwrap();
-        let trace = outcome.trace.unwrap();
-        assert!(trace.len() >= 10);
-        assert_eq!(outcome.stop_reason, StopReason::TickLimit);
-        // Variance is non-increasing for this diffusion step size.
-        let vars: Vec<f64> = trace.variance_series().map(|(_, v)| v).collect();
-        for w in vars.windows(2) {
-            assert!(w[1] <= w[0] + 1e-9);
-        }
-    }
-
-    #[test]
     fn config_builder() {
-        let c = SyncConfig::default()
-            .with_max_rounds(42)
-            .with_trace(TraceConfig::every_ticks(3));
+        let c = SyncConfig::default().with_max_rounds(42);
         assert_eq!(c.max_rounds, 42);
-        assert!(c.trace.is_some());
-        assert!(c.partition.is_none());
     }
 }

@@ -338,24 +338,6 @@ impl NodeValues {
         self.set(v, xv - delta);
     }
 
-    /// Overwrites this state with `source` — values *and* moment tracker —
-    /// without reallocating.  The result is bitwise identical to
-    /// `source.clone()`; the point is buffer reuse: a fan-out that replays
-    /// the same initial state across many runs (the averaging-time
-    /// estimator) copies into its per-worker buffer instead of allocating a
-    /// fresh vector per derived seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two states have different lengths.
-    pub fn copy_from(&mut self, source: &NodeValues) {
-        assert_eq!(self.len(), source.len(), "copy_from requires equal lengths");
-        self.values
-            .as_mut_slice()
-            .copy_from_slice(source.values.as_slice());
-        self.moments = source.moments;
-    }
-
     /// Crate-internal: reassembles a state from checkpointed parts — the
     /// value vector plus the *exact* (possibly drifted) moment tracker it
     /// carried when captured.  No finiteness check and no tracker rebuild:

@@ -74,7 +74,6 @@ pub mod prelude {
     pub use gossip_sim::moments::MomentTracker;
     pub use gossip_sim::stopping::StoppingRule;
     pub use gossip_sim::sync::{RoundHandler, SyncConfig, SyncSimulator};
-    pub use gossip_sim::trace::{Trace, TraceConfig};
     pub use gossip_sim::values::NodeValues;
     pub use gossip_workloads::adversary::{
         adversary_suite, AdversaryCase, AdversaryProfile, AggregationKind,

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::dumbbell_fixture;
+use common::{dumbbell_fixture, VarianceSeries};
 use proptest::prelude::*;
 use sparse_cut_gossip::prelude::*;
 
@@ -115,14 +115,13 @@ fn algorithm_a_trace_shows_nonmonotone_variance_but_final_convergence() {
     )
     .expect("valid partition");
     let config = SimulationConfig::new(23)
-        .with_trace(TraceConfig::every_ticks(1))
         .with_stopping_rule(StoppingRule::definition1().or_max_time(50_000.0));
     let mut simulator =
-        AsyncSimulator::new(&graph, initial, algorithm, config).expect("valid setup");
+        AsyncSimulator::new(&graph, initial, VarianceSeries::new(algorithm, 1), config)
+            .expect("valid setup");
     let outcome = simulator.run().expect("run succeeds");
     assert!(outcome.converged());
-    let trace = outcome.trace.expect("trace requested");
-    let variances: Vec<f64> = trace.variance_series().map(|(_, v)| v).collect();
+    let variances: Vec<f64> = simulator.handler().points.iter().map(|&(_, v)| v).collect();
     let increased_somewhere = variances.windows(2).any(|w| w[1] > w[0] + 1e-12);
     assert!(
         increased_somewhere,
@@ -161,14 +160,16 @@ proptest! {
             .generate(graph.node_count(), Some(&partition), seed)
             .expect("valid initial condition");
         let config = SimulationConfig::new(seed)
-            .with_trace(TraceConfig::every_ticks(1))
             .with_stopping_rule(StoppingRule::max_ticks(2_000));
-        let mut simulator =
-            AsyncSimulator::new(&graph, initial, VanillaGossip::new(), config)
-                .expect("valid setup");
-        let outcome = simulator.run().expect("run succeeds");
-        let trace = outcome.trace.expect("trace requested");
-        let variances: Vec<f64> = trace.variance_series().map(|(_, v)| v).collect();
+        let mut simulator = AsyncSimulator::new(
+            &graph,
+            initial,
+            VarianceSeries::new(VanillaGossip::new(), 1),
+            config,
+        )
+        .expect("valid setup");
+        simulator.run().expect("run succeeds");
+        let variances: Vec<f64> = simulator.handler().points.iter().map(|&(_, v)| v).collect();
         for w in variances.windows(2) {
             prop_assert!(w[1] <= w[0] + 1e-9);
         }

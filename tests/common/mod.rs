@@ -262,6 +262,47 @@ pub fn algorithm_a_factory<'a>(
     }
 }
 
+/// Watches a run through its handler: wraps `inner` and records the exact
+/// `values.variance()` after every `every`-th delivered tick.  Suppressed
+/// ticks change no value, so they are only forwarded.
+pub struct VarianceSeries<H> {
+    inner: H,
+    every: u64,
+    delivered: u64,
+    /// `(time, variance)` of each recorded tick, in tick order.
+    pub points: Vec<(f64, f64)>,
+}
+
+impl<H: EdgeTickHandler> VarianceSeries<H> {
+    /// Records after every `every`-th delivered tick (`every` ≥ 1).
+    pub fn new(inner: H, every: u64) -> Self {
+        VarianceSeries {
+            inner,
+            every: every.max(1),
+            delivered: 0,
+            points: Vec::new(),
+        }
+    }
+}
+
+impl<H: EdgeTickHandler> EdgeTickHandler for VarianceSeries<H> {
+    fn on_edge_tick(&mut self, values: &mut NodeValues, ctx: &EdgeTickContext<'_>) {
+        self.inner.on_edge_tick(values, ctx);
+        self.delivered += 1;
+        if self.delivered.is_multiple_of(self.every) {
+            self.points.push((ctx.time, values.variance()));
+        }
+    }
+
+    fn on_suppressed_tick(&mut self, ctx: &EdgeTickContext<'_>) {
+        self.inner.on_suppressed_tick(ctx);
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
 #[cfg(test)]
 mod seed_registry_tests {
     use super::seeds;

@@ -15,7 +15,9 @@
 
 mod common;
 
-use common::{barbell_fixture, dumbbell_fixture, measure_averaging_time, seeds};
+use common::{
+    algorithm_a_factory, barbell_fixture, dumbbell_fixture, measure_averaging_time, seeds,
+};
 use proptest::prelude::*;
 use sparse_cut_gossip::core::averaging_time::{AveragingTimeEstimator, EstimatorConfig};
 use sparse_cut_gossip::prelude::*;
@@ -248,26 +250,65 @@ fn clock_tick_streams_are_pinned_bit_for_bit() {
 }
 
 /// Exact determinism at the harness level: re-running the full estimator
-/// pipeline with the same seed reproduces the averaging time bit for bit.
+/// pipeline with the same seed reproduces the averaging time bit for bit,
+/// and both the vanilla and the Algorithm A estimates are pinned to the
+/// bits the pipeline has always produced, so a refactor that shifts any
+/// settling time fails here.
 #[test]
 fn estimator_pipeline_is_bit_deterministic() {
     let (graph, partition) = dumbbell_fixture(8);
+    let estimator = AveragingTimeEstimator::new(
+        EstimatorConfig::new(1234)
+            .with_runs(3)
+            .with_max_time(2_000.0),
+    );
     let run = || {
-        AveragingTimeEstimator::new(
-            EstimatorConfig::new(1234)
-                .with_runs(3)
-                .with_max_time(2_000.0),
-        )
-        .estimate(&graph, &partition, VanillaGossip::new)
-        .expect("estimation succeeds")
-        .averaging_time
+        estimator
+            .estimate(&graph, &partition, VanillaGossip::new)
+            .expect("estimation succeeds")
     };
     let first = run();
     let second = run();
     assert!(
-        first.to_bits() == second.to_bits(),
-        "same seed must give bit-identical estimates: {first} vs {second}"
+        first.averaging_time.to_bits() == second.averaging_time.to_bits(),
+        "same seed must give bit-identical estimates: {} vs {}",
+        first.averaging_time,
+        second.averaging_time
     );
+    let algo_a = estimator
+        .estimate(&graph, &partition, algorithm_a_factory(&graph, &partition))
+        .expect("estimation succeeds");
+    // Pinned (averaging time, settling time of every run in run order),
+    // compared bit for bit.
+    for (estimate, averaging_time, settling_times) in [
+        (
+            &first,
+            7.665845484892009f64,
+            [7.6763803275224065f64, 7.665845484892009, 6.015238355367278],
+        ),
+        (
+            &algo_a,
+            8.65644710513203,
+            [9.665735128208727, 8.65644710513203, 8.616253480456246],
+        ),
+    ] {
+        assert_eq!(
+            estimate.averaging_time.to_bits(),
+            averaging_time.to_bits(),
+            "{}",
+            estimate.averaging_time
+        );
+        assert_eq!(estimate.settling_times.len(), settling_times.len());
+        for (run, (got, want)) in estimate
+            .settling_times
+            .iter()
+            .zip(settling_times)
+            .enumerate()
+        {
+            assert_eq!(got.to_bits(), want.to_bits(), "run {run}: {got}");
+        }
+    }
+    let first = first.averaging_time;
     // A different seed must explore a different sample path.
     let other = AveragingTimeEstimator::new(
         EstimatorConfig::new(1235)

@@ -133,11 +133,16 @@ fn ci_gate_filters_name_exactly_the_declared_volatile_fields() {
         );
         gated.push(flag);
     }
+    // The --jobs gate, the run-store and chaos gates, the MEM_SCALE
+    // determinism gate, then the committed-artifact gates.
     let expected = [
         "--perf-json",
         "--sim-scale-json",
         "--mem-scale-json",
         "--mem-scale-json",
+        "--sim-scale-json",
+        "--mem-scale-json",
+        "--perf-json",
     ];
     assert_eq!(gated, expected);
 }
