@@ -167,9 +167,11 @@ impl<'g> DynamicGraphView<'g> {
             let edge = self.graph.edge(id).expect("live edge ids are in range");
             builder
                 .add_edge(edge.u().index(), edge.v().index())
-                .expect("the live subgraph of a simple graph is simple");
+                .expect("live edges join in-range, distinct endpoints");
         }
-        builder.build()
+        builder
+            .build()
+            .expect("the live subgraph of a simple graph is simple")
     }
 
     /// Returns `true` if the live subgraph is connected (isolated nodes make

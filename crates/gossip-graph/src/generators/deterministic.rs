@@ -29,7 +29,7 @@ pub fn complete(n: usize) -> Result<Graph> {
             builder.add_edge(i, j)?;
         }
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Path graph `P_n` on `n ≥ 1` nodes (`0 − 1 − … − n−1`).
@@ -43,7 +43,7 @@ pub fn path(n: usize) -> Result<Graph> {
     for i in 0..n.saturating_sub(1) {
         builder.add_edge(i, i + 1)?;
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Cycle graph `C_n` on `n ≥ 3` nodes.
@@ -57,7 +57,7 @@ pub fn cycle(n: usize) -> Result<Graph> {
     for i in 0..n {
         builder.add_edge(i, (i + 1) % n)?;
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Star graph on `n ≥ 2` nodes: node 0 is the hub.
@@ -71,7 +71,7 @@ pub fn star(n: usize) -> Result<Graph> {
     for i in 1..n {
         builder.add_edge(0, i)?;
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// 2-D grid graph with `rows × cols` nodes, 4-neighbour connectivity.
@@ -95,7 +95,7 @@ pub fn grid2d(rows: usize, cols: usize) -> Result<Graph> {
             }
         }
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// 2-D torus (grid with wraparound), `rows × cols` nodes.
@@ -112,11 +112,11 @@ pub fn torus2d(rows: usize, cols: usize) -> Result<Graph> {
             let idx = r * cols + c;
             let right = r * cols + (c + 1) % cols;
             let down = ((r + 1) % rows) * cols + c;
-            builder.add_edge_if_absent(idx, right)?;
-            builder.add_edge_if_absent(idx, down)?;
+            builder.add_edge(idx, right)?;
+            builder.add_edge(idx, down)?;
         }
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Hypercube graph `Q_d` on `2^d` nodes, `d ≥ 1`.
@@ -137,7 +137,7 @@ pub fn hypercube(dimension: usize) -> Result<Graph> {
             }
         }
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Complete bipartite graph `K_{a,b}`: nodes `0..a` on one side, `a..a+b` on
@@ -157,7 +157,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph> {
             builder.add_edge(i, a + j)?;
         }
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 #[cfg(test)]

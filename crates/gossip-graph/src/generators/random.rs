@@ -33,7 +33,7 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph> {
             }
         }
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Erdős–Rényi graph conditioned on being connected: resamples (with seeds
@@ -85,13 +85,13 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Graph> {
             if a == b {
                 continue 'attempt;
             }
-            match builder.add_edge(a, b) {
-                Ok(_) => {}
-                Err(GraphError::DuplicateEdge { .. }) => continue 'attempt,
-                Err(e) => return Err(e),
-            }
+            builder.add_edge(a, b)?;
         }
-        let g = builder.build();
+        let g = match builder.build() {
+            Ok(g) => g,
+            Err(GraphError::DuplicateEdge { .. }) => continue 'attempt,
+            Err(e) => return Err(e),
+        };
         if crate::traversal::is_connected(&g) {
             return Ok(g);
         }
@@ -134,7 +134,7 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Result<(Graph, Vec<
             }
         }
     }
-    Ok((builder.build(), positions))
+    Ok((builder.build()?, positions))
 }
 
 #[cfg(test)]

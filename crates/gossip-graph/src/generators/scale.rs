@@ -23,14 +23,20 @@ fn block_one_partition(graph: &Graph, n1: usize) -> Result<Partition> {
 /// Adds a chordal ring on the node range `offset..offset + n` to `builder`:
 /// the cycle through the range plus, for every node, chords at offsets
 /// `2, 4, 8, …` (each at most `n/2`).
+///
+/// Each pair is added once.  Offsets below `n/2` give chords of distinct
+/// lengths, none repeated; a chord at offset exactly `n/2` joins antipodes,
+/// which node `i` and node `i + n/2` would both add, so only the first half
+/// of the nodes adds it.
 fn add_chordal_ring(builder: &mut GraphBuilder, offset: usize, n: usize) -> Result<()> {
     for i in 0..n {
-        builder.add_edge_if_absent(offset + i, offset + (i + 1) % n)?;
+        builder.add_edge(offset + i, offset + (i + 1) % n)?;
     }
     let mut jump = 2usize;
     while jump <= n / 2 {
-        for i in 0..n {
-            builder.add_edge_if_absent(offset + i, offset + (i + jump) % n)?;
+        let sources = if 2 * jump == n { n / 2 } else { n };
+        for i in 0..sources {
+            builder.add_edge(offset + i, offset + (i + jump) % n)?;
         }
         jump *= 2;
     }
@@ -56,7 +62,7 @@ pub fn chordal_ring(n: usize) -> Result<Graph> {
     }
     let mut builder = GraphBuilder::new(n);
     add_chordal_ring(&mut builder, 0, n)?;
-    Ok(builder.build())
+    builder.build()
 }
 
 /// The scaling tier's dumbbell: two chordal rings of `half` nodes joined by
@@ -87,7 +93,7 @@ pub fn expander_barbell(left: usize, right: usize) -> Result<(Graph, Partition)>
     add_chordal_ring(&mut builder, 0, left)?;
     add_chordal_ring(&mut builder, left, right)?;
     builder.add_edge(left - 1, left)?;
-    let graph = builder.build();
+    let graph = builder.build()?;
     let partition = block_one_partition(&graph, left)?;
     Ok((graph, partition))
 }
@@ -128,7 +134,7 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize) -> Result<(Graph, Par
         builder.add_edge(c * clique_size + clique_size - 1, (c + 1) * clique_size)?;
     }
     builder.add_edge(n - 1, 0)?;
-    let graph = builder.build();
+    let graph = builder.build()?;
     let block_one_cliques = cliques.div_ceil(2);
     let partition = block_one_partition(&graph, block_one_cliques * clique_size)?;
     Ok((graph, partition))

@@ -10,6 +10,7 @@
 use crate::{Graph, GraphBuilder, GraphError, NodeId, Partition, Result};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 
 fn block_one_partition(graph: &Graph, n1: usize) -> Result<Partition> {
     let block: Vec<NodeId> = (0..n1).map(NodeId).collect();
@@ -57,7 +58,7 @@ pub fn barbell(left: usize, right: usize) -> Result<(Graph, Partition)> {
         }
     }
     builder.add_edge(left - 1, left)?;
-    let graph = builder.build();
+    let graph = builder.build()?;
     let partition = block_one_partition(&graph, left)?;
     Ok((graph, partition))
 }
@@ -108,15 +109,16 @@ pub fn bridged_clusters(
         builder.add_edge(n1 + e.u().index(), n1 + e.v().index())?;
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(0xB55A_4BE5));
-    let mut placed = 0usize;
-    while placed < bridges {
+    // Bridges cross the cut, so only an earlier bridge can repeat one.
+    let mut placed = BTreeSet::new();
+    while placed.len() < bridges {
         let a = rng.gen_range(0..n1);
         let b = n1 + rng.gen_range(0..n2);
-        if builder.add_edge_if_absent(a, b)? {
-            placed += 1;
+        if placed.insert((a, b)) {
+            builder.add_edge(a, b)?;
         }
     }
-    let graph = builder.build();
+    let graph = builder.build()?;
     let partition = block_one_partition(&graph, n1)?;
     Ok((graph, partition))
 }
@@ -165,7 +167,7 @@ pub fn two_block_sbm(
                 }
             }
         }
-        let graph = builder.build();
+        let graph = builder.build()?;
         let partition = match block_one_partition(&graph, n1) {
             Ok(p) => p,
             Err(_) => continue,
@@ -231,7 +233,7 @@ pub fn grid_corridor(
         let right_node = side + r * cols;
         builder.add_edge(left_node, right_node)?;
     }
-    let graph = builder.build();
+    let graph = builder.build()?;
     let partition = block_one_partition(&graph, side)?;
     Ok((graph, partition))
 }

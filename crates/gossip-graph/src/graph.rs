@@ -6,7 +6,6 @@
 //! edge: the simulator iterates over [`EdgeId`]s, not node pairs.
 
 use crate::{GraphError, Result};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node, an index in `0..graph.node_count()`.
@@ -132,7 +131,7 @@ impl fmt::Display for Edge {
 /// let mut builder = GraphBuilder::new(3);
 /// builder.add_edge(0, 1)?;
 /// builder.add_edge(1, 2)?;
-/// let graph: Graph = builder.build();
+/// let graph: Graph = builder.build()?;
 /// assert_eq!(graph.node_count(), 3);
 /// assert_eq!(graph.edge_count(), 2);
 /// assert_eq!(graph.degree(NodeId(1)), 2);
@@ -156,14 +155,15 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns an error if any endpoint is out of range, any edge is a
-    /// self-loop, or the same edge appears twice.
+    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`]
+    /// for the first such pair, and otherwise [`GraphError::DuplicateEdge`]
+    /// if the same pair appears twice (see [`GraphBuilder::build`]).
     pub fn from_edges(node_count: usize, edges: &[(usize, usize)]) -> Result<Self> {
         let mut builder = GraphBuilder::new(node_count);
         for &(a, b) in edges {
             builder.add_edge(a, b)?;
         }
-        Ok(builder.build())
+        builder.build()
     }
 
     /// Number of nodes.
@@ -300,10 +300,9 @@ impl Graph {
         for &n in nodes {
             self.check_node(n)?;
         }
-        let sorted: Vec<NodeId> = {
-            let set: BTreeSet<NodeId> = nodes.iter().copied().collect();
-            set.into_iter().collect()
-        };
+        let mut sorted = nodes.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
         let mut index_of = vec![usize::MAX; self.node_count];
         for (new, old) in sorted.iter().enumerate() {
             index_of[old.index()] = new;
@@ -316,7 +315,7 @@ impl Graph {
                 builder.add_edge(iu, iv)?;
             }
         }
-        Ok((builder.build(), sorted))
+        Ok((builder.build()?, sorted))
     }
 }
 
@@ -333,14 +332,14 @@ impl fmt::Display for Graph {
 
 /// Incremental builder for [`Graph`].
 ///
-/// The builder checks simple-graph invariants (no self-loops, no duplicate
-/// edges, endpoints in range) as edges are added, and assembles the CSR
-/// adjacency structure in [`GraphBuilder::build`].
+/// [`GraphBuilder::add_edge`] rejects out-of-range endpoints and self-loops
+/// at once and appends the edge; [`GraphBuilder::build`] assembles the CSR
+/// adjacency structure and rejects parallel edges in one linear pass over
+/// it.  The builder holds only the node count and the edge list.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     node_count: usize,
     edges: Vec<Edge>,
-    seen: BTreeSet<(usize, usize)>,
 }
 
 impl GraphBuilder {
@@ -349,7 +348,6 @@ impl GraphBuilder {
         GraphBuilder {
             node_count,
             edges: Vec::new(),
-            seen: BTreeSet::new(),
         }
     }
 
@@ -363,13 +361,16 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Adds an undirected edge between nodes `a` and `b`.
+    /// Adds an undirected edge between nodes `a` and `b`; its id is the
+    /// number of edges added before it.
+    ///
+    /// A repeated pair is accepted here and rejected by
+    /// [`GraphBuilder::build`].
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`], [`GraphError::SelfLoop`], or
-    /// [`GraphError::DuplicateEdge`] when the corresponding invariant is
-    /// violated.
+    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`]
+    /// when the corresponding invariant is violated.
     pub fn add_edge(&mut self, a: usize, b: usize) -> Result<EdgeId> {
         if a >= self.node_count {
             return Err(GraphError::NodeOutOfRange {
@@ -384,38 +385,21 @@ impl GraphBuilder {
             });
         }
         let edge = Edge::new(NodeId(a), NodeId(b))?;
-        let key = (edge.u().index(), edge.v().index());
-        if !self.seen.insert(key) {
-            return Err(GraphError::DuplicateEdge { a, b });
-        }
         let id = EdgeId(self.edges.len());
         self.edges.push(edge);
         Ok(id)
     }
 
-    /// Adds an edge only if it is not already present; returns whether an edge
-    /// was added.
+    /// Finalizes the builder into an immutable [`Graph`].
+    ///
+    /// Each node's neighbours appear in the order their edges were added.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`] for
-    /// invalid endpoints.
-    pub fn add_edge_if_absent(&mut self, a: usize, b: usize) -> Result<bool> {
-        match self.add_edge(a, b) {
-            Ok(_) => Ok(true),
-            Err(GraphError::DuplicateEdge { .. }) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Returns `true` if the edge `{a, b}` has already been added.
-    pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.seen.contains(&key)
-    }
-
-    /// Finalizes the builder into an immutable [`Graph`].
-    pub fn build(self) -> Graph {
+    /// Returns [`GraphError::DuplicateEdge`] `{ a, b }`, with `a < b`, if
+    /// that pair was added more than once (of several repeated pairs, one
+    /// with the smallest `a`).
+    pub fn build(self) -> Result<Graph> {
         let mut degrees = vec![0usize; self.node_count];
         for edge in &self.edges {
             degrees[edge.u().index()] += 1;
@@ -435,12 +419,29 @@ impl GraphBuilder {
             adjacency[cursor[v]] = (NodeId(u), EdgeId(i));
             cursor[v] += 1;
         }
-        Graph {
+        // Every pair `{u, v}` with `u < v` appears in `u`'s slice once per
+        // copy, so `u`'s slice holds `v` twice exactly when the pair repeats.
+        // The spent `cursor` becomes a node-indexed mark: `mark[v] == u`
+        // once `v` has been seen from `u`.
+        let mut mark = cursor;
+        mark.fill(usize::MAX);
+        for u in 0..self.node_count {
+            for &(v, _) in &adjacency[offsets[u]..offsets[u + 1]] {
+                let v = v.index();
+                if v > u {
+                    if mark[v] == u {
+                        return Err(GraphError::DuplicateEdge { a: u, b: v });
+                    }
+                    mark[v] = u;
+                }
+            }
+        }
+        Ok(Graph {
             node_count: self.node_count,
             edges: self.edges,
             offsets,
             adjacency,
-        }
+        })
     }
 }
 
@@ -502,18 +503,33 @@ mod tests {
             Err(GraphError::NodeOutOfRange { .. })
         ));
         assert!(matches!(b.add_edge(1, 1), Err(GraphError::SelfLoop { .. })));
-        b.add_edge(0, 1).unwrap();
-        assert!(matches!(
-            b.add_edge(1, 0),
-            Err(GraphError::DuplicateEdge { .. })
-        ));
-        assert!(b.has_edge(0, 1));
-        assert!(b.has_edge(1, 0));
-        assert!(!b.has_edge(0, 2));
-        assert!(!b.add_edge_if_absent(0, 1).unwrap());
-        assert!(b.add_edge_if_absent(0, 2).unwrap());
-        assert_eq!(b.edge_count(), 2);
+        assert_eq!(b.edge_count(), 0);
+        assert_eq!(b.add_edge(0, 1).unwrap(), EdgeId(0));
+        assert_eq!(b.add_edge(0, 2).unwrap(), EdgeId(1));
+        assert_eq!(b.add_edge(1, 0).unwrap(), EdgeId(2));
+        assert_eq!(b.edge_count(), 3);
         assert_eq!(b.node_count(), 3);
+        assert!(matches!(
+            b.build(),
+            Err(GraphError::DuplicateEdge { a: 0, b: 1 })
+        ));
+    }
+
+    #[test]
+    fn from_edges_rejects_a_repeated_pair() {
+        assert!(matches!(
+            Graph::from_edges(4, &[(2, 3), (0, 1), (3, 2)]),
+            Err(GraphError::DuplicateEdge { a: 2, b: 3 })
+        ));
+        // Range and self-loop errors still stop `from_edges` at the pair.
+        assert!(matches!(
+            Graph::from_edges(4, &[(0, 1), (0, 1), (1, 1)]),
+            Err(GraphError::SelfLoop { node: 1 })
+        ));
+        assert!(matches!(
+            Graph::from_edges(4, &[(0, 1), (0, 1), (0, 4)]),
+            Err(GraphError::NodeOutOfRange { node: 4, .. })
+        ));
     }
 
     #[test]
@@ -625,17 +641,18 @@ mod tests {
         fn prop_handshake_lemma(n in 1usize..30, edge_seed in 0u64..1000) {
             // Build a pseudo-random simple graph deterministically from the seed.
             let mut builder = GraphBuilder::new(n);
+            let mut seen = std::collections::BTreeSet::new();
             let mut state = edge_seed.wrapping_add(1);
             for _ in 0..(2 * n) {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let a = (state >> 33) as usize % n;
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let b = (state >> 33) as usize % n;
-                if a != b {
-                    let _ = builder.add_edge_if_absent(a, b).unwrap();
+                if a != b && seen.insert((a.min(b), a.max(b))) {
+                    builder.add_edge(a, b).unwrap();
                 }
             }
-            let g = builder.build();
+            let g = builder.build().unwrap();
             let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
             prop_assert_eq!(degree_sum, 2 * g.edge_count());
         }
@@ -643,22 +660,54 @@ mod tests {
         #[test]
         fn prop_adjacency_is_symmetric(n in 2usize..20, edge_seed in 0u64..1000) {
             let mut builder = GraphBuilder::new(n);
+            let mut seen = std::collections::BTreeSet::new();
             let mut state = edge_seed.wrapping_add(7);
             for _ in 0..(3 * n) {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let a = (state >> 33) as usize % n;
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let b = (state >> 33) as usize % n;
-                if a != b {
-                    let _ = builder.add_edge_if_absent(a, b).unwrap();
+                if a != b && seen.insert((a.min(b), a.max(b))) {
+                    builder.add_edge(a, b).unwrap();
                 }
             }
-            let g = builder.build();
+            let g = builder.build().unwrap();
             for u in g.nodes() {
                 for (v, _) in g.neighbors(u) {
                     prop_assert!(g.has_edge(v, u));
                     prop_assert!(g.neighbor_nodes(v).any(|w| w == u));
                 }
+            }
+        }
+
+        #[test]
+        fn prop_build_accepts_exactly_the_lists_without_a_repeated_pair(
+            n in 2usize..12,
+            codes in proptest::collection::vec(0usize..144, 0..40),
+        ) {
+            let mut builder = GraphBuilder::new(n);
+            let mut distinct = std::collections::BTreeSet::new();
+            let mut repeated = std::collections::BTreeSet::new();
+            for code in codes {
+                let (a, b) = (code / 12 % n, code % 12 % n);
+                if a == b {
+                    continue;
+                }
+                builder.add_edge(a, b).unwrap();
+                let pair = (a.min(b), a.max(b));
+                if !distinct.insert(pair) {
+                    repeated.insert(pair);
+                }
+            }
+            match builder.build() {
+                Ok(g) => {
+                    prop_assert!(repeated.is_empty());
+                    prop_assert_eq!(g.edge_count(), distinct.len());
+                }
+                Err(GraphError::DuplicateEdge { a, b }) => {
+                    prop_assert!(repeated.contains(&(a, b)));
+                }
+                Err(e) => prop_assert!(false, "unexpected error {e}"),
             }
         }
     }

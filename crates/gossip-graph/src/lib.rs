@@ -84,11 +84,12 @@ pub enum GraphError {
         /// The node with the attempted self-loop.
         node: usize,
     },
-    /// A duplicate edge was supplied where simple graphs are required.
+    /// The same node pair was supplied twice where simple graphs are
+    /// required ([`GraphBuilder::build`] checks this).
     DuplicateEdge {
-        /// One endpoint.
+        /// The smaller endpoint.
         a: usize,
-        /// The other endpoint.
+        /// The larger endpoint.
         b: usize,
     },
     /// A generator was asked for an impossible configuration

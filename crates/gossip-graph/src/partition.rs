@@ -141,14 +141,13 @@ impl Partition {
         let mut cut_edges = Vec::new();
         let mut internal_edges_one = 0usize;
         let mut internal_edges_two = 0usize;
-        for id in graph.edge_ids() {
-            let edge = graph.edge(id)?;
+        for (id, edge) in graph.edges().iter().enumerate() {
             let bu = membership[edge.u().index()];
             let bv = membership[edge.v().index()];
             match (bu, bv) {
                 (Block::One, Block::One) => internal_edges_one += 1,
                 (Block::Two, Block::Two) => internal_edges_two += 1,
-                _ => cut_edges.push(id),
+                _ => cut_edges.push(crate::EdgeId(id)),
             }
         }
         let volume_one = block_one.iter().map(|&v| graph.degree(v)).sum();

@@ -211,17 +211,18 @@ mod tests {
         #[test]
         fn prop_component_labels_partition_nodes(n in 1usize..25, seed in 0u64..300) {
             let mut builder = crate::GraphBuilder::new(n);
+            let mut seen = std::collections::BTreeSet::new();
             let mut state = seed.wrapping_add(3);
             for _ in 0..n {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let a = (state >> 33) as usize % n;
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let b = (state >> 33) as usize % n;
-                if a != b {
-                    let _ = builder.add_edge_if_absent(a, b).unwrap();
+                if a != b && seen.insert((a.min(b), a.max(b))) {
+                    builder.add_edge(a, b).unwrap();
                 }
             }
-            let g = builder.build();
+            let g = builder.build().unwrap();
             let labels = connected_components(&g);
             prop_assert_eq!(labels.len(), n);
             // Adjacent nodes always share a component label.

@@ -100,7 +100,7 @@ fn disconnected_graph_has_zero_fiedler_value() {
             )
             .unwrap();
     }
-    let graph = builder.build();
+    let graph = builder.build().expect("disjoint clusters repeat no pair");
     assert!(!sparse_cut_gossip::graph::traversal::is_connected(&graph));
 
     // The deflated Lanczos run sees the surviving zero eigenvalue (the
