@@ -18,11 +18,14 @@
 //! [`AsyncSimulator::restore`], which validates that the checkpoint matches
 //! the graph and configuration before installing any state.
 //!
-//! Serialization is explicit and lossless: [`EngineCheckpoint::to_value`]
-//! renders a JSON document in which every `f64` is stored as the hex of its
-//! bit pattern and every 64/128-bit integer as a decimal string (the JSON
-//! number type cannot carry either exactly), and
-//! [`EngineCheckpoint::from_value`] parses it back, rejecting anything
+//! Serialization is explicit and lossless.  [`EngineCheckpoint::to_value`]
+//! renders a JSON document through one codec per field type: an `f64` is
+//! the hex of its bit pattern, a `u64`/`u128` a decimal string (a JSON
+//! number carries neither exactly), a count a number, `None` is `null` and
+//! a pair a 2-element array.  One macro builds each state struct's codec
+//! from its field list; only the `"version"` stamp and the sampler's
+//! `"kind"` tag are written by hand.  [`EngineCheckpoint::from_value`]
+//! accepts a string only if it re-encodes to itself and rejects anything
 //! malformed with [`SimError::CheckpointInvalid`] — a torn or corrupt blob
 //! is detected, never silently half-applied.
 //!
@@ -37,7 +40,8 @@ use crate::clock::{EdgeClockQueueState, GlobalTickProcessState};
 use crate::engine::ClockModel;
 use crate::fault::{FaultInjectorState, FaultStats};
 use crate::handler::HandlerState;
-use crate::{Result, SimError};
+use crate::moments::MomentTracker;
+use crate::SimError;
 use serde::json::Value;
 
 /// Version stamp of the checkpoint document layout.  Bumped on any change to
@@ -84,7 +88,8 @@ pub struct EngineCheckpoint {
     pub(crate) time: f64,
     /// Seed the run was configured with (identity check on restore).
     pub(crate) seed: u64,
-    /// Clock model of the run (identity check on restore).
+    /// Clock model of the run (identity check on restore); always the one
+    /// `sampler` belongs to.
     pub(crate) clock_model: ClockModel,
     /// Node count of the graph (identity check on restore).
     pub(crate) node_count: usize,
@@ -92,9 +97,9 @@ pub struct EngineCheckpoint {
     pub(crate) edge_count: usize,
     /// The value vector, bit-exact.
     pub(crate) values: Vec<f64>,
-    /// Moment tracker raw parts `(len, shift, sum, sum_sq, refreshes)` —
-    /// the *drifted* running sums, not a rebuild.
-    pub(crate) moments: (usize, f64, f64, f64, u64),
+    /// The moment tracker as it stood — the *drifted* running sums, not a
+    /// rebuild; it counts exactly `values.len()` entries.
+    pub(crate) moments: MomentTracker,
     /// Variance of the initial state (denominator of every ratio check).
     pub(crate) initial_variance: f64,
     /// Engine-side settling bookkeeping.
@@ -120,78 +125,11 @@ impl EngineCheckpoint {
         self.ticks
     }
 
-    /// The simulated time at which this checkpoint was captured.
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// The seed of the run this checkpoint belongs to.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Renders the checkpoint as a JSON document (see the module docs for
     /// the encoding rules).
     pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            (
-                "version".into(),
-                Value::Number(CHECKPOINT_SCHEMA_VERSION as f64),
-            ),
-            ("ticks".into(), u64_value(self.ticks)),
-            ("time".into(), f64_value(self.time)),
-            ("seed".into(), u64_value(self.seed)),
-            (
-                "clock_model".into(),
-                Value::String(
-                    match self.clock_model {
-                        ClockModel::PerEdgeQueue => "per_edge_queue",
-                        ClockModel::GlobalUniform => "global_uniform",
-                    }
-                    .into(),
-                ),
-            ),
-            ("node_count".into(), Value::Number(self.node_count as f64)),
-            ("edge_count".into(), Value::Number(self.edge_count as f64)),
-            (
-                "values".into(),
-                Value::Array(self.values.iter().map(|&v| f64_value(v)).collect()),
-            ),
-            (
-                "moments".into(),
-                Value::Object(vec![
-                    ("len".into(), Value::Number(self.moments.0 as f64)),
-                    ("shift".into(), f64_value(self.moments.1)),
-                    ("sum".into(), f64_value(self.moments.2)),
-                    ("sum_sq".into(), f64_value(self.moments.3)),
-                    ("refreshes".into(), u64_value(self.moments.4)),
-                ]),
-            ),
-            ("initial_variance".into(), f64_value(self.initial_variance)),
-            ("last_settle".into(), f64_value(self.last_settle)),
-            ("moment_refreshes".into(), u64_value(self.moment_refreshes)),
-            (
-                "moments_overflowed".into(),
-                Value::Bool(self.moments_overflowed),
-            ),
-            ("sampler".into(), sampler_value(&self.sampler)),
-        ];
-        fields.push((
-            "faults".into(),
-            match &self.faults {
-                Some(state) => fault_state_value(state),
-                None => Value::Null,
-            },
-        ));
-        fields.push((
-            "adversary".into(),
-            match &self.adversary {
-                Some(state) => adversary_state_value(state),
-                None => Value::Null,
-            },
-        ));
-        fields.push(("handler".into(), handler_state_value(&self.handler)));
-        Value::Object(fields)
+        let version = Value::Number(f64::from(CHECKPOINT_SCHEMA_VERSION));
+        tagged("version", version, self.encode())
     }
 
     /// Parses a checkpoint back out of a JSON document.
@@ -199,423 +137,283 @@ impl EngineCheckpoint {
     /// # Errors
     ///
     /// Returns [`SimError::CheckpointInvalid`] for any structural problem:
-    /// wrong schema version, missing or mistyped fields, unparseable
-    /// encodings, or moments counting a different number of entries than
-    /// `values` holds.  Inconsistencies with the *target run* (seed, graph
+    /// wrong schema version, missing or mistyped fields, encodings the
+    /// encoder would not have written, moments counting a different number
+    /// of entries than `values` holds, or a clock model other than the
+    /// sampler's.  Inconsistencies with the *target run* (seed, graph
     /// shape, clock model, plans) are caught later by
     /// [`AsyncSimulator::restore`](crate::engine::AsyncSimulator::restore).
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let obj = as_object(value, "checkpoint")?;
-        let version = get_usize(obj, "version")?;
+    pub fn from_value(value: &Value) -> crate::Result<Self> {
+        let version: usize = as_object(value)
+            .and_then(|obj| field(obj, "version"))
+            .map_err(invalid)?;
         if version != CHECKPOINT_SCHEMA_VERSION as usize {
             return Err(invalid(format!(
                 "unsupported checkpoint schema version {version} (expected {CHECKPOINT_SCHEMA_VERSION})"
             )));
         }
-        let clock_model = match get_str(obj, "clock_model")? {
-            "per_edge_queue" => ClockModel::PerEdgeQueue,
-            "global_uniform" => ClockModel::GlobalUniform,
-            other => return Err(invalid(format!("unknown clock model {other:?}"))),
-        };
-        let values = as_array(get(obj, "values")?, "values")?
-            .iter()
-            .map(|v| value_f64(v, "values entry"))
-            .collect::<Result<Vec<f64>>>()?;
-        let moments_obj = as_object(get(obj, "moments")?, "moments")?;
-        let moments = (
-            get_usize(moments_obj, "len")?,
-            get_f64(moments_obj, "shift")?,
-            get_f64(moments_obj, "sum")?,
-            get_f64(moments_obj, "sum_sq")?,
-            get_u64(moments_obj, "refreshes")?,
-        );
-        if moments.0 != values.len() {
+        let checkpoint = Self::decode(value).map_err(invalid)?;
+        if checkpoint.moments.len() != checkpoint.values.len() {
             // A tracker of the wrong length reports a wrong variance, so a
             // run resumed from it could stop as converged while the values
             // are still far apart.
             return Err(invalid(format!(
                 "moments count {} entries but the checkpoint holds {} values",
-                moments.0,
-                values.len()
+                checkpoint.moments.len(),
+                checkpoint.values.len()
             )));
         }
-        let sampler = parse_sampler(get(obj, "sampler")?)?;
-        let faults = match get(obj, "faults")? {
-            Value::Null => None,
-            other => Some(parse_fault_state(other)?),
+        let sampler_model = match checkpoint.sampler {
+            SamplerState::Queue(_) => ClockModel::PerEdgeQueue,
+            SamplerState::Global(_) => ClockModel::GlobalUniform,
         };
-        let adversary = match get(obj, "adversary")? {
-            Value::Null => None,
-            other => Some(parse_adversary_state(other)?),
-        };
-        let handler = parse_handler_state(get(obj, "handler")?)?;
-        Ok(EngineCheckpoint {
-            ticks: get_u64(obj, "ticks")?,
-            time: get_f64(obj, "time")?,
-            seed: get_u64(obj, "seed")?,
-            clock_model,
-            node_count: get_usize(obj, "node_count")?,
-            edge_count: get_usize(obj, "edge_count")?,
-            values,
-            moments,
-            initial_variance: get_f64(obj, "initial_variance")?,
-            last_settle: get_f64(obj, "last_settle")?,
-            moment_refreshes: get_u64(obj, "moment_refreshes")?,
-            moments_overflowed: get_bool(obj, "moments_overflowed")?,
-            sampler,
-            faults,
-            adversary,
-            handler,
+        if checkpoint.clock_model != sampler_model {
+            // `restore` checks only the clock model against its
+            // configuration, so a mismatched sampler would resume the run
+            // on the other clock's stream.
+            return Err(invalid(format!(
+                "clock model {:?} does not match the {sampler_model:?} sampler",
+                checkpoint.clock_model
+            )));
+        }
+        Ok(checkpoint)
+    }
+}
+
+/// How one Rust type is written into the checkpoint document and read back
+/// out of it.  Decoding fails with a reason naming the offending field.
+trait Codec: Sized {
+    fn encode(&self) -> Value;
+    fn decode(value: &Value) -> Result<Self, String>;
+}
+
+/// The exact bit pattern as 16 lower-case hex digits.
+impl Codec for f64 {
+    fn encode(&self) -> Value {
+        Value::String(format!("{:016x}", self.to_bits()))
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        canonical(value, |s| {
+            u64::from_str_radix(s, 16).ok().map(f64::from_bits)
         })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoding helpers.  f64s carry their exact bit pattern as 16 hex digits;
-// u64/u128 are decimal strings (JSON numbers are f64 in the vendored parser
-// and would silently round anything above 2^53).
+/// A decimal string: JSON numbers are f64 in the vendored parser and would
+/// silently round anything above 2^53.
+impl Codec for u64 {
+    fn encode(&self) -> Value {
+        Value::String(self.to_string())
+    }
 
-fn f64_value(v: f64) -> Value {
-    Value::String(format!("{:016x}", v.to_bits()))
+    fn decode(value: &Value) -> Result<Self, String> {
+        canonical(value, |s| s.parse().ok())
+    }
 }
 
-fn u64_value(v: u64) -> Value {
-    Value::String(v.to_string())
+/// A decimal string, like `u64`.
+impl Codec for u128 {
+    fn encode(&self) -> Value {
+        Value::String(self.to_string())
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        canonical(value, |s| s.parse().ok())
+    }
 }
 
-fn u128_value(v: u128) -> Value {
-    Value::String(v.to_string())
+/// A JSON number: counts and indexes stay far below 2^53.
+impl Codec for usize {
+    fn encode(&self) -> Value {
+        Value::Number(*self as f64)
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+                Ok(*n as usize)
+            }
+            _ => Err("not a non-negative integer".into()),
+        }
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Bool(b) => Ok(*b),
+            _ => Err("not a bool".into()),
+        }
+    }
+}
+
+impl Codec for ClockModel {
+    fn encode(&self) -> Value {
+        let name = match self {
+            ClockModel::PerEdgeQueue => "per_edge_queue",
+            ClockModel::GlobalUniform => "global_uniform",
+        };
+        Value::String(name.into())
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        [ClockModel::PerEdgeQueue, ClockModel::GlobalUniform]
+            .into_iter()
+            .find(|model| model.encode() == *value)
+            .ok_or_else(|| "not a known clock model".into())
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self) -> Value {
+        Value::Array(self.iter().map(T::encode).collect())
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Array(items) => items.iter().map(T::decode).collect(),
+            _ => Err("not an array".into()),
+        }
+    }
+}
+
+/// `None` is `null`.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::encode)
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Null => Ok(None),
+            other => T::decode(other).map(Some),
+        }
+    }
+}
+
+/// A 2-element array.
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn encode(&self) -> Value {
+        Value::Array(vec![self.0.encode(), self.1.encode()])
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Array(items) if items.len() == 2 => {
+                Ok((A::decode(&items[0])?, B::decode(&items[1])?))
+            }
+            _ => Err("not a 2-element array".into()),
+        }
+    }
+}
+
+/// The state's fields behind a leading `"kind"` tag naming the sampler.
+impl Codec for SamplerState {
+    fn encode(&self) -> Value {
+        let (kind, state) = match self {
+            SamplerState::Queue(state) => ("queue", state.encode()),
+            SamplerState::Global(state) => ("global", state.encode()),
+        };
+        tagged("kind", Value::String(kind.into()), state)
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        match get(as_object(value)?, "kind")? {
+            Value::String(kind) if kind == "queue" => {
+                EdgeClockQueueState::decode(value).map(SamplerState::Queue)
+            }
+            Value::String(kind) if kind == "global" => {
+                GlobalTickProcessState::decode(value).map(SamplerState::Global)
+            }
+            _ => Err("kind: not a known sampler kind".into()),
+        }
+    }
+}
+
+/// Builds each listed struct's codec from its field list: an object with
+/// one entry per field, named after it and in list order, every one of
+/// which must be present to decode.
+macro_rules! codec {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Codec for $ty {
+            fn encode(&self) -> Value {
+                Value::Object(vec![$((stringify!($field).into(), self.$field.encode())),*])
+            }
+
+            fn decode(value: &Value) -> Result<Self, String> {
+                let obj = as_object(value)?;
+                Ok($ty { $($field: field(obj, stringify!($field))?),* })
+            }
+        }
+    )*};
+}
+
+codec! {
+    EngineCheckpoint {
+        ticks, time, seed, clock_model, node_count, edge_count, values, moments,
+        initial_variance, last_settle, moment_refreshes, moments_overflowed, sampler,
+        faults, adversary, handler,
+    }
+    MomentTracker { len, shift, sum, sum_sq, refreshes }
+    EdgeClockQueueState { entries, rng_word_pos, global_tick_count, now, rate }
+    GlobalTickProcessState { rng_word_pos, global_tick_count, now, batch_tail, batch_capacity }
+    HandlerState { integers, reals }
+    FaultInjectorState { rng_word_pos, stats }
+    FaultStats { delivered, edge_down_skips, node_pause_skips, dropped }
+    AdversaryInjectorState { rng_word_pos, stats, stale_histories }
+    AdversaryStats {
+        honest_contacts, falsified_contacts, censored_contacts, biased_reports,
+        extreme_reports, stale_reports, flagged_reports, falsification_l1,
+        max_falsification, report_min, report_max,
+    }
 }
 
 fn invalid(reason: String) -> SimError {
     SimError::CheckpointInvalid { reason }
 }
 
-fn as_object<'v>(value: &'v Value, ctx: &str) -> Result<&'v [(String, Value)]> {
+fn as_object(value: &Value) -> Result<&[(String, Value)], String> {
     match value {
         Value::Object(fields) => Ok(fields),
-        _ => Err(invalid(format!("{ctx} is not an object"))),
+        _ => Err("not an object".into()),
     }
 }
 
-fn as_array<'v>(value: &'v Value, ctx: &str) -> Result<&'v [Value]> {
-    match value {
-        Value::Array(items) => Ok(items),
-        _ => Err(invalid(format!("{ctx} is not an array"))),
-    }
-}
-
-fn get<'v>(obj: &'v [(String, Value)], key: &str) -> Result<&'v Value> {
+fn get<'v>(obj: &'v [(String, Value)], key: &str) -> Result<&'v Value, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
-        .ok_or_else(|| invalid(format!("missing field {key:?}")))
+        .ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn get_str<'v>(obj: &'v [(String, Value)], key: &str) -> Result<&'v str> {
-    match get(obj, key)? {
-        Value::String(s) => Ok(s),
-        _ => Err(invalid(format!("field {key:?} is not a string"))),
-    }
+/// Decodes field `key` of `obj`, naming it in the reason on failure.
+fn field<T: Codec>(obj: &[(String, Value)], key: &str) -> Result<T, String> {
+    T::decode(get(obj, key)?).map_err(|reason| format!("{key}: {reason}"))
 }
 
-fn value_f64(value: &Value, ctx: &str) -> Result<f64> {
+/// Decodes a string-encoded scalar, accepting only the exact string its
+/// encoder writes for the parsed value (no sign, leading zero or
+/// upper-case hex digit), so a decoded document re-renders byte for byte.
+fn canonical<T: Codec>(value: &Value, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
     match value {
-        Value::String(s) => u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| invalid(format!("{ctx} is not a 16-hex f64 bit pattern"))),
-        _ => Err(invalid(format!("{ctx} is not a string"))),
+        Value::String(s) => parse(s)
+            .filter(|parsed| parsed.encode() == *value)
+            .ok_or_else(|| format!("{s:?} is not a {}", std::any::type_name::<T>())),
+        _ => Err("not a string".into()),
     }
 }
 
-fn value_u64(value: &Value, ctx: &str) -> Result<u64> {
-    match value {
-        Value::String(s) => s
-            .parse::<u64>()
-            .map_err(|_| invalid(format!("{ctx} is not a decimal u64"))),
-        _ => Err(invalid(format!("{ctx} is not a string"))),
-    }
-}
-
-fn value_usize(value: &Value, ctx: &str) -> Result<usize> {
-    match value {
-        Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Ok(*n as usize),
-        _ => Err(invalid(format!("{ctx} is not a non-negative integer"))),
-    }
-}
-
-fn get_f64(obj: &[(String, Value)], key: &str) -> Result<f64> {
-    value_f64(get(obj, key)?, key)
-}
-
-fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64> {
-    value_u64(get(obj, key)?, key)
-}
-
-fn get_u128(obj: &[(String, Value)], key: &str) -> Result<u128> {
-    match get(obj, key)? {
-        Value::String(s) => s
-            .parse::<u128>()
-            .map_err(|_| invalid(format!("field {key:?} is not a decimal u128"))),
-        _ => Err(invalid(format!("field {key:?} is not a string"))),
-    }
-}
-
-fn get_usize(obj: &[(String, Value)], key: &str) -> Result<usize> {
-    value_usize(get(obj, key)?, key)
-}
-
-fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool> {
-    match get(obj, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(invalid(format!("field {key:?} is not a bool"))),
-    }
-}
-
-/// `(f64, usize)` pairs — queue entries and global-batch draws share the
-/// shape.
-fn pairs_value(pairs: &[(f64, usize)]) -> Value {
-    Value::Array(
-        pairs
-            .iter()
-            .map(|&(x, i)| Value::Array(vec![f64_value(x), Value::Number(i as f64)]))
-            .collect(),
-    )
-}
-
-fn parse_pairs(value: &Value, ctx: &str) -> Result<Vec<(f64, usize)>> {
-    as_array(value, ctx)?
-        .iter()
-        .map(|entry| {
-            let pair = as_array(entry, ctx)?;
-            if pair.len() != 2 {
-                return Err(invalid(format!("{ctx} entry is not a 2-element array")));
-            }
-            Ok((value_f64(&pair[0], ctx)?, value_usize(&pair[1], ctx)?))
-        })
-        .collect()
-}
-
-fn sampler_value(state: &SamplerState) -> Value {
-    match state {
-        SamplerState::Queue(q) => Value::Object(vec![
-            ("kind".into(), Value::String("queue".into())),
-            ("entries".into(), pairs_value(&q.entries)),
-            ("rng_word_pos".into(), u128_value(q.rng_word_pos)),
-            ("global_tick_count".into(), u64_value(q.global_tick_count)),
-            ("now".into(), f64_value(q.now)),
-            ("rate".into(), f64_value(q.rate)),
-        ]),
-        SamplerState::Global(g) => Value::Object(vec![
-            ("kind".into(), Value::String("global".into())),
-            ("rng_word_pos".into(), u128_value(g.rng_word_pos)),
-            ("global_tick_count".into(), u64_value(g.global_tick_count)),
-            ("now".into(), f64_value(g.now)),
-            ("batch_tail".into(), pairs_value(&g.batch_tail)),
-            (
-                "batch_capacity".into(),
-                Value::Number(g.batch_capacity as f64),
-            ),
-        ]),
-    }
-}
-
-fn parse_sampler(value: &Value) -> Result<SamplerState> {
-    let obj = as_object(value, "sampler")?;
-    match get_str(obj, "kind")? {
-        "queue" => Ok(SamplerState::Queue(EdgeClockQueueState {
-            entries: parse_pairs(get(obj, "entries")?, "sampler entries")?,
-            rng_word_pos: get_u128(obj, "rng_word_pos")?,
-            global_tick_count: get_u64(obj, "global_tick_count")?,
-            now: get_f64(obj, "now")?,
-            rate: get_f64(obj, "rate")?,
-        })),
-        "global" => Ok(SamplerState::Global(GlobalTickProcessState {
-            rng_word_pos: get_u128(obj, "rng_word_pos")?,
-            global_tick_count: get_u64(obj, "global_tick_count")?,
-            now: get_f64(obj, "now")?,
-            batch_tail: parse_pairs(get(obj, "batch_tail")?, "batch_tail")?,
-            batch_capacity: get_usize(obj, "batch_capacity")?,
-        })),
-        other => Err(invalid(format!("unknown sampler kind {other:?}"))),
-    }
-}
-
-/// Integers as decimal strings, reals as bit-pattern hex with `null` for an
-/// empty slot.
-fn handler_state_value(state: &HandlerState) -> Value {
-    Value::Object(vec![
-        (
-            "integers".into(),
-            Value::Array(state.integers.iter().map(|&i| u64_value(i)).collect()),
-        ),
-        (
-            "reals".into(),
-            Value::Array(
-                state
-                    .reals
-                    .iter()
-                    .map(|r| r.map_or(Value::Null, f64_value))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn parse_handler_state(value: &Value) -> Result<HandlerState> {
-    let obj = as_object(value, "handler")?;
-    Ok(HandlerState {
-        integers: as_array(get(obj, "integers")?, "handler integers")?
-            .iter()
-            .map(|v| value_u64(v, "handler integer"))
-            .collect::<Result<Vec<u64>>>()?,
-        reals: as_array(get(obj, "reals")?, "handler reals")?
-            .iter()
-            .map(|v| match v {
-                Value::Null => Ok(None),
-                other => value_f64(other, "handler real").map(Some),
-            })
-            .collect::<Result<Vec<Option<f64>>>>()?,
-    })
-}
-
-fn fault_state_value(state: &FaultInjectorState) -> Value {
-    Value::Object(vec![
-        ("rng_word_pos".into(), u128_value(state.rng_word_pos)),
-        (
-            "stats".into(),
-            Value::Object(vec![
-                ("delivered".into(), u64_value(state.stats.delivered)),
-                (
-                    "edge_down_skips".into(),
-                    u64_value(state.stats.edge_down_skips),
-                ),
-                (
-                    "node_pause_skips".into(),
-                    u64_value(state.stats.node_pause_skips),
-                ),
-                ("dropped".into(), u64_value(state.stats.dropped)),
-            ]),
-        ),
-    ])
-}
-
-fn parse_fault_state(value: &Value) -> Result<FaultInjectorState> {
-    let obj = as_object(value, "faults")?;
-    let stats_obj = as_object(get(obj, "stats")?, "fault stats")?;
-    Ok(FaultInjectorState {
-        rng_word_pos: get_u128(obj, "rng_word_pos")?,
-        stats: FaultStats {
-            delivered: get_u64(stats_obj, "delivered")?,
-            edge_down_skips: get_u64(stats_obj, "edge_down_skips")?,
-            node_pause_skips: get_u64(stats_obj, "node_pause_skips")?,
-            dropped: get_u64(stats_obj, "dropped")?,
-        },
-    })
-}
-
-fn adversary_state_value(state: &AdversaryInjectorState) -> Value {
-    let stats = &state.stats;
-    Value::Object(vec![
-        ("rng_word_pos".into(), u128_value(state.rng_word_pos)),
-        (
-            "stats".into(),
-            Value::Object(vec![
-                ("honest_contacts".into(), u64_value(stats.honest_contacts)),
-                (
-                    "falsified_contacts".into(),
-                    u64_value(stats.falsified_contacts),
-                ),
-                (
-                    "censored_contacts".into(),
-                    u64_value(stats.censored_contacts),
-                ),
-                ("biased_reports".into(), u64_value(stats.biased_reports)),
-                ("extreme_reports".into(), u64_value(stats.extreme_reports)),
-                ("stale_reports".into(), u64_value(stats.stale_reports)),
-                ("flagged_reports".into(), u64_value(stats.flagged_reports)),
-                ("falsification_l1".into(), f64_value(stats.falsification_l1)),
-                (
-                    "max_falsification".into(),
-                    f64_value(stats.max_falsification),
-                ),
-                ("report_min".into(), f64_value(stats.report_min)),
-                ("report_max".into(), f64_value(stats.report_max)),
-            ]),
-        ),
-        (
-            "stale_histories".into(),
-            Value::Array(
-                state
-                    .stale_histories
-                    .iter()
-                    .map(|(node, history)| {
-                        Value::Array(vec![
-                            Value::Number(*node as f64),
-                            Value::Array(
-                                history
-                                    .iter()
-                                    .map(|&(tick, value)| {
-                                        Value::Array(vec![u64_value(tick), f64_value(value)])
-                                    })
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn parse_adversary_state(value: &Value) -> Result<AdversaryInjectorState> {
-    let obj = as_object(value, "adversary")?;
-    let stats_obj = as_object(get(obj, "stats")?, "adversary stats")?;
-    let stale_histories = as_array(get(obj, "stale_histories")?, "stale_histories")?
-        .iter()
-        .map(|entry| {
-            let pair = as_array(entry, "stale_histories entry")?;
-            if pair.len() != 2 {
-                return Err(invalid(
-                    "stale_histories entry is not a 2-element array".into(),
-                ));
-            }
-            let node = value_usize(&pair[0], "stale history node")?;
-            let history = as_array(&pair[1], "stale history")?
-                .iter()
-                .map(|point| {
-                    let point = as_array(point, "stale history point")?;
-                    if point.len() != 2 {
-                        return Err(invalid(
-                            "stale history point is not a 2-element array".into(),
-                        ));
-                    }
-                    Ok((
-                        value_u64(&point[0], "stale history tick")?,
-                        value_f64(&point[1], "stale history value")?,
-                    ))
-                })
-                .collect::<Result<Vec<(u64, f64)>>>()?;
-            Ok((node, history))
-        })
-        .collect::<Result<Vec<(usize, Vec<(u64, f64)>)>>>()?;
-    Ok(AdversaryInjectorState {
-        rng_word_pos: get_u128(obj, "rng_word_pos")?,
-        stats: AdversaryStats {
-            honest_contacts: get_u64(stats_obj, "honest_contacts")?,
-            falsified_contacts: get_u64(stats_obj, "falsified_contacts")?,
-            censored_contacts: get_u64(stats_obj, "censored_contacts")?,
-            biased_reports: get_u64(stats_obj, "biased_reports")?,
-            extreme_reports: get_u64(stats_obj, "extreme_reports")?,
-            stale_reports: get_u64(stats_obj, "stale_reports")?,
-            flagged_reports: get_u64(stats_obj, "flagged_reports")?,
-            falsification_l1: get_f64(stats_obj, "falsification_l1")?,
-            max_falsification: get_f64(stats_obj, "max_falsification")?,
-            report_min: get_f64(stats_obj, "report_min")?,
-            report_max: get_f64(stats_obj, "report_max")?,
-        },
-        stale_histories,
-    })
+/// `body`'s fields behind a leading `key: tag` entry.
+fn tagged(key: &str, tag: Value, body: Value) -> Value {
+    let Value::Object(fields) = body else {
+        unreachable!("a struct codec encodes an object")
+    };
+    Value::Object(std::iter::once((key.into(), tag)).chain(fields).collect())
 }
 
 #[cfg(test)]
@@ -638,7 +436,13 @@ mod tests {
             node_count: 5,
             edge_count: 4,
             values: vec![0.1, -0.2, f64::MIN_POSITIVE, 3.0e300, -0.0],
-            moments: (5, 0.58, 2.9000000000000004, 9.04e300, 3),
+            moments: MomentTracker {
+                len: 5,
+                shift: 0.58,
+                sum: 2.9000000000000004,
+                sum_sq: 9.04e300,
+                refreshes: 3,
+            },
             initial_variance: 1.64,
             last_settle: 0.25,
             moment_refreshes: 3,

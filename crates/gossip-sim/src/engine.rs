@@ -433,10 +433,8 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             }
         };
         handler.load_state(&checkpoint.handler)?;
-        let (len, shift, sum, sum_sq, refreshes) = checkpoint.moments;
-        let moments =
-            crate::moments::MomentTracker::from_raw_parts(len, shift, sum, sum_sq, refreshes);
-        let values = NodeValues::from_parts(Vector::from(checkpoint.values.clone()), moments);
+        let values =
+            NodeValues::from_parts(Vector::from(checkpoint.values.clone()), checkpoint.moments);
         Ok(AsyncSimulator {
             graph,
             values,
@@ -755,7 +753,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             node_count: self.graph.node_count(),
             edge_count: self.graph.edge_count(),
             values: self.values.as_slice().to_vec(),
-            moments: self.values.moments().to_raw_parts(),
+            moments: *self.values.moments(),
             initial_variance: self.initial_variance,
             last_settle: self.last_settle,
             moment_refreshes: self.moment_refreshes,

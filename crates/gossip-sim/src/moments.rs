@@ -41,17 +41,20 @@
 /// tracker.record_update(4.0, 1.0);
 /// assert!((tracker.mean() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MomentTracker {
-    len: usize,
+    // Crate-visible so an engine checkpoint carries the *exact* drifted
+    // sums: a rebuild from the values would lose the accumulated drift, and
+    // the resumed run would not be bit-identical.
+    pub(crate) len: usize,
     /// The common offset subtracted from every value before summing; the
     /// state's mean as of the last exact pass.
-    shift: f64,
+    pub(crate) shift: f64,
     /// `Σ (xᵢ − shift)`.
-    sum: f64,
+    pub(crate) sum: f64,
     /// `Σ (xᵢ − shift)²`.
-    sum_sq: f64,
-    refreshes: u64,
+    pub(crate) sum_sq: f64,
+    pub(crate) refreshes: u64,
 }
 
 impl MomentTracker {
@@ -182,33 +185,6 @@ impl MomentTracker {
     /// Number of exact refreshes performed since construction.
     pub fn refreshes(&self) -> u64 {
         self.refreshes
-    }
-
-    /// Crate-internal: the full raw state `(len, shift, sum, sum_sq,
-    /// refreshes)` for checkpointing.  Paired with
-    /// [`Self::from_raw_parts`], which reinstalls the *exact* drifted sums
-    /// — a checkpointed tracker must resume bit-identically, which a
-    /// rebuild-from-values pass would not (it loses the accumulated drift).
-    pub(crate) fn to_raw_parts(self) -> (usize, f64, f64, f64, u64) {
-        (self.len, self.shift, self.sum, self.sum_sq, self.refreshes)
-    }
-
-    /// Crate-internal: rebuilds a tracker from checkpointed raw state.  See
-    /// [`Self::to_raw_parts`].
-    pub(crate) fn from_raw_parts(
-        len: usize,
-        shift: f64,
-        sum: f64,
-        sum_sq: f64,
-        refreshes: u64,
-    ) -> Self {
-        MomentTracker {
-            len,
-            shift,
-            sum,
-            sum_sq,
-            refreshes,
-        }
     }
 }
 

@@ -15,6 +15,12 @@
 //! two-time-scale, random-neighbour), whose own state travels in the
 //! checkpoint; a stateful handler that cannot save its state is refused at
 //! capture and at restore, and a version 1 blob is refused outright.
+//!
+//! The document itself is pinned byte for byte over twelve fixed runs, so
+//! a checkpoint log written by an older build restores under a newer one,
+//! and the decoder is driven with every removed field, every retyped value,
+//! non-canonical number strings and a clock model that is not its
+//! sampler's: each is a typed error, never a panic or a resumed run.
 
 use gossip_core::convex::RandomNeighborGossip;
 use gossip_core::robust::MedianNeighborGossip;
@@ -32,6 +38,7 @@ use gossip_sim::{
     SimError, SimulationConfig, SimulationOutcome, StoppingRule,
 };
 use serde::json::Value;
+use std::mem::{discriminant, Discriminant};
 
 struct Vanilla;
 
@@ -58,6 +65,24 @@ fn spike(n: usize) -> NodeValues {
     let mut v = vec![0.0; n];
     v[0] = n as f64;
     NodeValues::from_values(v).expect("non-empty finite values")
+}
+
+/// Runs `handler` to the end of `config` and returns every checkpoint it
+/// captured.
+fn capture<H: EdgeTickHandler>(
+    graph: &Graph,
+    handler: H,
+    config: SimulationConfig,
+) -> Vec<EngineCheckpoint> {
+    let mut checkpoints = Vec::new();
+    AsyncSimulator::new(graph, spike(graph.node_count()), handler, config)
+        .unwrap()
+        .run_with_checkpoints(&mut |cp| {
+            checkpoints.push(cp);
+            Ok(())
+        })
+        .unwrap();
+    checkpoints
 }
 
 fn families() -> Vec<(&'static str, Graph)> {
@@ -383,14 +408,7 @@ fn handlers_without_the_state_hook_are_refused_at_capture_and_restore() {
     assert_eq!(plain.run().unwrap().total_ticks, 8192);
 
     // Restore: a valid checkpoint is refused for this handler.
-    let mut checkpoints = Vec::new();
-    AsyncSimulator::new(&graph, spike(n), Vanilla, config.clone())
-        .unwrap()
-        .run_with_checkpoints(&mut |cp| {
-            checkpoints.push(cp);
-            Ok(())
-        })
-        .unwrap();
+    let checkpoints = capture(&graph, Vanilla, config.clone());
     let restored = AsyncSimulator::restore(&graph, Forgetful { ticks: 0 }, config, &checkpoints[0]);
     assert_eq!(restored.err(), Some(refused));
 }
@@ -402,14 +420,7 @@ fn handler_state_of_the_wrong_shape_is_refused_at_restore() {
     // from zero.
     let (graph, partition) = dumbbell(6).unwrap();
     let config = stateful_config(ClockModel::PerEdgeQueue, false, 79);
-    let mut checkpoints = Vec::new();
-    AsyncSimulator::new(&graph, spike(12), Vanilla, config.clone())
-        .unwrap()
-        .run_with_checkpoints(&mut |cp| {
-            checkpoints.push(cp);
-            Ok(())
-        })
-        .unwrap();
+    let checkpoints = capture(&graph, Vanilla, config.clone());
     let restored = AsyncSimulator::restore(
         &graph,
         algorithm_a(&graph, &partition),
@@ -417,6 +428,69 @@ fn handler_state_of_the_wrong_shape_is_refused_at_restore() {
         &checkpoints[0],
     );
     assert!(matches!(restored, Err(SimError::CheckpointInvalid { .. })));
+}
+
+/// The 64-bit FNV-1a hash of every checkpoint's rendered line, each
+/// followed by a newline — the bytes the run store writes.
+fn document_hash(checkpoints: &[EngineCheckpoint]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for checkpoint in checkpoints {
+        let line = serde_json::to_string(&checkpoint.to_value()).unwrap();
+        for byte in line.bytes().chain([b'\n']) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn checkpoint_documents_are_pinned_byte_for_byte() {
+    // A checkpoint log written by an older build must restore under a
+    // newer one, so the document's bytes are part of the contract, not
+    // only its round trip.  Twelve fixed runs cover both samplers, the
+    // fault and adversary states and a handler with state of its own.
+    let ring = chordal_ring(24).unwrap();
+    let (barbell, _) = expander_barbell(10, 14).unwrap();
+    let (bell, partition) = dumbbell(6).unwrap();
+    let mut actual = Vec::new();
+    for model in [ClockModel::PerEdgeQueue, ClockModel::GlobalUniform] {
+        for hostile_env in [false, true] {
+            let config = |seed| stateful_config(model, hostile_env, seed);
+            for (name, checkpoints) in [
+                ("chordal_ring(24)", capture(&ring, Vanilla, config(89))),
+                (
+                    "expander_barbell(10,14)",
+                    capture(&barbell, Vanilla, config(97)),
+                ),
+                (
+                    "algorithm-a dumbbell(6)",
+                    capture(&bell, algorithm_a(&bell, &partition), config(101)),
+                ),
+            ] {
+                actual.push(format!(
+                    "{name} {model:?} hostile={hostile_env}: {} lines, {:016x}",
+                    checkpoints.len(),
+                    document_hash(&checkpoints)
+                ));
+            }
+        }
+    }
+    let expected = [
+        "chordal_ring(24) PerEdgeQueue hostile=false: 15 lines, 99a2b5abb33a8fa8",
+        "expander_barbell(10,14) PerEdgeQueue hostile=false: 15 lines, 9aab1b1fd6eb4371",
+        "algorithm-a dumbbell(6) PerEdgeQueue hostile=false: 15 lines, 04c65a350b2d6caa",
+        "chordal_ring(24) PerEdgeQueue hostile=true: 15 lines, 0e4c9037b72490f1",
+        "expander_barbell(10,14) PerEdgeQueue hostile=true: 15 lines, 922b40bd4d90fabf",
+        "algorithm-a dumbbell(6) PerEdgeQueue hostile=true: 15 lines, d099f5588b55b796",
+        "chordal_ring(24) GlobalUniform hostile=false: 15 lines, 28f4ecefea72cdb8",
+        "expander_barbell(10,14) GlobalUniform hostile=false: 15 lines, 5a511dec79eb2e68",
+        "algorithm-a dumbbell(6) GlobalUniform hostile=false: 15 lines, 6c477a7366a4d558",
+        "chordal_ring(24) GlobalUniform hostile=true: 15 lines, 6402a2b80ea73ebe",
+        "expander_barbell(10,14) GlobalUniform hostile=true: 15 lines, 7ab932fa2ff1dd7b",
+        "algorithm-a dumbbell(6) GlobalUniform hostile=true: 15 lines, 62e14576e98a5fac",
+    ];
+    assert_eq!(actual, expected);
 }
 
 #[test]
@@ -429,15 +503,7 @@ fn version_one_blobs_are_rejected() {
             .with_clock_model(model)
             .with_stopping_rule(StoppingRule::max_ticks(1024))
             .with_checkpoint_every_ticks(512);
-        let mut checkpoints = Vec::new();
-        AsyncSimulator::new(&graph, spike(24), Vanilla, config)
-            .unwrap()
-            .run_with_checkpoints(&mut |cp| {
-                checkpoints.push(cp);
-                Ok(())
-            })
-            .unwrap();
-        let Value::Object(mut fields) = checkpoints[0].to_value() else {
+        let Value::Object(mut fields) = capture(&graph, Vanilla, config)[0].to_value() else {
             panic!("a checkpoint renders as an object");
         };
         fields.retain(|(key, _)| key != "handler");
@@ -459,5 +525,169 @@ fn version_one_blobs_are_rejected() {
             ),
             "{model:?}: a version 1 blob was accepted"
         );
+    }
+}
+
+/// Every value below `value`: its index path (the field or element index
+/// at each level), a dotted label of keys and indexes, and its JSON type.
+fn positions(
+    value: &Value,
+    at: &[usize],
+    label: &str,
+    out: &mut Vec<(Vec<usize>, String, Discriminant<Value>)>,
+) {
+    let children: Vec<(String, &Value)> = match value {
+        Value::Object(fields) => fields.iter().map(|(k, v)| (k.clone(), v)).collect(),
+        Value::Array(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (i.to_string(), v))
+            .collect(),
+        _ => Vec::new(),
+    };
+    for (i, (name, child)) in children.into_iter().enumerate() {
+        let path = [at, &[i]].concat();
+        let label = if label.is_empty() {
+            name
+        } else {
+            format!("{label}.{name}")
+        };
+        positions(child, &path, &label, out);
+        out.push((path, label, discriminant(child)));
+    }
+}
+
+/// The value at index path `path` of `doc`.
+fn at<'v>(doc: &'v mut Value, path: &[usize]) -> &'v mut Value {
+    path.iter().fold(doc, |value, &i| match value {
+        Value::Object(fields) => &mut fields[i].1,
+        Value::Array(items) => &mut items[i],
+        _ => unreachable!("positions only descend into containers"),
+    })
+}
+
+/// `doc` with the value labelled `label` replaced by `value`.
+fn with(doc: &Value, label: &str, value: &str) -> Value {
+    let mut all = Vec::new();
+    positions(doc, &[], "", &mut all);
+    let (path, ..) = all.iter().find(|(_, l, _)| l == label).unwrap();
+    let mut edited = doc.clone();
+    *at(&mut edited, path) = Value::String(value.into());
+    edited
+}
+
+fn is_invalid(doc: &Value) -> bool {
+    matches!(
+        EngineCheckpoint::from_value(doc),
+        Err(SimError::CheckpointInvalid { .. })
+    )
+}
+
+#[test]
+fn a_clock_model_other_than_the_samplers_is_rejected() {
+    // `restore` compares only the clock model with its configuration, so a
+    // document naming one clock but carrying the other's sampler would
+    // resume the run on the wrong tick stream.
+    let graph = chordal_ring(24).unwrap();
+    for (model, other) in [
+        (ClockModel::PerEdgeQueue, "global_uniform"),
+        (ClockModel::GlobalUniform, "per_edge_queue"),
+    ] {
+        let config = SimulationConfig::new(5)
+            .with_clock_model(model)
+            .with_stopping_rule(StoppingRule::max_ticks(1024))
+            .with_checkpoint_every_ticks(512);
+        let doc = capture(&graph, Vanilla, config)[0].to_value();
+        assert!(EngineCheckpoint::from_value(&doc).is_ok(), "{model:?}");
+        assert!(
+            is_invalid(&with(&doc, "clock_model", other)),
+            "{model:?} sampler accepted as {other}"
+        );
+    }
+}
+
+#[test]
+fn only_the_strings_the_encoder_writes_decode() {
+    // `u64::from_str_radix` and `str::parse` accept a sign, leading zeros
+    // and upper-case hex; the encoder writes none of them.
+    let graph = chordal_ring(24).unwrap();
+    let config = stateful_config(ClockModel::GlobalUniform, true, 5);
+    let doc = capture(&graph, Vanilla, config)[0].to_value();
+    for (label, rejected, accepted) in [
+        (
+            "time",
+            &["+1", "1", "3FF0000000000000"][..],
+            "3ff0000000000000",
+        ),
+        ("ticks", &["+7", "007"], "7"),
+        ("sampler.rng_word_pos", &["+7", "007"], "7"),
+        ("faults.stats.dropped", &["+7", "007"], "7"),
+    ] {
+        for encoding in rejected {
+            assert!(
+                is_invalid(&with(&doc, label, encoding)),
+                "{label} = {encoding:?} accepted"
+            );
+        }
+        assert!(EngineCheckpoint::from_value(&with(&doc, label, accepted)).is_ok());
+    }
+}
+
+#[test]
+fn every_removed_field_and_retyped_value_is_rejected() {
+    // The generated form of the hand-picked corruptions in the unit tests:
+    // every field of a hostile Algorithm A document, at every depth, is
+    // removed, and every value is replaced by one of each other JSON type.
+    // Decoding must fail with a typed error, never panic, and accept only
+    // the `null`s the format has: no fault plan, no adversary plan, or an
+    // empty handler slot.
+    let (graph, partition) = dumbbell(6).unwrap();
+    let other_types = [
+        Value::Null,
+        Value::Bool(true),
+        Value::Number(1.0),
+        Value::String("x".into()),
+        Value::Array(Vec::new()),
+        Value::Object(Vec::new()),
+    ];
+    for model in [ClockModel::PerEdgeQueue, ClockModel::GlobalUniform] {
+        let config = stateful_config(model, true, 103);
+        let checkpoints = capture(&graph, algorithm_a(&graph, &partition), config);
+        let doc = checkpoints.last().unwrap().to_value();
+        let mut all = Vec::new();
+        positions(&doc, &[], "", &mut all);
+        assert!(
+            all.iter()
+                .any(|(_, label, _)| label.starts_with("adversary.stale_histories.0.1.0.")),
+            "{model:?}: the document holds no stale-replay history"
+        );
+        for (path, label, kind) in &all {
+            let (last, above) = path.split_last().unwrap();
+            let mut removed = doc.clone();
+            if let Value::Object(fields) = at(&mut removed, above) {
+                fields.remove(*last);
+                assert!(
+                    is_invalid(&removed),
+                    "{model:?}: removing {label} was accepted"
+                );
+            }
+            for replacement in other_types.iter().filter(|r| discriminant(*r) != *kind) {
+                let mut edited = doc.clone();
+                *at(&mut edited, path) = replacement.clone();
+                let allowed = *replacement == Value::Null
+                    && (label == "faults"
+                        || label == "adversary"
+                        || label.starts_with("handler.reals."));
+                let result = EngineCheckpoint::from_value(&edited);
+                assert!(
+                    if allowed {
+                        result.is_ok()
+                    } else {
+                        matches!(result, Err(SimError::CheckpointInvalid { .. }))
+                    },
+                    "{model:?}: {label} = {replacement:?} gave {result:?}"
+                );
+            }
+        }
     }
 }
