@@ -1186,8 +1186,10 @@ pub fn sim_scale_rows(
             };
             let sim_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(1500 + index as u64))
-                    // The global sampler draws ticks in O(1); the per-edge
-                    // queue's heap would add an O(log |E|) factor per event.
+                    // The committed SIM_SCALE report holds the global
+                    // sampler's stream; the per-edge queue samples the same
+                    // process through a different stream, so switching
+                    // would change every output.
                     .with_clock_model(ClockModel::GlobalUniform)
                     .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
                     .with_max_events(4_000_000_000),

@@ -5,13 +5,15 @@
 //! `(time, edge)` events are provided:
 //!
 //! * [`EdgeClockQueue`] — simulate every edge's clock explicitly: keep the
-//!   next tick time of each edge in a priority queue and, after delivering an
-//!   event, re-arm that edge with a fresh `Exp(1)` inter-arrival time.  This
-//!   is the literal discrete-event view.
+//!   next tick time of each edge in a calendar queue (R. Brown, CACM 31(10),
+//!   1988) whose time buckets hold one expected tick each and, after
+//!   delivering an event, re-arm that edge with a fresh `Exp(1)`
+//!   inter-arrival time.  This is the literal discrete-event view, at `O(1)`
+//!   expected work per event.
 //! * [`GlobalTickProcess`] — use the superposition property: the union of
 //!   `|E|` rate-1 processes is a rate-`|E|` Poisson process whose points are
-//!   assigned to edges uniformly at random.  This is cheaper (`O(1)` per
-//!   event) and is what large sweeps use.
+//!   assigned to edges uniformly at random.  It keeps no per-edge state and
+//!   draws its events in batches; large sweeps use it.
 //!
 //! Every [`TickEvent`] carries the ticking edge's endpoints, so no consumer
 //! indexes the edge table per tick.  The queue reads them as it pops an
@@ -28,8 +30,6 @@ use crate::{Result, SimError};
 use gossip_graph::{Edge, EdgeId, Graph};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A single edge-clock tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,37 +67,54 @@ pub fn exponential_sample<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct QueueEntry {
+/// End-of-list marker of the queue's `u32` links (hence fewer than
+/// `u32::MAX` edges).
+const NIL: u32 = u32::MAX;
+
+/// A restored time must lie in a bucket below this, so the bucket cast to
+/// `u64` never saturates and stepping the current bucket never overflows.
+const BUCKET_LIMIT: f64 = (1u64 << 62) as f64;
+
+/// An edge's next tick, and its link in a bucket's list.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
     time: f64,
-    edge: EdgeId,
-}
-
-impl Eq for QueueEntry {}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest time pops first.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("tick times are finite")
-            .then_with(|| other.edge.index().cmp(&self.edge.index()))
-    }
-}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+    /// The next edge in the same bucket's list, or [`NIL`].
+    next: u32,
 }
 
 /// Literal per-edge Poisson clocks, delivered in time order.
+///
+/// The pending ticks sit in a calendar queue: time bucket `b` holds the
+/// edges whose next tick `t` has `⌊t·|E|·rate⌋ = b`, so about one pending
+/// tick falls in each bucket near `now` (the pending times of `|E|` clocks
+/// of rate `rate` have density `|E|·rate` there).  A ring of buckets covers
+/// the next four or more expected inter-arrival times of a clock; ticks
+/// past the ring wait in an overflow list until the ring reaches them.
+/// Rounding `t·|E|·rate` is monotone in `t`, so no lower bucket holds a
+/// later tick, and the least `(time, edge index)` of the first non-empty
+/// bucket is the least pending tick: the stream is the one a binary heap
+/// over `(time, edge index)` pops, bit for bit.
 #[derive(Debug, Clone)]
 pub struct EdgeClockQueue<'g> {
     /// The graph's edge table, read once per delivered tick.
     edges: &'g [Edge],
-    queue: BinaryHeap<QueueEntry>,
+    /// `pending[e]`: edge `e`'s next tick and list link, side by side
+    /// because a tick reads both.
+    pending: Vec<Pending>,
+    /// The first edge of each ring bucket's list, or [`NIL`]; bucket `b`
+    /// lives in slot `b & (heads.len() - 1)`.  Every edge in the ring has
+    /// a bucket in `current..current + heads.len()`.
+    heads: Vec<u32>,
+    /// Edges whose bucket lay past the ring when they were filed; each has
+    /// a bucket at or past the next multiple of `heads.len()` above
+    /// `current`, so the ring needs them only once it wraps.
+    overflow: Vec<u32>,
+    /// Absolute index of the bucket the next tick is taken from; the
+    /// bucket of `now`, and of no pending tick before it.
+    current: u64,
+    /// Buckets per unit of time: `|E|·rate`.
+    buckets_per_time: f64,
     rng: ChaCha8Rng,
     global_tick_count: u64,
     now: f64,
@@ -120,7 +137,8 @@ impl<'g> EdgeClockQueue<'g> {
     /// # Errors
     ///
     /// Returns [`SimError::NoEdges`] if the graph has no edges, or
-    /// [`SimError::InvalidConfig`] for a non-positive rate.
+    /// [`SimError::InvalidConfig`] for a non-positive rate or a graph of
+    /// `u32::MAX` edges or more.
     pub fn with_rate(graph: &'g Graph, seed: u64, rate: f64) -> Result<Self> {
         if graph.edge_count() == 0 {
             return Err(SimError::NoEdges);
@@ -131,37 +149,114 @@ impl<'g> EdgeClockQueue<'g> {
             });
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut entries = Vec::with_capacity(graph.edge_count());
-        for edge in graph.edge_ids() {
-            let t = exponential_sample(&mut rng, rate);
-            entries.push(QueueEntry { time: t, edge });
-        }
-        // Heapify-in-place of the filled buffer.  The internal heap layout
-        // may differ from an incremental build, but entries are totally
-        // ordered (ties broken by edge index, no edge twice) so the *popped*
-        // stream — the only thing the engine observes — is the sorted order
-        // either way.
-        let queue = BinaryHeap::from(entries);
-        Ok(EdgeClockQueue {
-            edges: graph.edges(),
-            queue,
-            rng,
-            global_tick_count: 0,
-            now: 0.0,
-            rate,
-        })
+        let times = (0..graph.edge_count())
+            .map(|_| exponential_sample(&mut rng, rate))
+            .collect();
+        Self::from_times(graph, times, rng, 0, 0.0, rate)
     }
 
-    /// Crate-internal: captures the full resumable state.  The heap is
-    /// exported in canonical (time, edge) sorted order: entries are totally
-    /// ordered and no edge appears twice, so the popped stream — the only
-    /// thing the engine observes — is independent of the internal layout,
-    /// and the canonical order makes the serialized bytes deterministic.
+    /// Files every edge's pending tick `times[e]` into a fresh calendar
+    /// whose current bucket is that of `now`.  Every time must be at least
+    /// `now`.
+    fn from_times(
+        graph: &'g Graph,
+        times: Vec<f64>,
+        rng: ChaCha8Rng,
+        global_tick_count: u64,
+        now: f64,
+        rate: f64,
+    ) -> Result<Self> {
+        let edge_count = graph.edge_count();
+        if edge_count >= NIL as usize {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "the per-edge clock queue links edges by u32 index and takes fewer than \
+                     {NIL} edges, got {edge_count}"
+                ),
+            });
+        }
+        let buckets_per_time = edge_count as f64 * rate;
+        let mut queue = EdgeClockQueue {
+            edges: graph.edges(),
+            pending: times
+                .into_iter()
+                .map(|time| Pending { time, next: NIL })
+                .collect(),
+            heads: vec![NIL; (4 * edge_count).next_power_of_two()],
+            overflow: Vec::new(),
+            current: (now * buckets_per_time) as u64,
+            buckets_per_time,
+            rng,
+            global_tick_count,
+            now,
+            rate,
+        };
+        for edge in 0..edge_count as u32 {
+            queue.file(edge);
+        }
+        Ok(queue)
+    }
+
+    /// The bucket of time `t` (monotone in `t`).
+    #[inline]
+    fn bucket(&self, t: f64) -> u64 {
+        (t * self.buckets_per_time) as u64
+    }
+
+    /// Files `edge` by its pending time: into its ring bucket, or into the
+    /// overflow list if that bucket lies past the ring.
+    #[inline]
+    fn file(&mut self, edge: u32) {
+        let bucket = self.bucket(self.pending[edge as usize].time);
+        if bucket - self.current < self.heads.len() as u64 {
+            let slot = bucket as usize & (self.heads.len() - 1);
+            self.pending[edge as usize].next = self.heads[slot];
+            self.heads[slot] = edge;
+        } else {
+            self.overflow.push(edge);
+        }
+    }
+
+    /// Moves past the empty current bucket: to the next one, re-filing the
+    /// overflow list each time the ring wraps, or, when the ring holds
+    /// nothing, straight to the earliest overflow bucket.
+    fn advance(&mut self) {
+        if self.overflow.len() == self.pending.len() {
+            self.current = self
+                .overflow
+                .iter()
+                .map(|&edge| self.bucket(self.pending[edge as usize].time))
+                .min()
+                .expect("the queue holds one entry per edge");
+            self.refile_overflow();
+        } else {
+            self.current += 1;
+            if self.current as usize & (self.heads.len() - 1) == 0 {
+                self.refile_overflow();
+            }
+        }
+    }
+
+    /// Moves every overflow entry the ring now covers into its bucket.
+    #[cold]
+    fn refile_overflow(&mut self) {
+        for edge in std::mem::take(&mut self.overflow) {
+            self.file(edge);
+        }
+    }
+
+    /// Crate-internal: captures the full resumable state.  The pending ticks
+    /// are exported in canonical (time, edge) sorted order: entries are
+    /// totally ordered and no edge appears twice, so the popped stream — the
+    /// only thing the engine observes — is independent of how the calendar
+    /// holds them, and the canonical order makes the serialized bytes
+    /// deterministic.
     pub(crate) fn checkpoint_state(&self) -> EdgeClockQueueState {
         let mut entries: Vec<(f64, usize)> = self
-            .queue
+            .pending
             .iter()
-            .map(|e| (e.time, e.edge.index()))
+            .enumerate()
+            .map(|(edge, pending)| (pending.time, edge))
             .collect();
         entries.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -184,52 +279,63 @@ impl<'g> EdgeClockQueue<'g> {
     ///
     /// # Errors
     ///
-    /// [`SimError::CheckpointInvalid`] unless the captured queue holds every
-    /// edge of `graph` exactly once with a finite time.
+    /// [`SimError::CheckpointInvalid`] unless the captured clocks run at the
+    /// engine's rate 1 and the captured queue holds every edge of `graph`
+    /// exactly once, each with a pending time no earlier than the captured
+    /// `now`, and `now` and every pending time lie at or after 0 and in a
+    /// bucket below 2⁶².
     pub(crate) fn restore_state(
         graph: &'g Graph,
         seed: u64,
         state: &EdgeClockQueueState,
     ) -> Result<Self> {
-        let mut seen = vec![false; graph.edge_count()];
+        let invalid = |reason: String| Err(SimError::CheckpointInvalid { reason });
+        if state.rate != 1.0 {
+            return invalid(format!(
+                "per-edge clocks run at rate 1, the checkpoint says {}",
+                state.rate
+            ));
+        }
+        let buckets_per_time = graph.edge_count() as f64;
+        let in_range = |t: f64| t >= 0.0 && t * buckets_per_time < BUCKET_LIMIT;
+        if !in_range(state.now) {
+            return invalid(format!(
+                "clock time {} is negative, not finite, or too late",
+                state.now
+            ));
+        }
+        // An edge not queued yet holds NaN, which no accepted time is.
+        let mut times = vec![f64::NAN; graph.edge_count()];
         for &(time, edge) in &state.entries {
-            if !time.is_finite() || edge >= seen.len() || seen[edge] {
-                return Err(SimError::CheckpointInvalid {
-                    reason: format!(
-                        "clock queue entry ({time}, edge {edge}) has a non-finite time, an \
-                         unknown edge, or an edge queued twice"
-                    ),
-                });
+            if !(time >= state.now && in_range(time))
+                || edge >= times.len()
+                || !times[edge].is_nan()
+            {
+                return invalid(format!(
+                    "clock queue entry ({time}, edge {edge}) is earlier than the clock time {}, \
+                     not finite or too late, names an unknown edge, or an edge queued twice",
+                    state.now
+                ));
             }
-            seen[edge] = true;
+            times[edge] = time;
         }
         if state.entries.len() != graph.edge_count() {
-            return Err(SimError::CheckpointInvalid {
-                reason: format!(
-                    "clock queue holds {} entries for {} edges",
-                    state.entries.len(),
-                    graph.edge_count()
-                ),
-            });
+            return invalid(format!(
+                "clock queue holds {} entries for {} edges",
+                state.entries.len(),
+                graph.edge_count()
+            ));
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.set_word_pos(state.rng_word_pos);
-        let entries: Vec<QueueEntry> = state
-            .entries
-            .iter()
-            .map(|&(time, edge)| QueueEntry {
-                time,
-                edge: EdgeId(edge),
-            })
-            .collect();
-        Ok(EdgeClockQueue {
-            edges: graph.edges(),
-            queue: BinaryHeap::from(entries),
+        Self::from_times(
+            graph,
+            times,
             rng,
-            global_tick_count: state.global_tick_count,
-            now: state.now,
-            rate: state.rate,
-        })
+            state.global_tick_count,
+            state.now,
+            state.rate,
+        )
     }
 }
 
@@ -252,28 +358,42 @@ pub(crate) struct EdgeClockQueueState {
 impl TickProcess for EdgeClockQueue<'_> {
     #[inline]
     fn next_tick(&mut self) -> TickEvent {
-        // Re-arm in place through `peek_mut`: writing the fresh arrival time
-        // into the root entry and letting the `PeekMut` guard sift it down
-        // costs one sift instead of the two a pop + push pair would.  The
-        // delivered stream is unchanged: entries are totally ordered (ties
-        // broken by edge index, and no edge appears twice), so the pop order
-        // is the sorted order no matter how the heap is arranged internally
-        // — `queue_rearm_matches_reference_pop_push` pins this bit-for-bit.
-        let (time, edge) = {
-            let mut head = self
-                .queue
-                .peek_mut()
-                .expect("queue always holds one entry per edge");
-            let (time, edge) = (head.time, head.edge);
-            head.time = time + exponential_sample(&mut self.rng, self.rate);
-            (time, edge)
-        };
+        let mask = self.heads.len() - 1;
+        while self.heads[self.current as usize & mask] == NIL {
+            self.advance();
+        }
+        // The least (time, edge index) of the current bucket, in the order
+        // a binary heap of the pending ticks pops them.
+        let slot = self.current as usize & mask;
+        let mut best = self.heads[slot];
+        let (mut prev, mut best_prev) = (best, NIL);
+        let mut cursor = self.pending[best as usize].next;
+        while cursor != NIL {
+            let (t, b) = (
+                self.pending[cursor as usize].time,
+                self.pending[best as usize].time,
+            );
+            if t < b || (t == b && cursor < best) {
+                (best, best_prev) = (cursor, prev);
+            }
+            prev = cursor;
+            cursor = self.pending[cursor as usize].next;
+        }
+        let after = self.pending[best as usize].next;
+        if best_prev == NIL {
+            self.heads[slot] = after;
+        } else {
+            self.pending[best_prev as usize].next = after;
+        }
+        let time = self.pending[best as usize].time;
+        self.pending[best as usize].time = time + exponential_sample(&mut self.rng, self.rate);
+        self.file(best);
         self.now = time;
         self.global_tick_count += 1;
         TickEvent {
             time,
-            edge,
-            endpoints: self.edges[edge.index()],
+            edge: EdgeId(best as usize),
+            endpoints: self.edges[best as usize],
             global_tick_count: self.global_tick_count,
         }
     }
@@ -485,8 +605,99 @@ impl TickProcess for GlobalTickProcess<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_graph::generators::{complete, path};
+    use gossip_graph::generators::{complete, expander_dumbbell, path};
     use proptest::prelude::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct QueueEntry {
+        time: f64,
+        edge: EdgeId,
+    }
+
+    impl Eq for QueueEntry {}
+
+    impl Ord for QueueEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert so the earliest time pops first.
+            other
+                .time
+                .partial_cmp(&self.time)
+                .expect("tick times are finite")
+                .then_with(|| other.edge.index().cmp(&self.edge.index()))
+        }
+    }
+
+    impl PartialOrd for QueueEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The calendar's oracle: every edge's pending tick in a binary heap
+    /// ordered by `(time, edge index)`, popped and re-armed with the same
+    /// single `Exp(rate)` draw per tick.
+    struct HeapOracle<'g> {
+        graph: &'g Graph,
+        queue: BinaryHeap<QueueEntry>,
+        rng: ChaCha8Rng,
+        rate: f64,
+        global: u64,
+    }
+
+    impl<'g> HeapOracle<'g> {
+        fn with_rate(graph: &'g Graph, seed: u64, rate: f64) -> Self {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut queue = BinaryHeap::new();
+            for edge in graph.edge_ids() {
+                let time = exponential_sample(&mut rng, rate);
+                queue.push(QueueEntry { time, edge });
+            }
+            HeapOracle {
+                graph,
+                queue,
+                rng,
+                rate,
+                global: 0,
+            }
+        }
+
+        fn next_tick(&mut self) -> TickEvent {
+            // Pop + push, not a re-arm of the root in place through
+            // `peek_mut` (one sift instead of two): entries are totally
+            // ordered (ties broken by edge index, and no edge appears
+            // twice), so the pop order is the sorted order no matter how
+            // the heap is arranged internally, and the plainest form makes
+            // the clearest oracle.
+            let entry = self.queue.pop().unwrap();
+            self.global += 1;
+            let next = entry.time + exponential_sample(&mut self.rng, self.rate);
+            self.queue.push(QueueEntry {
+                time: next,
+                edge: entry.edge,
+            });
+            TickEvent {
+                time: entry.time,
+                edge: entry.edge,
+                endpoints: self.graph.edge(entry.edge).unwrap(),
+                global_tick_count: self.global,
+            }
+        }
+    }
+
+    /// One graph of each shape the calendar meets: a single edge (every
+    /// tick re-arms the only entry, so the ring is often empty), a path, a
+    /// complete graph and an expander dumbbell, `size` scaling the last
+    /// three.
+    fn oracle_graph(shape: usize, size: usize) -> Graph {
+        match shape {
+            0 => Graph::from_edges(2, &[(0, 1)]).unwrap(),
+            1 => path(size).unwrap(),
+            2 => complete(size / 4 + 2).unwrap(),
+            _ => expander_dumbbell(size).unwrap().0,
+        }
+    }
 
     #[test]
     fn exponential_sample_mean() {
@@ -553,68 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_rearm_matches_reference_pop_push() {
-        // The production queue re-arms through `peek_mut` (one sift); this
-        // reference implementation is the historical pop + push (two sifts).
-        // Entries are totally ordered, so both must deliver the exact same
-        // tick stream — bit-for-bit, including re-arm draws.
-        struct Reference<'g> {
-            graph: &'g Graph,
-            queue: BinaryHeap<QueueEntry>,
-            rng: ChaCha8Rng,
-            global: u64,
-        }
-        impl<'g> Reference<'g> {
-            fn new(graph: &'g Graph, seed: u64) -> Self {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut queue = BinaryHeap::new();
-                for edge in graph.edge_ids() {
-                    let t = exponential_sample(&mut rng, 1.0);
-                    queue.push(QueueEntry { time: t, edge });
-                }
-                Reference {
-                    graph,
-                    queue,
-                    rng,
-                    global: 0,
-                }
-            }
-            fn next_tick(&mut self) -> TickEvent {
-                let entry = self.queue.pop().unwrap();
-                self.global += 1;
-                let next = entry.time + exponential_sample(&mut self.rng, 1.0);
-                self.queue.push(QueueEntry {
-                    time: next,
-                    edge: entry.edge,
-                });
-                TickEvent {
-                    time: entry.time,
-                    edge: entry.edge,
-                    endpoints: self.graph.edge(entry.edge).unwrap(),
-                    global_tick_count: self.global,
-                }
-            }
-        }
-        for seed in [0u64, 7, 42, 0xDEAD] {
-            let g = complete(6).unwrap();
-            let mut production = EdgeClockQueue::new(&g, seed).unwrap();
-            let mut reference = Reference::new(&g, seed);
-            for tick in 0..5_000 {
-                let a = production.next_tick();
-                let b = reference.next_tick();
-                assert_eq!(a.edge, b.edge, "seed {seed} tick {tick}");
-                assert_eq!(
-                    a.time.to_bits(),
-                    b.time.to_bits(),
-                    "seed {seed} tick {tick}"
-                );
-                assert_eq!(a.endpoints, b.endpoints);
-                assert_eq!(a.global_tick_count, b.global_tick_count);
-            }
-        }
-    }
-
-    #[test]
     fn global_batching_matches_reference_single_draws() {
         // The batched sampler must consume the ChaCha stream in the exact
         // per-event order (gap, then edge) of the historical unbatched
@@ -670,6 +819,21 @@ mod tests {
         ));
     }
 
+    /// Captures `original`, restores it, and checks that both deliver the
+    /// same next 2 000 ticks bit for bit.
+    fn assert_queue_restores(g: &Graph, seed: u64, mut original: EdgeClockQueue<'_>, ctx: &str) {
+        let state = original.checkpoint_state();
+        let mut restored = EdgeClockQueue::restore_state(g, seed, &state).unwrap();
+        for tick in 0..2_000 {
+            let a = original.next_tick();
+            let b = restored.next_tick();
+            assert_eq!(a.edge, b.edge, "queue {ctx} tick {tick}");
+            assert_eq!(a.time.to_bits(), b.time.to_bits());
+            assert_eq!(a.endpoints, b.endpoints);
+            assert_eq!(a.global_tick_count, b.global_tick_count);
+        }
+    }
+
     #[test]
     fn sampler_checkpoint_round_trip_is_bit_identical() {
         // Capture both samplers mid-stream (including mid-batch for the
@@ -677,24 +841,19 @@ mod tests {
         // uninterrupted one bit-for-bit across several refills/re-arms.
         let g = complete(6).unwrap();
         for seed in [0u64, 7, 42] {
+            // A capture while ticks wait past the ring: the restored queue
+            // files every pending tick again from the bucket of `now`.
+            let mut original = EdgeClockQueue::new(&g, seed).unwrap();
+            while original.overflow.is_empty() {
+                original.next_tick();
+            }
+            assert_queue_restores(&g, seed, original, &format!("seed {seed} overflowing"));
             for warmup in [0usize, 1, 17, GLOBAL_TICK_BATCH + 5] {
                 let mut original = EdgeClockQueue::new(&g, seed).unwrap();
                 for _ in 0..warmup {
                     original.next_tick();
                 }
-                let state = original.checkpoint_state();
-                let mut restored = EdgeClockQueue::restore_state(&g, seed, &state).unwrap();
-                for tick in 0..2_000 {
-                    let a = original.next_tick();
-                    let b = restored.next_tick();
-                    assert_eq!(
-                        a.edge, b.edge,
-                        "queue seed {seed} warmup {warmup} tick {tick}"
-                    );
-                    assert_eq!(a.time.to_bits(), b.time.to_bits());
-                    assert_eq!(a.endpoints, b.endpoints);
-                    assert_eq!(a.global_tick_count, b.global_tick_count);
-                }
+                assert_queue_restores(&g, seed, original, &format!("seed {seed} warmup {warmup}"));
 
                 let mut original = GlobalTickProcess::new(&g, seed).unwrap();
                 for _ in 0..warmup {
@@ -880,6 +1039,37 @@ mod tests {
                 prop_assert!(ev.time >= last);
                 last = ev.time;
             }
+        }
+
+        #[test]
+        fn prop_queue_matches_the_heap_oracle(
+            seed in 0u64..1_000_000,
+            shape in 0usize..4,
+            size in 8usize..65,
+            log10_rate in -2.0f64..2.0,
+        ) {
+            // Bit-identical streams for any graph and any rate from 0.01 to
+            // 100 (the bucket width scales with both), and long enough that
+            // each case files ticks past the ring and wraps it.
+            let g = oracle_graph(shape, size);
+            let rate = 10f64.powf(log10_rate);
+            let mut queue = EdgeClockQueue::with_rate(&g, seed, rate).unwrap();
+            let mut oracle = HeapOracle::with_rate(&g, seed, rate);
+            let ring = queue.heads.len() as u64;
+            let first_lap = queue.current / ring;
+            let (mut overflowed, mut wrapped) = (false, false);
+            for tick in 0..50_000 {
+                let a = queue.next_tick();
+                let b = oracle.next_tick();
+                prop_assert_eq!(a.edge, b.edge, "tick {}", tick);
+                prop_assert_eq!(a.time.to_bits(), b.time.to_bits(), "tick {}", tick);
+                prop_assert_eq!(a.endpoints, b.endpoints);
+                prop_assert_eq!(a.global_tick_count, b.global_tick_count);
+                overflowed |= !queue.overflow.is_empty();
+                wrapped |= queue.current / ring > first_lap;
+            }
+            prop_assert!(overflowed, "no tick was filed past the ring");
+            prop_assert!(wrapped, "the ring never wrapped");
         }
 
         // --- Sampler-equivalence properties -------------------------------

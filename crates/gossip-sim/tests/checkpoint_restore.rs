@@ -607,6 +607,46 @@ fn a_clock_model_other_than_the_samplers_is_rejected() {
 }
 
 #[test]
+fn per_edge_clock_states_the_engine_never_writes_are_refused_at_restore() {
+    // Each edit decodes, since every field keeps its type, but describes a
+    // per-edge clock the engine never runs: a rate other than 1 (zero,
+    // negative or NaN would panic at the first re-arm; 2 would silently
+    // resume a different process), a pending tick earlier than the last
+    // delivered one (it would be delivered back in time), and times past
+    // any run's reach.
+    let graph = chordal_ring(24).unwrap();
+    let config = SimulationConfig::new(5)
+        .with_clock_model(ClockModel::PerEdgeQueue)
+        .with_stopping_rule(StoppingRule::max_ticks(2048))
+        .with_checkpoint_every_ticks(1024);
+    let doc = capture(&graph, Vanilla, config.clone())[0].to_value();
+    let restores = |doc: &Value| {
+        let checkpoint = EngineCheckpoint::from_value(doc).unwrap();
+        AsyncSimulator::restore(&graph, Vanilla, config.clone(), &checkpoint)
+    };
+    assert_eq!(restores(&doc).unwrap().run().unwrap().total_ticks, 2048);
+    let hex = |x: f64| format!("{:016x}", x.to_bits());
+    let last = format!("sampler.entries.{}.0", graph.edge_count() - 1);
+    for (label, value) in [
+        ("sampler.rate", 0.0),
+        ("sampler.rate", -1.0),
+        ("sampler.rate", f64::NAN),
+        ("sampler.rate", 2.0),
+        ("sampler.entries.0.0", 0.0),
+        ("sampler.now", -1.0),
+        ("sampler.now", f64::NAN),
+        (&last, 1e300),
+    ] {
+        let result = restores(&with(&doc, label, &hex(value)));
+        assert!(
+            matches!(result, Err(SimError::CheckpointInvalid { .. })),
+            "{label} = {value} gave {:?}",
+            result.map(|_| ())
+        );
+    }
+}
+
+#[test]
 fn only_the_strings_the_encoder_writes_decode() {
     // `u64::from_str_radix` and `str::parse` accept a sign, leading zeros
     // and upper-case hex; the encoder writes none of them.

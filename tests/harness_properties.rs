@@ -249,6 +249,60 @@ fn clock_tick_streams_are_pinned_bit_for_bit() {
     }
 }
 
+/// The 64-bit FNV-1a hash of the first `ticks` events of a per-edge clock
+/// queue: each event's edge index, then its time bits, both as little-endian
+/// `u64`s.
+fn queue_stream_hash(graph: &Graph, seed: u64, ticks: u64) -> u64 {
+    let mut queue = EdgeClockQueue::new(graph, seed).expect("graph has edges");
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..ticks {
+        let event = queue.next_tick();
+        let edge = event.edge.index() as u64;
+        for byte in edge
+            .to_le_bytes()
+            .into_iter()
+            .chain(event.time.to_bits().to_le_bytes())
+        {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The per-edge clock queue's stream, pinned far past the five ticks above:
+/// a million ticks of the `paper-estimate` graph (3 841 edges), and long
+/// streams of the smallest graph and of a small dense one.  Long enough for
+/// every pending time to be re-armed hundreds of times, and for re-armed
+/// times to land far past the next few expected ticks, so a queue that keeps
+/// only near-term times in order is checked on the events it files away.
+#[test]
+fn long_clock_queue_streams_are_pinned_bit_for_bit() {
+    let one_edge = Graph::from_edges(2, &[(0, 1)]).expect("one edge");
+    let cases = [
+        (
+            "expander_dumbbell(256)",
+            expander_dumbbell(256).expect("generator").0,
+            1_000_000,
+            0x5458_d9a8_cb80_b023u64,
+        ),
+        ("one edge", one_edge, 100_000, 0xfb68_ed3b_efd1_de65),
+        (
+            "complete(6)",
+            complete(6).expect("generator"),
+            100_000,
+            0x4b38_dd51_419c_3bb6,
+        ),
+    ];
+    for (name, graph, ticks, expected) in cases {
+        assert_eq!(
+            format!("{:016x}", queue_stream_hash(&graph, 2024, ticks)),
+            format!("{expected:016x}"),
+            "{name}, {ticks} ticks"
+        );
+    }
+}
+
 /// Exact determinism at the harness level: re-running the full estimator
 /// pipeline with the same seed reproduces the averaging time bit for bit,
 /// and both the vanilla and the Algorithm A estimates are pinned to the
