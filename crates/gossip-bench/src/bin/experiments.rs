@@ -54,8 +54,7 @@
 //! `--trial-deadline-secs <n>` puts a wall-clock deadline on every
 //! simulation trial; a trial that exceeds it is journaled as
 //! `deadline_censored` and dropped from the sweep instead of hanging it.
-//! `--trial-retries <n>` bounds the deterministic retry of a panicking
-//! trial (default 1; recovered trials journal `supervision_retries`).
+//! A panicking trial surfaces as an error carrying its panic message.
 //!
 //! The SCALE, SIM_SCALE, MEM_SCALE, ROBUSTNESS, PERF and ADVERSARY tiers
 //! additionally write their structured reports to `BENCH_*.json` (paths
@@ -245,7 +244,7 @@ fn print_usage() {
         "usage: experiments [--quick] [--seed <u64>] [--jobs <n>] \
          [--only E1 E2 ... SCALE SIM_SCALE MEM_SCALE ROBUSTNESS PERF ADVERSARY] [--json <path>] \
          [--store-dir <dir>] [--resume] [--store-summary] \
-         [--checkpoint-every-ticks <n>] [--trial-deadline-secs <n>] [--trial-retries <n>] \
+         [--checkpoint-every-ticks <n>] [--trial-deadline-secs <n>] \
          [--scale-json <path>] [--sim-scale-json <path>] [--mem-scale-json <path>] \
          [--robustness-json <path>] [--perf-json <path>] [--adversary-json <path>]"
     );
@@ -334,17 +333,6 @@ fn main() {
                     }
                     _ => {
                         eprintln!("--trial-deadline-secs requires a positive integer");
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--trial-retries" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(retries) => config.trial_retries = retries,
-                    None => {
-                        eprintln!("--trial-retries requires an unsigned integer (0 disables)");
                         print_usage();
                         std::process::exit(2);
                     }

@@ -19,7 +19,7 @@ use crate::table::Table;
 use crate::trial::{engine_fingerprint, run_trials, schema};
 use gossip_analysis::dominance::DominanceReport;
 use gossip_analysis::random_walk::simple_walk_tail_frequency;
-use gossip_analysis::{concentration, regression, robust};
+use gossip_analysis::{concentration, regression, robust, stats};
 use gossip_core::averaging_time::{AveragingTimeEstimate, AveragingTimeEstimator, EstimatorConfig};
 use gossip_core::bounds;
 use gossip_core::convex::{RandomNeighborGossip, VanillaGossip, WeightedConvexGossip};
@@ -72,11 +72,6 @@ pub struct HarnessConfig {
     /// never hanging or failing the sweep.  `None` (the default) means no
     /// deadline.
     pub trial_deadline: Option<std::time::Duration>,
-    /// How many times a *panicking* trial is deterministically retried
-    /// (fresh scratch, same derived seed) before its panic is surfaced as
-    /// an error.  Retries are journaled on the recovered row as
-    /// `supervision_retries`.
-    pub trial_retries: u32,
 }
 
 impl HarnessConfig {
@@ -88,7 +83,6 @@ impl HarnessConfig {
             jobs: None,
             checkpoint_every_ticks: 0,
             trial_deadline: None,
-            trial_retries: 1,
         }
     }
 
@@ -100,7 +94,6 @@ impl HarnessConfig {
             jobs: None,
             checkpoint_every_ticks: 0,
             trial_deadline: None,
-            trial_retries: 1,
         }
     }
 
@@ -139,11 +132,11 @@ impl HarnessConfig {
 
     fn estimator(&self, seed_offset: u64, max_time: f64) -> AveragingTimeEstimator {
         // Estimators built here run inside a tier's row-level fan-out, so
-        // their own run fan-out is pinned to one job: the rows already
-        // saturate the pool, and a nested pool per row would oversubscribe
-        // the machine without changing any output (the PERF tier, which
-        // times estimator-level parallelism deliberately, builds its own
-        // estimators).
+        // their own run fan-out is pinned to one job: the rows already keep
+        // every worker busy, and a nested fan-out per row would start
+        // threads of its own and oversubscribe the machine without changing
+        // any output (the PERF tier, which times estimator-level
+        // parallelism deliberately, builds its own estimators).
         AveragingTimeEstimator::new(
             EstimatorConfig::new(self.seed.wrapping_add(seed_offset))
                 .with_runs(self.runs())
@@ -2004,15 +1997,17 @@ schema! { row
 }
 
 schema! { row
-    /// One timed pass of an estimator comparison at a fixed job count.
+    /// An estimator comparison's timing at one job count: the median of
+    /// five passes.
     #[derive(Debug, Clone, PartialEq)]
     pub struct PerfJobTiming {
-        /// Worker count of this pass (volatile: the top of the grid depends on
-        /// `--jobs` / `GOSSIP_JOBS` / the machine).
+        /// Worker count of these passes (volatile: the top of the grid depends
+        /// on `--jobs` / `GOSSIP_JOBS` / the machine).
         pub jobs: usize,
-        /// Wall-clock milliseconds of the full estimate (volatile).
+        /// Median wall-clock milliseconds of the full estimate over five
+        /// passes (volatile).
         pub wall_ms: f64,
-        /// One-job wall clock divided by this pass's wall clock (volatile).
+        /// Median one-job wall clock divided by this median (volatile).
         pub speedup: f64,
     }
 }
@@ -2020,13 +2015,14 @@ schema! { row
 schema! { row
     /// One estimator row of the performance tier: the Definition 1 estimator
     /// timed end-to-end at every job count of the grid (1, 2, 4 and the
-    /// resolved width, deduplicated), with a bitwise comparison of every
-    /// parallel estimate against the one-job estimate built in — a perf
-    /// measurement that doubles as a determinism oracle.
+    /// resolved width, deduplicated), five passes each, with a bitwise
+    /// comparison of every estimate against the first one-job estimate built
+    /// in — a perf measurement that doubles as a determinism oracle.
     ///
-    /// Each family's instance is sized so one run costs milliseconds to tens of
-    /// milliseconds: the timed workload has to dwarf per-run dispatch, or the
-    /// "speedup" would measure pool overhead instead of the estimator.
+    /// Each family's instance is sized so one run costs milliseconds (about
+    /// 2–19 ms per run at quick sizes): the timed workload has to dwarf the
+    /// fan-out's thread start-up, or the "speedup" would measure dispatch
+    /// instead of the estimator.
     #[derive(Debug, Clone, PartialEq)]
     pub struct PerfEstimatorRow {
         /// Scenario name (from `Scenario::name`).
@@ -2042,14 +2038,15 @@ schema! { row
         pub mean_settling_time: f64,
         /// Runs that confirmed convergence (deterministic).
         pub confirmed_runs: usize,
-        /// Wall-clock milliseconds of the 1-job estimate (volatile).
+        /// Median wall-clock milliseconds of the 1-job estimate (volatile).
         pub wall_ms_serial: f64,
-        /// Wall-clock milliseconds at the top of the job grid (volatile).
+        /// Median wall-clock milliseconds at the top of the job grid
+        /// (volatile).
         pub wall_ms_parallel: f64,
         /// `wall_ms_serial / wall_ms_parallel` (volatile).
         pub speedup: f64,
-        /// One timed pass per job count of the grid, ascending (the first entry
-        /// is the one-job pass the others are compared against).
+        /// One timing per job count of the grid, ascending (the first entry
+        /// is the one-job timing the others are compared against).
         pub timings: Vec<PerfJobTiming>,
     }
 }
@@ -2077,15 +2074,21 @@ schema! { report
     volatile: [jobs, wall_ms, wall_ms_serial, wall_ms_parallel, ticks_per_sec, speedup]
 }
 
+/// How many times the PERF estimator section runs its job grid; each timing
+/// is the median of these passes.
+const PERF_PASSES: usize = 5;
+
 /// The estimator scenarios of the performance tier, sized per family so a
-/// single run costs enough wall clock to dwarf per-run dispatch.
+/// single run costs enough wall clock to dwarf per-fan-out dispatch.
 ///
 /// The naive choice — one size for all families, as the throughput section
 /// uses — made the chordal ring's runs finish in ~0.1 ms while the ring of
-/// cliques took ~150 ms: the fast family timed pool dispatch, the slow one
-/// blew the tier's budget.  The sparse-cut families are therefore sized
-/// *down* (their averaging time is Ω(n₁/|E₁₂|), so even small instances run
-/// ≥10 ms) and the cut-free chordal ring *up* (it relaxes in O(log n) time).
+/// cliques took ~150 ms: the fast family timed dispatch, the slow one blew
+/// the tier's budget.  The sparse-cut families are therefore sized *down*
+/// (their averaging time is Ω(n₁/|E₁₂|), so even small instances run for
+/// milliseconds: a quick run takes ~2–3 ms on the ring of cliques and
+/// ~11–19 ms on the expander dumbbell and barbell) and the cut-free chordal
+/// ring *up* (it relaxes in O(log n) time).
 fn perf_estimator_suite(est_n: usize) -> Vec<Scenario> {
     vec![
         Scenario::ChordalRing {
@@ -2114,10 +2117,12 @@ fn perf_estimator_suite(est_n: usize) -> Vec<Scenario> {
 /// * **Estimator**: per scale family (sizes from `perf_estimator_suite`),
 ///   the Definition 1 estimator (`est_runs` runs, adversarial start) timed
 ///   end-to-end at every job count of the grid `{1, 2, 4, resolved}`
-///   (deduplicated), after one untimed warmup pass that spawns the worker
-///   pool and faults the instance in.  Every parallel estimate is compared
-///   **bitwise** against the one-job estimate; any divergence is an error,
-///   so the PERF tier is itself a serial-vs-parallel determinism oracle.
+///   (deduplicated), after one untimed warmup pass that faults the instance
+///   in.  The grid runs five times, interleaved (1, 2, 4, 1, 2, 4, …), and
+///   each timing is the median of its five passes.  Every estimate is
+///   compared **bitwise** against the first one-job estimate; any
+///   divergence is an error, so the PERF tier is itself a
+///   serial-vs-parallel determinism oracle.
 ///
 /// # Errors
 ///
@@ -2219,9 +2224,8 @@ pub fn run_perf_sized(
                 .with_runs(est_runs)
                 .with_max_time(60.0 * lower + 500.0);
 
-            // Untimed warmup: spawns (and parks) the pool workers and faults
-            // the instance's pages in, so the first timed pass doesn't pay
-            // one-time setup costs.
+            // Untimed warmup: faults the instance's pages in, so the first
+            // timed pass doesn't pay one-time setup costs.
             AveragingTimeEstimator::new(
                 base.clone()
                     .with_runs(est_runs.min(2))
@@ -2229,39 +2233,51 @@ pub fn run_perf_sized(
             )
             .estimate(&instance.graph, &instance.partition, VanillaGossip::new)?;
 
+            // The grid runs PERF_PASSES times, interleaved, so a slow phase
+            // of the machine lands on every job count rather than on one.
             let mut baseline: Option<AveragingTimeEstimate> = None;
-            let mut timings: Vec<PerfJobTiming> = Vec::with_capacity(job_grid.len());
-            for &grid_jobs in &job_grid {
-                let start = std::time::Instant::now();
-                let estimate = AveragingTimeEstimator::new(base.clone().with_jobs(Some(grid_jobs)))
-                    .estimate(&instance.graph, &instance.partition, VanillaGossip::new)?;
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                match &baseline {
-                    None => baseline = Some(estimate),
-                    Some(serial) => {
-                        let bitwise_equal = *serial == estimate
-                            && serial
-                                .settling_times
-                                .iter()
-                                .zip(estimate.settling_times.iter())
-                                .all(|(a, b)| a.to_bits() == b.to_bits());
-                        if !bitwise_equal {
-                            return Err(format!(
-                                "parallel estimate diverged from serial on {} at {} jobs: \
-                             {:?} vs {:?}",
-                                instance.name, grid_jobs, estimate, serial
-                            )
-                            .into());
+            let mut walls_ms = vec![Vec::with_capacity(PERF_PASSES); job_grid.len()];
+            for _ in 0..PERF_PASSES {
+                for (walls, &grid_jobs) in walls_ms.iter_mut().zip(&job_grid) {
+                    let start = std::time::Instant::now();
+                    let estimate =
+                        AveragingTimeEstimator::new(base.clone().with_jobs(Some(grid_jobs)))
+                            .estimate(&instance.graph, &instance.partition, VanillaGossip::new)?;
+                    walls.push(start.elapsed().as_secs_f64() * 1e3);
+                    match &baseline {
+                        None => baseline = Some(estimate),
+                        Some(serial) => {
+                            let bitwise_equal = *serial == estimate
+                                && serial
+                                    .settling_times
+                                    .iter()
+                                    .zip(estimate.settling_times.iter())
+                                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                            if !bitwise_equal {
+                                return Err(format!(
+                                    "estimate diverged from the first serial one on {} at {} \
+                                     jobs: {:?} vs {:?}",
+                                    instance.name, grid_jobs, estimate, serial
+                                )
+                                .into());
+                            }
                         }
                     }
                 }
-                let serial_wall = timings.first().map_or(wall_ms, |t| t.wall_ms);
-                timings.push(PerfJobTiming {
-                    jobs: grid_jobs,
-                    wall_ms,
-                    speedup: serial_wall / wall_ms.max(1e-9),
-                });
             }
+            let medians_ms = walls_ms
+                .iter()
+                .map(|walls| stats::median(walls))
+                .collect::<Result<Vec<f64>, _>>()?;
+            let timings: Vec<PerfJobTiming> = job_grid
+                .iter()
+                .zip(&medians_ms)
+                .map(|(&jobs, &wall_ms)| PerfJobTiming {
+                    jobs,
+                    wall_ms,
+                    speedup: medians_ms[0] / wall_ms.max(1e-9),
+                })
+                .collect();
 
             let serial_estimate = baseline.expect("the grid starts at one job");
             let top = timings.last().expect("the grid is non-empty").clone();

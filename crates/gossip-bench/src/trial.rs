@@ -28,13 +28,10 @@
 //! The fan-out supervises each compute so one bad trial never takes the
 //! sweep down with it:
 //!
-//! * **Panic isolation with bounded deterministic retry.**  A panicking
-//!   compute is caught on its worker and retried up to
-//!   [`HarnessConfig::trial_retries`] times — same index, same derived
-//!   seeds, fresh scratch (the compute rebuilds all of its state).  A trial
-//!   that recovers journals normally, with the retry count recorded on the
-//!   row as `supervision_retries`; a trial that keeps panicking surfaces
-//!   its panic message as an ordinary error.
+//! * **Panic isolation.**  A panicking compute is caught on its worker and
+//!   surfaces its panic message as an ordinary error; nothing is journaled
+//!   for it.  A trial is a pure function of its index, its derived seeds
+//!   and the store, so running it again would only repeat the panic.
 //! * **Deadline censoring.**  When a compute fails with the engine's
 //!   [`SimError::DeadlineExceeded`] (threaded into simulation configs from
 //!   [`HarnessConfig::trial_deadline`]), the trial is *censored*: a record
@@ -117,12 +114,12 @@ impl<T: FromValue> FromValue for Vec<T> {
 /// Takes a struct as written (docs, derives, `pub` fields) and emits the
 /// struct plus its [`serde::Serialize`] encoder, fields in declaration
 /// order.  A `row` also gets its [`FromValue`] decoder, which looks every
-/// field up by name: extra fields (such as `supervision_retries`) are
-/// ignored, a missing one fails the decode.  A `report` encodes
-/// `schema_version` first and ends with `volatile: [..]`, which becomes
-/// `VOLATILE`: the fields of the report and its rows that vary between
-/// runs of the same seed.  `runner.rs` declares every tier's rows and
-/// reports this way.
+/// field up by name: extra fields (such as the `supervision_retries` that
+/// older builds stamped on retried rows) are ignored, a missing one fails
+/// the decode.  A `report` encodes `schema_version` first and ends with
+/// `volatile: [..]`, which becomes `VOLATILE`: the fields of the report and
+/// its rows that vary between runs of the same seed.  `runner.rs` declares
+/// every tier's rows and reports this way.
 macro_rules! schema {
     (row
         $(#[$meta:meta])*
@@ -221,20 +218,6 @@ fn censored_marker(reason: &str) -> Value {
     ])
 }
 
-/// Stamps the retry count onto a journaled row so a recovered-after-panic
-/// trial is auditable from the journal alone.  Only object rows can carry
-/// the extra field; decoders look fields up by name, so it never disturbs
-/// replay.
-fn stamp_retries(mut value: Value, retries: u32) -> Value {
-    if let Value::Object(fields) = &mut value {
-        fields.push((
-            "supervision_retries".to_string(),
-            Value::Number(f64::from(retries)),
-        ));
-    }
-    value
-}
-
 /// Replays committed trials, computes and commits the missing ones over
 /// `executor`, and returns all surviving rows in input order.
 ///
@@ -242,11 +225,11 @@ fn stamp_retries(mut value: Value, retries: u32) -> Value {
 /// index-derived seed offsets are preserved regardless of which subset is
 /// being computed.
 ///
-/// Each compute runs under supervision (see the module docs): panics are
-/// retried up to [`HarnessConfig::trial_retries`] times with fresh scratch
-/// and the same seeds, and a [`SimError::DeadlineExceeded`] failure
-/// journals an explicit `deadline_censored` marker and drops the trial
-/// from the returned rows instead of failing the sweep.
+/// Each compute runs under supervision (see the module docs): a panic
+/// becomes an error carrying its message, and a
+/// [`SimError::DeadlineExceeded`] failure journals an explicit
+/// `deadline_censored` marker and drops the trial from the returned rows
+/// instead of failing the sweep.
 pub fn run_trials<T: Serialize + FromValue + Send>(
     config: &HarnessConfig,
     executor: &Executor,
@@ -280,29 +263,13 @@ pub fn run_trials<T: Serialize + FromValue + Send>(
         let computed = executor.try_map_indexed(missing.len(), |slot| {
             let i = missing[slot];
 
-            // Panic isolation: a panicking compute is retried with fresh
-            // scratch (the closure rebuilds all state from the index) and
-            // identical derived seeds, up to the configured bound.
-            let mut retries = 0u32;
-            let outcome = loop {
-                match panic::catch_unwind(AssertUnwindSafe(|| compute(i))) {
-                    Ok(outcome) => break outcome,
-                    Err(payload) => {
-                        let message = describe_panic(&*payload);
-                        if retries >= config.trial_retries {
-                            return Err(format!(
-                                "trial {} panicked after {retries} retries: {message}",
-                                fingerprints[i]
-                            )
-                            .into());
-                        }
-                        retries += 1;
-                        eprintln!(
-                            "run store[{experiment}]: trial {} panicked ({message}); \
-                             retry {retries}/{} with fresh scratch",
-                            fingerprints[i], config.trial_retries
-                        );
-                    }
+            // Panic isolation: a panicking compute becomes this trial's
+            // error instead of unwinding through the fan-out.
+            let outcome = match panic::catch_unwind(AssertUnwindSafe(|| compute(i))) {
+                Ok(outcome) => outcome,
+                Err(payload) => {
+                    let message = describe_panic(&*payload);
+                    return Err(format!("trial {} panicked: {message}", fingerprints[i]).into());
                 }
             };
 
@@ -331,16 +298,12 @@ pub fn run_trials<T: Serialize + FromValue + Send>(
                 }
             };
 
-            let mut value = row.to_json_value();
-            if retries > 0 {
-                value = stamp_retries(value, retries);
-            }
             sink.commit(TrialRecord {
                 key: keys[i],
                 experiment: experiment.to_string(),
                 fingerprint: fingerprints[i].clone(),
                 seed: config.seed,
-                row: value,
+                row: row.to_json_value(),
             })?;
             Ok::<Option<T>, crate::runner::BenchError>(Some(row))
         })?;
@@ -463,63 +426,8 @@ mod tests {
     }
 
     #[test]
-    fn panicking_trial_is_retried_and_the_retry_count_journaled() {
-        let dir = temp_dir("retry");
-        let config = HarnessConfig::quick();
-        assert_eq!(config.trial_retries, 1);
-        let executor = Executor::new(1);
-        let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        let calls = AtomicUsize::new(0);
-        let rows = run_trials(&config, &executor, &sink, "E8", &fingerprints(2), |i| {
-            let call = calls.fetch_add(1, Ordering::Relaxed);
-            // Trial 1 panics on its first attempt only; the retry runs the
-            // same index with fresh scratch and succeeds.
-            if i == 1 && call == 1 {
-                panic!("scratch corrupted");
-            }
-            Ok(Row { index: i })
-        })
-        .unwrap();
-        assert_eq!(rows, (0..2).map(|index| Row { index }).collect::<Vec<_>>());
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-
-        // The recovered trial's journal row carries the retry count; the
-        // clean trial's row does not.
-        let store = sink.into_store();
-        let engine = engine_fingerprint(&config);
-        let retried = store
-            .replay(trial_key("E8", "probe(i=1)", config.seed, &engine))
-            .unwrap();
-        match &retried {
-            Value::Object(fields) => assert!(
-                fields
-                    .iter()
-                    .any(|(name, value)| name == "supervision_retries"
-                        && matches!(value, Value::Number(n) if *n == 1.0)),
-                "expected supervision_retries=1 on {retried:?}"
-            ),
-            other => panic!("expected object row, got {other:?}"),
-        }
-        // The stamped row still decodes (decoders ignore extra fields).
-        assert_eq!(Row::from_value(retried), Some(Row { index: 1 }));
-        let clean = store
-            .replay(trial_key("E8", "probe(i=0)", config.seed, &engine))
-            .unwrap();
-        match &clean {
-            Value::Object(fields) => {
-                assert!(fields.iter().all(|(name, _)| name != "supervision_retries"));
-            }
-            other => panic!("expected object row, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn persistently_panicking_trial_surfaces_as_an_error() {
-        let config = HarnessConfig {
-            trial_retries: 2,
-            ..HarnessConfig::quick()
-        };
+        let config = HarnessConfig::quick();
         let executor = Executor::new(1);
         let calls = AtomicUsize::new(0);
         let result = run_trials(
@@ -533,12 +441,12 @@ mod tests {
                 panic!("always broken");
             },
         );
-        // One initial attempt plus two retries, then a plain error carrying
-        // the panic message — never a hung or aborted sweep.
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        // One attempt, then a plain error carrying the panic message —
+        // never a hung or aborted sweep.
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
         let message = result.unwrap_err().to_string();
         assert!(
-            message.contains("panicked after 2 retries") && message.contains("always broken"),
+            message.contains("trial probe(i=0) panicked") && message.contains("always broken"),
             "unexpected error: {message}"
         );
     }
@@ -673,7 +581,8 @@ mod tests {
             probe(None)
         );
         assert_eq!(decode(r#"{"ratio":0.5,"cells":["a"]}"#), None);
-        // Extra fields are ignored.
+        // Extra fields, such as the retry count older journals carry, are
+        // ignored.
         assert_eq!(
             decode(r#"{"ratio":0.5,"rss":7,"cells":["a"],"supervision_retries":1}"#),
             probe(Some(7))

@@ -26,11 +26,11 @@
 //! aborting the whole estimate.
 //!
 //! The runs are i.i.d. sample paths — each a pure function of its derived
-//! per-run seed — so the estimator fans them out over a
-//! [`gossip_exec::Executor`] worker pool.  Results are collected **in run
-//! order**, which makes the estimate byte-identical to the serial one at any
-//! job count; [`EstimatorConfig::jobs`] (or the `GOSSIP_JOBS` environment
-//! variable) controls the pool width.
+//! per-run seed — so the estimator fans them out over the scoped threads of
+//! a [`gossip_exec::Executor`].  Results are collected **in run order**,
+//! which makes the estimate byte-identical to the serial one at any job
+//! count; [`EstimatorConfig::jobs`] (or the `GOSSIP_JOBS` environment
+//! variable) sets the fan-out width.
 
 use crate::{CoreError, Result};
 use gossip_exec::Executor;

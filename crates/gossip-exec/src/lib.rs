@@ -11,13 +11,14 @@
 //! The design is deliberately minimal (std-only — the workspace is
 //! vendored-only):
 //!
-//! * Fan-outs run on a **persistent process-wide worker pool** (the
-//!   private `pool` module): workers are spawned once and park between calls,
-//!   so a `map_indexed` call costs a mutex round-trip rather than a spawn and
-//!   join per worker.  PR-5's per-call `std::thread::scope` workers paid
-//!   ~50–100 µs of spawn/teardown each, which swallowed the entire parallel
-//!   gain on millisecond-scale runs — the measured ~1.0x "speedup" in the
-//!   old PERF tier.
+//! * A fan-out runs on `min(jobs, len) − 1` **scoped threads**
+//!   ([`std::thread::scope`]) beside the calling thread, all joined before
+//!   the call returns, so tasks borrow the caller's stack (graphs, initial
+//!   vectors, handler factories) without `'static` bounds.  Starting them
+//!   costs ~50 µs at 2 jobs and ~100 µs at 4 on a 2-core machine, against
+//!   fan-outs of whole estimates (milliseconds to seconds each).
+//! * A fan-out inside a task starts threads of its own; callers that
+//!   already fan out pin their inner estimators to one job instead.
 //! * Tasks are indexed `0..len`; workers pull the next index from a shared
 //!   atomic counter (dynamic load balancing, so a slow run does not stall a
 //!   whole stripe of fast ones).
@@ -33,27 +34,22 @@
 //!   finish), tasks below `i` — which the serial loop would have reached
 //!   first — still run, and the failure ultimately reported is the one with
 //!   the lowest index.  The caller sees exactly the error (or re-raised
-//!   panic payload, after every worker has drained) that the serial loop
-//!   would have produced, without paying for the rest of the workload.
+//!   panic payload, after every worker has been joined) that the serial
+//!   loop would have produced, without paying for the rest of the workload.
 //!
 //! Job-count resolution follows the workspace convention: an explicit
 //! override (e.g. a `--jobs` flag) wins, then the `GOSSIP_JOBS` environment
 //! variable, then [`std::thread::available_parallelism`].
 
-// `unsafe` is denied crate-wide and allowed only inside `pool`, whose single
-// audited exception (a lifetime-erased task pointer) is what lets persistent
-// `'static` workers execute borrowed closures.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod pool;
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Name of the environment variable consulted by [`Executor::from_env`] and
-/// [`Executor::with_override`] when no explicit job count is given.
+/// Name of the environment variable consulted by [`Executor::with_override`]
+/// when no explicit job count is given.
 pub const JOBS_ENV_VAR: &str = "GOSSIP_JOBS";
 
 /// Resolves the effective worker count from an optional explicit override.
@@ -109,9 +105,9 @@ fn available_parallelism() -> usize {
 ///
 /// `std::panic::catch_unwind` hands back a `Box<dyn Any + Send>`; in
 /// practice the payload is the `&str` or `String` the `panic!` site
-/// supplied.  Supervisors (the bench harness's retry loop, and anything
+/// supplied.  Supervisors (the bench harness's trial fan-out, and anything
 /// else that isolates a panicking task instead of dying with it) use this
-/// one helper so journaled panic reasons render uniformly.
+/// one helper so panic reasons render uniformly.
 pub fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
@@ -122,15 +118,10 @@ pub fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A fixed-width view onto the persistent worker pool, with ordered result
-/// collection.
+/// A fan-out width with ordered result collection.
 ///
 /// The executor itself is a plain job count — cheap to copy, compare, and
-/// store in configs.  The threads live in the process-wide `pool` module and
-/// are shared by every executor; borrows of the caller's stack (graphs,
-/// initial vectors, handler factories) flow into tasks without `'static`
-/// bounds or reference counting because a fan-out call does not return
-/// until every participating worker has drained.
+/// store in configs.  Each fan-out starts and joins its own scoped threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     jobs: usize,
@@ -140,12 +131,6 @@ impl Executor {
     /// Creates an executor with exactly `jobs` workers (clamped to ≥ 1).
     pub fn new(jobs: usize) -> Self {
         Executor { jobs: jobs.max(1) }
-    }
-
-    /// Creates an executor honoring `GOSSIP_JOBS`, defaulting to
-    /// [`std::thread::available_parallelism`].
-    pub fn from_env() -> Self {
-        Self::new(resolve_jobs(None))
     }
 
     /// Creates an executor from an optional explicit override (see
@@ -159,37 +144,13 @@ impl Executor {
         self.jobs
     }
 
-    /// Computes `f(0), f(1), …, f(len - 1)` and returns the results **in
-    /// index order**, fanning the calls out over the pool's workers.
+    /// Computes `f(0), f(1), …, f(len - 1)` over the executor's workers and
+    /// returns all results **in index order**, or the error of the
+    /// **lowest-index** failing task.
     ///
     /// `f` must be a pure function of its index for the parallel output to
     /// be byte-identical to the serial output; everything this workspace
     /// fans out (seeded simulation runs, scenario rows) is.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic payload of the **lowest-index** panicking task —
-    /// the one the serial loop would have hit — on the caller's thread,
-    /// after every worker has drained.  Once a task panics, no task above
-    /// it is newly claimed.
-    pub fn map_indexed<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.jobs == 1 || len <= 1 {
-            return (0..len).map(f).collect();
-        }
-        let result: Result<Vec<T>, std::convert::Infallible> =
-            self.pooled(len, |index| Ok(f(index)));
-        match result {
-            Ok(values) => values,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Fallible variant of [`Executor::map_indexed`]: returns all results in
-    /// index order, or the error of the **lowest-index** failing task.
     ///
     /// This matches serial semantics exactly.  Indices are claimed in
     /// increasing order, so when a task fails at index `i`, every index
@@ -205,6 +166,13 @@ impl Executor {
     /// # Errors
     ///
     /// The error of the lowest-index failing task, if any.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic payload of the **lowest-index** panicking task —
+    /// the one the serial loop would have hit — on the caller's thread,
+    /// after every worker has been joined.  Once a task panics, no task
+    /// above it is newly claimed.
     pub fn try_map_indexed<T, E, F>(&self, len: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
@@ -214,18 +182,6 @@ impl Executor {
         if self.jobs == 1 || len <= 1 {
             return (0..len).map(f).collect();
         }
-        self.pooled(len, f)
-    }
-
-    /// The shared fan-out: ordered slots, increasing-index claiming, and
-    /// lowest-index failure tracking for both errors and panics, executed
-    /// by pool workers plus the calling thread.
-    fn pooled<T, E, F>(&self, len: usize, f: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
         enum Failure<E> {
             Error(E),
             Panic(Box<dyn std::any::Any + Send>),
@@ -273,7 +229,19 @@ impl Executor {
                 }
             }
         };
-        pool::run(participants - 1, &claim_loop);
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..participants).map(|_| scope.spawn(claim_loop)).collect();
+            claim_loop();
+            // The scope alone returns once the helpers' closures finish, while
+            // their threads may still be exiting; joining waits for the exit,
+            // so the next fan-out reuses their stacks and malloc arenas
+            // instead of mapping fresh ones.
+            for helper in helpers {
+                helper
+                    .join()
+                    .expect("a claim loop never panics: it catches every task's panic");
+            }
+        });
         if let Some((_, failure)) = first_failure
             .into_inner()
             .expect("failure slot lock is never poisoned")
@@ -294,12 +262,6 @@ impl Executor {
     }
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,8 +274,6 @@ mod tests {
         assert_eq!(resolve_jobs(Some(0)), 1);
         assert_eq!(resolve_jobs(Some(7)), 7);
         assert!(resolve_jobs(None) >= 1);
-        assert!(Executor::from_env().jobs() >= 1);
-        assert!(Executor::default().jobs() >= 1);
         assert_eq!(Executor::with_override(Some(5)).jobs(), 5);
     }
 
@@ -346,7 +306,9 @@ mod tests {
     fn map_preserves_input_order_at_any_job_count() {
         let expected: Vec<usize> = (0..97).map(|i| i * i).collect();
         for jobs in [1, 2, 3, 8, 64] {
-            let got = Executor::new(jobs).map_indexed(97, |i| i * i);
+            let got = Executor::new(jobs)
+                .try_map_indexed(97, |i| Ok::<_, ()>(i * i))
+                .unwrap();
             assert_eq!(got, expected, "jobs = {jobs}");
         }
     }
@@ -354,28 +316,40 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs_work() {
         let executor = Executor::new(4);
-        assert_eq!(executor.map_indexed(0, |i| i), Vec::<usize>::new());
-        assert_eq!(executor.map_indexed(1, |i| i + 10), vec![10]);
+        assert_eq!(
+            executor.try_map_indexed(0, Ok::<_, ()>).unwrap(),
+            Vec::<usize>::new()
+        );
+        assert_eq!(
+            executor
+                .try_map_indexed(1, |i| Ok::<_, ()>(i + 10))
+                .unwrap(),
+            vec![10]
+        );
     }
 
     #[test]
     fn every_index_is_computed_exactly_once() {
         let calls = AtomicU64::new(0);
-        let results = Executor::new(8).map_indexed(1000, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
+        let results = Executor::new(8)
+            .try_map_indexed(1000, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok::<_, ()>(i)
+            })
+            .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 1000);
         assert_eq!(results, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
-    fn repeated_fanouts_reuse_the_pool() {
-        // Exercises the persistent pool across many consecutive calls from
-        // the same executor value; results must stay ordered and complete.
+    fn repeated_fanouts_stay_ordered() {
+        // Many consecutive fan-outs from the same executor value; results
+        // must stay ordered and complete.
         let executor = Executor::new(4);
         for round in 0..32u64 {
-            let got = executor.map_indexed(64, |i| round * 1000 + i as u64);
+            let got = executor
+                .try_map_indexed(64, |i| Ok::<_, ()>(round * 1000 + i as u64))
+                .unwrap();
             let expected: Vec<u64> = (0..64).map(|i| round * 1000 + i).collect();
             assert_eq!(got, expected, "round = {round}");
         }
@@ -457,11 +431,11 @@ mod tests {
     #[test]
     fn worker_panic_propagates_with_its_payload() {
         let caught = panic::catch_unwind(|| {
-            Executor::new(4).map_indexed(16, |i| {
+            Executor::new(4).try_map_indexed(16, |i| {
                 if i == 5 {
                     panic!("deliberate failure in task 5");
                 }
-                i
+                Ok::<_, ()>(i)
             })
         });
         let payload = caught.expect_err("panic must propagate to the caller");
@@ -489,13 +463,15 @@ mod tests {
     #[test]
     fn nested_fanouts_complete_with_correct_results() {
         // A fan-out inside a fan-out (the shape of a parallel estimator
-        // inside a parallel tier) must run inline on the outer
-        // participants without deadlocking the single-job pool.
+        // inside a parallel tier) starts its own threads and must still
+        // collect every result in order.
         let outer = Executor::new(3);
-        let got = outer.map_indexed(6, |i| {
-            let inner: Vec<usize> = Executor::new(3).map_indexed(5, |j| i * 10 + j);
-            inner.iter().sum::<usize>()
-        });
+        let got = outer
+            .try_map_indexed(6, |i| {
+                let inner: Vec<usize> = Executor::new(3).try_map_indexed(5, |j| Ok(i * 10 + j))?;
+                Ok::<_, ()>(inner.iter().sum::<usize>())
+            })
+            .unwrap();
         let expected: Vec<usize> = (0..6).map(|i| (0..5).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(got, expected);
     }
@@ -509,8 +485,12 @@ mod tests {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z ^ (z >> 27)
         };
-        let serial = Executor::new(1).map_indexed(512, mix);
-        let parallel = Executor::new(7).map_indexed(512, mix);
+        let serial = Executor::new(1)
+            .try_map_indexed(512, |i| Ok::<_, ()>(mix(i)))
+            .unwrap();
+        let parallel = Executor::new(7)
+            .try_map_indexed(512, |i| Ok::<_, ()>(mix(i)))
+            .unwrap();
         assert_eq!(serial, parallel);
     }
 }

@@ -6,7 +6,8 @@
 //! byte-identical to the serial order.  This suite pins that promise on the
 //! real production entry points (the Definition 1 estimator, the PERF tier,
 //! the SIM_SCALE row machinery, a fully deterministic bench table) at
-//! `jobs = 1` versus `jobs = 4`, plus the pool's panic-propagation contract.
+//! `jobs = 1` versus `jobs = 4`, plus the executor's panic-propagation
+//! contract.
 //!
 //! Seeds 461–464 (see `tests/common`).
 
@@ -199,14 +200,14 @@ fn deterministic_bench_table_renders_identically_across_job_counts() {
 #[test]
 fn worker_panic_propagates_to_the_caller() {
     let caught = std::panic::catch_unwind(|| {
-        Executor::new(4).map_indexed(32, |i| {
+        Executor::new(4).try_map_indexed(32, |i| {
             if i == 11 {
                 panic!("worker 11 exploded");
             }
-            i * 2
+            Ok::<_, ()>(i * 2)
         })
     });
-    let payload = caught.expect_err("the pool must re-raise the worker panic");
+    let payload = caught.expect_err("the executor must re-raise the worker panic");
     let message = payload
         .downcast_ref::<String>()
         .cloned()
