@@ -83,35 +83,6 @@ pub fn poisson_upper_tail(lambda: f64, x: f64) -> Result<f64> {
     Ok(log_bound.exp().min(1.0))
 }
 
-/// Chernoff lower-tail bound for a Poisson variable with mean `lambda`:
-/// `P[X ≤ x] ≤ exp(−lambda)·(e·lambda/x)^x` for `x < lambda` (and 1
-/// otherwise); `x = 0` gives exactly `exp(−lambda)`.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::InvalidParameter`] for non-positive `lambda` or
-/// negative `x`.
-pub fn poisson_lower_tail(lambda: f64, x: f64) -> Result<f64> {
-    if lambda <= 0.0 || !lambda.is_finite() {
-        return Err(AnalysisError::InvalidParameter {
-            reason: format!("lambda must be positive and finite, got {lambda}"),
-        });
-    }
-    if x < 0.0 {
-        return Err(AnalysisError::InvalidParameter {
-            reason: format!("x must be non-negative, got {x}"),
-        });
-    }
-    if x >= lambda {
-        return Ok(1.0);
-    }
-    if x == 0.0 {
-        return Ok((-lambda).exp());
-    }
-    let log_bound = -lambda + x - x * (x / lambda).ln();
-    Ok(log_bound.exp().min(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,20 +133,12 @@ mod tests {
     fn poisson_tail_validation_and_monotonicity() {
         assert!(poisson_upper_tail(0.0, 1.0).is_err());
         assert!(poisson_upper_tail(1.0, -1.0).is_err());
-        assert!(poisson_lower_tail(-1.0, 1.0).is_err());
-        assert!(poisson_lower_tail(1.0, -0.5).is_err());
         // Below the mean the upper-tail bound is trivial.
         assert_eq!(poisson_upper_tail(5.0, 3.0).unwrap(), 1.0);
-        assert_eq!(poisson_lower_tail(5.0, 7.0).unwrap(), 1.0);
         // Far above the mean the bound is tiny and decreasing.
         let a = poisson_upper_tail(5.0, 10.0).unwrap();
         let b = poisson_upper_tail(5.0, 20.0).unwrap();
         assert!(b < a && a < 1.0);
-        // Lower tail at zero equals exp(−λ).
-        assert!((poisson_lower_tail(5.0, 0.0).unwrap() - (-5.0f64).exp()).abs() < 1e-12);
-        let c = poisson_lower_tail(10.0, 2.0).unwrap();
-        let d = poisson_lower_tail(10.0, 5.0).unwrap();
-        assert!(c < d);
     }
 
     #[test]
@@ -199,8 +162,6 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&b1));
             let b2 = poisson_upper_tail(lambda, x).unwrap();
             prop_assert!((0.0..=1.0).contains(&b2));
-            let b3 = poisson_lower_tail(lambda, x).unwrap();
-            prop_assert!((0.0..=1.0).contains(&b3));
         }
     }
 }

@@ -14,7 +14,6 @@
 //!
 //! This module provides:
 //!
-//! * [`DominatingWalk`] — the `W̃` process for a given `n`;
 //! * [`couple_observed`] — the explicit monotone coupling that maps a
 //!   sequence of *observed* increments (each `≤ log n`) to a valid `W̃`
 //!   trajectory lying above the observed partial sums whenever the observed
@@ -23,66 +22,7 @@
 //!   the observed `log var` path stay below the coupled dominating walk, and
 //!   how often does the per-epoch contraction event occur?
 
-use crate::random_walk::TwoPointWalk;
 use crate::{AnalysisError, Result};
-
-/// The dominating lazy walk `W̃_k` for a graph on `n` nodes.
-#[derive(Debug, Clone)]
-pub struct DominatingWalk {
-    log_n: f64,
-    walk: TwoPointWalk,
-}
-
-impl DominatingWalk {
-    /// Creates the walk for a graph on `n ≥ 2` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidParameter`] if `n < 2`.
-    pub fn new(n: usize, seed: u64) -> Result<Self> {
-        if n < 2 {
-            return Err(AnalysisError::InvalidParameter {
-                reason: format!("dominating walk requires n >= 2, got {n}"),
-            });
-        }
-        let log_n = (n as f64).ln();
-        Ok(DominatingWalk {
-            log_n,
-            walk: TwoPointWalk::new(log_n, -1.5 * log_n, 0.5, seed)?,
-        })
-    }
-
-    /// The `log n` scale of the increments.
-    pub fn log_n(&self) -> f64 {
-        self.log_n
-    }
-
-    /// Expected increment per epoch: `−(log n)/4`.
-    pub fn drift(&self) -> f64 {
-        self.walk.drift()
-    }
-
-    /// Samples the positions after epochs `1..=k`.
-    pub fn sample_path(&mut self, k: usize) -> Vec<f64> {
-        self.walk.sample_path(k)
-    }
-
-    /// Smallest number of epochs `k` after which the *expected* position
-    /// `E[W̃_k] = −k·(log n)/4` is at most `target` (e.g. `target = −2` for
-    /// Definition 1's `1/e²`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidParameter`] if `target ≥ 0`.
-    pub fn epochs_to_reach(&self, target: f64) -> Result<u64> {
-        if target >= 0.0 {
-            return Err(AnalysisError::InvalidParameter {
-                reason: format!("target must be negative, got {target}"),
-            });
-        }
-        Ok((target / self.drift()).ceil() as u64)
-    }
-}
 
 /// Couples a sequence of observed per-epoch increments to a dominating `W̃`
 /// trajectory: whenever the observed increment achieves the Lemma 1
@@ -191,36 +131,6 @@ impl DominanceReport {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn walk_construction_and_drift() {
-        assert!(DominatingWalk::new(1, 3).is_err());
-        let walk = DominatingWalk::new(16, 3).unwrap();
-        let log_n = 16.0f64.ln();
-        assert!((walk.log_n() - log_n).abs() < 1e-12);
-        assert!((walk.drift() + log_n / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epochs_to_reach_definition1_level() {
-        let walk = DominatingWalk::new(64, 1).unwrap();
-        let epochs = walk.epochs_to_reach(-2.0).unwrap();
-        // Drift is −ln(64)/4 ≈ −1.04, so two epochs suffice in expectation.
-        assert_eq!(epochs, 2);
-        assert!(walk.epochs_to_reach(0.0).is_err());
-        // Larger graphs have stronger drift, so never need more epochs.
-        let big = DominatingWalk::new(4096, 1).unwrap();
-        assert!(big.epochs_to_reach(-2.0).unwrap() <= epochs);
-    }
-
-    #[test]
-    fn sampled_path_eventually_negative() {
-        let mut walk = DominatingWalk::new(32, 5).unwrap();
-        let path = walk.sample_path(500);
-        assert_eq!(path.len(), 500);
-        // Strong negative drift: the endpoint is far below zero.
-        assert!(*path.last().unwrap() < -10.0 * 32.0f64.ln());
-    }
 
     #[test]
     fn coupling_dominates_valid_observations() {

@@ -4,36 +4,33 @@
 //! simulation crates) so that it can be tested in isolation and reused by the
 //! benchmark harness:
 //!
-//! * [`stats`] — descriptive statistics, quantiles, confidence intervals.
+//! * [`stats`] — quantiles and the median.
 //! * [`regression`] — least-squares fits, including the log–log slope fits
 //!   used to estimate empirical scaling exponents (is the averaging time
 //!   growing like `n` or like `log² n`?).
-//! * [`random_walk`] — simple and lazy random walks on the line, used to
-//!   reproduce the Theorem 3 tail behaviour and the drift calculation for
-//!   the dominating walk `W̃`.
+//! * [`random_walk`] — two-valued random walks on the line, used to
+//!   reproduce the Theorem 3 tail behaviour.
 //! * [`dominance`] — the stochastic-dominance coupling at the heart of the
 //!   paper's Section 3: the observed per-epoch log-contractions `log‖A_k‖`
 //!   are dominated by a lazy `±log n` walk with negative drift.
 //! * [`concentration`] — Hoeffding/Chernoff-style tail bounds (the paper's
 //!   Theorem 3) and empirical tail frequencies to compare against them.
-//! * [`robust`] — outlier-resistant estimators (trimmed mean, MAD) and the
-//!   honest-subset drift oracles used by the adversary benchmark tier.
+//! * [`robust`] — the honest-subset drift oracles used by the adversary
+//!   benchmark tier.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod concentration;
 pub mod dominance;
-pub mod histogram;
 pub mod random_walk;
 pub mod regression;
 pub mod robust;
 pub mod stats;
 
-pub use dominance::DominatingWalk;
 pub use regression::LinearFit;
-pub use robust::{honest_drift_bound, hull_drift_bound, median_absolute_deviation, trimmed_mean};
-pub use stats::{SortedSample, Summary};
+pub use robust::{honest_drift_bound, hull_drift_bound};
+pub use stats::SortedSample;
 
 use std::error::Error;
 use std::fmt;

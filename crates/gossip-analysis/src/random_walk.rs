@@ -9,9 +9,8 @@
 //!   sum of epoch log-contractions `W_k = Σ log‖A_i‖` (see
 //!   [`crate::dominance`]).
 //!
-//! This module provides exact samplers for both, plus trajectory helpers
-//! (running maximum, first passage, last exceedance) used by the experiment
-//! harness.
+//! This module provides an exact sampler for two-valued walks, plus the
+//! empirical tail frequency experiment E9 compares against Theorem 3.
 
 use crate::{AnalysisError, Result};
 use rand::prelude::*;
@@ -26,7 +25,6 @@ pub struct TwoPointWalk {
     p_up: f64,
     rng: ChaCha8Rng,
     position: f64,
-    steps: u64,
 }
 
 impl TwoPointWalk {
@@ -53,7 +51,6 @@ impl TwoPointWalk {
             p_up,
             rng: ChaCha8Rng::seed_from_u64(seed),
             position: 0.0,
-            steps: 0,
         })
     }
 
@@ -66,27 +63,6 @@ impl TwoPointWalk {
         Self::new(1.0, -1.0, 0.5, seed)
     }
 
-    /// Current position.
-    pub fn position(&self) -> f64 {
-        self.position
-    }
-
-    /// Number of steps taken.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Expected increment per step.
-    pub fn drift(&self) -> f64 {
-        self.p_up * self.up + (1.0 - self.p_up) * self.down
-    }
-
-    /// Variance of a single increment.
-    pub fn increment_variance(&self) -> f64 {
-        let mean = self.drift();
-        self.p_up * (self.up - mean).powi(2) + (1.0 - self.p_up) * (self.down - mean).powi(2)
-    }
-
     /// Advances one step and returns the new position.
     pub fn step(&mut self) -> f64 {
         let increment = if self.rng.gen::<f64>() < self.p_up {
@@ -95,33 +71,8 @@ impl TwoPointWalk {
             self.down
         };
         self.position += increment;
-        self.steps += 1;
         self.position
     }
-
-    /// Generates the positions after steps `1..=k` (not including the start).
-    pub fn sample_path(&mut self, k: usize) -> Vec<f64> {
-        (0..k).map(|_| self.step()).collect()
-    }
-}
-
-/// Running maximum of a trajectory (empty input gives `None`).
-pub fn running_maximum(path: &[f64]) -> Option<f64> {
-    path.iter().copied().reduce(f64::max)
-}
-
-/// First index (0-based) at which the path reaches or exceeds `level`, if any.
-pub fn first_passage(path: &[f64], level: f64) -> Option<usize> {
-    path.iter().position(|&x| x >= level)
-}
-
-/// Last index (0-based) at which the path is at or above `level`, if any.
-///
-/// This is the trajectory functional behind Definition 1 ("the last time the
-/// variance was still above the threshold") and behind the proof's
-/// requirement `∀T > t₀: W̃_T ≤ −2`.
-pub fn last_exceedance(path: &[f64], level: f64) -> Option<usize> {
-    path.iter().rposition(|&x| x >= level)
 }
 
 /// Fraction of `trials` independent simple-walk paths of length `k` whose
@@ -150,6 +101,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The positions after steps `1..=k` (not including the start).
+    fn sample_path(walk: &mut TwoPointWalk, k: usize) -> Vec<f64> {
+        (0..k).map(|_| walk.step()).collect()
+    }
+
     #[test]
     fn constructor_validation() {
         assert!(TwoPointWalk::new(1.0, -1.0, 1.5, 1).is_err());
@@ -159,24 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn drift_and_variance() {
-        let walk = TwoPointWalk::new(1.0, -1.5, 0.5, 1).unwrap();
-        assert!((walk.drift() + 0.25).abs() < 1e-12);
-        assert!((walk.increment_variance() - 1.5625).abs() < 1e-12);
-        let simple = TwoPointWalk::simple(1).unwrap();
-        assert_eq!(simple.drift(), 0.0);
-        assert_eq!(simple.increment_variance(), 1.0);
-    }
-
-    #[test]
     fn steps_and_positions_consistent() {
         let mut walk = TwoPointWalk::simple(42).unwrap();
-        assert_eq!(walk.position(), 0.0);
-        assert_eq!(walk.steps(), 0);
-        let path = walk.sample_path(100);
-        assert_eq!(path.len(), 100);
-        assert_eq!(walk.steps(), 100);
-        assert_eq!(walk.position(), *path.last().unwrap());
+        let path = sample_path(&mut walk, 100);
         // Simple walk positions have the same parity as the step count.
         for (i, &x) in path.iter().enumerate() {
             assert!((x.abs() as usize) <= i + 1);
@@ -186,24 +127,11 @@ mod tests {
 
     #[test]
     fn reproducibility() {
-        let a: Vec<f64> = TwoPointWalk::simple(7).unwrap().sample_path(50);
-        let b: Vec<f64> = TwoPointWalk::simple(7).unwrap().sample_path(50);
+        let a = sample_path(&mut TwoPointWalk::simple(7).unwrap(), 50);
+        let b = sample_path(&mut TwoPointWalk::simple(7).unwrap(), 50);
         assert_eq!(a, b);
-        let c: Vec<f64> = TwoPointWalk::simple(8).unwrap().sample_path(50);
+        let c = sample_path(&mut TwoPointWalk::simple(8).unwrap(), 50);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn trajectory_functionals() {
-        let path = [1.0, 3.0, 2.0, -1.0, 2.5, 0.0];
-        assert_eq!(running_maximum(&path), Some(3.0));
-        assert_eq!(first_passage(&path, 2.5), Some(1));
-        assert_eq!(first_passage(&path, 10.0), None);
-        assert_eq!(last_exceedance(&path, 2.5), Some(4));
-        assert_eq!(last_exceedance(&path, 3.5), None);
-        assert_eq!(running_maximum(&[]), None);
-        assert_eq!(first_passage(&[], 0.0), None);
-        assert_eq!(last_exceedance(&[], 0.0), None);
     }
 
     #[test]
@@ -211,7 +139,7 @@ mod tests {
         // The dominating walk's shape: +x w.p. 1/2, −1.5x w.p. 1/2.
         let mut walk = TwoPointWalk::new(1.0, -1.5, 0.5, 3).unwrap();
         let k = 4000;
-        let final_pos = *walk.sample_path(k).last().unwrap();
+        let final_pos = *sample_path(&mut walk, k).last().unwrap();
         let expected = k as f64 * (-0.25);
         let sd = (k as f64 * 1.5625).sqrt();
         assert!(
@@ -240,7 +168,7 @@ mod tests {
         #[test]
         fn prop_path_increments_are_valid(seed in 0u64..200, up in 0.1f64..3.0, down in -3.0f64..-0.1) {
             let mut walk = TwoPointWalk::new(up, down, 0.5, seed).unwrap();
-            let path = walk.sample_path(50);
+            let path = sample_path(&mut walk, 50);
             let mut previous = 0.0;
             for &x in &path {
                 let inc = x - previous;

@@ -3,10 +3,9 @@
 //! The experiments repeatedly ask questions of the form "does the measured
 //! averaging time grow like `n` (Theorem 1) or like a polylogarithm
 //! (Theorem 2)?".  The standard tool is a fit of `log y` against `log x`
-//! (power laws appear as straight lines with slope = exponent) or against
-//! `log log`-style predictors; [`LinearFit`] provides the underlying simple
-//! linear regression with `R²`, and the convenience wrappers transform the
-//! data first.
+//! (power laws appear as straight lines with slope = exponent);
+//! [`LinearFit`] provides the underlying simple linear regression with `R²`,
+//! and [`log_log_fit`] transforms the data first.
 
 use crate::{AnalysisError, Result};
 
@@ -92,18 +91,6 @@ pub fn log_log_fit(x: &[f64], y: &[f64]) -> Result<LinearFit> {
     linear_fit(&lx, &ly)
 }
 
-/// Fits `y ≈ slope·log x + intercept`, appropriate when `y` is expected to
-/// grow logarithmically (or polylogarithmically with a further transform) in
-/// `x`.
-///
-/// # Errors
-///
-/// See [`log_log_fit`]; only `x` must be strictly positive here.
-pub fn semilog_fit(x: &[f64], y: &[f64]) -> Result<LinearFit> {
-    let lx = logs(x)?;
-    linear_fit(&lx, y)
-}
-
 fn logs(values: &[f64]) -> Result<Vec<f64>> {
     values
         .iter()
@@ -152,7 +139,6 @@ mod tests {
         ));
         assert!(log_log_fit(&[1.0, -2.0], &[1.0, 1.0]).is_err());
         assert!(log_log_fit(&[1.0, 2.0], &[0.0, 1.0]).is_err());
-        assert!(semilog_fit(&[0.0, 2.0], &[0.0, 1.0]).is_err());
     }
 
     #[test]
@@ -172,16 +158,6 @@ mod tests {
         assert!((fit.slope - 1.7).abs() < 1e-9);
         assert!((fit.intercept - 2.0f64.ln()).abs() < 1e-9);
         assert!(fit.r_squared > 0.999);
-    }
-
-    #[test]
-    fn logarithmic_growth_recovered_by_semilog_fit() {
-        // y = 4 ln x + 3
-        let x: Vec<f64> = (1..=20).map(|i| i as f64 * 2.0).collect();
-        let y: Vec<f64> = x.iter().map(|v| 4.0 * v.ln() + 3.0).collect();
-        let fit = semilog_fit(&x, &y).unwrap();
-        assert!((fit.slope - 4.0).abs() < 1e-9);
-        assert!((fit.intercept - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Outlier-resistant estimators and adversary drift oracles.
+//! Adversary drift oracles.
 //!
-//! The estimators ([`trimmed_mean`], [`median_absolute_deviation`]) summarize
-//! samples that may contain Byzantine outliers without letting a few extreme
-//! values dominate.  The oracles bound how far an adversary can drag the
-//! **honest-subset mean** of a gossip run:
+//! The oracles bound how far an adversary can drag the **honest-subset
+//! mean** of a gossip run:
 //!
 //! * [`honest_drift_bound`] is exact for *mass-conserving* pairwise rules
 //!   (vanilla, trimmed-mean): an honest–honest contact conserves the honest
@@ -20,47 +18,7 @@
 //!   reports.  The bound is the largest excursion that hull permits from the
 //!   clean consensus.
 
-use crate::stats::SortedSample;
 use crate::{AnalysisError, Result};
-
-/// Symmetrically trimmed mean: drop the `⌊n·trim_fraction⌋` smallest and
-/// largest values, then average the rest.
-///
-/// `trim_fraction = 0` is the plain mean; values approaching `0.5` keep only
-/// the middle of the distribution (at least one value always survives).
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::EmptySample`] for an empty slice and
-/// [`AnalysisError::InvalidParameter`] if `trim_fraction ∉ [0, 0.5)` or the
-/// data contain NaN.
-pub fn trimmed_mean(sample: &[f64], trim_fraction: f64) -> Result<f64> {
-    if !(0.0..0.5).contains(&trim_fraction) {
-        return Err(AnalysisError::InvalidParameter {
-            reason: format!("trim fraction must lie in [0, 0.5), got {trim_fraction}"),
-        });
-    }
-    let sorted = SortedSample::new(sample)?;
-    let n = sorted.len();
-    let cut = ((n as f64) * trim_fraction).floor() as usize;
-    let kept = &sorted.as_slice()[cut..n - cut];
-    debug_assert!(!kept.is_empty(), "cut < n/2 always leaves the middle");
-    Ok(kept.iter().sum::<f64>() / kept.len() as f64)
-}
-
-/// Median absolute deviation: `median(|x − median(x)|)`, the classic
-/// 50%-breakdown scale estimate (unscaled — multiply by 1.4826 for the
-/// normal-consistent version).
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::EmptySample`] for an empty slice and
-/// [`AnalysisError::InvalidParameter`] for NaN data.
-pub fn median_absolute_deviation(sample: &[f64]) -> Result<f64> {
-    let center = SortedSample::new(sample)?.median();
-    let deviations: Vec<f64> = sample.iter().map(|x| (x - center).abs()).collect();
-    Ok(SortedSample::new(&deviations)?.median())
-}
 
 /// Drift bound for **mass-conserving** pairwise rules: the honest-subset
 /// mean moves at most `falsification_l1 / honest_count` from the clean run's
@@ -139,46 +97,6 @@ pub fn hull_drift_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trimmed_mean_drops_outliers_symmetrically() {
-        // One huge outlier among nine sane values: a 20% trim removes it
-        // (and the smallest value), recovering a sane center.
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1000.0];
-        let plain = trimmed_mean(&xs, 0.0).unwrap();
-        assert!(plain > 100.0, "untrimmed mean is dominated by the outlier");
-        let trimmed = trimmed_mean(&xs, 0.2).unwrap();
-        // floor(9 · 0.2) = 1 from each end: mean of 2..=8.
-        assert!((trimmed - 5.0).abs() < 1e-12);
-        // A heavier trim keeps only the middle.
-        assert_eq!(trimmed_mean(&[1.0, 5.0, 9.0], 0.4).unwrap(), 5.0);
-    }
-
-    #[test]
-    fn trimmed_mean_validates_inputs() {
-        assert!(trimmed_mean(&[], 0.1).is_err());
-        assert!(trimmed_mean(&[1.0, f64::NAN], 0.1).is_err());
-        for bad in [-0.1, 0.5, 1.0, f64::NAN] {
-            assert!(trimmed_mean(&[1.0, 2.0], bad).is_err(), "fraction {bad}");
-        }
-        // fraction 0 equals the plain mean bitwise on sorted data.
-        let xs = [1.0, 2.0, 3.0];
-        assert_eq!(trimmed_mean(&xs, 0.0).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn mad_is_robust_to_a_minority_of_outliers() {
-        let sane = [10.0, 10.5, 9.5, 10.2, 9.8, 10.1, 9.9];
-        let mad_sane = median_absolute_deviation(&sane).unwrap();
-        let mut poisoned = sane.to_vec();
-        poisoned.push(1e6);
-        let mad_poisoned = median_absolute_deviation(&poisoned).unwrap();
-        // One outlier in eight barely moves the MAD, while it explodes the
-        // standard deviation.
-        assert!(mad_poisoned < 10.0 * (mad_sane + 0.1));
-        assert!(median_absolute_deviation(&[]).is_err());
-        assert_eq!(median_absolute_deviation(&[5.0, 5.0, 5.0]).unwrap(), 0.0);
-    }
 
     #[test]
     fn honest_drift_bound_is_the_per_capita_falsification_mass() {

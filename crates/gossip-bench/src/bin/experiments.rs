@@ -51,9 +51,13 @@
 //! from tick 0 (restored runs are bit-identical to uninterrupted ones).
 //! Like `--resume` and `--store-summary`, a non-zero cadence requires
 //! `--store-dir`; `0` (the default) disables capture.
-//! `--trial-deadline-secs <n>` puts a wall-clock deadline on every
-//! simulation trial; a trial that exceeds it is journaled as
-//! `deadline_censored` and dropped from the sweep instead of hanging it.
+//! `--trial-deadline-secs <n>` puts a wall-clock deadline on every trial
+//! that builds its own `SimulationConfig` (E4, E5, SIM_SCALE, MEM_SCALE,
+//! ROBUSTNESS, ADVERSARY and the PERF throughput rows); a trial that
+//! exceeds it is journaled as `deadline_censored` and dropped from the
+//! sweep instead of hanging it.  Estimator-backed trials (DUMBBELL, E6,
+//! E7, E8, E10 and the PERF estimator rows) and E7's synchronous baselines
+//! never receive it.
 //! A panicking trial surfaces as an error carrying its panic message.
 //!
 //! The SCALE, SIM_SCALE, MEM_SCALE, ROBUSTNESS, PERF and ADVERSARY tiers

@@ -2,13 +2,11 @@
 //!
 //! The paper has no numbered tables or figures, so the harness regenerates
 //! one table per quantitative claim (experiments E1–E10, see
-//! `gossip_workloads::experiments`).  The same runner functions back three
+//! `gossip_workloads::experiments`).  The same runner functions back two
 //! consumers:
 //!
 //! * the `experiments` binary (`cargo run -p gossip-bench --release --bin
 //!   experiments`), which prints every table and optionally dumps JSON;
-//! * the Criterion benches in `benches/`, which time representative
-//!   configurations of each experiment's inner loop;
 //! * the workspace integration tests, which assert the *shape* of the results
 //!   (who wins, roughly by how much) on scaled-down instances.
 

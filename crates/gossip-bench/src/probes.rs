@@ -147,11 +147,6 @@ impl<H> EpochProbe<H> {
                 .collect()
         }
     }
-
-    /// Number of transfers observed.
-    pub fn transfer_count(&self) -> usize {
-        self.transfer_times.len()
-    }
 }
 
 impl<H: EdgeTickHandler> EdgeTickHandler for EpochProbe<H> {
@@ -269,7 +264,7 @@ mod tests {
             };
             probe.on_edge_tick(&mut values, &ctx);
         }
-        assert_eq!(probe.transfer_count(), 4);
+        assert_eq!(probe.transfer_times.len(), 4);
         assert_eq!(probe.pre_transfer_variance.len(), 4);
         assert_eq!(probe.post_transfer_variance.len(), 4);
         assert_eq!(probe.log_variance_increments().len(), 3);

@@ -27,10 +27,10 @@ use gossip_core::diffusion::{FirstOrderDiffusion, SecondOrderDiffusion};
 use gossip_core::sparse_cut::{SparseCutAlgorithm, SparseCutConfig, TransferCoefficient};
 use gossip_core::two_time_scale::TwoTimeScaleGossip;
 use gossip_exec::Executor;
-use gossip_graph::{Graph, NodeId, Partition};
+use gossip_graph::{Graph, NodeId};
 use gossip_sim::checkpoint::EngineCheckpoint;
 use gossip_sim::engine::{AsyncSimulator, ClockModel, SimulationConfig};
-use gossip_sim::stopping::{StoppingRule, DEFINITION1_THRESHOLD};
+use gossip_sim::stopping::StoppingRule;
 use gossip_sim::sync::{RoundHandler, SyncConfig, SyncSimulator};
 use gossip_sim::values::NodeValues;
 use gossip_sim::SimError;
@@ -66,11 +66,14 @@ pub struct HarnessConfig {
     /// sink, captured checkpoints are committed to the tier's
     /// `.ckpt.jsonl` log and a resumed run restores from the newest one.
     pub checkpoint_every_ticks: u64,
-    /// Per-trial wall-clock budget threaded into every simulation config
-    /// the tiers build.  A trial whose engine run exceeds it is *censored*:
-    /// journaled with an explicit `deadline_censored` reason and skipped,
-    /// never hanging or failing the sweep.  `None` (the default) means no
-    /// deadline.
+    /// Per-trial wall-clock budget threaded into the simulation configs the
+    /// tiers build themselves: E4, E5, SIM_SCALE, MEM_SCALE, ROBUSTNESS,
+    /// ADVERSARY and the PERF throughput rows.  Estimator-backed trials
+    /// (DUMBBELL, E6, E7, E8, E10 and the PERF estimator rows) and E7's
+    /// synchronous baselines never receive it.  A trial whose engine run
+    /// exceeds it is *censored*: journaled with an explicit
+    /// `deadline_censored` reason and skipped, never hanging or failing the
+    /// sweep.  `None` (the default) means no deadline.
     pub trial_deadline: Option<std::time::Duration>,
 }
 
@@ -226,10 +229,9 @@ pub fn run_dumbbell_sweep(
                 let seed = config.seed.wrapping_add(7 + index as u64);
                 estimator.estimate(graph, partition, || RandomNeighborGossip::new(seed))?
             };
-            let algorithm_a = estimator.estimate(graph, partition, || {
-                SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())
-                    .expect("valid partition")
-            })?;
+            let algorithm =
+                SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())?;
+            let algorithm_a = estimator.estimate(graph, partition, || algorithm.clone())?;
 
             Ok(DumbbellSweepRow {
                 n: graph.node_count(),
@@ -585,10 +587,9 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
             let max_time = 60.0 * lower + 300.0;
             let estimator = config.estimator(700 + index as u64, max_time);
             let vanilla = estimator.estimate(graph, partition, VanillaGossip::new)?;
-            let algo = estimator.estimate(graph, partition, || {
-                SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())
-                    .expect("valid partition")
-            })?;
+            let algorithm =
+                SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())?;
+            let algo = estimator.estimate(graph, partition, || algorithm.clone())?;
             Ok(vec![
                 partition.cut_edge_count().to_string(),
                 fmt(lower),
@@ -623,16 +624,15 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
         |index| -> BenchResult<Vec<String>> {
             let c = constants.values[index];
             let estimator = config.estimator(800 + index as u64, 4000.0);
-            let algo_config = SparseCutConfig::new().with_epoch_constant(c);
-            let probe_algo =
-                SparseCutAlgorithm::from_partition(&graph, &partition, algo_config.clone())?;
-            let estimate = estimator.estimate(&graph, &partition, || {
-                SparseCutAlgorithm::from_partition(&graph, &partition, algo_config.clone())
-                    .expect("valid partition")
-            })?;
+            let algorithm = SparseCutAlgorithm::from_partition(
+                &graph,
+                &partition,
+                SparseCutConfig::new().with_epoch_constant(c),
+            )?;
+            let estimate = estimator.estimate(&graph, &partition, || algorithm.clone())?;
             Ok(vec![
                 fmt(c),
-                probe_algo.epoch_ticks().to_string(),
+                algorithm.epoch_ticks().to_string(),
                 fmt(estimate.averaging_time),
             ])
         },
@@ -704,10 +704,9 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
             let momentum = estimator.estimate(&graph, &partition, || {
                 TwoTimeScaleGossip::for_graph(&graph, 0.7).expect("valid momentum")
             })?;
-            let algo = estimator.estimate(&graph, &partition, || {
-                SparseCutAlgorithm::from_partition(&graph, &partition, SparseCutConfig::default())
-                    .expect("valid partition")
-            })?;
+            let algorithm =
+                SparseCutAlgorithm::from_partition(&graph, &partition, SparseCutConfig::default())?;
+            let algo = estimator.estimate(&graph, &partition, || algorithm.clone())?;
 
             Ok(vec![
                 n.to_string(),
@@ -765,10 +764,9 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
             let lower = bounds::theorem1_lower_bound(partition);
             let estimator = config.estimator(1000 + index as u64, 80.0 * lower + 400.0);
             let vanilla = estimator.estimate(graph, partition, VanillaGossip::new)?;
-            let algo = estimator.estimate(graph, partition, || {
-                SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())
-                    .expect("valid partition")
-            })?;
+            let algorithm =
+                SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())?;
+            let algo = estimator.estimate(graph, partition, || algorithm.clone())?;
             Ok(vec![
                 instance.name.clone(),
                 graph.node_count().to_string(),
@@ -890,14 +888,13 @@ pub fn run_e10(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec
         |index| -> BenchResult<E10Row> {
             let (name, coefficient) = &choices[index];
             let coefficient = *coefficient;
-            let estimate: AveragingTimeEstimate = estimator.estimate(&graph, &partition, || {
-                SparseCutAlgorithm::from_partition(
-                    &graph,
-                    &partition,
-                    SparseCutConfig::new().with_transfer_coefficient(coefficient),
-                )
-                .expect("valid partition")
-            })?;
+            let algorithm = SparseCutAlgorithm::from_partition(
+                &graph,
+                &partition,
+                SparseCutConfig::new().with_transfer_coefficient(coefficient),
+            )?;
+            let estimate: AveragingTimeEstimate =
+                estimator.estimate(&graph, &partition, || algorithm.clone())?;
             Ok(E10Row {
                 coefficient: name.clone(),
                 gamma: coefficient.resolve(n1, n2),
@@ -2394,79 +2391,21 @@ pub fn run_perf(
 }
 
 // ---------------------------------------------------------------------------
-// Convenience wrappers.
+// Claim checks.
 // ---------------------------------------------------------------------------
 
-/// Runs every experiment through `sink` and returns the rendered tables in
-/// order.
-///
-/// # Errors
-///
-/// Propagates the first failure of any experiment.
-pub fn run_all(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Vec<Table>> {
-    let mut tables = Vec::new();
-    let sweep = run_dumbbell_sweep(config, sink)?;
-    tables.push(table_e1(&sweep));
-    tables.push(table_e2(&sweep));
-    tables.push(table_e3(&sweep));
-    tables.push(run_e4(config, sink)?.1);
-    tables.push(run_e5(config, sink)?.1);
-    let (cut_table, c_table) = run_e6(config, sink)?;
-    tables.push(cut_table);
-    tables.push(c_table);
-    tables.push(run_e7(config, sink)?);
-    tables.push(run_e8(config, sink)?);
-    tables.push(run_e9(config, sink)?);
-    tables.push(run_e10(config, sink)?.1);
-    tables.push(run_scale(config, sink)?.1);
-    tables.push(run_sim_scale(config, sink)?.1);
-    tables.push(run_mem_scale(config, sink)?.1);
-    tables.push(run_robustness(config, sink)?.1);
-    tables.push(run_adversary(config, sink)?.1);
-    let (_, perf_tables) = run_perf(config, sink)?;
-    tables.extend(perf_tables);
-    Ok(tables)
-}
-
-/// Verification of experiment E4's claim, used by the integration tests.
+/// Verification of experiment E4's claim, used by this module's unit test
+/// `e4_runs_and_claim_holds_on_tiny_instance`.
 pub fn e4_claim_holds(result: &E4Result) -> bool {
     result.max_observed_delta <= result.per_tick_bound + 1e-9
         && result.final_variance + 1e-9 >= result.variance_lower_bound
-}
-
-/// Threshold constant re-exported for integration tests comparing measured
-/// variance ratios against Definition 1.
-pub const THRESHOLD: f64 = DEFINITION1_THRESHOLD;
-
-/// Partition helper re-exported for benches (avoids a direct gossip-graph
-/// dependency in bench files that only need the adversarial vector).
-pub fn adversarial_initial(partition: &Partition) -> NodeValues {
-    AveragingTimeEstimator::adversarial_initial(partition)
-}
-
-/// Builds the scenario list used by the Criterion benches: one small instance
-/// per experiment family.
-pub fn bench_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::Dumbbell { half: 12 },
-        Scenario::BridgedClusters {
-            n1: 12,
-            n2: 12,
-            bridges: 2,
-            p: 0.5,
-        },
-        Scenario::GridCorridor {
-            rows: 3,
-            cols: 4,
-            corridor_width: 1,
-        },
-    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trial::FromValue;
+    use gossip_sim::stopping::DEFINITION1_THRESHOLD;
     use gossip_store::NullSink;
 
     #[test]
@@ -2598,14 +2537,6 @@ mod tests {
             }
             let worst = view.worst_surviving_connectivity().unwrap();
             assert!(worst.unwrap_or(0.0) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn bench_scenarios_are_valid() {
-        for scenario in bench_scenarios() {
-            let instance = scenario.instantiate(1).unwrap();
-            assert!(instance.partition.cut_edge_count() >= 1);
         }
     }
 

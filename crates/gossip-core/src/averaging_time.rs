@@ -94,12 +94,6 @@ impl EstimatorConfig {
         self
     }
 
-    /// Sets the per-run event budget.
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
     /// Selects the clock sampler.
     pub fn with_clock_model(mut self, model: ClockModel) -> Self {
         self.clock_model = model;
@@ -191,11 +185,6 @@ impl AveragingTimeEstimator {
     /// Creates an estimator.
     pub fn new(config: EstimatorConfig) -> Self {
         AveragingTimeEstimator { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.config
     }
 
     /// The adversarial initial condition of Section 2: `+1` on `V₁`,
@@ -413,12 +402,9 @@ mod tests {
         // time — nowhere near the Ω(n1) the convex class needs, so every run
         // exhausts the budget.  That must censor, not abort.
         let (g, p) = dumbbell(16).unwrap();
-        let est = AveragingTimeEstimator::new(
-            EstimatorConfig::new(5)
-                .with_runs(3)
-                .with_max_time(50.0)
-                .with_max_events(500),
-        );
+        let mut config = EstimatorConfig::new(5).with_runs(3).with_max_time(50.0);
+        config.max_events = 500;
+        let est = AveragingTimeEstimator::new(config);
         let result = est.estimate(&g, &p, VanillaGossip::new).unwrap();
         assert_eq!(result.censored_runs, 3);
         assert_eq!(result.confirmed_runs, 0);
@@ -432,7 +418,9 @@ mod tests {
     #[test]
     fn zero_event_budget_is_rejected() {
         let (g, p) = dumbbell(3).unwrap();
-        let est = AveragingTimeEstimator::new(EstimatorConfig::new(1).with_max_events(0));
+        let mut config = EstimatorConfig::new(1);
+        config.max_events = 0;
+        let est = AveragingTimeEstimator::new(config);
         assert!(est.estimate(&g, &p, VanillaGossip::new).is_err());
     }
 

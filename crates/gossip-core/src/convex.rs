@@ -71,11 +71,6 @@ impl WeightedConvexGossip {
         }
         Ok(WeightedConvexGossip { alpha })
     }
-
-    /// The mixing parameter.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl EdgeTickHandler for WeightedConvexGossip {
@@ -196,7 +191,6 @@ mod tests {
         assert!(WeightedConvexGossip::new(1.1).is_err());
         assert!(WeightedConvexGossip::new(f64::NAN).is_err());
         let w = WeightedConvexGossip::new(0.75).unwrap();
-        assert!((w.alpha() - 0.75).abs() < 1e-15);
         assert_eq!(w.name(), "weighted-convex");
     }
 

@@ -41,44 +41,21 @@ fn diffusion_round(values: &NodeValues, graph: &Graph, step: f64) -> Vector {
     next
 }
 
-/// First-order synchronous diffusion `x ← (I − δL)·x`.
-#[derive(Debug, Clone)]
-pub struct FirstOrderDiffusion {
-    step: Option<f64>,
-}
+/// First-order synchronous diffusion `x ← (I − δL)·x` with the stable step
+/// `δ = 1/(d_max + 1)`.
+#[derive(Debug, Clone, Default)]
+pub struct FirstOrderDiffusion;
 
 impl FirstOrderDiffusion {
     /// Uses the automatic stable step `δ = 1/(d_max + 1)`.
     pub fn new() -> Self {
-        FirstOrderDiffusion { step: None }
-    }
-
-    /// Uses an explicit step size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the step is not positive and
-    /// finite.
-    pub fn with_step(step: f64) -> Result<Self> {
-        if step <= 0.0 || !step.is_finite() {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("diffusion step must be positive and finite, got {step}"),
-            });
-        }
-        Ok(FirstOrderDiffusion { step: Some(step) })
-    }
-}
-
-impl Default for FirstOrderDiffusion {
-    fn default() -> Self {
-        Self::new()
+        FirstOrderDiffusion
     }
 }
 
 impl RoundHandler for FirstOrderDiffusion {
     fn on_round(&mut self, values: &mut NodeValues, _round: u64, graph: &Graph) {
-        let step = self.step.unwrap_or_else(|| default_step(graph));
-        let next = diffusion_round(values, graph, step);
+        let next = diffusion_round(values, graph, default_step(graph));
         *values = NodeValues::from_vector(next).expect("diffusion of finite values is finite");
     }
 
@@ -91,7 +68,6 @@ impl RoundHandler for FirstOrderDiffusion {
 #[derive(Debug, Clone)]
 pub struct SecondOrderDiffusion {
     beta: f64,
-    step: Option<f64>,
     previous: Option<Vector>,
 }
 
@@ -110,45 +86,15 @@ impl SecondOrderDiffusion {
         }
         Ok(SecondOrderDiffusion {
             beta,
-            step: None,
             previous: None,
         })
-    }
-
-    /// Sets an explicit diffusion step size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the step is not positive and
-    /// finite.
-    pub fn with_step(mut self, step: f64) -> Result<Self> {
-        if step <= 0.0 || !step.is_finite() {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("diffusion step must be positive and finite, got {step}"),
-            });
-        }
-        self.step = Some(step);
-        Ok(self)
-    }
-
-    /// The optimal `β* = 2/(1 + √(1 − ρ²))` for a first-order convergence
-    /// factor `ρ ∈ [0, 1)`; clamped into `[1, 2)`.
-    pub fn optimal_beta(rho: f64) -> f64 {
-        let rho = rho.clamp(0.0, 1.0 - 1e-12);
-        (2.0 / (1.0 + (1.0 - rho * rho).sqrt())).clamp(1.0, 2.0 - 1e-12)
-    }
-
-    /// The mixing parameter in use.
-    pub fn beta(&self) -> f64 {
-        self.beta
     }
 }
 
 impl RoundHandler for SecondOrderDiffusion {
     fn on_round(&mut self, values: &mut NodeValues, _round: u64, graph: &Graph) {
-        let step = self.step.unwrap_or_else(|| default_step(graph));
         let current = values.as_vector().clone();
-        let diffused = diffusion_round(values, graph, step);
+        let diffused = diffusion_round(values, graph, default_step(graph));
         let next = match &self.previous {
             // First round: plain first-order step (the standard SOS start-up).
             None => diffused,
@@ -184,36 +130,14 @@ mod tests {
 
     #[test]
     fn constructors_validate() {
-        assert!(FirstOrderDiffusion::with_step(0.0).is_err());
-        assert!(FirstOrderDiffusion::with_step(f64::NAN).is_err());
-        assert!(FirstOrderDiffusion::with_step(0.2).is_ok());
         assert!(SecondOrderDiffusion::new(0.9).is_err());
         assert!(SecondOrderDiffusion::new(2.0).is_err());
         assert!(SecondOrderDiffusion::new(1.5).is_ok());
-        assert!(SecondOrderDiffusion::new(1.5)
-            .unwrap()
-            .with_step(-1.0)
-            .is_err());
-        assert_eq!(
-            FirstOrderDiffusion::default().name(),
-            "first-order-diffusion"
-        );
+        assert_eq!(FirstOrderDiffusion::new().name(), "first-order-diffusion");
         assert_eq!(
             SecondOrderDiffusion::new(1.2).unwrap().name(),
             "second-order-diffusion"
         );
-    }
-
-    #[test]
-    fn optimal_beta_properties() {
-        // rho = 0: beta* = 1 (no memory needed).
-        assert!((SecondOrderDiffusion::optimal_beta(0.0) - 1.0).abs() < 1e-12);
-        // Monotone increasing in rho, bounded below 2.
-        let b1 = SecondOrderDiffusion::optimal_beta(0.9);
-        let b2 = SecondOrderDiffusion::optimal_beta(0.99);
-        assert!(b1 < b2);
-        assert!(b2 < 2.0);
-        assert!(SecondOrderDiffusion::optimal_beta(1.5) < 2.0);
     }
 
     #[test]
@@ -279,13 +203,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_step_is_used() {
+    fn default_step_is_used() {
         let g = path(4).unwrap();
         let mut values = NodeValues::from_values(vec![1.0, 0.0, 0.0, 0.0]).unwrap();
-        let mut fos = FirstOrderDiffusion::with_step(0.25).unwrap();
+        let mut fos = FirstOrderDiffusion::new();
         fos.on_round(&mut values, 1, &g);
-        // Node 0 sends 0.25 of the difference to node 1.
-        assert!((values.get(gossip_graph::NodeId(0)) - 0.75).abs() < 1e-12);
-        assert!((values.get(gossip_graph::NodeId(1)) - 0.25).abs() < 1e-12);
+        // d_max = 2, so node 0 sends δ = 1/3 of the difference to node 1.
+        assert!((values.get(gossip_graph::NodeId(0)) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((values.get(gossip_graph::NodeId(1)) - 1.0 / 3.0).abs() < 1e-12);
     }
 }

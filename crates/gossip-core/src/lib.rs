@@ -70,7 +70,6 @@
 
 pub mod averaging_time;
 pub mod bounds;
-pub mod boyd;
 pub mod convex;
 pub mod diffusion;
 pub mod robust;

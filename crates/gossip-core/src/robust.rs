@@ -35,31 +35,11 @@ pub struct TrimmedMeanGossip {
 }
 
 impl TrimmedMeanGossip {
-    /// Creates the rule with clamp radius `radius`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::InvalidConfig`] unless `radius` is finite
-    /// and positive.
-    pub fn new(radius: f64) -> crate::Result<Self> {
-        if !radius.is_finite() || radius <= 0.0 {
-            return Err(crate::CoreError::InvalidConfig {
-                reason: format!("trim radius must be finite and positive, got {radius}"),
-            });
-        }
-        Ok(TrimmedMeanGossip { radius })
-    }
-
     /// The rule at the canonical [`DEFAULT_TRIM_RADIUS`].
     pub fn default_radius() -> Self {
         TrimmedMeanGossip {
             radius: DEFAULT_TRIM_RADIUS,
         }
-    }
-
-    /// The clamp radius.
-    pub fn radius(&self) -> f64 {
-        self.radius
     }
 }
 
@@ -161,25 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_mean_validates_radius() {
-        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
-            assert!(TrimmedMeanGossip::new(bad).is_err(), "radius {bad}");
-        }
-        let t = TrimmedMeanGossip::new(2.5).unwrap();
-        assert_eq!(t.radius(), 2.5);
-        assert_eq!(t.name(), "trimmed");
-        assert_eq!(
-            TrimmedMeanGossip::default_radius().radius(),
-            DEFAULT_TRIM_RADIUS
-        );
-    }
-
-    #[test]
     fn trimmed_mean_clamps_the_innovation_and_conserves_mass() {
         let g = path(2).unwrap();
         // Gap of 100 ≫ radius 1: each endpoint moves only radius/2.
         let mut v = NodeValues::from_values(vec![0.0, 100.0]).unwrap();
         let mut algo = TrimmedMeanGossip::default_radius();
+        assert_eq!(algo.name(), "trimmed");
         algo.on_edge_tick(&mut v, &ctx_for(&g, EdgeId(0)));
         assert_eq!(v.as_slice(), &[0.5, 99.5]);
         assert!((v.sum() - 100.0).abs() < 1e-12);

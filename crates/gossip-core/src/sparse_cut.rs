@@ -78,10 +78,6 @@ pub struct SparseCutConfig {
     /// the spectral estimate from
     /// [`crate::bounds::t_van_spectral`] is computed for both blocks.
     pub t_van_sum_override: Option<f64>,
-    /// Explicit designated cut edge.  When `None`, the first cut edge of the
-    /// partition is used (for the paper's dumbbell this is exactly the edge
-    /// `(v_{n₁}, v_{n₁+1})`).
-    pub designated_edge: Option<EdgeId>,
 }
 
 impl Default for SparseCutConfig {
@@ -90,7 +86,6 @@ impl Default for SparseCutConfig {
             epoch_constant: 4.0,
             transfer_coefficient: TransferCoefficient::default(),
             t_van_sum_override: None,
-            designated_edge: None,
         }
     }
 }
@@ -117,12 +112,6 @@ impl SparseCutConfig {
     /// spectrally.
     pub fn with_t_van_sum(mut self, t_van_sum: f64) -> Self {
         self.t_van_sum_override = Some(t_van_sum);
-        self
-    }
-
-    /// Designates a specific cut edge as `e_c`.
-    pub fn with_designated_edge(mut self, edge: EdgeId) -> Self {
-        self.designated_edge = Some(edge);
         self
     }
 }
@@ -152,14 +141,16 @@ pub struct SparseCutAlgorithm {
 impl SparseCutAlgorithm {
     /// Builds Algorithm A for `graph` with the given two-block `partition`.
     ///
-    /// The designated edge defaults to the partition's first cut edge; the
+    /// The designated edge `e_c` is the partition's first cut edge (for the
+    /// paper's dumbbell this is exactly the edge `(v_{n₁}, v_{n₁+1})`); the
     /// epoch length is `⌈C·(T_van(G₁)+T_van(G₂))·ln n⌉` ticks of `e_c`, where
     /// the `T_van` values come from the spectral estimate unless overridden.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidCut`] if the partition has no cut edges or
-    /// the designated edge does not cross the cut, and
+    /// Returns [`CoreError::InvalidCut`] if the partition has no cut edges,
+    /// describes a different node count, or its first cut edge does not
+    /// cross the cut in `graph` (a partition of another graph), and
     /// [`CoreError::InvalidConfig`] for a non-positive epoch constant or
     /// non-finite transfer coefficient.  Spectral estimation failures (e.g. a
     /// disconnected block) surface as [`CoreError::Graph`].
@@ -191,9 +182,7 @@ impl SparseCutAlgorithm {
             });
         }
 
-        let designated_edge = config
-            .designated_edge
-            .unwrap_or_else(|| partition.cut_edges()[0]);
+        let designated_edge = partition.cut_edges()[0];
         let edge = graph.edge(designated_edge)?;
         if !partition.is_cut_edge(&edge) {
             return Err(CoreError::InvalidCut {
@@ -372,12 +361,10 @@ mod tests {
         let c = SparseCutConfig::new()
             .with_epoch_constant(8.0)
             .with_transfer_coefficient(TransferCoefficient::PaperLiteral)
-            .with_t_van_sum(2.0)
-            .with_designated_edge(EdgeId(5));
+            .with_t_van_sum(2.0);
         assert!((c.epoch_constant - 8.0).abs() < 1e-12);
         assert_eq!(c.transfer_coefficient, TransferCoefficient::PaperLiteral);
         assert_eq!(c.t_van_sum_override, Some(2.0));
-        assert_eq!(c.designated_edge, Some(EdgeId(5)));
     }
 
     #[test]
@@ -395,16 +382,13 @@ mod tests {
             SparseCutConfig::new().with_t_van_sum(-1.0)
         )
         .is_err());
-        // Designated edge that does not cross the cut.
-        let internal_edge = g
-            .find_edge(gossip_graph::NodeId(0), gossip_graph::NodeId(1))
-            .unwrap();
+        // Partition of a different graph with the same node count: its
+        // first cut edge is internal to a clique of `g`.
+        let other = gossip_graph::generators::path(8).unwrap();
+        let other_cut = Partition::from_block_one(&other, p.block_one()).unwrap();
+        assert!(!p.is_cut_edge(&g.edge(other_cut.cut_edges()[0]).unwrap()));
         assert!(matches!(
-            SparseCutAlgorithm::from_partition(
-                &g,
-                &p,
-                SparseCutConfig::new().with_designated_edge(internal_edge)
-            ),
+            SparseCutAlgorithm::from_partition(&g, &other_cut, SparseCutConfig::new()),
             Err(CoreError::InvalidCut { .. })
         ));
         // Partition of a different graph.

@@ -64,11 +64,6 @@ impl TwoTimeScaleGossip {
     pub fn for_graph(graph: &gossip_graph::Graph, momentum: f64) -> Result<Self> {
         Self::new(graph.edge_count(), momentum)
     }
-
-    /// The momentum coefficient.
-    pub fn momentum(&self) -> f64 {
-        self.momentum
-    }
 }
 
 impl EdgeTickHandler for TwoTimeScaleGossip {
@@ -123,7 +118,6 @@ mod tests {
         assert!(TwoTimeScaleGossip::for_graph(&g, -0.1).is_err());
         assert!(TwoTimeScaleGossip::for_graph(&g, 1.0).is_err());
         let ok = TwoTimeScaleGossip::for_graph(&g, 0.5).unwrap();
-        assert!((ok.momentum() - 0.5).abs() < 1e-15);
         assert_eq!(ok.name(), "two-time-scale");
     }
 

@@ -9,8 +9,7 @@
 //! connectivity over the connected components of the live subgraph, i.e. the
 //! mixing bottleneck of the worst-connected island the faults leave behind.
 //!
-//! The view never mutates the base graph and can be reset or replayed
-//! freely, so the same instance can evaluate many fault plans.
+//! The view never mutates the base graph.
 
 use crate::spectral::SpectralProfile;
 use crate::traversal;
@@ -38,7 +37,6 @@ use crate::{EdgeId, Graph, GraphBuilder, NodeId, Result};
 pub struct DynamicGraphView<'g> {
     graph: &'g Graph,
     alive: Vec<bool>,
-    alive_count: usize,
 }
 
 impl<'g> DynamicGraphView<'g> {
@@ -47,43 +45,7 @@ impl<'g> DynamicGraphView<'g> {
         DynamicGraphView {
             graph,
             alive: vec![true; graph.edge_count()],
-            alive_count: graph.edge_count(),
         }
-    }
-
-    /// The underlying (static) graph.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// Returns `true` if `edge` is currently alive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::EdgeOutOfRange`] for an invalid id.
-    pub fn is_edge_alive(&self, edge: EdgeId) -> Result<bool> {
-        self.graph.edge(edge)?;
-        Ok(self.alive[edge.index()])
-    }
-
-    /// Sets the liveness of `edge`; returns whether the state changed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::EdgeOutOfRange`] for an invalid id.
-    pub fn set_edge_alive(&mut self, edge: EdgeId, alive: bool) -> Result<bool> {
-        self.graph.edge(edge)?;
-        let slot = &mut self.alive[edge.index()];
-        if *slot == alive {
-            return Ok(false);
-        }
-        *slot = alive;
-        if alive {
-            self.alive_count += 1;
-        } else {
-            self.alive_count -= 1;
-        }
-        Ok(true)
     }
 
     /// Marks `edge` dead; returns whether it was previously alive.
@@ -92,16 +54,8 @@ impl<'g> DynamicGraphView<'g> {
     ///
     /// Returns [`crate::GraphError::EdgeOutOfRange`] for an invalid id.
     pub fn kill_edge(&mut self, edge: EdgeId) -> Result<bool> {
-        self.set_edge_alive(edge, false)
-    }
-
-    /// Marks `edge` alive again; returns whether it was previously dead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::EdgeOutOfRange`] for an invalid id.
-    pub fn revive_edge(&mut self, edge: EdgeId) -> Result<bool> {
-        self.set_edge_alive(edge, true)
+        self.graph.edge(edge)?;
+        Ok(std::mem::replace(&mut self.alive[edge.index()], false))
     }
 
     /// Marks every edge incident to `node` dead (the topological shadow of a
@@ -123,22 +77,6 @@ impl<'g> DynamicGraphView<'g> {
         Ok(changed)
     }
 
-    /// Restores every edge to alive.
-    pub fn reset(&mut self) {
-        self.alive.fill(true);
-        self.alive_count = self.graph.edge_count();
-    }
-
-    /// Number of currently live edges.
-    pub fn live_edge_count(&self) -> usize {
-        self.alive_count
-    }
-
-    /// Number of currently dead edges.
-    pub fn dead_edge_count(&self) -> usize {
-        self.graph.edge_count() - self.alive_count
-    }
-
     /// Iterates over the identifiers of the live edges in increasing order.
     pub fn live_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.alive
@@ -146,18 +84,6 @@ impl<'g> DynamicGraphView<'g> {
             .enumerate()
             .filter(|(_, &a)| a)
             .map(|(i, _)| EdgeId(i))
-    }
-
-    /// Degree of `node` counting live edges only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range (mirrors [`Graph::degree`]).
-    pub fn live_degree(&self, node: NodeId) -> usize {
-        self.graph
-            .neighbors(node)
-            .filter(|(_, e)| self.alive[e.index()])
-            .count()
     }
 
     /// Materializes the live subgraph on the full node set.
@@ -236,33 +162,24 @@ mod tests {
     fn fresh_view_matches_the_base_graph() {
         let g = complete(5).unwrap();
         let view = DynamicGraphView::new(&g);
-        assert_eq!(view.live_edge_count(), g.edge_count());
-        assert_eq!(view.dead_edge_count(), 0);
         assert_eq!(view.live_edges().count(), g.edge_count());
         assert!(view.is_live_connected());
         assert_eq!(view.live_components(), vec![g.nodes().collect::<Vec<_>>()]);
         assert_eq!(view.live_graph(), g.clone());
-        for v in g.nodes() {
-            assert_eq!(view.live_degree(v), g.degree(v));
-        }
-        assert_eq!(view.graph().node_count(), 5);
     }
 
     #[test]
-    fn kill_and_revive_edges() {
+    fn kill_edges() {
         let g = path(4).unwrap(); // 0-1-2-3
         let mut view = DynamicGraphView::new(&g);
         assert!(view.kill_edge(EdgeId(1)).unwrap());
         assert!(!view.kill_edge(EdgeId(1)).unwrap(), "already dead");
-        assert!(!view.is_edge_alive(EdgeId(1)).unwrap());
-        assert_eq!(view.live_edge_count(), 2);
-        assert_eq!(view.dead_edge_count(), 1);
+        assert_eq!(
+            view.live_edges().collect::<Vec<_>>(),
+            vec![EdgeId(0), EdgeId(2)]
+        );
         assert!(!view.is_live_connected());
         assert_eq!(view.live_components().len(), 2);
-        assert!(view.revive_edge(EdgeId(1)).unwrap());
-        assert!(!view.revive_edge(EdgeId(1)).unwrap(), "already alive");
-        assert!(view.is_live_connected());
-        assert!(view.is_edge_alive(EdgeId(9)).is_err());
         assert!(view.kill_edge(EdgeId(9)).is_err());
     }
 
@@ -271,7 +188,7 @@ mod tests {
         let g = complete(4).unwrap(); // every node has degree 3
         let mut view = DynamicGraphView::new(&g);
         assert_eq!(view.kill_node(NodeId(0)).unwrap(), 3);
-        assert_eq!(view.live_degree(NodeId(0)), 0);
+        assert_eq!(view.live_graph().degree(NodeId(0)), 0);
         // A second kill changes nothing.
         assert_eq!(view.kill_node(NodeId(0)).unwrap(), 0);
         // Node 0 is now isolated; the remaining triangle survives.
@@ -279,9 +196,6 @@ mod tests {
         assert_eq!(components.len(), 2);
         assert!(components.iter().any(|c| c == &vec![NodeId(0)]));
         assert!(view.kill_node(NodeId(7)).is_err());
-        view.reset();
-        assert_eq!(view.live_edge_count(), g.edge_count());
-        assert!(view.is_live_connected());
     }
 
     #[test]

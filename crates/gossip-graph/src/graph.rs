@@ -96,23 +96,6 @@ impl Edge {
     pub fn endpoints(&self) -> (NodeId, NodeId) {
         (self.u, self.v)
     }
-
-    /// Returns `true` if `node` is one of the endpoints.
-    pub fn is_incident_to(&self, node: NodeId) -> bool {
-        self.u == node || self.v == node
-    }
-
-    /// Given one endpoint, returns the other; `None` if `node` is not an
-    /// endpoint.
-    pub fn other_endpoint(&self, node: NodeId) -> Option<NodeId> {
-        if node == self.u {
-            Some(self.v)
-        } else if node == self.v {
-            Some(self.u)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Edge {
@@ -214,11 +197,6 @@ impl Graph {
         self.neighbors(a).find(|(n, _)| *n == b).map(|(_, e)| e)
     }
 
-    /// Returns `true` if nodes `a` and `b` are adjacent.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.find_edge(a, b).is_some()
-    }
-
     /// Degree of `node`.
     ///
     /// # Panics
@@ -243,15 +221,6 @@ impl Graph {
             .copied()
     }
 
-    /// Iterates over the neighbouring nodes of `node` (without edge ids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn neighbor_nodes(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors(node).map(|(n, _)| n)
-    }
-
     /// Maximum degree over all nodes; `0` for the empty graph.
     pub fn max_degree(&self) -> usize {
         self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
@@ -260,15 +229,6 @@ impl Graph {
     /// Minimum degree over all nodes; `0` for the empty graph.
     pub fn min_degree(&self) -> usize {
         self.nodes().map(|v| self.degree(v)).min().unwrap_or(0)
-    }
-
-    /// Average degree (`2|E| / |V|`); `0.0` for the empty graph.
-    pub fn average_degree(&self) -> f64 {
-        if self.node_count == 0 {
-            0.0
-        } else {
-            2.0 * self.edge_count() as f64 / self.node_count as f64
-        }
     }
 
     /// Validates that a node identifier is in range.
@@ -349,16 +309,6 @@ impl GraphBuilder {
             node_count,
             edges: Vec::new(),
         }
-    }
-
-    /// Number of nodes the built graph will have.
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Adds an undirected edge between nodes `a` and `b`; its id is the
@@ -481,17 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_incidence_helpers() {
-        let e = Edge::new(NodeId(0), NodeId(3)).unwrap();
-        assert!(e.is_incident_to(NodeId(0)));
-        assert!(e.is_incident_to(NodeId(3)));
-        assert!(!e.is_incident_to(NodeId(1)));
-        assert_eq!(e.other_endpoint(NodeId(0)), Some(NodeId(3)));
-        assert_eq!(e.other_endpoint(NodeId(3)), Some(NodeId(0)));
-        assert_eq!(e.other_endpoint(NodeId(2)), None);
-    }
-
-    #[test]
     fn builder_validates_input() {
         let mut b = GraphBuilder::new(3);
         assert!(matches!(
@@ -503,12 +442,10 @@ mod tests {
             Err(GraphError::NodeOutOfRange { .. })
         ));
         assert!(matches!(b.add_edge(1, 1), Err(GraphError::SelfLoop { .. })));
-        assert_eq!(b.edge_count(), 0);
+        // Rejected edges take no id.
         assert_eq!(b.add_edge(0, 1).unwrap(), EdgeId(0));
         assert_eq!(b.add_edge(0, 2).unwrap(), EdgeId(1));
         assert_eq!(b.add_edge(1, 0).unwrap(), EdgeId(2));
-        assert_eq!(b.edge_count(), 3);
-        assert_eq!(b.node_count(), 3);
         assert!(matches!(
             b.build(),
             Err(GraphError::DuplicateEdge { a: 0, b: 1 })
@@ -540,15 +477,14 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(g.degree(v), 2);
         }
-        assert!(g.has_edge(NodeId(0), NodeId(2)));
-        assert!(!g.has_edge(NodeId(0), NodeId(0)));
-        let neighbors: Vec<NodeId> = g.neighbor_nodes(NodeId(0)).collect();
+        assert!(g.find_edge(NodeId(0), NodeId(2)).is_some());
+        assert!(g.find_edge(NodeId(0), NodeId(0)).is_none());
+        let neighbors: Vec<NodeId> = g.neighbors(NodeId(0)).map(|(n, _)| n).collect();
         assert_eq!(neighbors.len(), 2);
         assert!(neighbors.contains(&NodeId(1)));
         assert!(neighbors.contains(&NodeId(2)));
         assert_eq!(g.max_degree(), 2);
         assert_eq!(g.min_degree(), 2);
-        assert!((g.average_degree() - 2.0).abs() < 1e-12);
         assert_eq!(g.to_string(), "Graph(|V| = 3, |E| = 3)");
     }
 
@@ -558,8 +494,7 @@ mod tests {
         for v in g.nodes() {
             for (n, e) in g.neighbors(v) {
                 let edge = g.edge(e).unwrap();
-                assert!(edge.is_incident_to(v));
-                assert_eq!(edge.other_endpoint(v), Some(n));
+                assert_eq!(edge.endpoints(), (v.min(n), v.max(n)));
             }
         }
     }
@@ -592,7 +527,6 @@ mod tests {
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.min_degree(), 0);
-        assert!((g.average_degree() - 0.0).abs() < 1e-12);
         assert_eq!(g.nodes().count(), 0);
         assert_eq!(g.edge_ids().count(), 0);
     }
@@ -601,7 +535,7 @@ mod tests {
     fn isolated_nodes_have_degree_zero() {
         let g = Graph::from_edges(5, &[(0, 1)]).unwrap();
         assert_eq!(g.degree(NodeId(4)), 0);
-        assert_eq!(g.neighbor_nodes(NodeId(4)).count(), 0);
+        assert_eq!(g.neighbors(NodeId(4)).count(), 0);
         assert_eq!(g.min_degree(), 0);
         assert_eq!(g.max_degree(), 1);
     }
@@ -674,8 +608,8 @@ mod tests {
             let g = builder.build().unwrap();
             for u in g.nodes() {
                 for (v, _) in g.neighbors(u) {
-                    prop_assert!(g.has_edge(v, u));
-                    prop_assert!(g.neighbor_nodes(v).any(|w| w == u));
+                    prop_assert!(g.find_edge(v, u).is_some());
+                    prop_assert!(g.neighbors(v).any(|(w, _)| w == u));
                 }
             }
         }

@@ -1,5 +1,5 @@
-//! Matrix representations of a graph: adjacency, degree, Laplacian,
-//! normalized Laplacian, and the expected single-tick gossip matrix.
+//! Matrix representations of a graph: adjacency, Laplacian, normalized
+//! Laplacian, and the expected single-tick gossip matrix.
 //!
 //! The spectral gap of these matrices is what makes "internally well
 //! connected" quantitative: the vanilla averaging time of a subgraph scales
@@ -25,12 +25,6 @@ pub fn adjacency_matrix(graph: &Graph) -> Matrix {
         m.set(edge.v().index(), edge.u().index(), 1.0);
     }
     m
-}
-
-/// Dense diagonal degree matrix `D`.
-pub fn degree_matrix(graph: &Graph) -> Matrix {
-    let degrees: Vec<f64> = graph.nodes().map(|v| graph.degree(v) as f64).collect();
-    Matrix::from_diagonal(&degrees)
 }
 
 /// Combinatorial Laplacian `L = D − A`.
@@ -196,24 +190,6 @@ pub fn expected_gossip_matrix_sparse(graph: &Graph) -> Result<CsrMatrix> {
     Ok(CsrMatrix::from_triplets(n, n, &triplets).expect("edge endpoints are in range"))
 }
 
-/// The single-edge averaging matrix `W_e = I − (e_u − e_v)(e_u − e_v)ᵀ / 2`
-/// applied when edge `e = {u, v}` ticks under vanilla gossip.
-///
-/// # Errors
-///
-/// Returns [`crate::GraphError::EdgeOutOfRange`] for an invalid edge id.
-pub fn single_edge_average_matrix(graph: &Graph, edge: crate::EdgeId) -> Result<Matrix> {
-    let e = graph.edge(edge)?;
-    let n = graph.node_count();
-    let (u, v) = (e.u().index(), e.v().index());
-    let mut m = Matrix::identity(n);
-    m.set(u, u, 0.5);
-    m.set(v, v, 0.5);
-    m.set(u, v, 0.5);
-    m.set(v, u, 0.5);
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,15 +212,6 @@ mod tests {
         assert_eq!(a.get(0, 1), 1.0);
         assert_eq!(a.get(0, 0), 0.0);
         assert!((a.frobenius_norm().powi(2) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_matrix_diagonal() {
-        let d = degree_matrix(&path(4));
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(1, 1), 2.0);
-        assert_eq!(d.get(3, 3), 1.0);
-        assert_eq!(d.get(0, 1), 0.0);
     }
 
     #[test]
@@ -310,20 +277,6 @@ mod tests {
     fn expected_gossip_matrix_requires_edges() {
         let g = Graph::from_edges(3, &[]).unwrap();
         assert!(expected_gossip_matrix(&g).is_err());
-    }
-
-    #[test]
-    fn single_edge_matrix_averages_endpoints() {
-        let g = path(3);
-        let eid = g.find_edge(crate::NodeId(0), crate::NodeId(1)).unwrap();
-        let w = single_edge_average_matrix(&g, eid).unwrap();
-        let x = Vector::from(vec![4.0, 0.0, 7.0]);
-        let y = w.matvec(&x).unwrap();
-        assert_eq!(y.as_slice(), &[2.0, 2.0, 7.0]);
-        // Doubly stochastic and idempotent (projection).
-        assert!(w.rows_sum_to(1.0, 1e-12));
-        assert_eq!(w.matmul(&w).unwrap(), w);
-        assert!(single_edge_average_matrix(&g, crate::EdgeId(99)).is_err());
     }
 
     #[test]

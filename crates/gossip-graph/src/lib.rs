@@ -49,7 +49,6 @@ pub mod dynamic;
 pub mod generators;
 pub mod graph;
 pub mod laplacian;
-pub mod metrics;
 pub mod partition;
 pub mod spectral;
 pub mod traversal;

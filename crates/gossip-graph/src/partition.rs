@@ -62,10 +62,6 @@ pub struct Partition {
     block_two: Vec<NodeId>,
     /// Edge ids of the cut `E₁₂`, in increasing order.
     cut_edges: Vec<crate::EdgeId>,
-    /// Number of edges internal to block one.
-    internal_edges_one: usize,
-    /// Number of edges internal to block two.
-    internal_edges_two: usize,
     /// Sum of degrees of block-one vertices (the "volume" of `V₁`).
     volume_one: usize,
     /// Sum of degrees of block-two vertices.
@@ -139,15 +135,9 @@ impl Partition {
         }
 
         let mut cut_edges = Vec::new();
-        let mut internal_edges_one = 0usize;
-        let mut internal_edges_two = 0usize;
         for (id, edge) in graph.edges().iter().enumerate() {
-            let bu = membership[edge.u().index()];
-            let bv = membership[edge.v().index()];
-            match (bu, bv) {
-                (Block::One, Block::One) => internal_edges_one += 1,
-                (Block::Two, Block::Two) => internal_edges_two += 1,
-                _ => cut_edges.push(crate::EdgeId(id)),
+            if membership[edge.u().index()] != membership[edge.v().index()] {
+                cut_edges.push(crate::EdgeId(id));
             }
         }
         let volume_one = block_one.iter().map(|&v| graph.degree(v)).sum();
@@ -158,8 +148,6 @@ impl Partition {
             block_one,
             block_two,
             cut_edges,
-            internal_edges_one,
-            internal_edges_two,
             volume_one,
             volume_two,
         })
@@ -227,24 +215,6 @@ impl Partition {
         self.cut_edges.len()
     }
 
-    /// Number of edges internal to block one (`|E₁|`).
-    pub fn internal_edge_count_one(&self) -> usize {
-        self.internal_edges_one
-    }
-
-    /// Number of edges internal to block two (`|E₂|`).
-    pub fn internal_edge_count_two(&self) -> usize {
-        self.internal_edges_two
-    }
-
-    /// Volume (sum of degrees) of the requested block.
-    pub fn volume(&self, block: Block) -> usize {
-        match block {
-            Block::One => self.volume_one,
-            Block::Two => self.volume_two,
-        }
-    }
-
     /// Conductance of the cut: `|E₁₂| / min(vol(V₁), vol(V₂))`.
     ///
     /// Returns `f64::INFINITY` when the smaller volume is zero (isolated
@@ -256,11 +226,6 @@ impl Partition {
         } else {
             self.cut_edge_count() as f64 / denom as f64
         }
-    }
-
-    /// Edge expansion of the cut: `|E₁₂| / min(|V₁|, |V₂|)`.
-    pub fn edge_expansion(&self) -> f64 {
-        self.cut_edge_count() as f64 / self.smaller_block_size() as f64
     }
 
     /// The Theorem 1 quantity `min(|V₁|, |V₂|) / |E₁₂|`: every convex
@@ -293,8 +258,6 @@ impl Partition {
             block_one: self.block_two.clone(),
             block_two: self.block_one.clone(),
             cut_edges: self.cut_edges.clone(),
-            internal_edges_one: self.internal_edges_two,
-            internal_edges_two: self.internal_edges_one,
             volume_one: self.volume_two,
             volume_two: self.volume_one,
         }
@@ -366,8 +329,6 @@ mod tests {
         assert_eq!(p.block_two_size(), 2);
         assert_eq!(p.node_count(), 4);
         assert_eq!(p.cut_edge_count(), 1);
-        assert_eq!(p.internal_edge_count_one(), 1);
-        assert_eq!(p.internal_edge_count_two(), 1);
         assert_eq!(p.block_of(NodeId(0)), Block::One);
         assert_eq!(p.block_of(NodeId(3)), Block::Two);
         assert_eq!(p.block(Block::One), &[NodeId(0), NodeId(1)]);
@@ -389,14 +350,11 @@ mod tests {
     }
 
     #[test]
-    fn conductance_and_expansion() {
+    fn conductance_and_theorem1_ratio() {
         let g = path4();
         let p = Partition::from_block_one(&g, &[NodeId(0), NodeId(1)]).unwrap();
         // Volumes: deg(0)+deg(1) = 1+2 = 3; deg(2)+deg(3) = 2+1 = 3.
-        assert_eq!(p.volume(Block::One), 3);
-        assert_eq!(p.volume(Block::Two), 3);
         assert!((p.conductance() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((p.edge_expansion() - 0.5).abs() < 1e-12);
         assert!((p.theorem1_ratio() - 2.0).abs() < 1e-12);
     }
 

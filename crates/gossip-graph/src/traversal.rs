@@ -104,19 +104,6 @@ pub fn diameter(graph: &Graph) -> Result<usize> {
     Ok(best)
 }
 
-/// Length (in hops) of a shortest path between `a` and `b`, or `None` if `b`
-/// is unreachable from `a`.
-///
-/// # Errors
-///
-/// Returns [`crate::GraphError::NodeOutOfRange`] for invalid endpoints.
-pub fn shortest_path_length(graph: &Graph, a: NodeId, b: NodeId) -> Result<Option<usize>> {
-    graph.check_node(b)?;
-    let dist = bfs_distances(graph, a)?;
-    let d = dist[b.index()];
-    Ok(if d == usize::MAX { None } else { Some(d) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,25 +157,6 @@ mod tests {
         // Trivial graphs have diameter 0.
         assert_eq!(diameter(&Graph::from_edges(1, &[]).unwrap()).unwrap(), 0);
         assert_eq!(diameter(&Graph::from_edges(0, &[]).unwrap()).unwrap(), 0);
-    }
-
-    #[test]
-    fn shortest_paths() {
-        let g = path(4);
-        assert_eq!(
-            shortest_path_length(&g, NodeId(0), NodeId(3)).unwrap(),
-            Some(3)
-        );
-        assert_eq!(
-            shortest_path_length(&g, NodeId(2), NodeId(2)).unwrap(),
-            Some(0)
-        );
-        let d = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        assert_eq!(
-            shortest_path_length(&d, NodeId(0), NodeId(3)).unwrap(),
-            None
-        );
-        assert!(shortest_path_length(&d, NodeId(0), NodeId(9)).is_err());
     }
 
     proptest! {

@@ -6,9 +6,8 @@
 //!   the full spectrum and eigenvectors of a symmetric matrix.  Laplacians of
 //!   the graphs in this workspace are small enough that the `O(n³)` sweep cost
 //!   is irrelevant, and Jacobi is simple, robust, and accurate.
-//! * [`PowerIteration`] — power iteration with optional projection, used to
-//!   estimate dominant eigenvalues and operator norms without forming the full
-//!   spectrum.
+//! * [`PowerIteration`] — power iteration, used to estimate dominant
+//!   eigenvalues and operator norms without forming the full spectrum.
 //!
 //! The second-smallest Laplacian eigenvalue (the algebraic connectivity) and
 //! its eigenvector (the Fiedler vector) drive both spectral bisection in
@@ -170,15 +169,6 @@ impl SymmetricEigen {
     pub fn second_smallest_eigenvector(&self) -> Result<&Vector> {
         self.eigenvectors.get(1).ok_or(LinalgError::Empty)
     }
-
-    /// The ratio `λ_max / λ₂`, meaningful for Laplacians.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] if the matrix was 1×1.
-    pub fn condition_like_ratio(&self) -> Result<f64> {
-        Ok(self.largest() / self.second_smallest()?)
-    }
 }
 
 /// Power iteration for estimating dominant eigenvalues and operator norms.
@@ -197,7 +187,6 @@ impl SymmetricEigen {
 pub struct PowerIteration {
     max_iterations: usize,
     tolerance: f64,
-    deflate: Vec<Vector>,
 }
 
 /// Outcome of a [`PowerIteration`] run.
@@ -224,29 +213,7 @@ impl PowerIteration {
         PowerIteration {
             max_iterations: 1000,
             tolerance: 1e-12,
-            deflate: Vec::new(),
         }
-    }
-
-    /// Sets the maximum number of iterations.
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Sets the convergence tolerance on successive eigenvalue estimates.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Adds a direction that will be projected out at every step.
-    ///
-    /// Projecting out the all-ones vector lets power iteration on `I − L/d`
-    /// style matrices find the second eigenvalue directly.
-    pub fn with_deflation(mut self, direction: Vector) -> Self {
-        self.deflate.push(direction);
-        self
     }
 
     /// Runs the iteration on a square matrix.
@@ -283,26 +250,18 @@ impl PowerIteration {
         }
 
         // Deterministic, well-spread starting vector.
-        let mut x: Vector = (0..n).map(|i| 1.0 + ((i as f64) * 0.7511).sin()).collect();
-        x = self.deflated(&x)?;
-        if x.norm() == 0.0 {
-            x = Vector::basis(n, 0);
-            x = self.deflated(&x)?;
-        }
+        let x: Vector = (0..n).map(|i| 1.0 + ((i as f64) * 0.7511).sin()).collect();
         let mut x = x.normalized().unwrap_or_else(|_| Vector::basis(n, 0));
 
         let mut previous = f64::INFINITY;
         for iteration in 1..=self.max_iterations {
-            let mut y = op.apply(&x)?;
-            y = self.deflated(&y)?;
-            // `x` is a unit vector inside the deflated subspace, so this is
-            // the Rayleigh quotient xᵀAx at `x` — no second operator
-            // application needed.
+            let y = op.apply(&x)?;
+            // `x` is a unit vector, so this is the Rayleigh quotient xᵀAx at
+            // `x` — no second operator application needed.
             let rayleigh = x.dot(&y)?;
             let norm = y.norm();
             if norm == 0.0 {
-                // The operator annihilates the deflated subspace: dominant
-                // eigenvalue there is exactly zero.
+                // `A·x = 0`: `x` is an eigenvector for the eigenvalue zero.
                 return Ok(PowerIterationResult {
                     eigenvalue: 0.0,
                     eigenvector: x,
@@ -324,16 +283,6 @@ impl PowerIteration {
         Err(LinalgError::NoConvergence {
             iterations: self.max_iterations,
         })
-    }
-
-    fn deflated(&self, x: &Vector) -> Result<Vector> {
-        let mut out = x.clone();
-        for d in &self.deflate {
-            if d.norm_squared() > 0.0 {
-                out = out.project_out(d)?;
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -454,18 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_with_deflation_finds_second() {
-        // For K_4 Laplacian, deflating the all-ones vector exposes λ = n = 4.
-        let n = 4;
-        let lap = complete_laplacian(n);
-        let result = PowerIteration::new()
-            .with_deflation(Vector::ones(n))
-            .run(&lap)
-            .unwrap();
-        assert!(close(result.eigenvalue, n as f64, 1e-6));
-    }
-
-    #[test]
     fn power_iteration_zero_matrix() {
         let m = Matrix::zeros(3, 3);
         let result = PowerIteration::new().run(&m).unwrap();
@@ -476,17 +413,6 @@ mod tests {
     fn power_iteration_rejects_nonsquare() {
         let m = Matrix::zeros(2, 3);
         assert!(PowerIteration::new().run(&m).is_err());
-    }
-
-    #[test]
-    fn power_iteration_builder() {
-        let p = PowerIteration::new()
-            .with_max_iterations(10)
-            .with_tolerance(1e-3);
-        let m = Matrix::identity(3);
-        let result = p.run(&m).unwrap();
-        assert!(close(result.eigenvalue, 1.0, 1e-3));
-        assert!(result.iterations <= 10);
     }
 
     #[test]

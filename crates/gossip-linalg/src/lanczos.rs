@@ -27,6 +27,13 @@
 
 use crate::{LinalgError, LinearOperator, Result, Vector};
 
+/// Relative stabilization tolerance on the extreme Ritz values.
+const TOLERANCE: f64 = 1e-10;
+
+/// How often (in steps) the extreme Ritz values are re-evaluated for the
+/// stabilization check.
+const CHECK_EVERY: usize = 5;
+
 /// Configuration/builder for a Lanczos run.
 ///
 /// # Examples
@@ -50,8 +57,6 @@ use crate::{LinalgError, LinearOperator, Result, Vector};
 #[derive(Debug, Clone)]
 pub struct Lanczos {
     max_iterations: usize,
-    tolerance: f64,
-    check_every: usize,
     deflate: Vec<Vector>,
 }
 
@@ -87,8 +92,6 @@ impl Lanczos {
     pub fn new() -> Self {
         Lanczos {
             max_iterations: 250,
-            tolerance: 1e-10,
-            check_every: 5,
             deflate: Vec::new(),
         }
     }
@@ -96,19 +99,6 @@ impl Lanczos {
     /// Sets the maximum number of Lanczos steps.
     pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations.max(1);
-        self
-    }
-
-    /// Sets the relative stabilization tolerance on the extreme Ritz values.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Sets how often (in steps) the extreme Ritz values are re-evaluated
-    /// for the stabilization check.
-    pub fn with_check_every(mut self, check_every: usize) -> Self {
-        self.check_every = check_every.max(1);
         self
     }
 
@@ -226,7 +216,7 @@ impl Lanczos {
                     // Last-chance stabilization check at the budget edge.
                     let extremes = tridiagonal_extremes(&alphas, &betas[..step - 1]);
                     let (ps, pl) = previous.expect("stable check implies a previous evaluation");
-                    let tol = self.tolerance * scale;
+                    let tol = TOLERANCE * scale;
                     converged = (extremes.0 - ps).abs() <= tol && (extremes.1 - pl).abs() <= tol;
                 }
                 break;
@@ -234,10 +224,10 @@ impl Lanczos {
             betas.push(beta);
             basis.push(w.scaled(1.0 / beta));
 
-            if step >= 2 && step % self.check_every == 0 {
+            if step >= 2 && step % CHECK_EVERY == 0 {
                 let extremes = tridiagonal_extremes(&alphas, &betas[..step - 1]);
                 if let Some((ps, pl)) = previous {
-                    let tol = self.tolerance * scale;
+                    let tol = TOLERANCE * scale;
                     if (extremes.0 - ps).abs() <= tol && (extremes.1 - pl).abs() <= tol {
                         stable_checks += 1;
                         if stable_checks >= 2 {
@@ -579,12 +569,8 @@ mod tests {
 
     #[test]
     fn builder_setters_apply() {
-        let solver = Lanczos::new()
-            .with_max_iterations(7)
-            .with_tolerance(1e-6)
-            .with_check_every(2);
+        let solver = Lanczos::new().with_max_iterations(7);
         assert_eq!(solver.max_iterations, 7);
-        assert_eq!(solver.check_every, 2);
         // Budget ≥ dimension: the Krylov space is exhausted and exact.
         let eig = solver.run(&path_laplacian(6)).unwrap();
         assert!(eig.iterations <= 7);
@@ -593,7 +579,6 @@ mod tests {
         assert!(matches!(
             Lanczos::new()
                 .with_max_iterations(4)
-                .with_tolerance(1e-14)
                 .run(&path_laplacian(40)),
             Err(LinalgError::NoConvergence { .. })
         ));

@@ -44,7 +44,6 @@
 pub mod eigen;
 pub mod lanczos;
 pub mod matrix;
-pub mod norms;
 pub mod operator;
 pub mod sparse;
 pub mod vector;

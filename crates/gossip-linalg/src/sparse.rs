@@ -48,17 +48,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Creates an empty (all-zero) `rows × cols` matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr: vec![0; rows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {
@@ -199,21 +188,6 @@ impl CsrMatrix {
     #[inline]
     pub fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Reads the entry at `(i, j)`, returning `0.0` for entries that are not
-    /// stored.  O(log nnz(row i)) via binary search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of range.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.rows && j < self.cols, "sparse index out of range");
-        let cols = &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]];
-        match cols.binary_search(&j) {
-            Ok(k) => self.values[self.row_ptr[i] + k],
-            Err(_) => 0.0,
-        }
     }
 
     /// Iterates over the stored `(column, value)` pairs of row `i`, in
@@ -380,39 +354,9 @@ impl CsrMatrix {
         true
     }
 
-    /// Checks symmetry with the crate default tolerance (scaled by the
-    /// Frobenius norm, mirroring [`Matrix::require_symmetric`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] or [`LinalgError::NotSymmetric`].
-    pub fn require_symmetric(&self) -> Result<()> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        if !self.is_symmetric(crate::DEFAULT_TOLERANCE.max(1e-9 * self.frobenius_norm())) {
-            return Err(LinalgError::NotSymmetric);
-        }
-        Ok(())
-    }
-
     /// Frobenius norm over the stored entries.
     pub fn frobenius_norm(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Returns a copy scaled by `factor`.
-    pub fn scaled(&self, factor: f64) -> CsrMatrix {
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            values: self.values.iter().map(|v| v * factor).collect(),
-        }
     }
 
     /// Returns `true` if every row sums to `target` within `tol` (missing
@@ -468,7 +412,7 @@ mod tests {
 
     #[test]
     fn zeros_and_identity() {
-        let z = CsrMatrix::zeros(3, 4);
+        let z = CsrMatrix::from_triplets(3, 4, &[]).unwrap();
         assert_eq!(z.nnz(), 0);
         assert!(!z.is_square());
         assert_eq!(z.matvec(&Vector::ones(4)).unwrap(), Vector::zeros(3));
@@ -485,10 +429,11 @@ mod tests {
             CsrMatrix::from_triplets(2, 3, &[(1, 2, 1.0), (0, 1, 2.0), (1, 2, 0.5), (1, 0, -1.0)])
                 .unwrap();
         assert_eq!(m.nnz(), 3);
-        assert!(close(m.get(1, 2), 1.5));
-        assert!(close(m.get(0, 1), 2.0));
-        assert!(close(m.get(1, 0), -1.0));
-        assert!(close(m.get(0, 0), 0.0));
+        let d = m.to_dense();
+        assert!(close(d.get(1, 2), 1.5));
+        assert!(close(d.get(0, 1), 2.0));
+        assert!(close(d.get(1, 0), -1.0));
+        assert!(close(d.get(0, 0), 0.0));
         let row: Vec<usize> = m.row_iter(1).map(|(c, _)| c).collect();
         assert_eq!(row, vec![0, 2]);
         assert_eq!(m.row_nnz(1), 2);
@@ -554,27 +499,20 @@ mod tests {
         )
         .unwrap();
         assert!(sym.is_symmetric(0.0));
-        assert!(sym.require_symmetric().is_ok());
         // Structurally asymmetric: entry present on one side only.
         let asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]).unwrap();
         assert!(!asym.is_symmetric(1e-12));
         assert!(asym.is_symmetric(2.0));
-        assert!(matches!(
-            asym.require_symmetric(),
-            Err(LinalgError::NotSymmetric)
-        ));
-        assert!(!CsrMatrix::zeros(2, 3).is_symmetric(1.0));
-        assert!(CsrMatrix::zeros(2, 3).require_symmetric().is_err());
+        let rectangular = CsrMatrix::from_triplets(2, 3, &[]).unwrap();
+        assert!(!rectangular.is_symmetric(1.0));
     }
 
     #[test]
-    fn scaled_and_row_sums() {
+    fn row_sums() {
         let half =
             CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.5), (0, 1, 0.5), (1, 1, 1.0)]).unwrap();
         assert!(half.rows_sum_to(1.0, 1e-12));
-        let double = half.scaled(2.0);
-        assert!(close(double.get(0, 1), 1.0));
-        assert!(double.rows_sum_to(2.0, 1e-12));
+        assert!(!half.rows_sum_to(2.0, 1e-12));
     }
 
     #[test]

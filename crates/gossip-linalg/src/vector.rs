@@ -11,7 +11,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// `Vector` is the value type used for node states, eigenvectors, and
 /// intermediate quantities throughout the workspace.  It is intentionally a
 /// plain newtype over `Vec<f64>`; callers who need the raw storage can use
-/// [`Vector::as_slice`] or [`Vector::into_inner`].
+/// [`Vector::as_slice`].
 ///
 /// # Examples
 ///
@@ -70,16 +70,6 @@ impl Vector {
         &self.0
     }
 
-    /// Borrows the entries as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_inner(self) -> Vec<f64> {
-        self.0
-    }
-
     /// Iterates over the entries.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.0.iter()
@@ -103,21 +93,6 @@ impl Vector {
     /// Euclidean (ℓ2) norm.
     pub fn norm(&self) -> f64 {
         self.0.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Squared Euclidean norm.
-    pub fn norm_squared(&self) -> f64 {
-        self.0.iter().map(|x| x * x).sum::<f64>()
-    }
-
-    /// ℓ1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f64 {
-        self.0.iter().map(|x| x.abs()).sum::<f64>()
-    }
-
-    /// ℓ∞ norm (maximum absolute value); `0.0` for the empty vector.
-    pub fn norm_inf(&self) -> f64 {
-        self.0.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
     }
 
     /// Sum of all entries.
@@ -192,17 +167,6 @@ impl Vector {
         Ok(self.scaled(1.0 / n))
     }
 
-    /// Returns a copy with the mean subtracted from every entry.
-    ///
-    /// Centering is how averaging error is expressed: the centered vector is
-    /// the projection of the state onto the orthogonal complement of the
-    /// all-ones direction, and its squared norm divided by `n` is exactly the
-    /// paper's `var X(t)`.
-    pub fn centered(&self) -> Vector {
-        let mean = self.mean();
-        Vector(self.0.iter().map(|x| x - mean).collect())
-    }
-
     /// Componentwise distance `‖self − other‖₂`.
     ///
     /// # Errors
@@ -217,25 +181,6 @@ impl Vector {
             .map(|(a, b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt())
-    }
-
-    /// Projects out the component of `self` along `direction` (which need not
-    /// be normalized) and returns the remainder.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the lengths differ, or
-    /// [`LinalgError::Empty`] if `direction` has zero norm.
-    pub fn project_out(&self, direction: &Vector) -> Result<Vector> {
-        self.check_same_len(direction)?;
-        let denom = direction.norm_squared();
-        if denom == 0.0 {
-            return Err(LinalgError::Empty);
-        }
-        let coeff = self.dot(direction)? / denom;
-        let mut out = self.clone();
-        out.axpy(-coeff, direction)?;
-        Ok(out)
     }
 
     fn check_same_len(&self, other: &Vector) -> Result<()> {
@@ -403,9 +348,6 @@ mod tests {
     fn dot_and_norms() {
         let a = Vector::from(vec![3.0, -4.0]);
         assert!(close(a.norm(), 5.0));
-        assert!(close(a.norm_squared(), 25.0));
-        assert!(close(a.norm_l1(), 7.0));
-        assert!(close(a.norm_inf(), 4.0));
         let b = Vector::from(vec![1.0, 2.0]);
         assert!(close(a.dot(&b).unwrap(), -5.0));
     }
@@ -430,15 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn centered_has_zero_mean() {
-        let v = Vector::from(vec![5.0, 1.0, -3.0, 9.0]);
-        let c = v.centered();
-        assert!(close(c.mean(), 0.0));
-        // Variance is invariant under centering.
-        assert!(close(c.variance(), v.variance()));
-    }
-
-    #[test]
     fn min_max() {
         let v = Vector::from(vec![2.0, -7.0, 4.0]);
         assert_eq!(v.min(), Some(-7.0));
@@ -460,16 +393,6 @@ mod tests {
         let u = v.normalized().unwrap();
         assert!(close(u.norm(), 1.0));
         assert!(Vector::zeros(2).normalized().is_err());
-    }
-
-    #[test]
-    fn project_out_removes_component() {
-        let v = Vector::from(vec![1.0, 2.0, 3.0]);
-        let ones = Vector::ones(3);
-        let p = v.project_out(&ones).unwrap();
-        assert!(close(p.dot(&ones).unwrap(), 0.0));
-        // Projecting out the all-ones direction is the same as centering.
-        assert!(close(p.distance(&v.centered()).unwrap(), 0.0));
     }
 
     #[test]
@@ -505,13 +428,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_centered_mean_is_zero(xs in proptest::collection::vec(-1e6f64..1e6, 1..64)) {
-            let v = Vector::from(xs);
-            let c = v.centered();
-            prop_assert!(c.mean().abs() < 1e-6);
-        }
-
         #[test]
         fn prop_variance_nonnegative(xs in proptest::collection::vec(-1e6f64..1e6, 0..64)) {
             let v = Vector::from(xs);

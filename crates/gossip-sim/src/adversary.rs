@@ -66,17 +66,6 @@ pub enum AdversaryBehavior {
     },
 }
 
-impl AdversaryBehavior {
-    /// Short name used in stats breakdowns and experiment tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdversaryBehavior::BiasedInjector { .. } => "biased",
-            AdversaryBehavior::ExtremeValueNode { .. } => "extreme",
-            AdversaryBehavior::StaleReplayNode { .. } => "stale",
-        }
-    }
-}
-
 /// One misbehaving node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryNode {
@@ -215,22 +204,6 @@ impl AdversaryPlan {
         nodes.sort();
         nodes.dedup();
         nodes
-    }
-
-    /// The largest `|report − stored value|` any single contact of this plan
-    /// can produce from a frozen-state behavior (`∞`-safe: empty plans give
-    /// `0.0`).  Stale replays are excluded — their reach depends on the
-    /// trajectory, which is why the runtime oracle accounts falsification
-    /// exactly instead of relying on this a-priori figure alone.
-    pub fn max_static_offset(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|a| match a.behavior {
-                AdversaryBehavior::BiasedInjector { bias } => bias.abs(),
-                AdversaryBehavior::ExtremeValueNode { magnitude } => magnitude.abs(),
-                AdversaryBehavior::StaleReplayNode { .. } => 0.0,
-            })
-            .fold(0.0, f64::max)
     }
 
     /// Validates the plan against a graph: biases and magnitudes must be
@@ -642,7 +615,6 @@ mod tests {
             .with_stale_replay_node(NodeId(2), 10);
         assert!(!plan.is_empty());
         assert_eq!(plan.adversarial_nodes(), vec![NodeId(0), NodeId(2)]);
-        assert_eq!(plan.max_static_offset(), 9.0);
         assert!(!AdversaryPlan::new(0)
             .with_censoring_bridge(vec![EdgeId(1)], 0.5)
             .is_empty());

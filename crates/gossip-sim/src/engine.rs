@@ -456,11 +456,6 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         &self.values
     }
 
-    /// The graph being simulated.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
     /// Borrows the handler (useful for instrumented handlers that accumulate
     /// measurements during the run).
     pub fn handler(&self) -> &H {

@@ -104,15 +104,6 @@ pub struct SyncOutcome {
 }
 
 impl SyncOutcome {
-    /// The normalized final variance.
-    pub fn variance_ratio(&self) -> f64 {
-        if self.initial_variance <= 0.0 {
-            0.0
-        } else {
-            self.final_variance / self.initial_variance
-        }
-    }
-
     /// `true` if the run stopped because it converged.
     pub fn converged(&self) -> bool {
         self.stop_reason == StopReason::Converged
@@ -156,11 +147,6 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
             config,
             initial_variance,
         })
-    }
-
-    /// The current node values.
-    pub fn values(&self) -> &NodeValues {
-        &self.values
     }
 
     /// Runs until the stopping rule fires or the round cap is reached.
@@ -288,7 +274,7 @@ mod tests {
         let outcome = sim.run().unwrap();
         assert_eq!(outcome.rounds, 0);
         assert!(outcome.converged());
-        assert_eq!(outcome.variance_ratio(), 0.0);
+        assert_eq!(outcome.final_variance, 0.0);
     }
 
     #[test]

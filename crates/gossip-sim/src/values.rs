@@ -149,11 +149,6 @@ impl NodeValues {
         &self.values
     }
 
-    /// Consumes the state and returns the underlying [`Vector`].
-    pub fn into_vector(self) -> Vector {
-        self.values
-    }
-
     /// Sum of all values (the conserved "mass" of linear averaging).
     pub fn sum(&self) -> f64 {
         self.values.sum()
@@ -211,14 +206,6 @@ impl NodeValues {
         self.moments.refresh(self.values.as_slice());
     }
 
-    /// Largest absolute deviation from the mean.
-    pub fn max_deviation(&self) -> f64 {
-        let mean = self.mean();
-        self.values
-            .iter()
-            .fold(0.0_f64, |acc, &x| acc.max((x - mean).abs()))
-    }
-
     /// Minimum value held by any node.
     pub fn min(&self) -> Option<f64> {
         self.values.min()
@@ -242,45 +229,6 @@ impl NodeValues {
             return 0.0;
         }
         nodes.iter().map(|&v| self.get(v)).sum::<f64>() / nodes.len() as f64
-    }
-
-    /// The paper's `µ(t) = |µ₁(t)| + |µ₂(t)|` for a centered state
-    /// (Section 3).  Callers analysing Algorithm A subtract the global mean
-    /// first, as the paper does.
-    pub fn block_mean_abs_sum(&self, partition: &Partition) -> f64 {
-        self.block_mean(partition, gossip_graph::partition::Block::One)
-            .abs()
-            + self
-                .block_mean(partition, gossip_graph::partition::Block::Two)
-                .abs()
-    }
-
-    /// The paper's within-block deviation
-    /// `σ(t) = sqrt( (Σ_{V₁}(xᵢ−µ₁)² + Σ_{V₂}(xᵢ−µ₂)²) / n )` (Section 3).
-    pub fn within_block_sigma(&self, partition: &Partition) -> f64 {
-        let n = self.len() as f64;
-        if n == 0.0 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for block in [
-            gossip_graph::partition::Block::One,
-            gossip_graph::partition::Block::Two,
-        ] {
-            let mu = self.block_mean(partition, block);
-            for &v in partition.block(block) {
-                let d = self.get(v) - mu;
-                total += d * d;
-            }
-        }
-        (total / n).sqrt()
-    }
-
-    /// Returns a copy with the global mean subtracted from every node, which
-    /// is how the paper reduces the analysis of linear algorithms to the case
-    /// `x_av = 0`.
-    pub fn centered(&self) -> NodeValues {
-        Self::from_vector_unchecked(self.values.centered())
     }
 
     /// Replaces the values at `u` and `v` by their arithmetic mean — the
@@ -382,7 +330,6 @@ mod tests {
 
         let w = NodeValues::from_values(vec![1.0, 2.0]).unwrap();
         assert_eq!(w.as_vector().len(), 2);
-        assert_eq!(w.clone().into_vector().as_slice(), &[1.0, 2.0]);
         assert_eq!(w.min(), Some(1.0));
         assert_eq!(w.max(), Some(2.0));
 
@@ -463,27 +410,9 @@ mod tests {
         let v = NodeValues::from_values(vec![1.0, 1.0, 1.0, -2.0, -2.0, -2.0]).unwrap();
         assert!(close(v.block_mean(&partition, Block::One), 1.0));
         assert!(close(v.block_mean(&partition, Block::Two), -2.0));
-        assert!(close(v.block_mean_abs_sum(&partition), 3.0));
-        assert!(close(v.within_block_sigma(&partition), 0.0));
-        // Adding within-block disagreement shows up in sigma but not the means.
+        // Within-block disagreement leaves the block means unchanged.
         let w = NodeValues::from_values(vec![2.0, 0.0, 1.0, -2.0, -2.0, -2.0]).unwrap();
         assert!(close(w.block_mean(&partition, Block::One), 1.0));
-        assert!(w.within_block_sigma(&partition) > 0.0);
-    }
-
-    #[test]
-    fn centered_preserves_variance_and_zeroes_mean() {
-        let v = NodeValues::from_values(vec![5.0, 3.0, -1.0]).unwrap();
-        let c = v.centered();
-        assert!(close(c.mean(), 0.0));
-        assert!(close(c.variance(), v.variance()));
-        assert!(close(v.max_deviation(), 10.0 / 3.0));
-    }
-
-    #[test]
-    fn max_deviation_simple() {
-        let v = NodeValues::from_values(vec![0.0, 0.0, 3.0]).unwrap();
-        assert!(close(v.max_deviation(), 2.0));
     }
 
     #[test]

@@ -132,12 +132,6 @@ impl CheckpointLog {
         CheckpointLog { path, file: None }
     }
 
-    /// The checkpoint log file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one record and flushes it to the OS.
     pub fn append(&mut self, record: &CheckpointRecord) -> Result<()> {
         append_line(&self.path, &mut self.file, &record.to_line())
@@ -221,6 +215,18 @@ mod tests {
         assert_eq!(load.records, vec![record(512), record(1536)]);
         assert_eq!(load.dropped_tail, None);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_dropped_or_retyped_field_is_a_typed_error() {
+        // A retyped blob loads: the store keeps it verbatim, and it is the
+        // engine's checkpoint decoder that rejects it on restore.
+        crate::journal::assert_field_damage_is_typed(
+            "ckptlog-fields",
+            &record(512).to_line(),
+            "blob",
+            |path| CheckpointLog::load(path).map(|load| (load.records.len(), load.dropped_tail)),
+        );
     }
 
     #[test]

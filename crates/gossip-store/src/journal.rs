@@ -146,12 +146,6 @@ impl Journal {
         Journal { path, file: None }
     }
 
-    /// The journal file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one record and flushes it to the OS.
     pub fn append(&mut self, record: &TrialRecord) -> Result<()> {
         append_line(&self.path, &mut self.file, &record.to_line())
@@ -311,6 +305,61 @@ pub(crate) fn scan_lines<T>(
     Ok((records, valid_len, dropped_tail))
 }
 
+/// Test support shared with the checkpoint log: damages the valid record
+/// line `valid` one field at a time — each field dropped, and each value
+/// retyped (string ↔ number, object → string) or set to `null` — and loads
+/// every damaged line through `load`, which returns the number of records
+/// kept and the dropped-tail reason.  Damage before a valid line must be
+/// [`StoreError::CorruptRecord`] at line 2; the same damage as the final
+/// line must be dropped as a crash tail.  The store stores the `payload`
+/// field verbatim without interpreting it, so a retyped payload loads.
+#[cfg(test)]
+pub(crate) fn assert_field_damage_is_typed(
+    tag: &str,
+    valid: &str,
+    payload: &str,
+    load: impl Fn(&Path) -> Result<(usize, Option<String>)>,
+) {
+    let Ok(Value::Object(fields)) = serde_json::from_str(valid) else {
+        panic!("a record line is a JSON object: {valid}");
+    };
+    let mut damaged = Vec::new();
+    for (i, (name, value)) in fields.iter().enumerate() {
+        let mut dropped = fields.clone();
+        dropped.remove(i);
+        damaged.push((format!("{name} dropped"), dropped, false));
+        let retyped = match value {
+            Value::String(_) => Value::Number(1.0),
+            Value::Number(n) => Value::String(n.to_string()),
+            _ => Value::String("{}".to_string()),
+        };
+        for replacement in [retyped, Value::Null] {
+            let what = format!("{name} = {}", serde_json::to_string(&replacement).unwrap());
+            let mut doc = fields.clone();
+            doc[i].1 = replacement;
+            damaged.push((what, doc, name == payload));
+        }
+    }
+    let path =
+        std::env::temp_dir().join(format!("gossip-store-{tag}-{}.jsonl", std::process::id()));
+    for (what, doc, loads) in damaged {
+        let line = serde_json::to_string(&Value::Object(doc)).unwrap();
+        std::fs::write(&path, format!("{valid}\n{line}\n{valid}\n")).unwrap();
+        match load(&path) {
+            Ok((3, None)) if loads => {}
+            Err(StoreError::CorruptRecord { line: 2, .. }) if !loads => {}
+            other => panic!("{what} before a valid line: {other:?}"),
+        }
+        std::fs::write(&path, format!("{valid}\n{line}\n")).unwrap();
+        match load(&path) {
+            Ok((2, None)) if loads => {}
+            Ok((1, Some(_))) if !loads => {}
+            other => panic!("{what} on the final line: {other:?}"),
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +468,13 @@ mod tests {
             other => panic!("expected CorruptRecord, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_dropped_or_retyped_field_is_a_typed_error() {
+        assert_field_damage_is_typed("journal-fields", &record(0).to_line(), "row", |path| {
+            Journal::load(path).map(|load| (load.records.len(), load.dropped_tail))
+        });
     }
 
     #[test]

@@ -353,16 +353,6 @@ impl StoreSink {
             })
             .collect()
     }
-
-    /// Load-time notes of the wrapped store.
-    #[must_use]
-    pub fn notes(&self) -> Vec<String> {
-        self.store
-            .lock()
-            .expect("store mutex poisoned")
-            .notes()
-            .to_vec()
-    }
 }
 
 impl TrialSink for StoreSink {

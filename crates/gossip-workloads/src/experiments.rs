@@ -106,7 +106,7 @@ impl ExperimentId {
                         linearly in n on the dumbbell.",
                 workload: "Dumbbell K_{n/2}–K_{n/2}, one bridge, adversarial cut-aligned \
                            initial condition, n doubling from 16 to 256.",
-                bench_target: "gossip-bench/benches/convex_lower_bound.rs + harness table E1",
+                bench_target: "harness table E1",
             },
             ExperimentId::E2 => ExperimentDescriptor {
                 id: self,
@@ -114,7 +114,7 @@ impl ExperimentId {
                 claim: "Algorithm A averages in O(log n ·(T_van(G1)+T_van(G2))) time; measured \
                         times grow polylogarithmically (slowly) in n.",
                 workload: "Same dumbbell sweep as E1; Algorithm A with default C.",
-                bench_target: "gossip-bench/benches/algorithm_a.rs + harness table E2",
+                bench_target: "harness table E2",
             },
             ExperimentId::E3 => ExperimentDescriptor {
                 id: self,
@@ -152,7 +152,7 @@ impl ExperimentId {
                         width) while Algorithm A is nearly flat; Algorithm A's time scales \
                         linearly in the epoch constant C once C is large enough.",
                 workload: "Two ER(0.5) clusters of 24 nodes with 1–16 bridges; C ∈ {1,2,4,8}.",
-                bench_target: "gossip-bench/benches/cut_sensitivity.rs + harness table E6",
+                bench_target: "harness table E6",
             },
             ExperimentId::E7 => ExperimentDescriptor {
                 id: self,
@@ -162,7 +162,7 @@ impl ExperimentId {
                         grows polynomially in n, unlike Algorithm A.",
                 workload: "Dumbbell sweep n ∈ {16..128}; first/second-order diffusion, \
                            momentum gossip, Algorithm A.",
-                bench_target: "gossip-bench/benches/baselines.rs + harness table E7",
+                bench_target: "harness table E7",
             },
             ExperimentId::E8 => ExperimentDescriptor {
                 id: self,

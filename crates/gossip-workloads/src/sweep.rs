@@ -25,16 +25,6 @@ impl<T> Sweep<T> {
         }
     }
 
-    /// Number of sweep points.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns `true` if the sweep has no points.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Iterates over the values.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.values.iter()
@@ -191,9 +181,8 @@ mod tests {
         let s = doubling_sizes(16, 128);
         assert_eq!(s.values, vec![16, 32, 64, 128]);
         assert_eq!(s.parameter, "n");
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
-        assert!(doubling_sizes(100, 50).is_empty());
+        assert_eq!(s.values.len(), 4);
+        assert!(doubling_sizes(100, 50).values.is_empty());
         // Degenerate minimum is clamped to 2.
         assert_eq!(doubling_sizes(0, 4).values, vec![2, 4]);
     }
@@ -201,7 +190,7 @@ mod tests {
     #[test]
     fn dumbbell_sweep_halves_sizes() {
         let s = dumbbell_size_sweep(16, 64);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.values.len(), 3);
         for (scenario, expected_n) in s.iter().zip([16usize, 32, 64]) {
             assert_eq!(scenario.node_count(), expected_n);
             assert!(matches!(scenario, Scenario::Dumbbell { .. }));
@@ -211,7 +200,7 @@ mod tests {
     #[test]
     fn cut_width_sweep_doubles_bridges() {
         let s = cut_width_sweep(12, 0.5, 8);
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.values.len(), 4);
         let widths: Vec<usize> = s
             .iter()
             .map(|sc| match sc {
@@ -227,7 +216,7 @@ mod tests {
     fn epoch_constant_sweep_appends_extras() {
         let s = epoch_constant_sweep(&[16.0]);
         assert_eq!(s.values, vec![1.0, 2.0, 4.0, 8.0, 16.0]);
-        assert_eq!(epoch_constant_sweep(&[]).len(), 4);
+        assert_eq!(epoch_constant_sweep(&[]).values.len(), 4);
     }
 
     #[test]
@@ -239,7 +228,7 @@ mod tests {
     #[test]
     fn sim_scale_sweep_covers_all_families_per_size() {
         let s = sim_scale_sweep(true);
-        assert_eq!(s.len(), 2 * 4);
+        assert_eq!(s.values.len(), 2 * 4);
         let expected = [
             1_000usize, 1_000, 1_000, 1_000, 10_000, 10_000, 10_000, 10_000,
         ];
@@ -249,7 +238,7 @@ mod tests {
         }
         // Full mode reaches 50k.
         let full = sim_scale_sweep(false);
-        assert_eq!(full.len(), 3 * 4);
+        assert_eq!(full.values.len(), 3 * 4);
         assert_eq!(full.values.last().unwrap().node_count(), 50_000);
     }
 
@@ -261,13 +250,13 @@ mod tests {
             vec![50_000, 250_000, 1_000_000]
         );
         let quick = mem_scale_sweep(true);
-        assert_eq!(quick.len(), 4);
+        assert_eq!(quick.values.len(), 4);
         for scenario in quick.iter() {
             assert!(scenario.node_count() >= 25_000);
             assert!(scenario.node_count() <= 56_250);
         }
         let full = mem_scale_sweep(false);
-        assert_eq!(full.len(), 3 * 4);
+        assert_eq!(full.values.len(), 3 * 4);
         assert_eq!(full.values.last().unwrap().node_count(), 1_000_000);
     }
 
@@ -276,36 +265,36 @@ mod tests {
         assert_eq!(robustness_sizes(true).values, vec![96, 192]);
         assert_eq!(robustness_sizes(false).values, vec![96, 192, 768]);
         let s = robustness_sweep(true);
-        assert_eq!(s.len(), 2 * 4);
+        assert_eq!(s.values.len(), 2 * 4);
         assert_eq!(s.parameter, "churn case");
         for case in s.iter() {
             assert!(!case.name().is_empty());
         }
-        assert_eq!(robustness_sweep(false).len(), 3 * 4);
+        assert_eq!(robustness_sweep(false).values.len(), 3 * 4);
     }
 
     #[test]
     fn adversary_sweep_covers_all_cases_per_size() {
         let s = adversary_sweep(true);
-        assert_eq!(s.len(), 2 * 12);
+        assert_eq!(s.values.len(), 2 * 12);
         assert_eq!(s.parameter, "adversary case");
         for case in s.iter() {
             assert!(!case.name().is_empty());
         }
-        assert_eq!(adversary_sweep(false).len(), 3 * 12);
+        assert_eq!(adversary_sweep(false).values.len(), 3 * 12);
     }
 
     #[test]
     fn scale_sweep_covers_all_families_per_size() {
         let s = scale_sweep(true);
-        assert_eq!(s.len(), 2 * 4);
+        assert_eq!(s.values.len(), 2 * 4);
         assert_eq!(s.parameter, "scenario");
         // Node counts track the requested sizes to within rounding — one
         // expected size per scenario so nothing is silently unchecked.
         let expected = [
             1_000usize, 1_000, 1_000, 1_000, 10_000, 10_000, 10_000, 10_000,
         ];
-        assert_eq!(s.len(), expected.len());
+        assert_eq!(s.values.len(), expected.len());
         for (scenario, &n) in s.iter().zip(expected.iter()) {
             assert!(scenario.node_count() >= n / 2);
             assert!(scenario.node_count() <= n + n / 8);
