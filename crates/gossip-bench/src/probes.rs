@@ -92,11 +92,6 @@ pub struct EpochProbe<H> {
     /// renormalization is enabled this is relative to the unit variance the
     /// state was rescaled to at the previous epoch boundary.
     pub post_transfer_variance: Vec<f64>,
-    /// Variance immediately before each transfer (`var X(T_k⁻)`), on the same
-    /// scale as the corresponding post-transfer entry.
-    pub pre_transfer_variance: Vec<f64>,
-    /// Times of the transfers.
-    pub transfer_times: Vec<f64>,
 }
 
 impl<H> EpochProbe<H> {
@@ -112,8 +107,6 @@ impl<H> EpochProbe<H> {
             designated_ticks: 0,
             renormalize: false,
             post_transfer_variance: Vec::new(),
-            pre_transfer_variance: Vec::new(),
-            transfer_times: Vec::new(),
         }
     }
 
@@ -157,14 +150,10 @@ impl<H: EdgeTickHandler> EdgeTickHandler for EpochProbe<H> {
         } else {
             false
         };
-        if is_transfer {
-            self.pre_transfer_variance.push(values.variance());
-        }
         self.inner.on_edge_tick(values, ctx);
         if is_transfer {
             let variance = values.variance();
             self.post_transfer_variance.push(variance);
-            self.transfer_times.push(ctx.time);
             if self.renormalize && variance > 0.0 {
                 let mean = values.mean();
                 let scale = 1.0 / variance.sqrt();
@@ -264,8 +253,6 @@ mod tests {
             };
             probe.on_edge_tick(&mut values, &ctx);
         }
-        assert_eq!(probe.transfer_times.len(), 4);
-        assert_eq!(probe.pre_transfer_variance.len(), 4);
         assert_eq!(probe.post_transfer_variance.len(), 4);
         assert_eq!(probe.log_variance_increments().len(), 3);
         assert_eq!(probe.name(), "epoch-probe");

@@ -1396,7 +1396,7 @@ fn mem_scale_rows(
                     config.seed,
                     &engine_fingerprint(config),
                 );
-                let mut sim = match sink.latest_checkpoint("MEM_SCALE", key) {
+                let mut sim = match sink.latest_checkpoint(key) {
                     Some((tick, blob)) => {
                         let checkpoint = EngineCheckpoint::from_value(&blob)?;
                         eprintln!(

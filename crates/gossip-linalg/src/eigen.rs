@@ -1,20 +1,17 @@
 //! Eigenvalue computations for symmetric matrices.
 //!
-//! Two tools are provided:
-//!
-//! * [`SymmetricEigen`] — the cyclic Jacobi rotation algorithm, which computes
-//!   the full spectrum and eigenvectors of a symmetric matrix.  Laplacians of
-//!   the graphs in this workspace are small enough that the `O(n³)` sweep cost
-//!   is irrelevant, and Jacobi is simple, robust, and accurate.
-//! * [`PowerIteration`] — power iteration, used to estimate dominant
-//!   eigenvalues and operator norms without forming the full spectrum.
+//! [`SymmetricEigen`] is the cyclic Jacobi rotation algorithm, which
+//! computes the full spectrum and eigenvectors of a symmetric matrix.
+//! Laplacians of the graphs in this workspace are small enough that the
+//! `O(n³)` sweep cost is irrelevant, and Jacobi is simple, robust, and
+//! accurate.
 //!
 //! The second-smallest Laplacian eigenvalue (the algebraic connectivity) and
 //! its eigenvector (the Fiedler vector) drive both spectral bisection in
 //! `gossip-graph` and the spectral estimate of the vanilla averaging time in
 //! `gossip-core`.
 
-use crate::{LinalgError, LinearOperator, Matrix, Result, Vector};
+use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Full eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.
 ///
@@ -171,121 +168,6 @@ impl SymmetricEigen {
     }
 }
 
-/// Power iteration for estimating dominant eigenvalues and operator norms.
-///
-/// # Examples
-///
-/// ```
-/// use gossip_linalg::{Matrix, PowerIteration};
-///
-/// let m = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 1.0]])?;
-/// let result = PowerIteration::new().run(&m)?;
-/// assert!((result.eigenvalue - 2.0).abs() < 1e-6);
-/// # Ok::<(), gossip_linalg::LinalgError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct PowerIteration {
-    max_iterations: usize,
-    tolerance: f64,
-}
-
-/// Outcome of a [`PowerIteration`] run.
-#[derive(Debug, Clone)]
-pub struct PowerIterationResult {
-    /// The estimated dominant eigenvalue (Rayleigh quotient at the last iterate).
-    pub eigenvalue: f64,
-    /// The associated unit-norm eigenvector estimate.
-    pub eigenvector: Vector,
-    /// Number of iterations actually performed.
-    pub iterations: usize,
-}
-
-impl Default for PowerIteration {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PowerIteration {
-    /// Creates a power iteration with default settings (1000 iterations,
-    /// tolerance `1e-12`).
-    pub fn new() -> Self {
-        PowerIteration {
-            max_iterations: 1000,
-            tolerance: 1e-12,
-        }
-    }
-
-    /// Runs the iteration on a square matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for a non-square matrix,
-    /// [`LinalgError::Empty`] for a 0×0 matrix, and
-    /// [`LinalgError::NoConvergence`] if the eigenvalue estimate has not
-    /// stabilized within the iteration budget.
-    pub fn run(&self, matrix: &Matrix) -> Result<PowerIterationResult> {
-        if !matrix.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: matrix.rows(),
-                cols: matrix.cols(),
-            });
-        }
-        self.run_op(matrix)
-    }
-
-    /// Runs the iteration matrix-free on any symmetric [`LinearOperator`]
-    /// (dense, CSR, or caller-supplied): one operator application per step,
-    /// O(nnz) for sparse matrices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] for a 0-dimensional operator and
-    /// [`LinalgError::NoConvergence`] if the eigenvalue estimate has not
-    /// stabilized within the iteration budget.
-    pub fn run_op<O: LinearOperator + ?Sized>(&self, op: &O) -> Result<PowerIterationResult> {
-        let n = op.dim();
-        if n == 0 {
-            return Err(LinalgError::Empty);
-        }
-
-        // Deterministic, well-spread starting vector.
-        let x: Vector = (0..n).map(|i| 1.0 + ((i as f64) * 0.7511).sin()).collect();
-        let mut x = x.normalized().unwrap_or_else(|_| Vector::basis(n, 0));
-
-        let mut previous = f64::INFINITY;
-        for iteration in 1..=self.max_iterations {
-            let y = op.apply(&x)?;
-            // `x` is a unit vector, so this is the Rayleigh quotient xᵀAx at
-            // `x` — no second operator application needed.
-            let rayleigh = x.dot(&y)?;
-            let norm = y.norm();
-            if norm == 0.0 {
-                // `A·x = 0`: `x` is an eigenvector for the eigenvalue zero.
-                return Ok(PowerIterationResult {
-                    eigenvalue: 0.0,
-                    eigenvector: x,
-                    iterations: iteration,
-                });
-            }
-            if (rayleigh - previous).abs() <= self.tolerance * rayleigh.abs().max(1.0) {
-                // Return the iterate the Rayleigh quotient was evaluated at,
-                // so the (eigenvalue, eigenvector) pair is consistent.
-                return Ok(PowerIterationResult {
-                    eigenvalue: rayleigh,
-                    eigenvector: x,
-                    iterations: iteration,
-                });
-            }
-            previous = rayleigh;
-            x = y.scaled(1.0 / norm);
-        }
-        Err(LinalgError::NoConvergence {
-            iterations: self.max_iterations,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,50 +274,6 @@ mod tests {
         let eig = SymmetricEigen::compute(&m).unwrap();
         assert!(eig.second_smallest().is_err());
         assert!(eig.second_smallest_eigenvector().is_err());
-    }
-
-    #[test]
-    fn power_iteration_dominant_eigenvalue() {
-        let m = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
-        let result = PowerIteration::new().run(&m).unwrap();
-        assert!(close(result.eigenvalue, 3.0, 1e-6));
-        assert!(close(result.eigenvector.norm(), 1.0, 1e-9));
-    }
-
-    #[test]
-    fn power_iteration_zero_matrix() {
-        let m = Matrix::zeros(3, 3);
-        let result = PowerIteration::new().run(&m).unwrap();
-        assert!(close(result.eigenvalue, 0.0, 1e-12));
-    }
-
-    #[test]
-    fn power_iteration_rejects_nonsquare() {
-        let m = Matrix::zeros(2, 3);
-        assert!(PowerIteration::new().run(&m).is_err());
-    }
-
-    #[test]
-    fn power_iteration_matrix_free_matches_dense() {
-        let dense = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
-        let sparse = crate::CsrMatrix::from_dense(&dense);
-        let from_dense = PowerIteration::new().run(&dense).unwrap();
-        let from_sparse = PowerIteration::new().run_op(&sparse).unwrap();
-        assert!(close(from_dense.eigenvalue, from_sparse.eigenvalue, 1e-9));
-        assert!(close(from_sparse.eigenvalue, 3.0, 1e-6));
-    }
-
-    #[test]
-    fn jacobi_and_power_iteration_agree() {
-        let m = Matrix::from_rows(&[
-            vec![5.0, 2.0, 1.0],
-            vec![2.0, 4.0, 0.5],
-            vec![1.0, 0.5, 3.0],
-        ])
-        .unwrap();
-        let eig = SymmetricEigen::compute(&m).unwrap();
-        let power = PowerIteration::new().run(&m).unwrap();
-        assert!(close(eig.largest(), power.eigenvalue, 1e-6));
     }
 
     proptest! {

@@ -152,8 +152,8 @@ impl Lanczos {
         }
         let effective = n - deflate.len();
 
-        // Deterministic, well-spread starting vector (same family as the
-        // power iteration's), projected into the deflated subspace.
+        // Deterministic, well-spread starting vector, projected into the
+        // deflated subspace.
         let mut v0: Vector = (0..n).map(|i| 1.0 + ((i as f64) * 0.7511).sin()).collect();
         project_out(&mut v0, &deflate)?;
         let mut basis_index = 0;

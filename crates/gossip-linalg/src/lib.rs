@@ -2,10 +2,10 @@
 //!
 //! Two tiers share one vocabulary of types:
 //!
-//! * **Dense** — a [`Vector`] newtype, a row-major [`Matrix`], a symmetric
-//!   Jacobi eigensolver in [`eigen`], and power iteration.  The graphs
-//!   studied directly in *Distributed averaging in the presence of a sparse
-//!   cut* (Narayanan, PODC 2008) are modest (hundreds of vertices), where
+//! * **Dense** — a [`Vector`] newtype, a row-major [`Matrix`] and a
+//!   symmetric Jacobi eigensolver in [`eigen`].  The graphs studied
+//!   directly in *Distributed averaging in the presence of a sparse cut*
+//!   (Narayanan, PODC 2008) are modest (hundreds of vertices), where
 //!   O(n²) storage and O(n³) kernels are perfectly adequate — and trivially
 //!   trustworthy, which makes the dense tier the *reference oracle*.
 //! * **Sparse** — a compressed-sparse-row [`CsrMatrix`], the matrix-free
@@ -48,7 +48,7 @@ pub mod operator;
 pub mod sparse;
 pub mod vector;
 
-pub use eigen::{PowerIteration, SymmetricEigen};
+pub use eigen::SymmetricEigen;
 pub use lanczos::{Lanczos, LanczosResult};
 pub use matrix::Matrix;
 pub use operator::LinearOperator;

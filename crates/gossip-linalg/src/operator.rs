@@ -1,12 +1,11 @@
 //! Matrix-free linear operators.
 //!
-//! The iterative eigensolvers in this crate ([`crate::PowerIteration`],
-//! [`crate::Lanczos`]) only ever touch a matrix through products `A·x`.
-//! [`LinearOperator`] captures exactly that interface, so the same solver
-//! runs against a dense [`crate::Matrix`], a sparse [`crate::CsrMatrix`], or
-//! any caller-supplied operator that never materializes a matrix at all —
-//! which is what makes the large-`n` spectral pipeline O(nnz) instead of
-//! O(n²).
+//! The iterative eigensolver in this crate ([`crate::Lanczos`]) only ever
+//! touches a matrix through products `A·x`.  [`LinearOperator`] captures
+//! exactly that interface, so the same solver runs against a dense
+//! [`crate::Matrix`], a sparse [`crate::CsrMatrix`], or any caller-supplied
+//! operator that never materializes a matrix at all — which is what makes
+//! the large-`n` spectral pipeline O(nnz) instead of O(n²).
 
 use crate::{Result, Vector};
 

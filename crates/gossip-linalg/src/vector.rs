@@ -154,19 +154,6 @@ impl Vector {
         Ok(())
     }
 
-    /// Returns a normalized copy (unit Euclidean norm).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] if the vector is empty or has zero norm.
-    pub fn normalized(&self) -> Result<Vector> {
-        let n = self.norm();
-        if self.is_empty() || n == 0.0 {
-            return Err(LinalgError::Empty);
-        }
-        Ok(self.scaled(1.0 / n))
-    }
-
     /// Componentwise distance `‖self − other‖₂`.
     ///
     /// # Errors
@@ -385,14 +372,6 @@ mod tests {
         let b = Vector::from(vec![2.0, -1.0]);
         a.axpy(0.5, &b).unwrap();
         assert_eq!(a.as_slice(), &[2.0, 0.5]);
-    }
-
-    #[test]
-    fn normalized_unit_norm() {
-        let v = Vector::from(vec![3.0, 4.0]);
-        let u = v.normalized().unwrap();
-        assert!(close(u.norm(), 1.0));
-        assert!(Vector::zeros(2).normalized().is_err());
     }
 
     #[test]

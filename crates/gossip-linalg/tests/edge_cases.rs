@@ -8,7 +8,7 @@
 //! instead of producing a garbage spectrum.  Pin them here so a future
 //! eigensolver swap cannot change the contract unnoticed.
 
-use gossip_linalg::{LinalgError, Matrix, PowerIteration, SymmetricEigen, Vector};
+use gossip_linalg::{LinalgError, Matrix, SymmetricEigen, Vector};
 
 // --- empty input ----------------------------------------------------------
 
@@ -17,15 +17,6 @@ fn eigen_rejects_empty_matrix() {
     let empty = Matrix::zeros(0, 0);
     assert!(matches!(
         SymmetricEigen::compute(&empty),
-        Err(LinalgError::Empty)
-    ));
-}
-
-#[test]
-fn power_iteration_rejects_empty_matrix() {
-    let empty = Matrix::zeros(0, 0);
-    assert!(matches!(
-        PowerIteration::new().run(&empty),
         Err(LinalgError::Empty)
     ));
 }
@@ -66,13 +57,6 @@ fn eigen_of_one_by_one_matrix_is_the_entry() {
         eig.second_smallest_eigenvector(),
         Err(LinalgError::Empty)
     ));
-}
-
-#[test]
-fn power_iteration_on_one_by_one_matrix() {
-    let m = Matrix::from_rows(&[vec![4.0]]).unwrap();
-    let result = PowerIteration::new().run(&m).unwrap();
-    assert!((result.eigenvalue - 4.0).abs() < 1e-9);
 }
 
 #[test]

@@ -95,22 +95,6 @@ pub fn trial_key(experiment: &str, fingerprint: &str, seed: u64, engine: &str) -
     hasher.finish()
 }
 
-/// Formats a key the way the journal stores it: 16 lowercase hex digits
-/// (a JSON number would squeeze a `u64` through `f64` and lose bits).
-#[must_use]
-pub fn format_key(key: TrialKey) -> String {
-    format!("{key:016x}")
-}
-
-/// Parses a journal-formatted key.
-#[must_use]
-pub fn parse_key(text: &str) -> Option<TrialKey> {
-    if text.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(text, 16).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,14 +147,5 @@ mod tests {
         );
         // Concatenation shuffles across field boundaries must not collide.
         assert_ne!(trial_key("AB", "C", 0, ""), trial_key("A", "BC", 0, ""));
-    }
-
-    #[test]
-    fn key_text_round_trips() {
-        for key in [0u64, 1, u64::MAX, 0x4a31_1fff_dc1e_6939] {
-            assert_eq!(parse_key(&format_key(key)), Some(key));
-        }
-        assert_eq!(parse_key("xyz"), None);
-        assert_eq!(parse_key("00"), None);
     }
 }

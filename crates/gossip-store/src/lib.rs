@@ -16,15 +16,17 @@
 //! Modules:
 //!
 //! * [`hash`] — splitmix64 and the trial-key derivation.
-//! * [`journal`] — the append-only JSONL journal with crash-safe load
-//!   (a truncated or corrupted **final** record is detected and dropped;
-//!   corruption anywhere earlier is an error).
-//! * [`checkpoint`] — the mid-run engine-checkpoint log kept next to each
-//!   tier's journal (`<token>.ckpt.jsonl`), sharing its crash-tail policy;
-//!   a torn checkpoint falls back to the previous one or a cold start.
-//! * [`store`] — [`RunStore`] (per-tier journals + committed index) and the
-//!   [`TrialSink`] abstraction every tier writes through ([`NullSink`] for
-//!   store-less runs, [`StoreSink`] for journal-backed runs).
+//! * [`log`] — the append-only JSONL logs: the trial journal and, next to
+//!   each tier's journal, its mid-run engine-checkpoint log
+//!   (`<token>.ckpt.jsonl`).  Both records are declared by one field list
+//!   and share one append handle and one crash-safe load (a truncated or
+//!   corrupted **final** record is detected and dropped; corruption
+//!   anywhere earlier is an error); a torn checkpoint falls back to the
+//!   previous one or a cold start.
+//! * [`store`] — [`RunStore`] (per-tier logs + the live committed trials)
+//!   and the [`TrialSink`] abstraction every tier writes through
+//!   ([`NullSink`] for store-less runs, [`StoreSink`] for journal-backed
+//!   runs).
 //! * [`value`] — field accessors for decoding journaled rows.
 //! * [`views`] — in-memory analysis views grouping committed trials per
 //!   tier and family.
@@ -32,21 +34,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod hash;
-pub mod journal;
+pub mod log;
 pub mod store;
 pub mod value;
 pub mod views;
 
-pub use checkpoint::{CheckpointLoad, CheckpointLog, CheckpointRecord};
 pub use hash::{trial_key, TrialKey};
-pub use journal::{Journal, JournalLoad, TrialRecord};
+pub use log::{CheckpointRecord, TrialRecord};
 pub use store::{NullSink, RunStore, SinkStats, StoreSink, TrialSink};
 pub use value::ValueExt;
 pub use views::{FamilyView, StoreSummary, TierView};
 
 use std::fmt;
+use std::path::Path;
 
 /// Version of the trial-journal record format **and** of every
 /// `BENCH_*.json` report.  Bumped in this one place whenever a record or
@@ -110,6 +111,16 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io { source, .. } => Some(source),
             _ => None,
+        }
+    }
+}
+
+impl StoreError {
+    /// The `map_err` adapter for an I/O failure on `path`.
+    pub(crate) fn io(path: &Path) -> impl Fn(std::io::Error) -> StoreError + '_ {
+        move |source| StoreError::Io {
+            path: path.display().to_string(),
+            source,
         }
     }
 }

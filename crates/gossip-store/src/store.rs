@@ -1,5 +1,6 @@
-//! The run store: per-tier journals plus the committed-trial index, and
-//! the [`TrialSink`] abstraction every bench tier writes through.
+//! The run store: per-tier journals and checkpoint logs plus the live
+//! committed trials, and the [`TrialSink`] abstraction every bench tier
+//! writes through.
 //!
 //! A tier never touches files itself.  It asks its sink to
 //! [`TrialSink::replay`] a trial key — getting the journaled row back if
@@ -10,15 +11,14 @@
 //! [`StoreSink`] backs them with a [`RunStore`] and counts
 //! replayed/computed trials per tier for the run summary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use serde::json::Value;
 
-use crate::checkpoint::{CheckpointLog, CheckpointRecord};
 use crate::hash::TrialKey;
-use crate::journal::{Journal, TrialRecord};
+use crate::log::{self, CheckpointRecord, Log, TrialRecord};
 use crate::{Result, StoreError};
 
 /// Where bench tiers send computed trials and ask for replays.
@@ -39,7 +39,7 @@ pub trait TrialSink: Sync {
 
     /// Returns the newest committed mid-run checkpoint of `key`, as
     /// `(tick, blob)`, if one survived.  Store-less sinks have none.
-    fn latest_checkpoint(&self, _experiment: &str, _key: TrialKey) -> Option<(u64, Value)> {
+    fn latest_checkpoint(&self, _key: TrialKey) -> Option<(u64, Value)> {
         None
     }
 
@@ -66,26 +66,25 @@ impl TrialSink for NullSink {
 
 /// The journal-backed run store: one JSONL journal per tier under the
 /// store directory (`<dir>/<token lowercase>.jsonl`), plus an in-memory
-/// index of every committed trial.
+/// map of every live committed trial.
 #[derive(Debug)]
 pub struct RunStore {
     dir: PathBuf,
     resume: bool,
-    /// Every committed record (loaded + fresh), in arrival order.
-    records: Vec<TrialRecord>,
-    /// Trial key -> index into `records`; a later commit of the same key
-    /// wins (journals are append-only, so re-runs shadow instead of edit).
-    index: BTreeMap<TrialKey, usize>,
-    /// Per-tier append handles, keyed by CLI token.
-    journals: BTreeMap<String, Journal>,
+    /// The live record of every committed trial (loaded + fresh); a later
+    /// commit of the same key shadows the earlier one (journals are
+    /// append-only, so re-runs shadow instead of edit).
+    records: BTreeMap<TrialKey, TrialRecord>,
+    /// Per-tier journal append handles, keyed by CLI token.
+    journals: BTreeMap<String, Log<TrialRecord>>,
     /// Newest surviving mid-run checkpoint per trial key (pruned when the
     /// trial itself commits — a finished trial replays, never restores).
     checkpoints: BTreeMap<TrialKey, CheckpointRecord>,
     /// Per-tier checkpoint-log append handles, keyed by CLI token.
-    checkpoint_logs: BTreeMap<String, CheckpointLog>,
+    checkpoint_logs: BTreeMap<String, Log<CheckpointRecord>>,
     /// Tiers whose journal + checkpoint files have been reset this run
     /// (fresh mode only).
-    reset: std::collections::BTreeSet<String>,
+    reset: BTreeSet<String>,
     /// Human-readable notes from loading (dropped crash tails).
     notes: Vec<String>,
 }
@@ -93,26 +92,22 @@ pub struct RunStore {
 impl RunStore {
     /// Opens a store rooted at `dir`.
     ///
-    /// With `resume` set, every `*.jsonl` journal under `dir` is loaded
-    /// with the crash-safe tail policy, truncated to its valid prefix, and
-    /// indexed — subsequent [`RunStore::replay`] calls serve those trials
-    /// from memory.  Without `resume`, nothing is loaded and each tier's
-    /// journal is reset the first time that tier commits, so a fresh run
-    /// never mixes old and new trials in one file.
+    /// With `resume` set, every `*.jsonl` log under `dir` is loaded record
+    /// by record with the crash-safe tail policy and truncated to its
+    /// valid prefix — subsequent [`RunStore::replay`] calls serve those
+    /// trials from memory.  Without `resume`, nothing is loaded and each
+    /// tier's journal is reset the first time that tier commits, so a
+    /// fresh run never mixes old and new trials in one file.
     pub fn open(dir: &Path, resume: bool) -> Result<Self> {
-        std::fs::create_dir_all(dir).map_err(|source| StoreError::Io {
-            path: dir.display().to_string(),
-            source,
-        })?;
+        std::fs::create_dir_all(dir).map_err(StoreError::io(dir))?;
         let mut store = RunStore {
             dir: dir.to_path_buf(),
             resume,
-            records: Vec::new(),
-            index: BTreeMap::new(),
+            records: BTreeMap::new(),
             journals: BTreeMap::new(),
             checkpoints: BTreeMap::new(),
             checkpoint_logs: BTreeMap::new(),
-            reset: std::collections::BTreeSet::new(),
+            reset: BTreeSet::new(),
             notes: Vec::new(),
         };
         if resume {
@@ -122,73 +117,47 @@ impl RunStore {
     }
 
     fn load_existing(&mut self) -> Result<()> {
-        let entries = std::fs::read_dir(&self.dir).map_err(|source| StoreError::Io {
-            path: self.dir.display().to_string(),
-            source,
-        })?;
+        let entries = std::fs::read_dir(&self.dir).map_err(StoreError::io(&self.dir))?;
         let mut paths: Vec<PathBuf> = entries
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
             .collect();
         paths.sort();
-        // A `<token>.ckpt.jsonl` checkpoint log shares the directory and
-        // extension with the trial journals; the `.ckpt` stem suffix keeps
-        // it off the journal path.
-        let is_checkpoint_log = |p: &Path| {
-            p.file_stem()
-                .is_some_and(|stem| stem.to_string_lossy().ends_with(".ckpt"))
-        };
         for path in paths {
-            if is_checkpoint_log(&path) {
-                let load = CheckpointLog::load(&path)?;
-                if let Some(reason) = load.dropped_tail {
-                    self.notes.push(format!(
-                        "{}: dropped torn checkpoint ({reason})",
-                        path.display()
-                    ));
-                    Journal::truncate_to(&path, load.valid_len)?;
-                }
-                for record in load.records {
-                    self.insert_checkpoint(record);
-                }
+            // A `<token>.ckpt.jsonl` checkpoint log shares the directory
+            // and extension with the trial journals; the `.ckpt` stem
+            // suffix keeps it off the journal path.
+            let is_checkpoint_log = path
+                .file_stem()
+                .is_some_and(|stem| stem.to_string_lossy().ends_with(".ckpt"));
+            let dropped = if is_checkpoint_log {
+                log::load(&path, |record| self.insert_checkpoint(record))?
+                    .map(|reason| format!("torn checkpoint ({reason})"))
             } else {
-                let load = Journal::load(&path)?;
-                if let Some(reason) = load.dropped_tail {
-                    self.notes
-                        .push(format!("{}: dropped crash tail ({reason})", path.display()));
-                    Journal::truncate_to(&path, load.valid_len)?;
-                }
-                for record in load.records {
-                    self.insert(record);
-                }
+                log::load(&path, |record: TrialRecord| {
+                    self.records.insert(record.key, record);
+                })?
+                .map(|reason| format!("crash tail ({reason})"))
+            };
+            if let Some(dropped) = dropped {
+                self.notes
+                    .push(format!("{}: dropped {dropped}", path.display()));
             }
         }
         // Checkpoints of trials that committed are dead weight: the trial
         // replays from its journal row, never from a restore.
-        let index = &self.index;
-        self.checkpoints.retain(|key, _| !index.contains_key(key));
+        let records = &self.records;
+        self.checkpoints.retain(|key, _| !records.contains_key(key));
         Ok(())
-    }
-
-    fn insert(&mut self, record: TrialRecord) {
-        let key = record.key;
-        self.records.push(record);
-        self.index.insert(key, self.records.len() - 1);
     }
 
     fn insert_checkpoint(&mut self, record: CheckpointRecord) {
         // Later lines supersede earlier ones, and within one run later
         // lines carry later ticks; keeping the max tick also survives a
         // log holding a superseded re-run's tail.
-        match self.checkpoints.entry(record.key) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(record);
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                if record.tick >= slot.get().tick {
-                    slot.insert(record);
-                }
-            }
+        let kept = self.checkpoints.get(&record.key);
+        if kept.is_none_or(|kept| record.tick >= kept.tick) {
+            self.checkpoints.insert(record.key, record);
         }
     }
 
@@ -209,7 +178,7 @@ impl RunStore {
     /// Returns the committed row of `key`, if present.
     #[must_use]
     pub fn replay(&self, key: TrialKey) -> Option<&Value> {
-        self.index.get(&key).map(|&i| &self.records[i].row)
+        self.records.get(&key).map(|record| &record.row)
     }
 
     /// In fresh (non-resume) mode, the first write of a tier — trial or
@@ -221,34 +190,29 @@ impl RunStore {
         }
         for path in [self.journal_path(token), self.checkpoint_path(token)] {
             match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(source) => {
-                    return Err(StoreError::Io {
-                        path: path.display().to_string(),
-                        source,
-                    })
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(StoreError::io(&path)(e))
                 }
+                _ => {}
             }
         }
         Ok(())
     }
 
     /// Commits one trial: appends it to the tier's journal (resetting the
-    /// tier's files first in fresh mode) and indexes it.  Any surviving
-    /// mid-run checkpoint of the trial is dropped from the index — a
-    /// committed trial replays, never restores.
+    /// tier's files first in fresh mode) and makes it the key's live
+    /// record.  Any surviving mid-run checkpoint of the trial is dropped —
+    /// a committed trial replays, never restores.
     pub fn commit(&mut self, record: TrialRecord) -> Result<()> {
         let token = record.experiment.clone();
         self.reset_tier_files(&token)?;
         let path = self.journal_path(&token);
-        let journal = self
-            .journals
+        self.journals
             .entry(token)
-            .or_insert_with(|| Journal::new(path));
-        journal.append(&record)?;
+            .or_insert_with(|| Log::new(path))
+            .append(&record)?;
         self.checkpoints.remove(&record.key);
-        self.insert(record);
+        self.records.insert(record.key, record);
         Ok(())
     }
 
@@ -259,11 +223,10 @@ impl RunStore {
         let token = record.experiment.clone();
         self.reset_tier_files(&token)?;
         let path = self.checkpoint_path(&token);
-        let log = self
-            .checkpoint_logs
+        self.checkpoint_logs
             .entry(token)
-            .or_insert_with(|| CheckpointLog::new(path));
-        log.append(&record)?;
+            .or_insert_with(|| Log::new(path))
+            .append(&record)?;
         self.insert_checkpoint(record);
         Ok(())
     }
@@ -278,7 +241,7 @@ impl RunStore {
     /// Every *live* committed record — one per trial key, later commits
     /// shadowing earlier ones — in key order.
     pub fn live_records(&self) -> impl Iterator<Item = &TrialRecord> {
-        self.index.values().map(|&i| &self.records[i])
+        self.records.values()
     }
 
     /// Number of live committed trials of one tier.
@@ -385,7 +348,7 @@ impl TrialSink for StoreSink {
         Ok(())
     }
 
-    fn latest_checkpoint(&self, _experiment: &str, key: TrialKey) -> Option<(u64, Value)> {
+    fn latest_checkpoint(&self, key: TrialKey) -> Option<(u64, Value)> {
         let store = self.store.lock().expect("store mutex poisoned");
         store
             .latest_checkpoint(key)
@@ -533,9 +496,9 @@ mod tests {
         assert_eq!(sink.replay("SIM_SCALE", rec.key), None);
         sink.commit(rec.clone()).unwrap();
         assert_eq!(sink.replay("SIM_SCALE", rec.key), None);
-        assert_eq!(sink.latest_checkpoint("SIM_SCALE", rec.key), None);
+        assert_eq!(sink.latest_checkpoint(rec.key), None);
         sink.commit_checkpoint(checkpoint(rec.key, 512)).unwrap();
-        assert_eq!(sink.latest_checkpoint("SIM_SCALE", rec.key), None);
+        assert_eq!(sink.latest_checkpoint(rec.key), None);
     }
 
     fn checkpoint(key: TrialKey, tick: u64) -> CheckpointRecord {
@@ -633,9 +596,9 @@ mod tests {
         let dir = temp_dir("ckpt-sink");
         let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
         let rec = record("MEM_SCALE", "chordring(n=1000)", 42, 17.0);
-        assert_eq!(sink.latest_checkpoint("MEM_SCALE", rec.key), None);
+        assert_eq!(sink.latest_checkpoint(rec.key), None);
         sink.commit_checkpoint(checkpoint(rec.key, 512)).unwrap();
-        let (tick, blob) = sink.latest_checkpoint("MEM_SCALE", rec.key).unwrap();
+        let (tick, blob) = sink.latest_checkpoint(rec.key).unwrap();
         assert_eq!(tick, 512);
         assert_eq!(blob, checkpoint(rec.key, 512).blob);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -136,7 +136,7 @@ impl StoreSummary {
 mod tests {
     use super::*;
     use crate::hash::trial_key;
-    use crate::journal::TrialRecord;
+    use crate::log::TrialRecord;
     use serde::json::Value;
     use std::path::PathBuf;
 
