@@ -4,9 +4,29 @@
 //! and *immutable once built*.  Edges are first-class because the paper's
 //! asynchronous model attaches an independent rate-1 Poisson clock to every
 //! edge: the simulator iterates over [`EdgeId`]s, not node pairs.
+//!
+//! # Storage
+//!
+//! Ids are `usize` everywhere in the API ([`NodeId`], [`EdgeId`] and every
+//! accessor), but a [`Graph`] stores them as `u32` and widens what it reads:
+//! an [`Edge`] is two `u32` endpoints (8 bytes), the CSR adjacency holds one
+//! `(neighbour, edge)` pair of `u32` per half-edge (8 bytes), and the CSR
+//! offsets are `u32`.  The 10⁶-node expander dumbbell (18 000 001 edges)
+//! takes 416 MiB this way, against 832 MiB with `usize` ids.  The price is
+//! a size limit: [`GraphBuilder::build`] accepts fewer than `u32::MAX` nodes
+//! and at most `u32::MAX / 2` edges, so that every half-edge offset fits in
+//! a `u32`, and returns [`GraphError::TooLarge`] past either.
 
 use crate::{GraphError, Result};
 use std::fmt;
+
+/// The most nodes a [`Graph`] holds: node ids are stored as `u32`, and
+/// `u32::MAX` stays free as the duplicate check's "unseen" mark.
+pub(crate) const MAX_NODE_COUNT: usize = u32::MAX as usize - 1;
+
+/// The most edges a [`Graph`] holds: its `2·|E|` half-edge offsets are
+/// stored as `u32`.
+pub(crate) const MAX_EDGE_COUNT: usize = u32::MAX as usize / 2;
 
 /// Identifier of a node, an index in `0..graph.node_count()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,10 +78,11 @@ impl From<usize> for EdgeId {
 ///
 /// The endpoints are stored in normalized order (`u < v`), so two `Edge`
 /// values compare equal exactly when they join the same pair of nodes.
+/// Each endpoint is stored as a `u32` (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
-    u: NodeId,
-    v: NodeId,
+    u: u32,
+    v: u32,
 }
 
 impl Edge {
@@ -69,7 +90,9 @@ impl Edge {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::SelfLoop`] if `a == b`.
+    /// Returns [`GraphError::SelfLoop`] if `a == b`, and
+    /// [`GraphError::NodeOutOfRange`] if an endpoint is out of range for
+    /// every graph (the largest holds `u32::MAX - 1` nodes).
     pub fn new(a: NodeId, b: NodeId) -> Result<Self> {
         if a == b {
             return Err(GraphError::SelfLoop { node: a.index() });
@@ -79,32 +102,47 @@ impl Edge {
         } else {
             (b, a)
         };
-        Ok(Edge { u, v })
+        if v.index() >= MAX_NODE_COUNT {
+            return Err(GraphError::NodeOutOfRange {
+                node: v.index(),
+                node_count: MAX_NODE_COUNT,
+            });
+        }
+        // `u < v < MAX_NODE_COUNT`, so both fit.
+        Ok(Edge {
+            u: u.index() as u32,
+            v: v.index() as u32,
+        })
     }
 
     /// The endpoint with the smaller index.
     pub fn u(&self) -> NodeId {
-        self.u
+        NodeId(self.u as usize)
     }
 
     /// The endpoint with the larger index.
     pub fn v(&self) -> NodeId {
-        self.v
+        NodeId(self.v as usize)
     }
 
     /// Both endpoints as a pair `(u, v)` with `u < v`.
     pub fn endpoints(&self) -> (NodeId, NodeId) {
-        (self.u, self.v)
+        (self.u(), self.v())
     }
 }
 
 impl fmt::Display for Edge {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {})", self.u, self.v)
+        write!(f, "({}, {})", self.u(), self.v())
     }
 }
 
 /// An immutable, simple, undirected graph.
+///
+/// The edge list is in id order, and a CSR adjacency lists each node's
+/// `(neighbour, edge)` pairs in the order their edges were added.  Both
+/// store ids as `u32`, so a graph holds at most `u32::MAX - 1` nodes and
+/// `u32::MAX / 2` edges (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -126,9 +164,9 @@ pub struct Graph {
     edges: Vec<Edge>,
     /// CSR offsets into `adjacency`: neighbours of node `i` live at
     /// `adjacency[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Flattened adjacency: `(neighbour, connecting edge)` pairs.
-    adjacency: Vec<(NodeId, EdgeId)>,
+    adjacency: Vec<(u32, u32)>,
 }
 
 impl Graph {
@@ -139,8 +177,8 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`]
-    /// for the first such pair, and otherwise [`GraphError::DuplicateEdge`]
-    /// if the same pair appears twice (see [`GraphBuilder::build`]).
+    /// for the first such pair, and otherwise [`GraphError::TooLarge`] or
+    /// [`GraphError::DuplicateEdge`] (see [`GraphBuilder::build`]).
     pub fn from_edges(node_count: usize, edges: &[(usize, usize)]) -> Result<Self> {
         let mut builder = GraphBuilder::new(node_count);
         for &(a, b) in edges {
@@ -205,7 +243,7 @@ impl Graph {
     pub fn degree(&self, node: NodeId) -> usize {
         let i = node.index();
         assert!(i < self.node_count, "node {i} out of range");
-        self.offsets[i + 1] - self.offsets[i]
+        (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
     /// Iterates over `(neighbour, connecting edge)` pairs of `node`.
@@ -216,9 +254,9 @@ impl Graph {
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
         let i = node.index();
         assert!(i < self.node_count, "node {i} out of range");
-        self.adjacency[self.offsets[i]..self.offsets[i + 1]]
+        self.adjacency[self.offsets[i] as usize..self.offsets[i + 1] as usize]
             .iter()
-            .copied()
+            .map(|&(n, e)| (NodeId(n as usize), EdgeId(e as usize)))
     }
 
     /// Maximum degree over all nodes; `0` for the empty graph.
@@ -346,27 +384,33 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::DuplicateEdge`] `{ a, b }`, with `a < b`, if
-    /// that pair was added more than once (of several repeated pairs, one
-    /// with the smallest `a`).
+    /// Returns [`GraphError::TooLarge`], before allocating anything, if the
+    /// graph has `u32::MAX` nodes or more, or more than `u32::MAX / 2`
+    /// edges: the graph stores its ids and half-edge offsets as `u32`.
+    /// Otherwise returns [`GraphError::DuplicateEdge`] `{ a, b }`, with
+    /// `a < b`, if that pair was added more than once (of several repeated
+    /// pairs, one with the smallest `a`).
     pub fn build(self) -> Result<Graph> {
-        let mut degrees = vec![0usize; self.node_count];
+        check_size(self.node_count, self.edges.len())?;
+        // Count each node's degree into the slot after its own, then sum
+        // the slots in place into the CSR offsets.
+        let mut offsets = vec![0u32; self.node_count + 1];
         for edge in &self.edges {
-            degrees[edge.u().index()] += 1;
-            degrees[edge.v().index()] += 1;
+            offsets[edge.u as usize + 1] += 1;
+            offsets[edge.v as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(self.node_count + 1);
-        offsets.push(0);
-        for d in &degrees {
-            offsets.push(offsets.last().copied().unwrap_or(0) + d);
+        let mut sum = 0;
+        for slot in &mut offsets {
+            sum += *slot;
+            *slot = sum;
         }
         let mut cursor = offsets.clone();
-        let mut adjacency = vec![(NodeId(0), EdgeId(0)); 2 * self.edges.len()];
-        for (i, edge) in self.edges.iter().enumerate() {
-            let (u, v) = (edge.u().index(), edge.v().index());
-            adjacency[cursor[u]] = (NodeId(v), EdgeId(i));
+        let mut adjacency = vec![(0, 0); 2 * self.edges.len()];
+        for (id, edge) in (0u32..).zip(&self.edges) {
+            let (u, v) = (edge.u as usize, edge.v as usize);
+            adjacency[cursor[u] as usize] = (edge.v, id);
             cursor[u] += 1;
-            adjacency[cursor[v]] = (NodeId(u), EdgeId(i));
+            adjacency[cursor[v] as usize] = (edge.u, id);
             cursor[v] += 1;
         }
         // Every pair `{u, v}` with `u < v` appears in `u`'s slice once per
@@ -374,15 +418,17 @@ impl GraphBuilder {
         // The spent `cursor` becomes a node-indexed mark: `mark[v] == u`
         // once `v` has been seen from `u`.
         let mut mark = cursor;
-        mark.fill(usize::MAX);
-        for u in 0..self.node_count {
-            for &(v, _) in &adjacency[offsets[u]..offsets[u + 1]] {
-                let v = v.index();
+        mark.fill(u32::MAX);
+        for (u, slice) in (0u32..).zip(offsets.windows(2)) {
+            for &(v, _) in &adjacency[slice[0] as usize..slice[1] as usize] {
                 if v > u {
-                    if mark[v] == u {
-                        return Err(GraphError::DuplicateEdge { a: u, b: v });
+                    if mark[v as usize] == u {
+                        return Err(GraphError::DuplicateEdge {
+                            a: u as usize,
+                            b: v as usize,
+                        });
                     }
-                    mark[v] = u;
+                    mark[v as usize] = u;
                 }
             }
         }
@@ -391,6 +437,20 @@ impl GraphBuilder {
             edges: self.edges,
             offsets,
             adjacency,
+        })
+    }
+}
+
+/// Checks that `node_count` nodes and `edge_count` edges fit a [`Graph`]'s
+/// `u32` ids and offsets: fewer than `u32::MAX` nodes and `2·|E| ≤
+/// u32::MAX`.
+fn check_size(node_count: usize, edge_count: usize) -> Result<()> {
+    if node_count <= MAX_NODE_COUNT && edge_count <= MAX_EDGE_COUNT {
+        Ok(())
+    } else {
+        Err(GraphError::TooLarge {
+            node_count,
+            edge_count,
         })
     }
 }
@@ -420,6 +480,72 @@ mod tests {
         assert_eq!(e.endpoints(), (NodeId(2), NodeId(5)));
         assert_eq!(e, Edge::new(NodeId(2), NodeId(5)).unwrap());
         assert_eq!(e.to_string(), "(v2, v5)");
+    }
+
+    #[test]
+    fn edge_is_two_u32() {
+        assert_eq!(std::mem::size_of::<Edge>(), 8);
+    }
+
+    #[test]
+    fn edge_rejects_an_endpoint_no_graph_can_hold() {
+        for far in [u32::MAX as usize, u32::MAX as usize + 1, usize::MAX] {
+            assert_eq!(
+                Edge::new(NodeId(far), NodeId(0)),
+                Err(GraphError::NodeOutOfRange {
+                    node: far,
+                    node_count: MAX_NODE_COUNT,
+                })
+            );
+        }
+        // A builder larger than any graph rejects the id too instead of
+        // truncating it to a small one.
+        let mut b = GraphBuilder::new(usize::MAX);
+        assert!(matches!(
+            b.add_edge(0, u32::MAX as usize + 5),
+            Err(GraphError::NodeOutOfRange { node, .. }) if node == u32::MAX as usize + 5
+        ));
+        let top = NodeId(MAX_NODE_COUNT - 1);
+        let e = Edge::new(top, NodeId(0)).unwrap();
+        assert_eq!(e.endpoints(), (NodeId(0), top));
+    }
+
+    #[test]
+    fn build_rejects_counts_past_u32_ids_before_allocating() {
+        // Counting degrees first would allocate 16 GiB here.
+        let nodes = u32::MAX as usize + 1;
+        assert_eq!(
+            GraphBuilder::new(nodes).build(),
+            Err(GraphError::TooLarge {
+                node_count: nodes,
+                edge_count: 0,
+            })
+        );
+        assert!(matches!(
+            GraphBuilder::new(u32::MAX as usize).build(),
+            Err(GraphError::TooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn size_check_admits_exactly_the_counts_u32_offsets_can_index() {
+        assert_eq!(MAX_NODE_COUNT, u32::MAX as usize - 1);
+        assert!(2 * MAX_EDGE_COUNT <= u32::MAX as usize);
+        assert!(2 * (MAX_EDGE_COUNT + 1) > u32::MAX as usize);
+        assert_eq!(check_size(MAX_NODE_COUNT, MAX_EDGE_COUNT), Ok(()));
+        for (node_count, edge_count) in [
+            (MAX_NODE_COUNT + 1, 0),
+            (0, MAX_EDGE_COUNT + 1),
+            (usize::MAX, usize::MAX),
+        ] {
+            assert_eq!(
+                check_size(node_count, edge_count),
+                Err(GraphError::TooLarge {
+                    node_count,
+                    edge_count
+                })
+            );
+        }
     }
 
     #[test]

@@ -91,6 +91,14 @@ pub enum GraphError {
         /// The larger endpoint.
         b: usize,
     },
+    /// The graph has more nodes or edges than [`Graph`] can store (see
+    /// [`GraphBuilder::build`]).
+    TooLarge {
+        /// The number of nodes asked for.
+        node_count: usize,
+        /// The number of edges asked for.
+        edge_count: usize,
+    },
     /// A generator was asked for an impossible configuration
     /// (e.g. a 0-node complete graph or a degree larger than `n − 1`).
     InvalidParameter {
@@ -127,6 +135,16 @@ impl fmt::Display for GraphError {
             GraphError::DuplicateEdge { a, b } => {
                 write!(f, "duplicate edge between nodes {a} and {b}")
             }
+            GraphError::TooLarge {
+                node_count,
+                edge_count,
+            } => write!(
+                f,
+                "graph with {node_count} nodes and {edge_count} edges is too large \
+                 (at most {} nodes and {} edges)",
+                graph::MAX_NODE_COUNT,
+                graph::MAX_EDGE_COUNT
+            ),
             GraphError::InvalidParameter { reason } => write!(f, "invalid parameter: {reason}"),
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::InvalidPartition { reason } => write!(f, "invalid partition: {reason}"),
@@ -170,6 +188,10 @@ mod tests {
             },
             GraphError::SelfLoop { node: 1 },
             GraphError::DuplicateEdge { a: 0, b: 1 },
+            GraphError::TooLarge {
+                node_count: 1 << 32,
+                edge_count: 0,
+            },
             GraphError::InvalidParameter {
                 reason: "n must be positive".into(),
             },

@@ -181,11 +181,41 @@ fn generated_graphs_are_pinned_bit_for_bit() {
     assert!(actual == expected, "actual pins:\n{}", rendered.join("\n"));
 }
 
-/// The `million-relax` benchmark graph (10⁶ nodes, 18 000 001 edges); run
-/// with `cargo test --release -p gossip-graph -- --ignored`.
+/// The most this test process may peak at: the graph stores `u32` ids, so
+/// its edge table and adjacency take 8 bytes per edge and per half-edge
+/// (416 MiB at 18 000 001 edges; `usize` ids took 832 MiB).
+const MILLION_NODE_PEAK_MIB: u64 = 512;
+
+/// This process's peak resident set (`VmHWM`) in MiB, or why it could not
+/// be read.
+fn peak_rss_mib() -> Result<u64, String> {
+    let status = std::fs::read_to_string("/proc/self/status").map_err(|e| e.to_string())?;
+    let line = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .ok_or("no VmHWM line")?;
+    let kib: u64 = line
+        .trim()
+        .strip_suffix("kB")
+        .and_then(|kib| kib.trim().parse().ok())
+        .ok_or_else(|| format!("unparseable VmHWM line {line:?}"))?;
+    Ok(kib / 1024)
+}
+
+/// The `million-relax` benchmark graph (10⁶ nodes, 18 000 001 edges), and
+/// the peak memory of building it; run with `cargo test --release -p
+/// gossip-graph -- --ignored`, the only test that command runs, so the peak
+/// belongs to this graph alone.
 #[test]
 #[ignore = "builds a 10^6-node graph; run in release with --ignored"]
 fn million_node_expander_dumbbell_is_pinned_bit_for_bit() {
     let hash = pin_cut(expander_dumbbell(500_000));
     assert_eq!(hash, 0x3aa1_0380_997d_a965, "{hash:#018x}");
+    match peak_rss_mib() {
+        Ok(peak) => assert!(
+            peak <= MILLION_NODE_PEAK_MIB,
+            "peak RSS {peak} MiB exceeds {MILLION_NODE_PEAK_MIB} MiB"
+        ),
+        Err(why) => println!("peak RSS bound skipped: /proc/self/status unreadable ({why})"),
+    }
 }

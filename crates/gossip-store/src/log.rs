@@ -20,8 +20,9 @@
 //! number type's `f64` (bits above 2^53 would be lost).  `row` (the tier's
 //! own row) and `blob` (the engine's checkpoint document) are stored
 //! verbatim and replayed as they were; the store never interprets them.
-//! The hex and decimal decoders accept only the exact text the encoder
-//! writes.
+//! A line renders each payload by reference, and a load moves it out of the
+//! parsed line, so neither copies it.  The hex and decimal decoders accept
+//! only the exact text the encoder writes.
 //!
 //! **Crash safety.**  Records are written `line + '\n'` in a single write
 //! and flushed per commit, so after a crash at most the *final* line can be
@@ -37,6 +38,7 @@
 //! line always supersedes an earlier one* — the logs are append-only, so
 //! re-runs shadow instead of edit.
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::marker::PhantomData;
@@ -52,9 +54,10 @@ use crate::{Result, StoreError, SCHEMA_VERSION};
 trait Codec {
     /// The field's type.
     type Field;
-    fn encode(field: &Self::Field) -> Value;
+    /// The field's JSON value; a payload lends itself.
+    fn encode(field: &Self::Field) -> Cow<'_, Value>;
     /// `None` for anything the encoder would not have written.
-    fn decode(value: &Value) -> Option<Self::Field>;
+    fn decode(value: Value) -> Option<Self::Field>;
 }
 
 /// A trial key as 16 lower-case hex digits.
@@ -68,61 +71,76 @@ struct Verbatim;
 
 impl Codec for Hex {
     type Field = TrialKey;
-    fn encode(key: &TrialKey) -> Value {
-        Value::String(format!("{key:016x}"))
+    fn encode(key: &TrialKey) -> Cow<'_, Value> {
+        Cow::Owned(Value::String(format!("{key:016x}")))
     }
-    fn decode(value: &Value) -> Option<TrialKey> {
+    fn decode(value: Value) -> Option<TrialKey> {
         canonical::<Self>(value, |text| u64::from_str_radix(text, 16).ok())
     }
 }
 
 impl Codec for Decimal {
     type Field = u64;
-    fn encode(number: &u64) -> Value {
-        Value::String(number.to_string())
+    fn encode(number: &u64) -> Cow<'_, Value> {
+        Cow::Owned(Value::String(number.to_string()))
     }
-    fn decode(value: &Value) -> Option<u64> {
+    fn decode(value: Value) -> Option<u64> {
         canonical::<Self>(value, |text| text.parse().ok())
     }
 }
 
 impl Codec for Text {
     type Field = String;
-    fn encode(text: &String) -> Value {
-        Value::String(text.clone())
+    fn encode(text: &String) -> Cow<'_, Value> {
+        Cow::Owned(Value::String(text.clone()))
     }
-    fn decode(value: &Value) -> Option<String> {
-        value.as_str().map(str::to_string)
+    fn decode(value: Value) -> Option<String> {
+        match value {
+            Value::String(text) => Some(text),
+            _ => None,
+        }
     }
 }
 
 impl Codec for Verbatim {
     type Field = Value;
-    fn encode(value: &Value) -> Value {
-        value.clone()
+    fn encode(value: &Value) -> Cow<'_, Value> {
+        Cow::Borrowed(value)
     }
-    fn decode(value: &Value) -> Option<Value> {
-        Some(value.clone())
+    fn decode(value: Value) -> Option<Value> {
+        Some(value)
     }
 }
 
 /// Parses a string-encoded `u64`, accepting only the text its encoder
 /// writes for the parsed value (no sign, leading zero or upper-case digit).
 fn canonical<C: Codec<Field = u64>>(
-    value: &Value,
+    value: Value,
     parse: impl FnOnce(&str) -> Option<u64>,
 ) -> Option<u64> {
     let parsed = parse(value.as_str()?)?;
-    (C::encode(&parsed) == *value).then_some(parsed)
+    (*C::encode(&parsed) == value).then_some(parsed)
+}
+
+/// Appends a field's value to a line as compact JSON.
+fn push_json(line: &mut String, value: &Value) {
+    line.push_str(&serde_json::to_string(value).expect("vendored serialization is infallible"));
+}
+
+/// Moves the first field named `name` out of a line's object.
+fn take(fields: &mut [(String, Value)], name: &str) -> Option<Value> {
+    let (_, value) = fields.iter_mut().find(|(key, _)| key == name)?;
+    Some(std::mem::replace(value, Value::Null))
 }
 
 /// One kind of log line, implemented by `records!` from its field list.
 pub(crate) trait Record: Sized {
-    /// The line's object: `schema_version`, then every field in list order.
-    fn encode(&self) -> Value;
+    /// The compact line, without the newline: `schema_version`, then every
+    /// field in list order.
+    fn render(&self) -> String;
     /// Decodes every listed field of a line's object, naming the first
     /// missing or malformed one.
-    fn decode(doc: &Value) -> std::result::Result<Self, String>;
+    fn decode(doc: Value) -> std::result::Result<Self, String>;
 }
 
 /// Declares each record from its field list, every field with its codec,
@@ -139,17 +157,23 @@ macro_rules! records {
         }
 
         impl Record for $name {
-            fn encode(&self) -> Value {
-                Value::Object(vec![
-                    ("schema_version".to_string(), Value::Number(SCHEMA_VERSION as f64)),
-                    $((stringify!($field).to_string(), $codec::encode(&self.$field)),)*
-                ])
+            fn render(&self) -> String {
+                let mut line = format!("{{\"schema_version\":{SCHEMA_VERSION}");
+                $(
+                    line.push_str(concat!(",\"", stringify!($field), "\":"));
+                    push_json(&mut line, &$codec::encode(&self.$field));
+                )*
+                line.push('}');
+                line
             }
 
-            fn decode(doc: &Value) -> std::result::Result<Self, String> {
+            fn decode(doc: Value) -> std::result::Result<Self, String> {
+                let mut fields = match doc {
+                    Value::Object(fields) => fields,
+                    _ => Vec::new(),
+                };
                 Ok($name {$(
-                    $field: doc
-                        .get(stringify!($field))
+                    $field: take(&mut fields, stringify!($field))
                         .and_then($codec::decode)
                         .ok_or(concat!("missing or malformed ", stringify!($field)))?,
                 )*})
@@ -187,11 +211,6 @@ records! {
     }
 }
 
-/// Renders one record as its compact line, without the newline.
-fn render<R: Record>(record: &R) -> String {
-    serde_json::to_string(&record.encode()).expect("vendored serialization is infallible")
-}
-
 /// Why a line did not decode.
 enum LineError {
     /// Written at this other schema version: a hard error even on the
@@ -208,7 +227,7 @@ fn decode_line<R: Record>(line: &[u8]) -> std::result::Result<R, LineError> {
     let doc = serde_json::from_str(text).map_err(|e| LineError::Corrupt(e.to_string()))?;
     match doc.field_u64("schema_version") {
         None => Err(LineError::Corrupt("missing schema_version".to_string())),
-        Some(SCHEMA_VERSION) => R::decode(&doc).map_err(LineError::Corrupt),
+        Some(SCHEMA_VERSION) => R::decode(doc).map_err(LineError::Corrupt),
         Some(found) => Err(LineError::Skew(found)),
     }
 }
@@ -252,7 +271,7 @@ impl<R: Record> Log<R> {
                 empty.insert(opened)
             }
         };
-        let mut text = render(record);
+        let mut text = record.render();
         text.push('\n');
         file.write_all(text.as_bytes())
             .and_then(|()| file.flush())
@@ -394,8 +413,8 @@ mod tests {
     /// keeps the `payload` field verbatim without interpreting it, so a
     /// retyped payload loads.
     fn assert_field_damage_is_typed<R: Record>(tag: &str, record: &R, payload: &str) {
-        let valid = render(record);
-        let Value::Object(fields) = record.encode() else {
+        let valid = record.render();
+        let Ok(Value::Object(fields)) = serde_json::from_str(&valid) else {
             panic!("a record line is a JSON object: {valid}");
         };
         let mut damaged = Vec::new();
@@ -457,11 +476,11 @@ mod tests {
             )]),
         };
         assert_eq!(
-            render(&trial),
+            trial.render(),
             r#"{"schema_version":1,"key":"4a311fffdc1e6939","experiment":"SIM_SCALE","fingerprint":"chordring(n=1000)","seed":"18446744073709551615","row":{"rounds":17}}"#
         );
         assert_eq!(
-            render(&checkpoint),
+            checkpoint.render(),
             r#"{"schema_version":1,"key":"4a311fffdc1e6939","experiment":"MEM_SCALE","tick":"18446744073709551615","blob":{"values":["3ff0000000000000"]}}"#
         );
     }
@@ -469,17 +488,20 @@ mod tests {
     #[test]
     fn hex_and_decimal_fields_accept_only_the_text_they_write() {
         for number in [0u64, 1, u64::MAX, 0x4a31_1fff_dc1e_6939] {
-            assert_eq!(Hex::decode(&Hex::encode(&number)), Some(number));
-            assert_eq!(Decimal::decode(&Decimal::encode(&number)), Some(number));
+            assert_eq!(Hex::decode(Hex::encode(&number).into_owned()), Some(number));
+            assert_eq!(
+                Decimal::decode(Decimal::encode(&number).into_owned()),
+                Some(number)
+            );
         }
         let text = |s: &str| Value::String(s.to_string());
         for key in ["xyz", "00", "4A311FFFDC1E6939", "+a311fffdc1e6939"] {
-            assert_eq!(Hex::decode(&text(key)), None, "{key}");
+            assert_eq!(Hex::decode(text(key)), None, "{key}");
         }
         for seed in ["+42", "042", "-1", " 42", "18446744073709551616"] {
-            assert_eq!(Decimal::decode(&text(seed)), None, "{seed}");
+            assert_eq!(Decimal::decode(text(seed)), None, "{seed}");
         }
-        assert_eq!(Decimal::decode(&Value::Number(42.0)), None);
+        assert_eq!(Decimal::decode(Value::Number(42.0)), None);
     }
 
     #[test]
@@ -560,7 +582,7 @@ mod tests {
         assert!(tail.is_some());
 
         // The same garbage *before* a valid record is a hard error.
-        let valid = format!("{}\n", render(&trial(2)));
+        let valid = format!("{}\n", trial(2).render());
         std::fs::write(&path, [&clean[..], garbage, valid.as_bytes()].concat()).unwrap();
         match load_all::<TrialRecord>(&path) {
             Err(StoreError::CorruptRecord { line, .. }) => assert_eq!(line, 3),
@@ -581,8 +603,10 @@ mod tests {
     fn schema_version_skew_is_a_hard_error_even_at_the_tail() {
         let path = temp_path("schema");
         write(&path, &[trial(0)]);
-        let skewed =
-            render(&trial(1)).replace("\"schema_version\":1", "\"schema_version\":999") + "\n";
+        let skewed = trial(1)
+            .render()
+            .replace("\"schema_version\":1", "\"schema_version\":999")
+            + "\n";
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(skewed.as_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -630,7 +654,7 @@ mod tests {
         )]);
         write(&path, &[rec.clone()]);
         let (records, _) = load_all::<CheckpointRecord>(&path).unwrap();
-        assert_eq!(render(&records[0]), render(&rec));
+        assert_eq!(records[0].render(), rec.render());
         std::fs::remove_file(&path).unwrap();
     }
 }
