@@ -10,7 +10,7 @@
 //!   sparse cut is not known in advance.
 
 use crate::{laplacian, Graph, GraphError, Result};
-use gossip_linalg::{Lanczos, SymmetricEigen, Vector};
+use gossip_linalg::{Lanczos, LinalgError, SymmetricEigen, Vector};
 
 /// Node count above which [`SpectralProfile::compute`] (and the other
 /// dispatching helpers in this module) switch from the dense Jacobi path to
@@ -76,10 +76,7 @@ impl SpectralProfile {
     /// See [`SpectralProfile::compute`].
     pub fn compute_dense(graph: &Graph) -> Result<Self> {
         Self::check_shape(graph)?;
-        let lap = laplacian::laplacian(graph);
-        let eig = SymmetricEigen::compute(&lap)?;
-        let lambda2 = eig.second_smallest()?;
-        let lambda_max = eig.largest();
+        let (lambda2, lambda_max) = dense_laplacian_extremes(graph)?;
         Self::from_extremes(graph, lambda2, lambda_max)
     }
 
@@ -174,6 +171,20 @@ pub fn sparse_laplacian_extremes(graph: &Graph) -> Result<gossip_linalg::Lanczos
         .map_err(GraphError::Linalg)
 }
 
+/// The dense tier's eigenvalue-only Laplacian solve: `(λ₂, λ_max)` from
+/// [`SymmetricEigen::compute_eigenvalues`], which skips the eigenvector
+/// accumulation only [`fiedler_vector`] needs.
+///
+/// # Errors
+///
+/// [`gossip_linalg::LinalgError::Empty`] for a graph without nodes or with
+/// one node (no `λ₂`), and whatever else the eigensolver reports.
+fn dense_laplacian_extremes(graph: &Graph) -> Result<(f64, f64)> {
+    let eigenvalues = SymmetricEigen::compute_eigenvalues(&laplacian::laplacian(graph))?;
+    let lambda2 = *eigenvalues.get(1).ok_or(LinalgError::Empty)?;
+    Ok((lambda2, eigenvalues[eigenvalues.len() - 1]))
+}
+
 /// Second-smallest eigenvalue of the combinatorial Laplacian (the Fiedler
 /// value), dispatching dense/sparse on [`SPARSE_DISPATCH_THRESHOLD`] like
 /// [`SpectralProfile::compute`].
@@ -189,9 +200,7 @@ pub fn algebraic_connectivity(graph: &Graph) -> Result<f64> {
     if graph.node_count() > SPARSE_DISPATCH_THRESHOLD {
         Ok(sparse_laplacian_extremes(graph)?.smallest)
     } else {
-        let lap = laplacian::laplacian(graph);
-        let eig = SymmetricEigen::compute(&lap)?;
-        Ok(eig.second_smallest()?)
+        Ok(dense_laplacian_extremes(graph)?.0)
     }
 }
 
@@ -291,6 +300,23 @@ mod tests {
             SpectralProfile::compute(&disconnected),
             Err(GraphError::Disconnected)
         ));
+    }
+
+    #[test]
+    fn eigenvalue_only_readers_keep_their_errors_on_tiny_graphs() {
+        // No node: a 0×0 Laplacian.  One node: one eigenvalue and no λ₂,
+        // an error rather than an index panic.
+        for n in [0, 1] {
+            let g = Graph::from_edges(n, &[]).unwrap();
+            assert!(matches!(
+                SpectralProfile::compute_dense(&g),
+                Err(GraphError::InvalidParameter { .. })
+            ));
+            assert!(matches!(
+                algebraic_connectivity(&g),
+                Err(GraphError::Linalg(LinalgError::Empty))
+            ));
+        }
     }
 
     #[test]

@@ -2,8 +2,17 @@
 //!
 //! The matrices manipulated in this workspace are graph Laplacians, gossip
 //! expectation matrices `W`, and the epoch operators `A_k` from the paper's
-//! Section 3.  They are small (n up to a few thousand) and dense storage with
-//! straightforward `O(n²)`/`O(n³)` kernels is more than fast enough.
+//! Section 3.  The spectral code keeps them dense only up to
+//! `gossip_graph::spectral::SPARSE_DISPATCH_THRESHOLD` (512) nodes and hands
+//! larger graphs to the sparse tier ([`crate::CsrMatrix`]).
+//!
+//! The kernels here are plain loops over rows.  The one that sets the
+//! workspace's pace, the `O(n³)`-per-sweep Jacobi eigensolver in
+//! [`crate::eigen`], does not run on [`Matrix::get`]/[`Matrix::set`]: it
+//! copies the matrix once into a working buffer whose row stride is padded
+//! to an odd number of 64-byte lines, so its column walks spread over every
+//! L1 set, and rotates rows in contiguous passes.  Its module documentation
+//! says why that gives the same bits as the textbook update.
 
 use crate::{LinalgError, Result, Vector, DEFAULT_TOLERANCE};
 use std::fmt;
@@ -185,16 +194,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Returns column `j` as a freshly allocated [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn column(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "column index out of range");
-        (0..self.rows).map(|i| self.get(i, j)).collect()
-    }
-
     /// Matrix–vector product `A·x`.
     ///
     /// # Errors
@@ -267,21 +266,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Sum of the absolute values of the off-diagonal entries.  Used as the
-    /// convergence criterion of the Jacobi eigensolver.
-    pub fn off_diagonal_abs_sum(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, v)| v.abs())
-                    .sum::<f64>()
-            })
-            .sum()
     }
 
     /// Returns `true` if the matrix is symmetric within `tol`.
@@ -562,12 +546,6 @@ mod tests {
     fn display_nonempty() {
         let a = Matrix::identity(2);
         assert!(!format!("{a}").is_empty());
-    }
-
-    #[test]
-    fn off_diagonal_abs_sum_counts_only_off_diagonal() {
-        let a = Matrix::from_rows(&[vec![5.0, -2.0], vec![3.0, 7.0]]).unwrap();
-        assert!(close(a.off_diagonal_abs_sum(), 5.0));
     }
 
     proptest! {

@@ -6,7 +6,8 @@
 //! behaviours: a 0×0 matrix is rejected rather than decomposed, a 1×1
 //! matrix has exactly one eigenpair, and asymmetric input is refused
 //! instead of producing a garbage spectrum.  Pin them here so a future
-//! eigensolver swap cannot change the contract unnoticed.
+//! eigensolver swap cannot change the contract unnoticed.  The values-only
+//! entry, `SymmetricEigen::compute_eigenvalues`, keeps the same contract.
 
 use gossip_linalg::{LinalgError, Matrix, SymmetricEigen, Vector};
 
@@ -17,6 +18,14 @@ fn eigen_rejects_empty_matrix() {
     let empty = Matrix::zeros(0, 0);
     assert!(matches!(
         SymmetricEigen::compute(&empty),
+        Err(LinalgError::Empty)
+    ));
+}
+
+#[test]
+fn eigenvalues_alone_reject_the_empty_matrix() {
+    assert!(matches!(
+        SymmetricEigen::compute_eigenvalues(&Matrix::zeros(0, 0)),
         Err(LinalgError::Empty)
     ));
 }
@@ -60,13 +69,19 @@ fn eigen_of_one_by_one_matrix_is_the_entry() {
 }
 
 #[test]
+fn eigenvalues_alone_of_one_by_one_matrix_are_the_entry() {
+    let m = Matrix::from_rows(&[vec![-3.5]]).unwrap();
+    let values = SymmetricEigen::compute_eigenvalues(&m).unwrap();
+    assert_eq!(values, vec![-3.5]);
+}
+
+#[test]
 fn one_by_one_matrix_helpers_are_consistent() {
     let m = Matrix::from_rows(&[vec![2.0]]).unwrap();
     assert!(m.is_square());
     assert!(m.is_symmetric(0.0));
     assert_eq!(m.trace().unwrap(), 2.0);
     assert_eq!(m.frobenius_norm(), 2.0);
-    assert_eq!(m.off_diagonal_abs_sum(), 0.0);
     assert_eq!(m.transpose().get(0, 0), 2.0);
 }
 
@@ -88,6 +103,53 @@ fn eigen_rejects_non_square_matrix() {
         SymmetricEigen::compute(&rect),
         Err(LinalgError::NotSquare { rows: 2, cols: 3 })
     ));
+}
+
+#[test]
+fn eigenvalues_alone_reject_bad_shapes_before_any_rotation() {
+    // Shape first, then symmetry, then emptiness: a 0×3 matrix is not
+    // square rather than empty, and an asymmetric matrix is refused rather
+    // than rotated into `NoConvergence` or a garbage spectrum.
+    for (rows, cols) in [(0, 3), (2, 3), (3, 2)] {
+        let rect = Matrix::zeros(rows, cols);
+        let expected = LinalgError::NotSquare { rows, cols };
+        assert_eq!(SymmetricEigen::compute(&rect).unwrap_err(), expected);
+        assert_eq!(
+            SymmetricEigen::compute_eigenvalues(&rect).unwrap_err(),
+            expected
+        );
+    }
+    let asym = Matrix::from_rows(&[
+        vec![1.0, 2.0, 0.0],
+        vec![2.0, 1.0, 3.0],
+        vec![0.0, -3.0, 1.0],
+    ])
+    .unwrap();
+    assert!(matches!(
+        SymmetricEigen::compute_eigenvalues(&asym),
+        Err(LinalgError::NotSymmetric)
+    ));
+}
+
+#[test]
+fn eigenvalues_alone_come_back_ascending_in_computes_order() {
+    let m = Matrix::from_rows(&[
+        vec![3.0, 1.0, 0.0, 0.5],
+        vec![1.0, -2.0, 0.25, 0.0],
+        vec![0.0, 0.25, 7.0, -1.0],
+        vec![0.5, 0.0, -1.0, 0.0],
+    ])
+    .unwrap();
+    let values = SymmetricEigen::compute_eigenvalues(&m).unwrap();
+    assert!(values.windows(2).all(|w| w[0] <= w[1]), "{values:?}");
+    let full = SymmetricEigen::compute(&m).unwrap();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&values), bits(full.eigenvalues()));
+    let diagonal = Matrix::from_diagonal(&[3.0, -1.0, 2.0]);
+    assert_eq!(
+        SymmetricEigen::compute_eigenvalues(&diagonal).unwrap(),
+        vec![-1.0, 2.0, 3.0]
+    );
 }
 
 #[test]
