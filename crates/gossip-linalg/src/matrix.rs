@@ -6,13 +6,13 @@
 //! `gossip_graph::spectral::SPARSE_DISPATCH_THRESHOLD` (512) nodes and hands
 //! larger graphs to the sparse tier ([`crate::CsrMatrix`]).
 //!
-//! The kernels here are plain loops over rows.  The one that sets the
-//! workspace's pace, the `O(n³)`-per-sweep Jacobi eigensolver in
-//! [`crate::eigen`], does not run on [`Matrix::get`]/[`Matrix::set`]: it
-//! copies the matrix once into a working buffer whose row stride is padded
-//! to an odd number of 64-byte lines, so its column walks spread over every
-//! L1 set, and rotates rows in contiguous passes.  Its module documentation
-//! says why that gives the same bits as the textbook update.
+//! The kernels here are plain loops over rows.  The Jacobi eigensolver in
+//! [`crate::eigen`], `O(n³)` per sweep, does not run on
+//! [`Matrix::get`]/[`Matrix::set`]: it copies the matrix once into a
+//! working buffer whose row stride is padded to an odd number of 64-byte
+//! lines, so its column walks spread over every L1 set, and rotates rows
+//! in contiguous passes.  Its module documentation says why that gives the
+//! same bits as the textbook update.
 
 use crate::{LinalgError, Result, Vector, DEFAULT_TOLERANCE};
 use std::fmt;

@@ -12,12 +12,13 @@
 //! also fold in `SpectralProfile::compute_dense`'s λ₂ and λ_max and
 //! `algebraic_connectivity`, which read the eigenvalues alone.
 //!
-//! The always-run sizes sit on both sides of multiples of eight doubles
-//! (one 64-byte cache line), so any blocking or padding of the working
-//! matrix meets every remainder it can have.  The `#[ignore]`d cases are
-//! the blocks `perfbench --workload paper-estimate` solves and one graph
-//! at the dense/sparse dispatch threshold; a 256-node solve takes seconds
-//! in a debug build, so they run in release:
+//! The always-run sizes sit just below, at and just above multiples of
+//! eight doubles (one 64-byte cache line), with odd and even line counts,
+//! so a change to how the working matrix is padded meets each of its
+//! cases.  The `#[ignore]`d cases are the blocks `perfbench --workload
+//! paper-estimate` solves and one graph at the dense/sparse dispatch
+//! threshold; a 256-node solve takes seconds in a debug build, so they run
+//! in release:
 //! `cargo test --release -q --test dense_spectrum_pins -- --ignored`.
 
 use sparse_cut_gossip::core::bounds::t_van_spectral_block;
