@@ -18,13 +18,12 @@
 //!     --store-dir runs/quick --store-summary
 //! ```
 //!
-//! Every tier is one row of the [`TIERS`] registry: its `--only` token, its
-//! report flag (`--scale-json`, `--perf-json`, …) and its default report
-//! path all come from that one table, so adding a tier means adding a row
-//! and a match arm — not another hand-rolled flag parser.  `--only` tokens
-//! are validated against the experiment index (`ExperimentId::cli_token`):
-//! an unknown token prints the valid set and exits with status 2 instead of
-//! silently running nothing.
+//! Tiers run in `ExperimentId::all()` order, and `Session::run` dispatches
+//! each with one exhaustive `match` on its id.  `--only` tokens are
+//! validated against the experiment index (`ExperimentId::cli_token`): an
+//! unknown token prints the valid set and exits with status 2 instead of
+//! silently running nothing.  Every flag that takes a value exits with
+//! status 2 when the value is missing or is itself a flag (`--…`).
 //!
 //! `--jobs <n>` bounds the deterministic run executor that fans trials out
 //! over worker threads; every table and report is byte-identical at any
@@ -61,10 +60,12 @@
 //! A panicking trial surfaces as an error carrying its panic message.
 //!
 //! The SCALE, SIM_SCALE, MEM_SCALE, ROBUSTNESS, PERF and ADVERSARY tiers
-//! additionally write their structured reports to `BENCH_*.json` (paths
-//! overridable via the registry's flags).  Every report carries a
-//! `schema_version` field — the shared `gossip_store::SCHEMA_VERSION`
-//! constant that also stamps every journal record.  The robustness and
+//! additionally write their structured reports.  Each report's flag and
+//! default path come from the tier's token: SIM_SCALE writes
+//! `BENCH_sim_scale.json` unless `--sim-scale-json <path>` names another
+//! path.  Every report carries a `schema_version` field — the shared
+//! `gossip_store::SCHEMA_VERSION` constant that also stamps every journal
+//! record.  The robustness and
 //! adversary reports carry no wall-clock fields, so CI diffs them
 //! byte-for-byte; the others are diffed after stripping the fields their
 //! report declares volatile (e.g. `runner::PerfReport::VOLATILE`).
@@ -75,99 +76,28 @@ use gossip_store::{NullSink, RunStore, StoreSink, StoreSummary, TrialSink};
 use gossip_workloads::ExperimentId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One bench tier as the CLI sees it: the `--only` token, the report-path
-/// override flag (if the tier writes a `BENCH_*.json` report), and the
-/// default report path.
-struct TierSpec {
-    token: &'static str,
-    json_flag: Option<&'static str>,
-    default_json: Option<&'static str>,
+/// The report flag of a tier that writes a `BENCH_*.json` report
+/// (`SIM_SCALE` → `--sim-scale-json`); `None` for the E-tables.
+fn report_flag(id: ExperimentId) -> Option<String> {
+    use ExperimentId::*;
+    match id {
+        E1 | E2 | E3 | E4 | E5 | E6 | E7 | E8 | E9 | E10 => None,
+        Scale | SimScale | MemScale | Robustness | Perf | Adversary => Some(format!(
+            "--{}-json",
+            id.cli_token().to_lowercase().replace('_', "-")
+        )),
+    }
 }
 
-/// The tier registry, in execution order.  One row per [`ExperimentId`]
-/// (covered exactly — see the registry test).
-const TIERS: &[TierSpec] = &[
-    TierSpec {
-        token: "E1",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E2",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E3",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E4",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E5",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E6",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E7",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E8",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E9",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "E10",
-        json_flag: None,
-        default_json: None,
-    },
-    TierSpec {
-        token: "SCALE",
-        json_flag: Some("--scale-json"),
-        default_json: Some("BENCH_scale.json"),
-    },
-    TierSpec {
-        token: "SIM_SCALE",
-        json_flag: Some("--sim-scale-json"),
-        default_json: Some("BENCH_sim_scale.json"),
-    },
-    TierSpec {
-        token: "MEM_SCALE",
-        json_flag: Some("--mem-scale-json"),
-        default_json: Some("BENCH_mem_scale.json"),
-    },
-    TierSpec {
-        token: "ROBUSTNESS",
-        json_flag: Some("--robustness-json"),
-        default_json: Some("BENCH_robustness.json"),
-    },
-    TierSpec {
-        token: "PERF",
-        json_flag: Some("--perf-json"),
-        default_json: Some("BENCH_perf.json"),
-    },
-    TierSpec {
-        token: "ADVERSARY",
-        json_flag: Some("--adversary-json"),
-        default_json: Some("BENCH_adversary.json"),
-    },
-];
+/// The default report path of a report-bearing tier (`SIM_SCALE` →
+/// `BENCH_sim_scale.json`).
+fn default_report_path(id: ExperimentId) -> String {
+    format!("BENCH_{}.json", id.cli_token().to_lowercase())
+}
+
+/// One tier's output: its tables and, for report-bearing tiers, the
+/// pretty-printed JSON report.
+type TierOutput = (Vec<Table>, Option<String>);
 
 /// One harness run: the dumbbell sweep backing E1–E3 is computed once and
 /// shared, so `--only E1 E2 E3` costs one sweep, not three.
@@ -193,52 +123,50 @@ impl<'a> Session<'a> {
         Ok(self.dumbbell.as_ref().expect("sweep memoized above"))
     }
 
-    /// Runs one tier, returning its tables and (for report-bearing tiers)
-    /// the pretty-printed JSON report.
-    fn run(&mut self, token: &str) -> BenchResult<(Vec<Table>, Option<String>)> {
-        fn pretty<T: serde::Serialize>(token: &str, report: &T) -> BenchResult<String> {
-            serde_json::to_string_pretty(report)
-                .map_err(|error| format!("failed to serialize {token} report: {error}").into())
+    /// Runs one tier.
+    fn run(&mut self, id: ExperimentId) -> BenchResult<TierOutput> {
+        fn reported<R: serde::Serialize>(
+            id: ExperimentId,
+            report: R,
+            tables: Vec<Table>,
+        ) -> BenchResult<TierOutput> {
+            let json = serde_json::to_string_pretty(&report).map_err(|error| {
+                format!("failed to serialize {} report: {error}", id.cli_token())
+            })?;
+            Ok((tables, Some(json)))
         }
-        Ok(match token {
-            "E1" => (vec![runner::table_e1(self.dumbbell()?)], None),
-            "E2" => (vec![runner::table_e2(self.dumbbell()?)], None),
-            "E3" => (vec![runner::table_e3(self.dumbbell()?)], None),
-            "E4" => (vec![runner::run_e4(self.config, self.sink)?.1], None),
-            "E5" => (vec![runner::run_e5(self.config, self.sink)?.1], None),
-            "E6" => {
-                let (cut_table, c_table) = runner::run_e6(self.config, self.sink)?;
+        use ExperimentId::*;
+        let (config, sink) = (self.config, self.sink);
+        Ok(match id {
+            E1 => (vec![runner::table_e1(self.dumbbell()?)], None),
+            E2 => (vec![runner::table_e2(self.dumbbell()?)], None),
+            E3 => (vec![runner::table_e3(self.dumbbell()?)], None),
+            E4 => (vec![runner::run_e4(config, sink)?.1], None),
+            E5 => (vec![runner::run_e5(config, sink)?.1], None),
+            E6 => {
+                let (cut_table, c_table) = runner::run_e6(config, sink)?;
                 (vec![cut_table, c_table], None)
             }
-            "E7" => (vec![runner::run_e7(self.config, self.sink)?], None),
-            "E8" => (vec![runner::run_e8(self.config, self.sink)?], None),
-            "E9" => (vec![runner::run_e9(self.config, self.sink)?], None),
-            "E10" => (vec![runner::run_e10(self.config, self.sink)?.1], None),
-            "SCALE" => {
-                let (report, table) = runner::run_scale(self.config, self.sink)?;
-                (vec![table], Some(pretty(token, &report)?))
+            E7 => (vec![runner::run_e7(config, sink)?], None),
+            E8 => (vec![runner::run_e8(config, sink)?], None),
+            E9 => (vec![runner::run_e9(config, sink)?], None),
+            E10 => (vec![runner::run_e10(config, sink)?.1], None),
+            Scale => runner::run_scale(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?,
+            SimScale => {
+                runner::run_sim_scale(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
-            "SIM_SCALE" => {
-                let (report, table) = runner::run_sim_scale(self.config, self.sink)?;
-                (vec![table], Some(pretty(token, &report)?))
+            MemScale => {
+                runner::run_mem_scale(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
-            "MEM_SCALE" => {
-                let (report, table) = runner::run_mem_scale(self.config, self.sink)?;
-                (vec![table], Some(pretty(token, &report)?))
+            Robustness => {
+                runner::run_robustness(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
-            "ROBUSTNESS" => {
-                let (report, table) = runner::run_robustness(self.config, self.sink)?;
-                (vec![table], Some(pretty(token, &report)?))
+            Perf => {
+                runner::run_perf(config, sink).and_then(|(r, tables)| reported(id, r, tables))?
             }
-            "PERF" => {
-                let (report, tables) = runner::run_perf(self.config, self.sink)?;
-                (tables, Some(pretty(token, &report)?))
+            Adversary => {
+                runner::run_adversary(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
-            "ADVERSARY" => {
-                let (report, table) = runner::run_adversary(self.config, self.sink)?;
-                (vec![table], Some(pretty(token, &report)?))
-            }
-            other => return Err(format!("tier {other} is not in the registry").into()),
         })
     }
 }
@@ -254,6 +182,35 @@ fn print_usage() {
     );
 }
 
+/// Prints `message` and the usage, and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    print_usage();
+    std::process::exit(2);
+}
+
+/// Prints `message` and exits with status 1.
+fn fatal(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+/// Reads the value of the flag at `args[*i]` and moves `i` onto it.  A
+/// missing value, a value that is itself a flag (`--…`), or one `parse`
+/// rejects is a usage error carrying `message`.
+fn flag_value<T>(
+    args: &[String],
+    i: &mut usize,
+    message: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    *i += 1;
+    args.get(*i)
+        .filter(|value| !value.starts_with("--"))
+        .and_then(|value| parse(value))
+        .unwrap_or_else(|| usage_error(message))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = HarnessConfig::full();
@@ -262,85 +219,47 @@ fn main() {
     let mut store_dir: Option<String> = None;
     let mut resume = false;
     let mut store_summary = false;
-    let mut report_paths: BTreeMap<&'static str, String> = TIERS
-        .iter()
-        .filter_map(|tier| Some((tier.token, tier.default_json?.to_string())))
-        .collect();
+    let mut report_paths: BTreeMap<ExperimentId, String> = BTreeMap::new();
     let valid_tokens: BTreeSet<&'static str> = ExperimentId::all()
         .iter()
         .map(|id| id.cli_token())
         .collect();
+    let path = |value: &str| Some(value.to_string());
 
     let mut i = 0;
     while i < args.len() {
-        let arg = args[i].as_str();
-        // Report-path flags come straight from the registry.
-        if let Some(tier) = TIERS.iter().find(|tier| tier.json_flag == Some(arg)) {
-            i += 1;
-            match args.get(i) {
-                Some(path) => {
-                    report_paths.insert(tier.token, path.clone());
-                }
-                None => {
-                    eprintln!("{arg} requires a path");
-                    print_usage();
-                    std::process::exit(2);
-                }
-            }
-            i += 1;
-            continue;
-        }
-        match arg {
+        match args[i].as_str() {
             "--quick" => config.quick = true,
             "--resume" => resume = true,
             "--store-summary" => store_summary = true,
             "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(seed) => config.seed = seed,
-                    None => {
-                        eprintln!("--seed requires an unsigned integer");
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
+                config.seed =
+                    flag_value(&args, &mut i, "--seed requires an unsigned integer", |v| {
+                        v.parse().ok()
+                    });
             }
             "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(jobs) if jobs >= 1 => config.jobs = Some(jobs),
-                    _ => {
-                        eprintln!("--jobs requires a positive integer");
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
+                let jobs = flag_value(&args, &mut i, "--jobs requires a positive integer", |v| {
+                    v.parse().ok().filter(|&jobs: &usize| jobs >= 1)
+                });
+                config.jobs = Some(jobs);
             }
             "--checkpoint-every-ticks" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(ticks) => config.checkpoint_every_ticks = ticks,
-                    None => {
-                        eprintln!(
-                            "--checkpoint-every-ticks requires an unsigned integer (0 disables)"
-                        );
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
+                config.checkpoint_every_ticks = flag_value(
+                    &args,
+                    &mut i,
+                    "--checkpoint-every-ticks requires an unsigned integer (0 disables)",
+                    |v| v.parse().ok(),
+                );
             }
             "--trial-deadline-secs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(secs) if secs >= 1 => {
-                        config.trial_deadline = Some(std::time::Duration::from_secs(secs));
-                    }
-                    _ => {
-                        eprintln!("--trial-deadline-secs requires a positive integer");
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
+                let secs = flag_value(
+                    &args,
+                    &mut i,
+                    "--trial-deadline-secs requires a positive integer",
+                    |v| v.parse().ok().filter(|&secs: &u64| secs >= 1),
+                );
+                config.trial_deadline = Some(std::time::Duration::from_secs(secs));
             }
             "--only" => {
                 let valid = || valid_tokens.iter().copied().collect::<Vec<_>>().join(" ");
@@ -349,58 +268,47 @@ fn main() {
                 while i < args.len() && !args[i].starts_with("--") {
                     let token = args[i].to_uppercase();
                     if !valid_tokens.contains(token.as_str()) {
-                        eprintln!(
+                        usage_error(&format!(
                             "unknown experiment '{}' for --only; valid tokens: {}",
                             args[i],
                             valid()
-                        );
-                        print_usage();
-                        std::process::exit(2);
+                        ));
                     }
                     only.insert(token);
                     i += 1;
                 }
                 // An empty set would read as "every tier" below.
                 if i == first {
-                    eprintln!(
+                    usage_error(&format!(
                         "--only requires at least one token; valid tokens: {}",
                         valid()
-                    );
-                    print_usage();
-                    std::process::exit(2);
+                    ));
                 }
                 continue;
             }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => json_path = Some(path.clone()),
-                    None => {
-                        eprintln!("--json requires a path");
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--json" => json_path = Some(flag_value(&args, &mut i, "--json requires a path", path)),
             "--store-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => store_dir = Some(dir.clone()),
-                    None => {
-                        eprintln!("--store-dir requires a directory path");
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
+                store_dir = Some(flag_value(
+                    &args,
+                    &mut i,
+                    "--store-dir requires a directory path",
+                    path,
+                ));
             }
             "--help" | "-h" => {
                 print_usage();
                 return;
             }
             other => {
-                eprintln!("unknown argument: {other}");
-                print_usage();
-                std::process::exit(2);
+                // The six report flags come from the tier tokens.
+                let Some(id) = ExperimentId::all()
+                    .into_iter()
+                    .find(|&id| report_flag(id).as_deref() == Some(other))
+                else {
+                    usage_error(&format!("unknown argument: {other}"));
+                };
+                let message = format!("{other} requires a path");
+                report_paths.insert(id, flag_value(&args, &mut i, &message, path));
             }
         }
         i += 1;
@@ -409,11 +317,9 @@ fn main() {
     // Checkpoints are committed to the store, so a non-zero cadence without
     // one would capture and encode every checkpoint only to drop it.
     if (resume || store_summary || config.checkpoint_every_ticks != 0) && store_dir.is_none() {
-        eprintln!(
-            "--resume, --store-summary and a non-zero --checkpoint-every-ticks require --store-dir"
+        usage_error(
+            "--resume, --store-summary and a non-zero --checkpoint-every-ticks require --store-dir",
         );
-        print_usage();
-        std::process::exit(2);
     }
 
     // Open the run store (resume mode also for --store-summary: a summary
@@ -426,10 +332,7 @@ fn main() {
                 }
                 Some(StoreSink::new(store))
             }
-            Err(error) => {
-                eprintln!("failed to open run store at {dir}: {error}");
-                std::process::exit(1);
-            }
+            Err(error) => fatal(format!("failed to open run store at {dir}: {error}")),
         },
         None => None,
     };
@@ -450,24 +353,17 @@ fn main() {
     let wanted = |token: &str| only.is_empty() || only.contains(token);
     let mut session = Session::new(&config, sink);
     let mut tables: Vec<Table> = Vec::new();
-    let mut reports: Vec<(&'static str, String)> = Vec::new();
+    let mut reports: Vec<(ExperimentId, String)> = Vec::new();
 
-    for tier in TIERS {
-        if !wanted(tier.token) {
+    for id in ExperimentId::all() {
+        if !wanted(id.cli_token()) {
             continue;
         }
-        match session.run(tier.token) {
-            Ok((tier_tables, report)) => {
-                tables.extend(tier_tables);
-                if let Some(report) = report {
-                    reports.push((tier.token, report));
-                }
-            }
-            Err(error) => {
-                eprintln!("experiment harness failed: {error}");
-                std::process::exit(1);
-            }
-        }
+        let (tier_tables, report) = session
+            .run(id)
+            .unwrap_or_else(|error| fatal(format!("experiment harness failed: {error}")));
+        tables.extend(tier_tables);
+        reports.extend(report.map(|report| (id, report)));
     }
 
     println!(
@@ -479,29 +375,23 @@ fn main() {
         println!("{table}");
     }
 
-    for (token, report) in &reports {
-        let path = &report_paths[token];
-        if let Err(error) = std::fs::write(path, report) {
-            eprintln!("failed to write {path}: {error}");
-            std::process::exit(1);
+    for (id, report) in &reports {
+        let path = report_paths
+            .remove(id)
+            .unwrap_or_else(|| default_report_path(*id));
+        if let Err(error) = std::fs::write(&path, report) {
+            fatal(format!("failed to write {path}: {error}"));
         }
-        eprintln!("wrote {} report to {path}", token.to_lowercase());
+        eprintln!("wrote {} report to {path}", id.cli_token().to_lowercase());
     }
 
     if let Some(path) = json_path {
-        match serde_json::to_string_pretty(&tables) {
-            Ok(json) => {
-                if let Err(error) = std::fs::write(&path, json) {
-                    eprintln!("failed to write {path}: {error}");
-                    std::process::exit(1);
-                }
-                eprintln!("wrote JSON results to {path}");
-            }
-            Err(error) => {
-                eprintln!("failed to serialize results: {error}");
-                std::process::exit(1);
-            }
+        let json = serde_json::to_string_pretty(&tables)
+            .unwrap_or_else(|error| fatal(format!("failed to serialize results: {error}")));
+        if let Err(error) = std::fs::write(&path, json) {
+            fatal(format!("failed to write {path}: {error}"));
         }
+        eprintln!("wrote JSON results to {path}");
     }
 
     if let Some(sink) = store_sink {
@@ -511,41 +401,6 @@ fn main() {
         let store = sink.into_store();
         for line in StoreSummary::from_store(&store).render_lines() {
             eprintln!("store: {line}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_covers_every_experiment_exactly_once() {
-        let registry: Vec<&str> = TIERS.iter().map(|tier| tier.token).collect();
-        let mut deduped = registry.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        assert_eq!(deduped.len(), registry.len(), "duplicate registry row");
-        let index: BTreeSet<&str> = ExperimentId::all()
-            .iter()
-            .map(|id| id.cli_token())
-            .collect();
-        let registry: BTreeSet<&str> = registry.into_iter().collect();
-        assert_eq!(registry, index);
-    }
-
-    #[test]
-    fn report_bearing_tiers_have_both_flag_and_default() {
-        for tier in TIERS {
-            assert_eq!(
-                tier.json_flag.is_some(),
-                tier.default_json.is_some(),
-                "{} must have a flag iff it has a default path",
-                tier.token
-            );
-            if let Some(flag) = tier.json_flag {
-                assert!(flag.starts_with("--") && flag.ends_with("-json"));
-            }
         }
     }
 }

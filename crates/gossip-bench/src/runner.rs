@@ -16,7 +16,7 @@
 
 use crate::probes::{CutTickProbe, EpochProbe};
 use crate::table::Table;
-use crate::trial::{engine_fingerprint, run_trials, schema};
+use crate::trial::{run_trials, schema};
 use gossip_analysis::dominance::DominanceReport;
 use gossip_analysis::random_walk::simple_walk_tail_frequency;
 use gossip_analysis::{concentration, regression, robust, stats};
@@ -34,7 +34,9 @@ use gossip_sim::stopping::StoppingRule;
 use gossip_sim::sync::{RoundHandler, SyncConfig, SyncSimulator};
 use gossip_sim::values::NodeValues;
 use gossip_sim::SimError;
-use gossip_store::{trial_key, CheckpointRecord, TrialSink};
+use gossip_store::{CheckpointRecord, TrialKey, TrialSink};
+use gossip_workloads::adversary::AdversaryCase;
+use gossip_workloads::churn::ChurnCase;
 use gossip_workloads::scenarios::robustness_suite;
 use gossip_workloads::sweep;
 use gossip_workloads::{ExperimentId, InitialCondition, Scenario};
@@ -117,7 +119,7 @@ impl HarnessConfig {
     }
 
     /// The row-level executor of this harness run.
-    fn executor(&self) -> Executor {
+    pub(crate) fn executor(&self) -> Executor {
         Executor::with_override(self.jobs)
     }
 
@@ -157,6 +159,11 @@ impl Default for HarnessConfig {
 
 fn fmt(v: f64) -> String {
     Table::fmt_f64(v)
+}
+
+/// A tier table's title: `<id>: <descriptor title>`.
+fn title(id: ExperimentId) -> String {
+    format!("{id}: {}", id.descriptor().title)
 }
 
 // ---------------------------------------------------------------------------
@@ -204,15 +211,13 @@ pub fn run_dumbbell_sweep(
     sink: &dyn TrialSink,
 ) -> BenchResult<DumbbellSweep> {
     let sizes = sweep::dumbbell_size_sweep(16, config.max_dumbbell_n());
-    let fingerprints: Vec<String> = sizes.values.iter().map(Scenario::fingerprint).collect();
     let rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "DUMBBELL",
-        &fingerprints,
-        |index| -> BenchResult<DumbbellSweepRow> {
-            let scenario = &sizes.values[index];
+        &sizes.values,
+        Scenario::fingerprint,
+        |index, scenario, _| -> BenchResult<DumbbellSweepRow> {
             let instance = scenario.instantiate(config.seed)?;
             let graph = &instance.graph;
             let partition = &instance.partition;
@@ -249,9 +254,8 @@ pub fn run_dumbbell_sweep(
 
 /// Table E1: convex averaging times versus the Theorem 1 lower bound.
 pub fn table_e1(sweep: &DumbbellSweep) -> Table {
-    let descriptor = ExperimentId::E1.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E1),
         &[
             "n",
             "Thm1 bound n1/|E12|",
@@ -276,9 +280,8 @@ pub fn table_e1(sweep: &DumbbellSweep) -> Table {
 
 /// Table E2: Algorithm A's averaging time versus the Theorem 2 quantity.
 pub fn table_e2(sweep: &DumbbellSweep) -> Table {
-    let descriptor = ExperimentId::E2.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E2),
         &[
             "n",
             "Thm2 C·ln n·(Tvan1+Tvan2)",
@@ -299,9 +302,8 @@ pub fn table_e2(sweep: &DumbbellSweep) -> Table {
 
 /// Table E3: the separation (speed-up) and the fitted scaling exponents.
 pub fn table_e3(sweep: &DumbbellSweep) -> Table {
-    let descriptor = ExperimentId::E3.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E3),
         &["n", "vanilla T_av", "Algorithm A T_av", "speed-up"],
     );
     for row in &sweep.rows {
@@ -365,14 +367,13 @@ schema! { row
 pub fn run_e4(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(E4Result, Table)> {
     let half = if config.quick { 32 } else { 64 };
     let horizon = if config.quick { 20.0 } else { 40.0 };
-    let fingerprints = vec![format!("dumbbell(half={half})+horizon={horizon}")];
     let mut rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E4",
-        &fingerprints,
-        |_| -> BenchResult<E4Result> {
+        &[(half, horizon)],
+        |(half, horizon)| format!("dumbbell(half={half})+horizon={horizon}"),
+        |_, _, _| -> BenchResult<E4Result> {
             let (graph, partition) = gossip_graph::generators::dumbbell(half)?;
             let n1 = partition.smaller_block_size() as f64;
             let initial = AveragingTimeEstimator::adversarial_initial(&partition);
@@ -402,9 +403,8 @@ pub fn run_e4(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(E4Re
     )?;
     let result = rows.pop().expect("E4 runs exactly one trial");
 
-    let descriptor = ExperimentId::E4.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E4),
         &["quantity", "bound / expectation", "observed"],
     );
     table.push_row(vec![
@@ -462,18 +462,13 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
     } else {
         vec![16, 32, 64]
     };
-    let fingerprints: Vec<String> = halves
-        .iter()
-        .map(|half| format!("dumbbell(half={half})"))
-        .collect();
     let maybe_rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E5",
-        &fingerprints,
-        |index| -> BenchResult<Option<E5Row>> {
-            let half = halves[index];
+        &halves,
+        |half| format!("dumbbell(half={half})"),
+        |index, &half, _| -> BenchResult<Option<E5Row>> {
             let (graph, partition) = gossip_graph::generators::dumbbell(half)?;
             // Start from a within-block-noisy vector so that several epochs are
             // needed (the clean adversarial vector converges after one transfer).
@@ -519,9 +514,8 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
     )?;
     let rows: Vec<E5Row> = maybe_rows.into_iter().flatten().collect();
 
-    let descriptor = ExperimentId::E5.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E5),
         &[
             "n",
             "epochs",
@@ -559,27 +553,21 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
 ///
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Table, Table)> {
-    let descriptor = ExperimentId::E6.descriptor();
+    let heading = title(ExperimentId::E6);
     // Part 1: cut width.
     let cluster = if config.quick { 16 } else { 24 };
     let cut_sweep = sweep::cut_width_sweep(cluster, 0.5, if config.quick { 4 } else { 16 });
     let mut cut_table = Table::new(
-        format!("{}: {} — cut width", descriptor.id, descriptor.title),
+        format!("{heading} — cut width"),
         &["|E12|", "Thm1 bound", "vanilla T_av", "Algorithm A T_av"],
     );
-    let cut_fingerprints: Vec<String> = cut_sweep
-        .values
-        .iter()
-        .map(|scenario| format!("{}+part=cut", scenario.fingerprint()))
-        .collect();
     let cut_rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E6",
-        &cut_fingerprints,
-        |index| -> BenchResult<Vec<String>> {
-            let scenario = &cut_sweep.values[index];
+        &cut_sweep.values,
+        |scenario| format!("{}+part=cut", scenario.fingerprint()),
+        |index, scenario, _| -> BenchResult<Vec<String>> {
             let instance = scenario.instantiate(config.seed.wrapping_add(600 + index as u64))?;
             let graph = &instance.graph;
             let partition = &instance.partition;
@@ -607,22 +595,16 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
     let (graph, partition) = gossip_graph::generators::dumbbell(half)?;
     let constants = sweep::epoch_constant_sweep(&[]);
     let mut c_table = Table::new(
-        format!("{}: {} — epoch constant C", descriptor.id, descriptor.title),
+        format!("{heading} — epoch constant C"),
         &["C", "epoch ticks", "Algorithm A T_av"],
     );
-    let c_fingerprints: Vec<String> = constants
-        .values
-        .iter()
-        .map(|c| format!("dumbbell(half={half})+C={c}"))
-        .collect();
     let c_rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E6",
-        &c_fingerprints,
-        |index| -> BenchResult<Vec<String>> {
-            let c = constants.values[index];
+        &constants.values,
+        |c| format!("dumbbell(half={half})+C={c}"),
+        |index, &c, _| -> BenchResult<Vec<String>> {
             let estimator = config.estimator(800 + index as u64, 4000.0);
             let algorithm = SparseCutAlgorithm::from_partition(
                 &graph,
@@ -665,9 +647,8 @@ fn sync_settling_time<H: RoundHandler>(
 ///
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
-    let descriptor = ExperimentId::E7.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E7),
         &[
             "n",
             "1st-order diffusion",
@@ -681,18 +662,13 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
     } else {
         vec![16, 32, 64, 128]
     };
-    let fingerprints: Vec<String> = sizes
-        .iter()
-        .map(|n| format!("dumbbell(half={})", n / 2))
-        .collect();
     let rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E7",
-        &fingerprints,
-        |index| -> BenchResult<Vec<String>> {
-            let n = sizes[index];
+        &sizes,
+        |n| format!("dumbbell(half={})", n / 2),
+        |index, &n, _| -> BenchResult<Vec<String>> {
             let (graph, partition) = gossip_graph::generators::dumbbell(n / 2)?;
             let initial = AveragingTimeEstimator::adversarial_initial(&partition);
 
@@ -733,9 +709,8 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
 ///
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
-    let descriptor = ExperimentId::E8.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E8),
         &[
             "scenario",
             "n",
@@ -747,16 +722,13 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
         ],
     );
     let total = if config.quick { 32 } else { 96 };
-    let suite = robustness_suite(total);
-    let fingerprints: Vec<String> = suite.iter().map(Scenario::fingerprint).collect();
     let rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E8",
-        &fingerprints,
-        |index| -> BenchResult<Vec<String>> {
-            let scenario = &suite[index];
+        &robustness_suite(total),
+        Scenario::fingerprint,
+        |index, scenario, _| -> BenchResult<Vec<String>> {
             let instance = scenario.instantiate(config.seed.wrapping_add(100 + index as u64))?;
             instance.validate_notation1()?;
             let graph = &instance.graph;
@@ -794,26 +766,20 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
 ///
 /// Propagates analysis and journal errors.
 pub fn run_e9(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
-    let descriptor = ExperimentId::E9.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E9),
         &["s", "empirical P[S_k ≥ s√k]", "Theorem 3 bound e^{−s²/2}"],
     );
     let k = 64;
     let trials = if config.quick { 4_000 } else { 20_000 };
     let thresholds = [0.5, 1.0, 1.5, 2.0, 2.5];
-    let fingerprints: Vec<String> = thresholds
-        .iter()
-        .map(|s| format!("walk(k={k},s={s},trials={trials})"))
-        .collect();
     let rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E9",
-        &fingerprints,
-        |index| -> BenchResult<Vec<String>> {
-            let s = thresholds[index];
+        &thresholds,
+        |s| format!("walk(k={k},s={s},trials={trials})"),
+        |_, &s, _| -> BenchResult<Vec<String>> {
             let empirical = simple_walk_tail_frequency(k, s, trials, config.seed.wrapping_add(9));
             let bound = concentration::simple_walk_tail_bound(k, s)?;
             Ok(vec![fmt(s), fmt(empirical), fmt(bound)])
@@ -875,18 +841,13 @@ pub fn run_e10(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec
             TransferCoefficient::Custom(0.5),
         ),
     ];
-    let fingerprints: Vec<String> = choices
-        .iter()
-        .map(|(_, coefficient)| format!("dumbbell(half={half})+coeff={coefficient:?}"))
-        .collect();
     let rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "E10",
-        &fingerprints,
-        |index| -> BenchResult<E10Row> {
-            let (name, coefficient) = &choices[index];
+        &choices,
+        |(_, coefficient)| format!("dumbbell(half={half})+coeff={coefficient:?}"),
+        |_, (name, coefficient), _| -> BenchResult<E10Row> {
             let coefficient = *coefficient;
             let algorithm = SparseCutAlgorithm::from_partition(
                 &graph,
@@ -904,9 +865,8 @@ pub fn run_e10(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec
         },
     )?;
 
-    let descriptor = ExperimentId::E10.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::E10),
         &[
             "transfer coefficient",
             "γ",
@@ -1000,18 +960,15 @@ pub fn run_scale(
     sink: &dyn TrialSink,
 ) -> BenchResult<(ScaleReport, Table)> {
     gossip_linalg::matrix::reset_largest_dense_dimension();
-    let sweep = sweep::scale_sweep(config.quick);
-    let fingerprints: Vec<String> = sweep.values.iter().map(Scenario::fingerprint).collect();
     // The dense-dimension tracker is a process-global atomic (fetch_max), so
     // concurrent rows feed it exactly like serial rows do.
     let rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "SCALE",
-        &fingerprints,
-        |index| -> BenchResult<ScaleRow> {
-            let scenario = &sweep.values[index];
+        &sweep::scale_sweep(config.quick).values,
+        Scenario::fingerprint,
+        |index, scenario, _| -> BenchResult<ScaleRow> {
             let build_start = std::time::Instant::now();
             let instance = scenario.instantiate(config.seed.wrapping_add(1200 + index as u64))?;
             let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
@@ -1041,9 +998,8 @@ pub fn run_scale(
         rows,
     };
 
-    let descriptor = ExperimentId::Scale.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::Scale),
         &[
             "family",
             "n",
@@ -1129,6 +1085,133 @@ schema! { report
     volatile: [wall_ms, ticks_per_sec]
 }
 
+/// How a tier runs its timed vanilla relaxations: SIM_SCALE, MEM_SCALE and
+/// PERF's throughput section differ only in these.
+#[derive(Debug, Clone, Copy)]
+struct Relaxation {
+    /// The journal token the trial and its checkpoints are filed under.
+    experiment: &'static str,
+    /// The instance, initial-vector and clock seeds are the harness seed
+    /// plus this offset, +100 and +200, each plus the trial index.
+    seed_offset: u64,
+    /// Whether the chordal ring starts from the arc-adversarial vector;
+    /// every other start is uniform on `[-1, 1]`.
+    adversarial_ring: bool,
+    /// Mid-run checkpoint cadence in ticks; `0` captures nothing.
+    checkpoint_every_ticks: u64,
+}
+
+impl Relaxation {
+    /// Runs trial `index` on `scenario`: a vanilla relaxation under the
+    /// global uniform clock to the Definition 1 stop (capped at 2·10⁹ ticks
+    /// and 4·10⁹ events) within the trial deadline, timed from simulator
+    /// construction to the stop.  It reports a [`SimScaleRow`], which
+    /// MEM_SCALE and PERF copy their fields from.
+    ///
+    /// With a non-zero checkpoint cadence the run resumes from the newest
+    /// checkpoint committed under `key`, if any, and commits each new one
+    /// through `sink` as it goes; the engine guarantees restored and
+    /// checkpointing runs are bit-identical to an uninterrupted one.
+    fn run(
+        self,
+        config: &HarnessConfig,
+        sink: &dyn TrialSink,
+        index: usize,
+        scenario: &Scenario,
+        key: TrialKey,
+    ) -> BenchResult<SimScaleRow> {
+        let seed = config.seed.wrapping_add(self.seed_offset + index as u64);
+        let instance = scenario.instantiate(seed)?;
+        let graph = &instance.graph;
+        let n = graph.node_count();
+        let (initial, initial_label) = match scenario {
+            Scenario::ChordalRing { .. } if self.adversarial_ring => (
+                AveragingTimeEstimator::adversarial_initial(&instance.partition),
+                "arc-adversarial",
+            ),
+            _ => (
+                InitialCondition::Uniform { lo: -1.0, hi: 1.0 }.generate(
+                    n,
+                    Some(&instance.partition),
+                    seed.wrapping_add(100),
+                )?,
+                "uniform",
+            ),
+        };
+        let sim_config = config.apply_deadline(
+            SimulationConfig::new(seed.wrapping_add(200))
+                // The committed SIM_SCALE report holds the global sampler's
+                // stream; the per-edge queue samples the same process
+                // through a different stream, so switching would change
+                // every output.
+                .with_clock_model(ClockModel::GlobalUniform)
+                .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
+                .with_max_events(4_000_000_000)
+                .with_checkpoint_every_ticks(self.checkpoint_every_ticks),
+        );
+        let checkpointing = self.checkpoint_every_ticks > 0;
+
+        let start = std::time::Instant::now();
+        let latest = if checkpointing {
+            sink.latest_checkpoint(key)
+        } else {
+            None
+        };
+        let mut simulator = match latest {
+            Some((tick, blob)) => {
+                let checkpoint = EngineCheckpoint::from_value(&blob)?;
+                eprintln!(
+                    "run store[{}]: restoring {} from checkpoint at tick {tick}",
+                    self.experiment,
+                    scenario.fingerprint()
+                );
+                AsyncSimulator::restore(graph, VanillaGossip::new(), sim_config, &checkpoint)?
+            }
+            None => AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?,
+        };
+        let outcome = if checkpointing {
+            // The engine's sink signature speaks `SimError`; carry any store
+            // failure across it in a slot and rethrow it as-is.
+            let mut store_failure = None;
+            let outcome = simulator.run_with_checkpoints(&mut |checkpoint| {
+                let record = CheckpointRecord {
+                    key,
+                    experiment: self.experiment.to_string(),
+                    tick: checkpoint.tick(),
+                    blob: checkpoint.to_value(),
+                };
+                sink.commit_checkpoint(record).map_err(|error| {
+                    let reason = format!("checkpoint commit failed: {error}");
+                    store_failure = Some(error);
+                    SimError::InvalidConfig { reason }
+                })
+            });
+            match (outcome, store_failure) {
+                (Ok(outcome), _) => outcome,
+                (Err(_), Some(store_error)) => return Err(store_error.into()),
+                (Err(sim_error), None) => return Err(sim_error.into()),
+            }
+        } else {
+            simulator.run()?
+        };
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+
+        Ok(SimScaleRow {
+            family: instance.name.clone(),
+            n,
+            edges: graph.edge_count(),
+            initial: initial_label.to_string(),
+            ticks: outcome.total_ticks,
+            stop_time: outcome.elapsed_time,
+            stop_reason: format!("{:?}", outcome.stop_reason),
+            variance_ratio: outcome.variance_ratio(),
+            moment_refreshes: outcome.moment_refreshes,
+            wall_ms,
+            ticks_per_sec: outcome.total_ticks as f64 / (wall_ms / 1e3).max(1e-9),
+        })
+    }
+}
+
 /// Runs one sim-scale row per scenario — an asynchronous vanilla run to the
 /// Definition 1 stop with per-tick O(1) checking, timed — fanning the rows
 /// out over the harness executor with ordered collection.
@@ -1148,61 +1231,19 @@ pub fn sim_scale_rows(
     sink: &dyn TrialSink,
     scenarios: &[Scenario],
 ) -> BenchResult<Vec<SimScaleRow>> {
-    let fingerprints: Vec<String> = scenarios.iter().map(Scenario::fingerprint).collect();
+    let relaxation = Relaxation {
+        experiment: "SIM_SCALE",
+        seed_offset: 1300,
+        adversarial_ring: true,
+        checkpoint_every_ticks: 0,
+    };
     run_trials(
         config,
-        &config.executor(),
         sink,
-        "SIM_SCALE",
-        &fingerprints,
-        |index| -> BenchResult<SimScaleRow> {
-            let scenario = &scenarios[index];
-            let instance = scenario.instantiate(config.seed.wrapping_add(1300 + index as u64))?;
-            let graph = &instance.graph;
-            let n = graph.node_count();
-            let (initial, initial_label) = match scenario {
-                Scenario::ChordalRing { .. } => (
-                    AveragingTimeEstimator::adversarial_initial(&instance.partition),
-                    "arc-adversarial",
-                ),
-                _ => (
-                    InitialCondition::Uniform { lo: -1.0, hi: 1.0 }.generate(
-                        n,
-                        Some(&instance.partition),
-                        config.seed.wrapping_add(1400 + index as u64),
-                    )?,
-                    "uniform",
-                ),
-            };
-            let sim_config = config.apply_deadline(
-                SimulationConfig::new(config.seed.wrapping_add(1500 + index as u64))
-                    // The committed SIM_SCALE report holds the global
-                    // sampler's stream; the per-edge queue samples the same
-                    // process through a different stream, so switching
-                    // would change every output.
-                    .with_clock_model(ClockModel::GlobalUniform)
-                    .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
-                    .with_max_events(4_000_000_000),
-            );
-            let start = std::time::Instant::now();
-            let mut simulator =
-                AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?;
-            let outcome = simulator.run()?;
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            Ok(SimScaleRow {
-                family: instance.name.clone(),
-                n,
-                edges: graph.edge_count(),
-                initial: initial_label.to_string(),
-                ticks: outcome.total_ticks,
-                stop_time: outcome.elapsed_time,
-                stop_reason: format!("{:?}", outcome.stop_reason),
-                variance_ratio: outcome.variance_ratio(),
-                moment_refreshes: outcome.moment_refreshes,
-                wall_ms,
-                ticks_per_sec: outcome.total_ticks as f64 / (wall_ms / 1e3).max(1e-9),
-            })
-        },
+        relaxation.experiment,
+        scenarios,
+        Scenario::fingerprint,
+        |index, scenario, key| relaxation.run(config, sink, index, scenario, key),
     )
 }
 
@@ -1233,9 +1274,8 @@ pub fn run_sim_scale(
         rows,
     };
 
-    let descriptor = ExperimentId::SimScale.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::SimScale),
         &[
             "family",
             "n",
@@ -1351,105 +1391,40 @@ schema! { report
 }
 
 /// Runs one mem-scale row per scenario: a timed vanilla run to the
-/// Definition 1 stop.  Row machinery of [`run_mem_scale`], split out so the
-/// unit tests can run it on a small suite.
+/// Definition 1 stop from the uniform vector, checkpointed at the harness's
+/// cadence.  Row machinery of [`run_mem_scale`], split out so the unit
+/// tests can run it on a small suite.
 fn mem_scale_rows(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
     scenarios: &[Scenario],
 ) -> BenchResult<Vec<MemScaleRow>> {
-    let fingerprints: Vec<String> = scenarios.iter().map(Scenario::fingerprint).collect();
+    let relaxation = Relaxation {
+        experiment: "MEM_SCALE",
+        seed_offset: 3000,
+        adversarial_ring: false,
+        checkpoint_every_ticks: config.checkpoint_every_ticks,
+    };
     run_trials(
         config,
-        &config.executor(),
         sink,
-        "MEM_SCALE",
-        &fingerprints,
-        |index| -> BenchResult<MemScaleRow> {
-            let scenario = &scenarios[index];
-            let instance = scenario.instantiate(config.seed.wrapping_add(3000 + index as u64))?;
-            let graph = &instance.graph;
-            let n = graph.node_count();
-            let initial = InitialCondition::Uniform { lo: -1.0, hi: 1.0 }.generate(
-                n,
-                Some(&instance.partition),
-                config.seed.wrapping_add(3100 + index as u64),
-            )?;
-            let sim_config = config.apply_deadline(
-                SimulationConfig::new(config.seed.wrapping_add(3200 + index as u64))
-                    .with_clock_model(ClockModel::GlobalUniform)
-                    .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
-                    .with_max_events(4_000_000_000)
-                    .with_checkpoint_every_ticks(config.checkpoint_every_ticks),
-            );
-
-            let start = std::time::Instant::now();
-            let outcome = if config.checkpoint_every_ticks > 0 {
-                // Mid-run checkpointing: resume the timed run from the newest
-                // committed checkpoint (if any), and commit each new
-                // checkpoint through the sink as the run progresses.  The
-                // engine guarantees restored and checkpointing runs are
-                // bit-identical to an uninterrupted one.
-                let key = trial_key(
-                    "MEM_SCALE",
-                    &scenario.fingerprint(),
-                    config.seed,
-                    &engine_fingerprint(config),
-                );
-                let mut sim = match sink.latest_checkpoint(key) {
-                    Some((tick, blob)) => {
-                        let checkpoint = EngineCheckpoint::from_value(&blob)?;
-                        eprintln!(
-                            "run store[MEM_SCALE]: restoring {} from checkpoint at tick {tick}",
-                            scenario.fingerprint()
-                        );
-                        AsyncSimulator::restore(
-                            graph,
-                            VanillaGossip::new(),
-                            sim_config,
-                            &checkpoint,
-                        )?
-                    }
-                    None => AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?,
-                };
-                // The engine's sink signature speaks `SimError`; carry any
-                // store failure across it in a slot and rethrow it as-is.
-                let mut store_failure = None;
-                let outcome = sim.run_with_checkpoints(&mut |checkpoint| {
-                    let record = CheckpointRecord {
-                        key,
-                        experiment: "MEM_SCALE".to_string(),
-                        tick: checkpoint.tick(),
-                        blob: checkpoint.to_value(),
-                    };
-                    sink.commit_checkpoint(record).map_err(|error| {
-                        let reason = format!("checkpoint commit failed: {error}");
-                        store_failure = Some(error);
-                        SimError::InvalidConfig { reason }
-                    })
-                });
-                match (outcome, store_failure) {
-                    (Ok(outcome), _) => outcome,
-                    (Err(_), Some(store_error)) => return Err(store_error.into()),
-                    (Err(sim_error), None) => return Err(sim_error.into()),
-                }
-            } else {
-                AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?.run()?
-            };
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
+        relaxation.experiment,
+        scenarios,
+        Scenario::fingerprint,
+        |index, scenario, key| -> BenchResult<MemScaleRow> {
+            let row = relaxation.run(config, sink, index, scenario, key)?;
             Ok(MemScaleRow {
-                family: instance.name.clone(),
-                n,
-                edges: graph.edge_count(),
-                initial: "uniform".to_string(),
-                ticks: outcome.total_ticks,
-                stop_time: outcome.elapsed_time,
-                stop_reason: format!("{:?}", outcome.stop_reason),
-                variance_ratio: outcome.variance_ratio(),
-                moment_refreshes: outcome.moment_refreshes,
-                wall_ms,
-                ticks_per_sec: outcome.total_ticks as f64 / (wall_ms / 1e3).max(1e-9),
+                family: row.family,
+                n: row.n,
+                edges: row.edges,
+                initial: row.initial,
+                ticks: row.ticks,
+                stop_time: row.stop_time,
+                stop_reason: row.stop_reason,
+                variance_ratio: row.variance_ratio,
+                moment_refreshes: row.moment_refreshes,
+                wall_ms: row.wall_ms,
+                ticks_per_sec: row.ticks_per_sec,
                 peak_rss_bytes: peak_rss_bytes(),
             })
         },
@@ -1483,9 +1458,8 @@ pub fn run_mem_scale(
         rows,
     };
 
-    let descriptor = ExperimentId::MemScale.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::MemScale),
         &[
             "family",
             "n",
@@ -1581,30 +1555,21 @@ schema! { report
     volatile: []
 }
 
-/// Runs the robustness tier: for every size in the robustness grid and every
-/// churn case, one fault-free baseline run and one faulted run (same clock
-/// seed, adversarial cut-aligned start, global uniform clock, Definition 1
-/// stop), plus the worst-surviving-subgraph spectral probe of the plan's
-/// dynamic topology.  The report carries no wall-clock fields, so two runs
-/// at the same seed are byte-identical — CI diffs the JSON.
-///
-/// # Errors
-///
-/// Propagates graph-construction, fault-plan, simulation and journal errors.
-pub fn run_robustness(
+/// Runs one robustness row per churn case.  Row machinery of
+/// [`run_robustness`], split out so the unit tests can run it on a small
+/// suite.
+fn robustness_rows(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
-) -> BenchResult<(RobustnessReport, Table)> {
-    let sweep = sweep::robustness_sweep(config.quick);
-    let fingerprints: Vec<String> = sweep.values.iter().map(|case| case.fingerprint()).collect();
-    let rows = run_trials(
+    cases: &[ChurnCase],
+) -> BenchResult<Vec<RobustnessRow>> {
+    run_trials(
         config,
-        &config.executor(),
         sink,
         "ROBUSTNESS",
-        &fingerprints,
-        |index| -> BenchResult<RobustnessRow> {
-            let case = &sweep.values[index];
+        cases,
+        ChurnCase::fingerprint,
+        |index, case, _| -> BenchResult<RobustnessRow> {
             let instance = case
                 .scenario
                 .instantiate(config.seed.wrapping_add(1600 + index as u64))?;
@@ -1666,16 +1631,32 @@ pub fn run_robustness(
                 worst_surviving_lambda2: worst_lambda2,
             })
         },
-    )?;
+    )
+}
+
+/// Runs the robustness tier: for every size in the robustness grid and every
+/// churn case, one fault-free baseline run and one faulted run (same clock
+/// seed, adversarial cut-aligned start, global uniform clock, Definition 1
+/// stop), plus the worst-surviving-subgraph spectral probe of the plan's
+/// dynamic topology.  The report carries no wall-clock fields, so two runs
+/// at the same seed are byte-identical — CI diffs the JSON.
+///
+/// # Errors
+///
+/// Propagates graph-construction, fault-plan, simulation and journal errors.
+pub fn run_robustness(
+    config: &HarnessConfig,
+    sink: &dyn TrialSink,
+) -> BenchResult<(RobustnessReport, Table)> {
+    let rows = robustness_rows(config, sink, &sweep::robustness_sweep(config.quick).values)?;
     let report = RobustnessReport {
         quick: config.quick,
         seed: config.seed,
         rows,
     };
 
-    let descriptor = ExperimentId::Robustness.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::Robustness),
         &[
             "family",
             "fault",
@@ -1818,16 +1799,13 @@ pub fn run_adversary(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
 ) -> BenchResult<(AdversaryReport, Table)> {
-    let sweep = sweep::adversary_sweep(config.quick);
-    let fingerprints: Vec<String> = sweep.values.iter().map(|case| case.fingerprint()).collect();
     let rows = run_trials(
         config,
-        &config.executor(),
         sink,
         "ADVERSARY",
-        &fingerprints,
-        |index| -> BenchResult<AdversaryRow> {
-            let case = &sweep.values[index];
+        &sweep::adversary_sweep(config.quick).values,
+        AdversaryCase::fingerprint,
+        |index, case, _| -> BenchResult<AdversaryRow> {
             let instance = case
                 .scenario
                 .instantiate(config.seed.wrapping_add(2700 + index as u64))?;
@@ -1922,9 +1900,8 @@ pub fn run_adversary(
         rows,
     };
 
-    let descriptor = ExperimentId::Adversary.descriptor();
     let mut table = Table::new(
-        format!("{}: {}", descriptor.id, descriptor.title),
+        title(ExperimentId::Adversary),
         &[
             "family",
             "attack",
@@ -2139,55 +2116,36 @@ pub fn run_perf_sized(
     // the harness job count is: concurrent siblings would contend for cache
     // and memory bandwidth and deflate every row.  A handful of serial rows
     // cost seconds; polluted throughput numbers poison the perf trajectory.
-    // Replayed trials return their wall-clock fields as committed.
-    let serial = Executor::new(1);
+    // Replayed trials return their wall-clock fields as committed.  The
+    // estimator's job grid still comes from the harness's `jobs`.
+    let serial = &HarnessConfig {
+        jobs: Some(1),
+        ..*config
+    };
 
-    let suite = gossip_workloads::scenarios::sim_scale_suite(sim_n);
-    let throughput_fingerprints: Vec<String> = suite
-        .iter()
-        .map(|scenario| format!("{}+section=throughput", scenario.fingerprint()))
-        .collect();
+    let relaxation = Relaxation {
+        experiment: "PERF",
+        seed_offset: 1900,
+        adversarial_ring: true,
+        checkpoint_every_ticks: 0,
+    };
     let throughput = run_trials(
-        config,
-        &serial,
+        serial,
         sink,
-        "PERF",
-        &throughput_fingerprints,
-        |index| -> BenchResult<PerfThroughputRow> {
-            let scenario = &suite[index];
-            let instance = scenario.instantiate(config.seed.wrapping_add(1900 + index as u64))?;
-            let graph = &instance.graph;
-            let n = graph.node_count();
-            let initial = match scenario {
-                Scenario::ChordalRing { .. } => {
-                    AveragingTimeEstimator::adversarial_initial(&instance.partition)
-                }
-                _ => InitialCondition::Uniform { lo: -1.0, hi: 1.0 }.generate(
-                    n,
-                    Some(&instance.partition),
-                    config.seed.wrapping_add(2000 + index as u64),
-                )?,
-            };
-            let sim_config = config.apply_deadline(
-                SimulationConfig::new(config.seed.wrapping_add(2100 + index as u64))
-                    .with_clock_model(ClockModel::GlobalUniform)
-                    .with_stopping_rule(StoppingRule::definition1().or_max_ticks(2_000_000_000))
-                    .with_max_events(4_000_000_000),
-            );
-            let start = std::time::Instant::now();
-            let mut simulator =
-                AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?;
-            let outcome = simulator.run()?;
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        relaxation.experiment,
+        &gossip_workloads::scenarios::sim_scale_suite(sim_n),
+        |scenario| format!("{}+section=throughput", scenario.fingerprint()),
+        |index, scenario, key| -> BenchResult<PerfThroughputRow> {
+            let row = relaxation.run(serial, sink, index, scenario, key)?;
             Ok(PerfThroughputRow {
-                family: instance.name.clone(),
-                n,
-                edges: graph.edge_count(),
-                ticks: outcome.total_ticks,
-                stop_reason: format!("{:?}", outcome.stop_reason),
-                variance_ratio: outcome.variance_ratio(),
-                wall_ms,
-                ticks_per_sec: outcome.total_ticks as f64 / (wall_ms / 1e3).max(1e-9),
+                family: row.family,
+                n: row.n,
+                edges: row.edges,
+                ticks: row.ticks,
+                stop_reason: row.stop_reason,
+                variance_ratio: row.variance_ratio,
+                wall_ms: row.wall_ms,
+                ticks_per_sec: row.ticks_per_sec,
             })
         },
     )?;
@@ -2197,24 +2155,18 @@ pub fn run_perf_sized(
     job_grid.dedup();
     let max_jobs = *job_grid.last().expect("grid is non-empty");
 
-    let est_suite = perf_estimator_suite(est_n);
-    let estimator_fingerprints: Vec<String> = est_suite
-        .iter()
-        .map(|scenario| {
+    let estimator_rows = run_trials(
+        serial,
+        sink,
+        "PERF",
+        &perf_estimator_suite(est_n),
+        |scenario| {
             format!(
                 "{}+section=estimator,runs={est_runs}",
                 scenario.fingerprint()
             )
-        })
-        .collect();
-    let estimator_rows = run_trials(
-        config,
-        &serial,
-        sink,
-        "PERF",
-        &estimator_fingerprints,
-        |index| -> BenchResult<PerfEstimatorRow> {
-            let scenario = &est_suite[index];
+        },
+        |index, scenario, _| -> BenchResult<PerfEstimatorRow> {
             let instance = scenario.instantiate(config.seed.wrapping_add(2200 + index as u64))?;
             let lower = bounds::theorem1_lower_bound(&instance.partition);
             let base = EstimatorConfig::new(config.seed.wrapping_add(2300 + index as u64))
@@ -2301,12 +2253,9 @@ pub fn run_perf_sized(
         estimator: estimator_rows,
     };
 
-    let descriptor = ExperimentId::Perf.descriptor();
+    let heading = title(ExperimentId::Perf);
     let mut throughput_table = Table::new(
-        format!(
-            "{}: {} — hot-loop throughput",
-            descriptor.id, descriptor.title
-        ),
+        format!("{heading} — hot-loop throughput"),
         &[
             "family",
             "n",
@@ -2331,10 +2280,7 @@ pub fn run_perf_sized(
         ]);
     }
     let mut estimator_table = Table::new(
-        format!(
-            "{}: {} — estimator across the job grid (max {} jobs)",
-            descriptor.id, descriptor.title, max_jobs
-        ),
+        format!("{heading} — estimator across the job grid (max {max_jobs} jobs)"),
         &[
             "family",
             "n",
@@ -2438,26 +2384,21 @@ mod tests {
 
     #[test]
     fn sim_scale_rows_converge_with_per_tick_checking() {
-        // A miniature sweep through the real runner machinery: patch the
-        // quick harness seed so the test is independent of the CI artifact.
+        // Drive the real row machinery of `run_sim_scale` on the smallest
+        // suite size (the full quick grid would slow the unit suite), at a
+        // seed of its own so the test is independent of the CI artifact.
         let mut config = HarnessConfig::quick();
         config.seed = 7;
-        // Running the full quick grid here would slow the unit suite; spot
-        // check the smallest size of each family instead via the suite
-        // helper used by `run_sim_scale`.
-        for scenario in gossip_workloads::scenarios::sim_scale_suite(128) {
-            let instance = scenario.instantiate(config.seed).unwrap();
-            let initial = InitialCondition::Uniform { lo: -1.0, hi: 1.0 }
-                .generate(instance.graph.node_count(), Some(&instance.partition), 3)
-                .unwrap();
-            let sim_config = SimulationConfig::new(11)
-                .with_clock_model(ClockModel::GlobalUniform)
-                .with_stopping_rule(StoppingRule::definition1().or_max_ticks(10_000_000));
-            let mut sim =
-                AsyncSimulator::new(&instance.graph, initial, VanillaGossip::new(), sim_config)
-                    .unwrap();
-            let outcome = sim.run().unwrap();
-            assert!(outcome.converged(), "{} did not converge", instance.name);
+        let scenarios = gossip_workloads::scenarios::sim_scale_suite(128);
+        let rows = sim_scale_rows(&config, &NullSink, &scenarios).unwrap();
+        assert_eq!(rows.len(), scenarios.len());
+        for row in &rows {
+            assert_eq!(
+                row.stop_reason, "Converged",
+                "{} did not converge",
+                row.family
+            );
+            assert!(row.variance_ratio < DEFINITION1_THRESHOLD);
         }
     }
 
@@ -2495,48 +2436,31 @@ mod tests {
 
     #[test]
     fn robustness_runs_converge_and_conserve_mass_on_a_mini_suite() {
-        // Drive the real per-case machinery of `run_robustness` on the
-        // smallest suite size so the unit suite stays fast: every churn case
-        // must converge under its faults, conserve the mean exactly, and
-        // keep a connected-enough surviving subgraph probe-able.
-        for (index, case) in gossip_workloads::churn::churn_suite(48).iter().enumerate() {
-            let instance = case.scenario.instantiate(23 + index as u64).unwrap();
-            let plan = case.fault.compile(&instance, 31 + index as u64);
-            let initial = AveragingTimeEstimator::adversarial_initial(&instance.partition);
-            let mean = initial.mean();
-            let sim_config = SimulationConfig::new(41 + index as u64)
-                .with_clock_model(ClockModel::GlobalUniform)
-                .with_stopping_rule(StoppingRule::definition1().or_max_ticks(50_000_000))
-                .with_fault_plan(plan.clone());
-            let mut sim =
-                AsyncSimulator::new(&instance.graph, initial, VanillaGossip::new(), sim_config)
-                    .unwrap();
-            let outcome = sim.run().unwrap();
-            assert!(
-                outcome.converged(),
+        // Drive the real row machinery of `run_robustness` on the smallest
+        // suite size so the unit suite stays fast: every churn case must
+        // converge under its faults, conserve the mean exactly, and keep a
+        // connected-enough surviving subgraph probe-able.
+        let mut config = HarnessConfig::quick();
+        config.seed = 7;
+        let cases = gossip_workloads::churn::churn_suite(48);
+        let rows = robustness_rows(&config, &NullSink, &cases).unwrap();
+        assert_eq!(rows.len(), cases.len());
+        for (case, row) in cases.iter().zip(&rows) {
+            assert_eq!(
+                row.stop_reason,
+                "Converged",
                 "{} did not converge under faults",
                 case.name()
             );
+            assert!(row.variance_ratio < DEFINITION1_THRESHOLD);
+            assert!(row.mean_drift < 1e-9, "{} leaked mass", case.name());
             assert!(
-                (outcome.final_values.mean() - mean).abs() < 1e-9,
-                "{} leaked mass",
-                case.name()
-            );
-            assert!(
-                outcome.fault_stats.total_suppressed() > 0,
+                row.dropped + row.edge_down_skips + row.node_pause_skips > 0,
                 "{} suppressed nothing — the fault never engaged",
                 case.name()
             );
             // The worst-surviving probe is computable for every plan.
-            let mut view = gossip_graph::dynamic::DynamicGraphView::new(&instance.graph);
-            for edge in plan.edges_ever_down() {
-                view.kill_edge(edge).unwrap();
-            }
-            for node in plan.nodes_ever_paused() {
-                view.kill_node(node).unwrap();
-            }
-            let worst = view.worst_surviving_connectivity().unwrap();
-            assert!(worst.unwrap_or(0.0) >= 0.0);
+            assert!(row.worst_surviving_lambda2 >= 0.0);
         }
     }
 

@@ -11,8 +11,9 @@
 //!    the journaled row back into the tier's row struct — a row that fails
 //!    to decode is recomputed, never trusted);
 //! 3. fan the harness executor out over the *missing* trials only, passing
-//!    each compute closure its original index (tier seed offsets are
-//!    index-derived, so replayed and computed rows mix bit-identically);
+//!    each compute closure its original index, its case and its key (tier
+//!    seed offsets are index-derived, so replayed and computed rows mix
+//!    bit-identically);
 //! 4. commit each freshly computed row from inside the worker, after the
 //!    tier's oracles passed (oracle failures are `Err`s, so they never
 //!    reach the journal);
@@ -41,9 +42,9 @@
 //!   of trusting the censored stub.
 
 use crate::runner::{BenchResult, HarnessConfig};
-use gossip_exec::{describe_panic, Executor};
+use gossip_exec::describe_panic;
 use gossip_sim::SimError;
-use gossip_store::{trial_key, TrialRecord, TrialSink, ValueExt};
+use gossip_store::{trial_key, TrialKey, TrialRecord, TrialSink, ValueExt};
 use serde::json::Value;
 use serde::Serialize;
 use std::panic::{self, AssertUnwindSafe};
@@ -218,33 +219,38 @@ fn censored_marker(reason: &str) -> Value {
     ])
 }
 
-/// Replays committed trials, computes and commits the missing ones over
-/// `executor`, and returns all surviving rows in input order.
+/// Replays committed trials, computes and commits the missing ones over the
+/// harness executor ([`HarnessConfig::jobs`] wide), and returns all
+/// surviving rows in input order.
 ///
-/// `compute` receives the trial's *original* index into `fingerprints`, so
-/// index-derived seed offsets are preserved regardless of which subset is
-/// being computed.
+/// `fingerprint` names each case in the journal; the trial key is derived
+/// from it once, here.  `compute` receives the case's *original* index into
+/// `cases`, the case and its key, so index-derived seed offsets are
+/// preserved regardless of which subset is being computed, and a trial that
+/// keeps more than its row in the store (MEM_SCALE's checkpoints) files it
+/// under the same key.
 ///
 /// Each compute runs under supervision (see the module docs): a panic
 /// becomes an error carrying its message, and a
 /// [`SimError::DeadlineExceeded`] failure journals an explicit
 /// `deadline_censored` marker and drops the trial from the returned rows
 /// instead of failing the sweep.
-pub fn run_trials<T: Serialize + FromValue + Send>(
+pub fn run_trials<C: Sync, T: Serialize + FromValue + Send>(
     config: &HarnessConfig,
-    executor: &Executor,
     sink: &dyn TrialSink,
     experiment: &str,
-    fingerprints: &[String],
-    compute: impl Fn(usize) -> BenchResult<T> + Sync,
+    cases: &[C],
+    fingerprint: impl Fn(&C) -> String,
+    compute: impl Fn(usize, &C, TrialKey) -> BenchResult<T> + Sync,
 ) -> BenchResult<Vec<T>> {
     let engine = engine_fingerprint(config);
-    let keys: Vec<_> = fingerprints
+    let fingerprints: Vec<String> = cases.iter().map(fingerprint).collect();
+    let keys: Vec<TrialKey> = fingerprints
         .iter()
         .map(|fp| trial_key(experiment, fp, config.seed, &engine))
         .collect();
 
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(fingerprints.len());
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(cases.len());
     let mut missing: Vec<usize> = Vec::new();
     for (i, key) in keys.iter().enumerate() {
         let replayed = sink
@@ -260,18 +266,28 @@ pub fn run_trials<T: Serialize + FromValue + Send>(
     }
 
     if !missing.is_empty() {
-        let computed = executor.try_map_indexed(missing.len(), |slot| {
+        let commit = |i: usize, row: Value| {
+            sink.commit(TrialRecord {
+                key: keys[i],
+                experiment: experiment.to_string(),
+                fingerprint: fingerprints[i].clone(),
+                seed: config.seed,
+                row,
+            })
+        };
+        let computed = config.executor().try_map_indexed(missing.len(), |slot| {
             let i = missing[slot];
 
             // Panic isolation: a panicking compute becomes this trial's
             // error instead of unwinding through the fan-out.
-            let outcome = match panic::catch_unwind(AssertUnwindSafe(|| compute(i))) {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    let message = describe_panic(&*payload);
-                    return Err(format!("trial {} panicked: {message}", fingerprints[i]).into());
-                }
-            };
+            let outcome =
+                match panic::catch_unwind(AssertUnwindSafe(|| compute(i, &cases[i], keys[i]))) {
+                    Ok(outcome) => outcome,
+                    Err(payload) => {
+                        let message = describe_panic(&*payload);
+                        return Err(format!("trial {} panicked: {message}", fingerprints[i]).into());
+                    }
+                };
 
             let row = match outcome {
                 Ok(row) => row,
@@ -283,13 +299,7 @@ pub fn run_trials<T: Serialize + FromValue + Send>(
                         return Err(error);
                     };
                     let reason = format!("wall-clock deadline exceeded after {ticks} ticks");
-                    sink.commit(TrialRecord {
-                        key: keys[i],
-                        experiment: experiment.to_string(),
-                        fingerprint: fingerprints[i].clone(),
-                        seed: config.seed,
-                        row: censored_marker(&reason),
-                    })?;
+                    commit(i, censored_marker(&reason))?;
                     eprintln!(
                         "run store[{experiment}]: trial {} deadline_censored ({reason})",
                         fingerprints[i]
@@ -298,13 +308,7 @@ pub fn run_trials<T: Serialize + FromValue + Send>(
                 }
             };
 
-            sink.commit(TrialRecord {
-                key: keys[i],
-                experiment: experiment.to_string(),
-                fingerprint: fingerprints[i].clone(),
-                seed: config.seed,
-                row: row.to_json_value(),
-            })?;
+            commit(i, row.to_json_value())?;
             Ok::<Option<T>, crate::runner::BenchError>(Some(row))
         })?;
         for (slot, row) in missing.into_iter().zip(computed) {
@@ -337,8 +341,22 @@ mod tests {
         path
     }
 
-    fn fingerprints(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("probe(i={i})")).collect()
+    /// The cases of a probe sweep: `n` indexes, each journaled as
+    /// `probe(i=<index>)`.
+    fn cases(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
+
+    fn fingerprint(case: &usize) -> String {
+        format!("probe(i={case})")
+    }
+
+    /// The quick configuration on one worker, so trials run in index order.
+    fn serial() -> HarnessConfig {
+        HarnessConfig {
+            jobs: Some(1),
+            ..HarnessConfig::quick()
+        }
     }
 
     #[test]
@@ -358,13 +376,27 @@ mod tests {
 
     #[test]
     fn null_sink_computes_every_trial() {
-        let config = HarnessConfig::quick();
-        let executor = Executor::new(1);
+        let config = serial();
+        let engine = engine_fingerprint(&config);
         let calls = AtomicUsize::new(0);
-        let rows = run_trials(&config, &executor, &NullSink, "E8", &fingerprints(4), |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(Row { index: i })
-        })
+        let rows = run_trials(
+            &config,
+            &NullSink,
+            "E8",
+            &cases(4),
+            fingerprint,
+            |i, &case, key| {
+                // Each compute sees its own case and the key its row is
+                // journaled under.
+                assert_eq!(case, i);
+                assert_eq!(
+                    key,
+                    trial_key("E8", &fingerprint(&case), config.seed, &engine)
+                );
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok(Row { index: i })
+            },
+        )
         .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 4);
         assert_eq!(rows, (0..4).map(|index| Row { index }).collect::<Vec<_>>());
@@ -373,11 +405,10 @@ mod tests {
     #[test]
     fn store_sink_replays_committed_trials_at_original_indexes() {
         let dir = temp_dir("replay");
-        let config = HarnessConfig::quick();
-        let executor = Executor::new(1);
+        let config = serial();
 
         let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        run_trials(&config, &executor, &sink, "E8", &fingerprints(4), |i| {
+        run_trials(&config, &sink, "E8", &cases(4), fingerprint, |i, _, _| {
             Ok(Row { index: i })
         })
         .unwrap();
@@ -388,7 +419,7 @@ mod tests {
         drop(store);
         let sink = StoreSink::new(RunStore::open(&dir, true).unwrap());
         let calls = AtomicUsize::new(0);
-        let rows = run_trials(&config, &executor, &sink, "E8", &fingerprints(6), |i| {
+        let rows = run_trials(&config, &sink, "E8", &cases(6), fingerprint, |i, _, _| {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok(Row { index: i })
         })
@@ -404,10 +435,9 @@ mod tests {
     #[test]
     fn oracle_failures_never_commit() {
         let dir = temp_dir("oracle");
-        let config = HarnessConfig::quick();
-        let executor = Executor::new(1);
+        let config = serial();
         let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        let result = run_trials(&config, &executor, &sink, "E8", &fingerprints(3), |i| {
+        let result = run_trials(&config, &sink, "E8", &cases(3), fingerprint, |i, _, _| {
             if i == 1 {
                 Err("oracle violated".into())
             } else {
@@ -427,16 +457,15 @@ mod tests {
 
     #[test]
     fn persistently_panicking_trial_surfaces_as_an_error() {
-        let config = HarnessConfig::quick();
-        let executor = Executor::new(1);
+        let config = serial();
         let calls = AtomicUsize::new(0);
         let result = run_trials(
             &config,
-            &executor,
             &NullSink,
             "E8",
-            &fingerprints(1),
-            |_| -> BenchResult<Row> {
+            &cases(1),
+            fingerprint,
+            |_, _, _| -> BenchResult<Row> {
                 calls.fetch_add(1, Ordering::Relaxed);
                 panic!("always broken");
             },
@@ -454,12 +483,11 @@ mod tests {
     #[test]
     fn deadline_exceeded_trials_are_censored_then_recomputed_on_resume() {
         let dir = temp_dir("censor");
-        let config = HarnessConfig::quick();
-        let executor = Executor::new(1);
+        let config = serial();
         let engine = engine_fingerprint(&config);
 
         let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        let rows = run_trials(&config, &executor, &sink, "E8", &fingerprints(3), |i| {
+        let rows = run_trials(&config, &sink, "E8", &cases(3), fingerprint, |i, _, _| {
             if i == 1 {
                 Err(Box::new(gossip_sim::SimError::DeadlineExceeded {
                     ticks: 65_536,
@@ -497,7 +525,7 @@ mod tests {
         // censored trial — this time without a deadline in the way.
         let sink = StoreSink::new(RunStore::open(&dir, true).unwrap());
         let calls = AtomicUsize::new(0);
-        let rows = run_trials(&config, &executor, &sink, "E8", &fingerprints(3), |i| {
+        let rows = run_trials(&config, &sink, "E8", &cases(3), fingerprint, |i, _, _| {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok(Row { index: i })
         })
@@ -510,8 +538,7 @@ mod tests {
     #[test]
     fn undecodable_rows_are_recomputed() {
         let dir = temp_dir("undecodable");
-        let config = HarnessConfig::quick();
-        let executor = Executor::new(1);
+        let config = serial();
         let engine = engine_fingerprint(&config);
 
         // Commit rows whose shape the decoder rejects: a missing field, a
@@ -540,11 +567,17 @@ mod tests {
 
         let sink = StoreSink::new(RunStore::open(&dir, true).unwrap());
         let calls = AtomicUsize::new(0);
-        let trials = fingerprints(bad_rows.len());
-        let rows = run_trials(&config, &executor, &sink, "E8", &trials, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(Row { index: i })
-        })
+        let rows = run_trials(
+            &config,
+            &sink,
+            "E8",
+            &cases(bad_rows.len()),
+            fingerprint,
+            |i, _, _| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok(Row { index: i })
+            },
+        )
         .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), bad_rows.len());
         assert_eq!(
