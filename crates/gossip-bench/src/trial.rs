@@ -277,17 +277,17 @@ pub fn run_trials<C: Sync, T: Serialize + FromValue + Send>(
         };
         let computed = config.executor().try_map_indexed(missing.len(), |slot| {
             let i = missing[slot];
+            let (case, key) = (&cases[i], keys[i]);
 
             // Panic isolation: a panicking compute becomes this trial's
             // error instead of unwinding through the fan-out.
-            let outcome =
-                match panic::catch_unwind(AssertUnwindSafe(|| compute(i, &cases[i], keys[i]))) {
-                    Ok(outcome) => outcome,
-                    Err(payload) => {
-                        let message = describe_panic(&*payload);
-                        return Err(format!("trial {} panicked: {message}", fingerprints[i]).into());
-                    }
-                };
+            let outcome = match panic::catch_unwind(AssertUnwindSafe(|| compute(i, case, key))) {
+                Ok(outcome) => outcome,
+                Err(payload) => {
+                    let message = describe_panic(&*payload);
+                    return Err(format!("trial {} panicked: {message}", fingerprints[i]).into());
+                }
+            };
 
             let row = match outcome {
                 Ok(row) => row,
