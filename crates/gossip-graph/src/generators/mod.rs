@@ -17,6 +17,9 @@
 //!   (chordal-ring expander dumbbells/barbells, rings of cliques) whose edge
 //!   counts stay O(n log n), used by the large-`n` scaling tier.
 
+use crate::partition::Block;
+use crate::{Graph, Partition, Result};
+
 pub mod deterministic;
 pub mod random;
 pub mod scale;
@@ -28,3 +31,12 @@ pub use deterministic::{
 pub use random::{erdos_renyi, erdos_renyi_connected, random_geometric, random_regular};
 pub use scale::{chordal_ring, expander_barbell, expander_dumbbell, ring_of_cliques};
 pub use sparse_cut::{barbell, bridged_clusters, dumbbell, grid_corridor, two_block_sbm};
+
+/// The canonical partition of the sparse-cut families: block one is the
+/// nodes `0..n1`, block two the rest.
+fn block_one_partition(graph: &Graph, n1: usize) -> Result<Partition> {
+    let membership = (0..graph.node_count())
+        .map(|node| if node < n1 { Block::One } else { Block::Two })
+        .collect();
+    Partition::from_membership(graph, membership)
+}

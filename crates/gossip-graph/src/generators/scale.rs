@@ -13,12 +13,8 @@
 //! graph *and* its canonical [`Partition`], with block one on the nodes
 //! `0..n₁`.
 
-use crate::{Graph, GraphBuilder, GraphError, NodeId, Partition, Result};
-
-fn block_one_partition(graph: &Graph, n1: usize) -> Result<Partition> {
-    let block: Vec<NodeId> = (0..n1).map(NodeId).collect();
-    Partition::from_block_one(graph, &block)
-}
+use super::block_one_partition;
+use crate::{Graph, GraphBuilder, GraphError, Partition, Result};
 
 /// Adds a chordal ring on the node range `offset..offset + n` to `builder`:
 /// the cycle through the range plus, for every node, chords at offsets
@@ -144,6 +140,7 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize) -> Result<(Graph, Par
 mod tests {
     use super::*;
     use crate::traversal::is_connected;
+    use crate::NodeId;
     use proptest::prelude::*;
 
     #[test]

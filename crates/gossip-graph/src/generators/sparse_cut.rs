@@ -7,15 +7,11 @@
 //! `n₁..n`, so for the single-bridge families the designated cut edge `e_c`
 //! joins node `n₁ − 1` to node `n₁`.
 
-use crate::{Graph, GraphBuilder, GraphError, NodeId, Partition, Result};
+use super::block_one_partition;
+use crate::{Graph, GraphBuilder, GraphError, Partition, Result};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
-
-fn block_one_partition(graph: &Graph, n1: usize) -> Result<Partition> {
-    let block: Vec<NodeId> = (0..n1).map(NodeId).collect();
-    Partition::from_block_one(graph, &block)
-}
 
 /// The paper's motivating example: two complete graphs `K_half` joined by a
 /// single bridge edge between node `half − 1` and node `half`.
@@ -242,6 +238,7 @@ pub fn grid_corridor(
 mod tests {
     use super::*;
     use crate::traversal::is_connected;
+    use crate::NodeId;
     use proptest::prelude::*;
 
     #[test]

@@ -20,8 +20,8 @@
 use crate::{GraphError, Result};
 use std::fmt;
 
-/// The most nodes a [`Graph`] holds: node ids are stored as `u32`, and
-/// `u32::MAX` stays free as the duplicate check's "unseen" mark.
+/// The most nodes a [`Graph`] holds: node ids are stored as `u32`, so every
+/// id and the node count itself stay below `u32::MAX`.
 pub(crate) const MAX_NODE_COUNT: usize = u32::MAX as usize - 1;
 
 /// The most edges a [`Graph`] holds: its `2·|E|` half-edge offsets are
@@ -381,6 +381,8 @@ impl GraphBuilder {
     /// Finalizes the builder into an immutable [`Graph`].
     ///
     /// Each node's neighbours appear in the order their edges were added.
+    /// A graph of at least 2²² half-edges is filled on two threads when two
+    /// cores are available, with the same result.
     ///
     /// # Errors
     ///
@@ -392,46 +394,17 @@ impl GraphBuilder {
     /// pairs, one with the smallest `a`).
     pub fn build(self) -> Result<Graph> {
         check_size(self.node_count, self.edges.len())?;
-        // Count each node's degree into the slot after its own, then sum
-        // the slots in place into the CSR offsets.
-        let mut offsets = vec![0u32; self.node_count + 1];
-        for edge in &self.edges {
-            offsets[edge.u as usize + 1] += 1;
-            offsets[edge.v as usize + 1] += 1;
-        }
-        let mut sum = 0;
-        for slot in &mut offsets {
-            sum += *slot;
-            *slot = sum;
-        }
-        let mut cursor = offsets.clone();
+        let mut offsets = slice_ends(self.node_count, &self.edges);
         let mut adjacency = vec![(0, 0); 2 * self.edges.len()];
-        for (id, edge) in (0u32..).zip(&self.edges) {
-            let (u, v) = (edge.u as usize, edge.v as usize);
-            adjacency[cursor[u] as usize] = (edge.v, id);
-            cursor[u] += 1;
-            adjacency[cursor[v] as usize] = (edge.u, id);
-            cursor[v] += 1;
-        }
-        // Every pair `{u, v}` with `u < v` appears in `u`'s slice once per
-        // copy, so `u`'s slice holds `v` twice exactly when the pair repeats.
-        // The spent `cursor` becomes a node-indexed mark: `mark[v] == u`
-        // once `v` has been seen from `u`.
-        let mut mark = cursor;
-        mark.fill(u32::MAX);
-        for (u, slice) in (0u32..).zip(offsets.windows(2)) {
-            for &(v, _) in &adjacency[slice[0] as usize..slice[1] as usize] {
-                if v > u {
-                    if mark[v as usize] == u {
-                        return Err(GraphError::DuplicateEdge {
-                            a: u as usize,
-                            b: v as usize,
-                        });
-                    }
-                    mark[v as usize] = u;
-                }
-            }
-        }
+        let ranges = if adjacency.len() >= TWO_RANGE_HALF_EDGES
+            && std::thread::available_parallelism().is_ok_and(|cores| cores.get() >= 2)
+        {
+            2
+        } else {
+            1
+        };
+        scatter(&self.edges, &mut offsets, &mut adjacency, ranges);
+        check_no_duplicate(self.node_count, &offsets, &adjacency)?;
         Ok(Graph {
             node_count: self.node_count,
             edges: self.edges,
@@ -439,6 +412,111 @@ impl GraphBuilder {
             adjacency,
         })
     }
+}
+
+/// Counts each node's degree into its own slot and sums the slots in place,
+/// so `ends[x]` is the end of node `x`'s CSR slice and `ends[n]` the
+/// half-edge count; [`scatter`] moves each end down to its slice's start.
+fn slice_ends(node_count: usize, edges: &[Edge]) -> Vec<u32> {
+    let mut ends = vec![0u32; node_count + 1];
+    for edge in edges {
+        ends[edge.u as usize] += 1;
+        ends[edge.v as usize] += 1;
+    }
+    let mut sum = 0;
+    for slot in &mut ends {
+        sum += *slot;
+        *slot = sum;
+    }
+    ends
+}
+
+/// The half-edge count from which [`GraphBuilder::build`] fills the
+/// adjacency in two node ranges on two threads, given two cores.
+const TWO_RANGE_HALF_EDGES: usize = 1 << 22;
+
+/// Fills `adjacency` from `edges` in `ranges` (1 or 2) node ranges.  On
+/// entry `offsets[x]` is the end of node `x`'s slice and `offsets[n]` the
+/// half-edge count; on return `offsets[x]` is the slice's start.
+///
+/// The upper range starts at the node whose slice crosses the half-edge
+/// midpoint (with one range, it is empty) and is filled on a scoped thread,
+/// or on the calling thread after the lower range if the thread cannot
+/// start.  Each range walks every edge and writes only its own nodes'
+/// slices, so every slice is written by one thread, in the same order, and
+/// the bytes do not depend on `ranges`.
+fn scatter(edges: &[Edge], offsets: &mut [u32], adjacency: &mut [(u32, u32)], ranges: usize) {
+    let nodes = offsets.len() - 1;
+    let split = if ranges < 2 {
+        nodes
+    } else {
+        offsets[..nodes].partition_point(|&end| end as usize <= adjacency.len() / 2)
+    };
+    let (lower_ends, upper_ends) = offsets[..nodes].split_at_mut(split);
+    let base = lower_ends.last().copied().unwrap_or(0);
+    let (lower, upper) = adjacency.split_at_mut(base as usize);
+    let mut fill_upper = || fill(edges, split, base, upper_ends, upper);
+    let spawned = std::thread::scope(|scope| {
+        let spawned = split < nodes
+            && std::thread::Builder::new()
+                .spawn_scoped(scope, &mut fill_upper)
+                .is_ok();
+        fill(edges, 0, 0, lower_ends, lower);
+        spawned
+    });
+    if !spawned {
+        fill_upper();
+    }
+}
+
+/// Fills the slices of the nodes `first..first + ends.len()`, which make up
+/// `adjacency` from half-edge `base` on.  It walks the edges by descending
+/// id and puts each of its nodes' half-edges just below the node's end,
+/// moving the end down, so each slice fills from its end in id order.
+fn fill(edges: &[Edge], first: usize, base: u32, ends: &mut [u32], adjacency: &mut [(u32, u32)]) {
+    if ends.is_empty() {
+        return;
+    }
+    let count =
+        u32::try_from(edges.len()).expect("`check_size` admits at most `u32::MAX / 2` edges");
+    for (id, edge) in (0..count).zip(edges).rev() {
+        for (node, neighbour) in [(edge.u, edge.v), (edge.v, edge.u)] {
+            // A node below `first` wraps past every index of `ends`.
+            if let Some(end) = ends.get_mut((node as usize).wrapping_sub(first)) {
+                *end -= 1;
+                adjacency[(*end - base) as usize] = (neighbour, id);
+            }
+        }
+    }
+}
+
+/// Returns [`GraphError::DuplicateEdge`] for the first node `u`, in id
+/// order, whose slice holds a neighbour `v > u` twice, naming the `v` whose
+/// second copy comes first in the slice.  Every pair `{u, v}` with `u < v`
+/// appears in `u`'s slice once per copy, so this finds every repeated pair.
+/// One bit per node marks the larger neighbours of the current `u`; a second
+/// walk of the slice zeroes the words that hold them.
+fn check_no_duplicate(node_count: usize, offsets: &[u32], adjacency: &[(u32, u32)]) -> Result<()> {
+    let mut seen = vec![0u64; node_count.div_ceil(64)];
+    for (u, slice) in (0u32..).zip(offsets.windows(2)) {
+        let slice = &adjacency[slice[0] as usize..slice[1] as usize];
+        for &(v, _) in slice {
+            if v > u {
+                let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+                if seen[word] & bit != 0 {
+                    return Err(GraphError::DuplicateEdge {
+                        a: u as usize,
+                        b: v as usize,
+                    });
+                }
+                seen[word] |= bit;
+            }
+        }
+        for &(v, _) in slice {
+            seen[v as usize / 64] = 0;
+        }
+    }
+    Ok(())
 }
 
 /// Checks that `node_count` nodes and `edge_count` edges fit a [`Graph`]'s
@@ -595,6 +673,69 @@ mod tests {
         ));
     }
 
+    /// The CSR offsets and adjacency [`scatter`] fills from `edges` in
+    /// `ranges` node ranges.
+    fn scattered(node_count: usize, edges: &[Edge], ranges: usize) -> (Vec<u32>, Vec<(u32, u32)>) {
+        let mut offsets = slice_ends(node_count, edges);
+        let mut adjacency = vec![(0, 0); 2 * edges.len()];
+        scatter(edges, &mut offsets, &mut adjacency, ranges);
+        (offsets, adjacency)
+    }
+
+    /// The duplicate check the one-bit mark replaced: a node-indexed `u32`
+    /// mark, with `mark[v] == u` once `v` has been seen from `u`.
+    fn mark_array_check(offsets: &[u32], adjacency: &[(u32, u32)]) -> Result<()> {
+        let mut mark = vec![u32::MAX; offsets.len() - 1];
+        for (u, slice) in (0u32..).zip(offsets.windows(2)) {
+            for &(v, _) in &adjacency[slice[0] as usize..slice[1] as usize] {
+                if v > u {
+                    if mark[v as usize] == u {
+                        return Err(GraphError::DuplicateEdge {
+                            a: u as usize,
+                            b: v as usize,
+                        });
+                    }
+                    mark[v as usize] = u;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn one_and_two_ranges_scatter_the_same_offsets_and_adjacency() {
+        use crate::generators::{chordal_ring, dumbbell, expander_barbell, star};
+        // A star's hub holds half of all half-edges: as node 0 its slice
+        // ends at the midpoint, as node 4 it crosses it, and as the last
+        // node it is the whole upper range.
+        let hub_star = |hub: usize| {
+            let leaves: Vec<(usize, usize)> = (0..9)
+                .filter(|&leaf| leaf != hub)
+                .map(|leaf| (hub, leaf))
+                .collect();
+            Graph::from_edges(9, &leaves).unwrap()
+        };
+        let graphs = [
+            chordal_ring(1000).unwrap(),
+            expander_barbell(100, 300).unwrap().0,
+            dumbbell(20).unwrap().0,
+            star(50).unwrap(),
+            hub_star(4),
+            hub_star(8),
+            // Nodes 0, 1, 3, 4, 6 and 8 are isolated.
+            Graph::from_edges(10, &[(7, 2), (2, 5), (9, 5)]).unwrap(),
+            Graph::from_edges(4, &[]).unwrap(),
+            Graph::from_edges(0, &[]).unwrap(),
+        ];
+        for graph in &graphs {
+            let built = (graph.offsets.clone(), graph.adjacency.clone());
+            for ranges in [1, 2] {
+                let filled = scattered(graph.node_count, &graph.edges, ranges);
+                assert!(filled == built, "{graph} in {ranges} ranges");
+            }
+        }
+    }
+
     #[test]
     fn triangle_adjacency() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
@@ -738,6 +879,29 @@ mod tests {
                     prop_assert!(g.neighbors(v).any(|(w, _)| w == u));
                 }
             }
+        }
+
+        #[test]
+        fn prop_two_ranges_and_the_bit_mark_match_one_range_and_the_mark_array(
+            n in 2usize..150,
+            codes in proptest::collection::vec(0usize..1200, 0..60),
+        ) {
+            // Eight candidate neighbours per node make repeated pairs common;
+            // up to 150 nodes spans three mark words.
+            let mut edges = Vec::new();
+            for code in codes {
+                let a = code / 8 % n;
+                let b = (a + 1 + code % 8) % n;
+                if a != b {
+                    edges.push(Edge::new(NodeId(a), NodeId(b)).unwrap());
+                }
+            }
+            let (offsets, adjacency) = scattered(n, &edges, 1);
+            prop_assert!(scattered(n, &edges, 2) == (offsets.clone(), adjacency.clone()));
+            prop_assert_eq!(
+                check_no_duplicate(n, &offsets, &adjacency),
+                mark_array_check(&offsets, &adjacency)
+            );
         }
 
         #[test]

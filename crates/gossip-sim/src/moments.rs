@@ -193,8 +193,15 @@ fn exact_shifted_sums(values: &[f64]) -> (f64, f64, f64) {
         return (0.0, 0.0, 0.0);
     }
     let shift = values.iter().sum::<f64>() / values.len() as f64;
-    let sum = values.iter().map(|x| x - shift).sum();
-    let sum_sq = values.iter().map(|x| (x - shift) * (x - shift)).sum();
+    // Both shifted sums in one pass: each accumulator adds in index order
+    // from `-0.0`, as `Iterator::sum` does, so every bit is the same as
+    // summing each in its own pass.
+    let (mut sum, mut sum_sq) = (-0.0, -0.0);
+    for x in values {
+        let d = x - shift;
+        sum += d;
+        sum_sq += d * d;
+    }
     (shift, sum, sum_sq)
 }
 
@@ -213,6 +220,34 @@ mod tests {
         assert!((t.mean() - 2.0).abs() < 1e-12);
         // var = 20/3 - 4 = 8/3.
         assert!((t.variance() - 8.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_pass_keeps_the_bits_of_a_pass_per_sum() {
+        let separate = |values: &[f64]| {
+            let shift = values.iter().sum::<f64>() / values.len() as f64;
+            let sum: f64 = values.iter().map(|x| x - shift).sum();
+            let sum_sq: f64 = values.iter().map(|x| (x - shift) * (x - shift)).sum();
+            (shift.to_bits(), sum.to_bits(), sum_sq.to_bits())
+        };
+        let noisy: Vec<f64> = (0..1000)
+            .map(|i| 1e9 + (i as f64 * 0.37).sin() * 1e-3)
+            .collect();
+        for values in [
+            &[4.0, 0.0, 2.0][..],
+            &[-0.0, -0.0],
+            &[0.0, -0.0, 1e-300],
+            &[1e308, -1e308, 3.0],
+            &[f64::NAN, 1.0],
+            &noisy,
+        ] {
+            let (shift, sum, sum_sq) = exact_shifted_sums(values);
+            assert_eq!(
+                (shift.to_bits(), sum.to_bits(), sum_sq.to_bits()),
+                separate(values),
+                "{values:?}"
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,10 @@ pub enum ExperimentId {
     /// incremental per-tick Definition 1 stopping at large `n`), reported as
     /// `BENCH_sim_scale.json`.
     SimScale,
+    /// The memory-scaling tier (the serial engine loop up to 10⁶ nodes with
+    /// peak-RSS and throughput accounting), reported as
+    /// `BENCH_mem_scale.json`.
+    MemScale,
     /// The robustness tier (fault injection: message loss, bridge outages,
     /// node churn, cut flapping — against fault-free baselines), reported as
     /// `BENCH_robustness.json`.
@@ -42,10 +46,6 @@ pub enum ExperimentId {
     /// aggregation, with honest-subset drift oracles), reported as
     /// `BENCH_adversary.json`.
     Adversary,
-    /// The memory-scaling tier (the serial engine loop up to 10⁶ nodes with
-    /// peak-RSS and throughput accounting), reported as
-    /// `BENCH_mem_scale.json`.
-    MemScale,
 }
 
 impl ExperimentId {
@@ -64,10 +64,10 @@ impl ExperimentId {
             ExperimentId::E10,
             ExperimentId::Scale,
             ExperimentId::SimScale,
+            ExperimentId::MemScale,
             ExperimentId::Robustness,
             ExperimentId::Perf,
             ExperimentId::Adversary,
-            ExperimentId::MemScale,
         ]
     }
 
@@ -88,10 +88,10 @@ impl ExperimentId {
             ExperimentId::E10 => "E10",
             ExperimentId::Scale => "SCALE",
             ExperimentId::SimScale => "SIM_SCALE",
+            ExperimentId::MemScale => "MEM_SCALE",
             ExperimentId::Robustness => "ROBUSTNESS",
             ExperimentId::Perf => "PERF",
             ExperimentId::Adversary => "ADVERSARY",
-            ExperimentId::MemScale => "MEM_SCALE",
         }
     }
 

@@ -7,6 +7,7 @@
 //! vector.
 
 use crate::{Result, WorkloadError};
+use gossip_core::AveragingTimeEstimator;
 use gossip_graph::Partition;
 use gossip_sim::values::NodeValues;
 use rand::prelude::*;
@@ -78,16 +79,7 @@ impl InitialCondition {
                         ),
                     });
                 }
-                let n1 = partition.block_one_size() as f64;
-                let n2 = partition.block_two_size() as f64;
-                let mut v = vec![0.0; n];
-                for &node in partition.block_one() {
-                    v[node.index()] = 1.0;
-                }
-                for &node in partition.block_two() {
-                    v[node.index()] = -n1 / n2;
-                }
-                v
+                return Ok(AveragingTimeEstimator::adversarial_initial(partition));
             }
             InitialCondition::Spike { spike_at } => {
                 if *spike_at >= n {
