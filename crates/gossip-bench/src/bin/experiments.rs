@@ -104,7 +104,7 @@ type TierOutput = (Vec<Table>, Option<String>);
 struct Session<'a> {
     config: &'a HarnessConfig,
     sink: &'a dyn TrialSink,
-    dumbbell: Option<runner::DumbbellSweep>,
+    dumbbell: Option<Vec<runner::DumbbellSweepRow>>,
 }
 
 impl<'a> Session<'a> {
@@ -116,11 +116,11 @@ impl<'a> Session<'a> {
         }
     }
 
-    fn dumbbell(&mut self) -> BenchResult<&runner::DumbbellSweep> {
+    fn dumbbell(&mut self) -> BenchResult<&[runner::DumbbellSweepRow]> {
         if self.dumbbell.is_none() {
             self.dumbbell = Some(runner::run_dumbbell_sweep(self.config, self.sink)?);
         }
-        Ok(self.dumbbell.as_ref().expect("sweep memoized above"))
+        Ok(self.dumbbell.as_deref().expect("sweep memoized above"))
     }
 
     /// Runs one tier.

@@ -5,10 +5,10 @@
 //!   Section 2 bounds by `2/n₁` per tick — and the number of those ticks.
 //! * [`EpochProbe`] wraps Algorithm A (or any handler) and records the
 //!   variance right after every non-convex transfer of the designated edge,
-//!   yielding the per-epoch increments of `log var X(T_k⁺)` that Section 3
-//!   stochastically dominates with the lazy `±log n` walk.  It counts the
-//!   designated edge's ticks the way Algorithm A does, suppressed ones
-//!   included.
+//!   then rescales the state to unit variance, yielding the per-epoch
+//!   increments of `log var X(T_k⁺)` that Section 3 stochastically dominates
+//!   with the lazy `±log n` walk.  It counts the designated edge's ticks the
+//!   way Algorithm A does, suppressed ones included.
 //!
 //! Both forward suppressed ticks to the wrapped handler.
 
@@ -76,7 +76,13 @@ impl<H: EdgeTickHandler> EdgeTickHandler for CutTickProbe<H> {
 }
 
 /// Records the variance right after every firing of a designated edge's
-/// scheduled update (Algorithm A's epoch boundaries `T_k⁺`).
+/// scheduled update (Algorithm A's epoch boundaries `T_k⁺`), then rescales
+/// the centered state to unit variance.
+///
+/// Every algorithm studied here is linear, so the rescaling does not change
+/// the distribution of later per-epoch contraction factors, but it keeps the
+/// variance away from the floating-point floor, so one run can observe
+/// arbitrarily many epochs.
 #[derive(Debug, Clone)]
 pub struct EpochProbe<H> {
     inner: H,
@@ -84,10 +90,9 @@ pub struct EpochProbe<H> {
     epoch_ticks: u64,
     /// Ticks of the designated edge so far, suppressed ones included.
     designated_ticks: u64,
-    renormalize: bool,
-    /// Variance immediately after each transfer (`var X(T_k⁺)`).  When
-    /// renormalization is enabled this is relative to the unit variance the
-    /// state was rescaled to at the previous epoch boundary.
+    /// Variance immediately after each transfer (`var X(T_k⁺)`), relative to
+    /// the unit variance the state was rescaled to at the previous epoch
+    /// boundary.
     pub post_transfer_variance: Vec<f64>,
 }
 
@@ -102,40 +107,20 @@ impl<H> EpochProbe<H> {
             designated_edge,
             epoch_ticks: epoch_ticks.max(1),
             designated_ticks: 0,
-            renormalize: false,
             post_transfer_variance: Vec::new(),
         }
     }
 
-    /// Enables renormalization: after recording the post-transfer variance,
-    /// the centered state is rescaled to unit variance.  Because every
-    /// algorithm studied here is linear, this does not change the
-    /// distribution of subsequent per-epoch contraction factors, but it keeps
-    /// the variance away from the floating-point floor so that arbitrarily
-    /// many epochs can be observed in one run.
-    pub fn with_renormalization(mut self) -> Self {
-        self.renormalize = true;
-        self
-    }
-
-    /// Per-epoch increments of `log var X(T_k⁺)`: without renormalization the
-    /// differences of consecutive log-variances, with renormalization simply
-    /// the log of each post-transfer variance (the state had unit variance at
-    /// the start of the epoch).  Empty if fewer than two transfers were
+    /// Per-epoch increments of `log var X(T_k⁺)`: the log of each
+    /// post-transfer variance after the first (the state had unit variance
+    /// at the start of the epoch).  Empty if fewer than two transfers were
     /// observed.
     pub fn log_variance_increments(&self) -> Vec<f64> {
-        if self.renormalize {
-            self.post_transfer_variance
-                .iter()
-                .skip(1)
-                .map(|v| v.max(f64::MIN_POSITIVE).ln())
-                .collect()
-        } else {
-            self.post_transfer_variance
-                .windows(2)
-                .map(|w| (w[1].max(f64::MIN_POSITIVE)).ln() - (w[0].max(f64::MIN_POSITIVE)).ln())
-                .collect()
-        }
+        self.post_transfer_variance
+            .iter()
+            .skip(1)
+            .map(|v| v.max(f64::MIN_POSITIVE).ln())
+            .collect()
     }
 }
 
@@ -151,7 +136,7 @@ impl<H: EdgeTickHandler> EdgeTickHandler for EpochProbe<H> {
         if is_transfer {
             let variance = values.variance();
             self.post_transfer_variance.push(variance);
-            if self.renormalize && variance > 0.0 {
+            if variance > 0.0 {
                 let mean = values.mean();
                 let scale = 1.0 / variance.sqrt();
                 for i in 0..values.len() {
@@ -181,8 +166,6 @@ mod tests {
     use gossip_core::convex::VanillaGossip;
     use gossip_core::sparse_cut::{SparseCutAlgorithm, SparseCutConfig};
     use gossip_graph::generators::dumbbell;
-    use gossip_sim::engine::{AsyncSimulator, SimulationConfig};
-    use gossip_sim::stopping::StoppingRule;
 
     fn adversarial(partition: &Partition) -> NodeValues {
         gossip_core::averaging_time::AveragingTimeEstimator::adversarial_initial(partition)
@@ -191,12 +174,6 @@ mod tests {
     #[test]
     fn cut_tick_probe_bounds_block_mean_movement() {
         let (graph, partition) = dumbbell(8).unwrap();
-        let probe = CutTickProbe::new(VanillaGossip::new(), partition.clone());
-        let config = SimulationConfig::new(3).with_stopping_rule(StoppingRule::max_time(40.0));
-        let mut sim = AsyncSimulator::new(&graph, adversarial(&partition), probe, config).unwrap();
-        let _ = sim.run().unwrap();
-        // The probe itself is consumed by the simulator; re-run with a manual
-        // loop instead to inspect it.
         let mut probe = CutTickProbe::new(VanillaGossip::new(), partition.clone());
         let mut values = adversarial(&partition);
         let cut_edge = partition.cut_edges()[0];

@@ -16,7 +16,7 @@
 
 use crate::probes::{CutTickProbe, EpochProbe};
 use crate::table::Table;
-use crate::trial::{run_trials, schema};
+use crate::trial::{run_trials, schema, Cells};
 use gossip_analysis::dominance::DominanceReport;
 use gossip_analysis::random_walk::simple_walk_tail_frequency;
 use gossip_analysis::{concentration, regression, robust, stats};
@@ -191,17 +191,10 @@ schema! { row
     }
 }
 
-/// The dumbbell sweep: measured averaging times of the class-`C` algorithms
-/// and Algorithm A for doubling sizes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DumbbellSweep {
-    /// One row per graph size.
-    pub rows: Vec<DumbbellSweepRow>,
-}
-
 /// Runs the dumbbell sweep shared by experiments E1, E2 and E3 (journaled
 /// under the single `DUMBBELL` token, since the three tables render the
-/// same trials).
+/// same trials): measured averaging times of the class-`C` algorithms and
+/// Algorithm A, one row per doubling graph size.
 ///
 /// # Errors
 ///
@@ -209,9 +202,9 @@ pub struct DumbbellSweep {
 pub fn run_dumbbell_sweep(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
-) -> BenchResult<DumbbellSweep> {
+) -> BenchResult<Vec<DumbbellSweepRow>> {
     let sizes = sweep::dumbbell_size_sweep(16, config.max_dumbbell_n());
-    let rows = run_trials(
+    run_trials(
         config,
         sink,
         "DUMBBELL",
@@ -248,88 +241,66 @@ pub fn run_dumbbell_sweep(
                 algorithm_a: algorithm_a.averaging_time,
             })
         },
-    )?;
-    Ok(DumbbellSweep { rows })
+    )
 }
 
 /// Table E1: convex averaging times versus the Theorem 1 lower bound.
-pub fn table_e1(sweep: &DumbbellSweep) -> Table {
-    let mut table = Table::new(
+pub fn table_e1(rows: &[DumbbellSweepRow]) -> Table {
+    Table::from_rows(
         title(ExperimentId::E1),
+        rows,
         &[
-            "n",
-            "Thm1 bound n1/|E12|",
-            "vanilla T_av",
-            "weighted(0.7) T_av",
-            "random-neighbor T_av",
-            "vanilla / bound",
+            ("n", |r| r.n.to_string()),
+            ("Thm1 bound n1/|E12|", |r| fmt(r.lower_bound)),
+            ("vanilla T_av", |r| fmt(r.vanilla)),
+            ("weighted(0.7) T_av", |r| fmt(r.weighted)),
+            ("random-neighbor T_av", |r| fmt(r.random_neighbor)),
+            ("vanilla / bound", |r| fmt(r.vanilla / r.lower_bound)),
         ],
-    );
-    for row in &sweep.rows {
-        table.push_row(vec![
-            row.n.to_string(),
-            fmt(row.lower_bound),
-            fmt(row.vanilla),
-            fmt(row.weighted),
-            fmt(row.random_neighbor),
-            fmt(row.vanilla / row.lower_bound),
-        ]);
-    }
-    table
+    )
 }
 
 /// Table E2: Algorithm A's averaging time versus the Theorem 2 quantity.
-pub fn table_e2(sweep: &DumbbellSweep) -> Table {
-    let mut table = Table::new(
+pub fn table_e2(rows: &[DumbbellSweepRow]) -> Table {
+    Table::from_rows(
         title(ExperimentId::E2),
+        rows,
         &[
-            "n",
-            "Thm2 C·ln n·(Tvan1+Tvan2)",
-            "Algorithm A T_av",
-            "A / Thm2",
+            ("n", |r| r.n.to_string()),
+            ("Thm2 C·ln n·(Tvan1+Tvan2)", |r| fmt(r.upper_bound)),
+            ("Algorithm A T_av", |r| fmt(r.algorithm_a)),
+            ("A / Thm2", |r| fmt(r.algorithm_a / r.upper_bound)),
         ],
-    );
-    for row in &sweep.rows {
-        table.push_row(vec![
-            row.n.to_string(),
-            fmt(row.upper_bound),
-            fmt(row.algorithm_a),
-            fmt(row.algorithm_a / row.upper_bound),
-        ]);
-    }
-    table
+    )
 }
 
 /// Table E3: the separation (speed-up) and the fitted scaling exponents.
-pub fn table_e3(sweep: &DumbbellSweep) -> Table {
-    let mut table = Table::new(
+pub fn table_e3(rows: &[DumbbellSweepRow]) -> Table {
+    let ns: Vec<f64> = rows.iter().map(|r| r.n as f64).collect();
+    let slope = |time: fn(&DumbbellSweepRow) -> f64| {
+        let times: Vec<f64> = rows.iter().map(|r| time(r).max(1e-9)).collect();
+        regression::log_log_fit(&ns, &times)
+            .ok()
+            .map(|fit| fit.slope)
+    };
+    // The fitted exponents form a trailing summary row.
+    let slopes = slope(|r| r.vanilla)
+        .zip(slope(|r| r.algorithm_a))
+        .map(|(v, a)| ["log-log slope".to_string(), fmt(v), fmt(a), fmt(v - a)]);
+    Table::new(
         title(ExperimentId::E3),
-        &["n", "vanilla T_av", "Algorithm A T_av", "speed-up"],
-    );
-    for row in &sweep.rows {
-        table.push_row(vec![
-            row.n.to_string(),
-            fmt(row.vanilla),
-            fmt(row.algorithm_a),
-            fmt(row.vanilla / row.algorithm_a),
-        ]);
-    }
-    // Append the fitted exponents as a trailing summary row.
-    let ns: Vec<f64> = sweep.rows.iter().map(|r| r.n as f64).collect();
-    let vanilla: Vec<f64> = sweep.rows.iter().map(|r| r.vanilla.max(1e-9)).collect();
-    let algo: Vec<f64> = sweep.rows.iter().map(|r| r.algorithm_a.max(1e-9)).collect();
-    if let (Ok(fit_v), Ok(fit_a)) = (
-        regression::log_log_fit(&ns, &vanilla),
-        regression::log_log_fit(&ns, &algo),
-    ) {
-        table.push_row(vec![
-            "log-log slope".to_string(),
-            fmt(fit_v.slope),
-            fmt(fit_a.slope),
-            fmt(fit_v.slope - fit_a.slope),
-        ]);
-    }
-    table
+        ["n", "vanilla T_av", "Algorithm A T_av", "speed-up"],
+        rows.iter()
+            .map(|r| {
+                [
+                    r.n.to_string(),
+                    fmt(r.vanilla),
+                    fmt(r.algorithm_a),
+                    fmt(r.vanilla / r.algorithm_a),
+                ]
+            })
+            .chain(slopes),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -403,25 +374,27 @@ pub fn run_e4(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(E4Re
     )?;
     let result = rows.pop().expect("E4 runs exactly one trial");
 
-    let mut table = Table::new(
+    let table = Table::new(
         title(ExperimentId::E4),
-        &["quantity", "bound / expectation", "observed"],
+        ["quantity", "bound / expectation", "observed"],
+        [
+            [
+                "per-cut-tick |Δy|".to_string(),
+                fmt(result.per_tick_bound),
+                fmt(result.max_observed_delta),
+            ],
+            [
+                format!("cut ticks by t = {horizon}"),
+                fmt(result.expected_cut_ticks),
+                result.observed_cut_ticks.to_string(),
+            ],
+            [
+                "var X(t) ≥ n1·y(t)²/n".to_string(),
+                fmt(result.variance_lower_bound),
+                fmt(result.final_variance),
+            ],
+        ],
     );
-    table.push_row(vec![
-        "per-cut-tick |Δy|".to_string(),
-        fmt(result.per_tick_bound),
-        fmt(result.max_observed_delta),
-    ]);
-    table.push_row(vec![
-        format!("cut ticks by t = {horizon}"),
-        fmt(result.expected_cut_ticks),
-        result.observed_cut_ticks.to_string(),
-    ]);
-    table.push_row(vec![
-        "var X(t) ≥ n1·y(t)²/n".to_string(),
-        fmt(result.variance_lower_bound),
-        fmt(result.final_variance),
-    ]);
     Ok((result, table))
 }
 
@@ -481,12 +454,12 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
             )?;
             let designated = algorithm.designated_edge();
             let epoch_ticks = algorithm.epoch_ticks();
-            // Renormalize at every epoch boundary so that an arbitrary number of
-            // per-epoch contraction factors can be observed without the variance
-            // hitting the floating-point floor; stop after a fixed horizon of
-            // epochs rather than on convergence.
+            // The probe renormalizes at every epoch boundary, so an arbitrary
+            // number of per-epoch contraction factors can be observed without
+            // the variance hitting the floating-point floor; stop after a
+            // fixed horizon of epochs rather than on convergence.
             let target_epochs: f64 = if config.quick { 12.0 } else { 25.0 };
-            let probe = EpochProbe::new(algorithm, designated, epoch_ticks).with_renormalization();
+            let probe = EpochProbe::new(algorithm, designated, epoch_ticks);
             let sim_config = config.apply_deadline(
                 SimulationConfig::new(config.seed.wrapping_add(50 + index as u64))
                     .with_stopping_rule(StoppingRule::max_time(
@@ -514,29 +487,21 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
     )?;
     let rows: Vec<E5Row> = maybe_rows.into_iter().flatten().collect();
 
-    let mut table = Table::new(
+    let table = Table::from_rows(
         title(ExperimentId::E5),
+        &rows,
         &[
-            "n",
-            "epochs",
-            "contraction fraction (≥ 1/2 expected)",
-            "ceiling violations",
-            "dominated by W~",
-            "final log-var drop",
-            "final W~",
+            ("n", |r| r.n.to_string()),
+            ("epochs", |r| r.epochs.to_string()),
+            ("contraction fraction (≥ 1/2 expected)", |r| {
+                fmt(r.contraction_fraction)
+            }),
+            ("ceiling violations", |r| fmt(r.ceiling_violation_fraction)),
+            ("dominated by W~", |r| r.dominated.to_string()),
+            ("final log-var drop", |r| fmt(r.final_observed_drop)),
+            ("final W~", |r| fmt(r.final_dominating)),
         ],
     );
-    for row in &rows {
-        table.push_row(vec![
-            row.n.to_string(),
-            row.epochs.to_string(),
-            fmt(row.contraction_fraction),
-            fmt(row.ceiling_violation_fraction),
-            row.dominated.to_string(),
-            fmt(row.final_observed_drop),
-            fmt(row.final_dominating),
-        ]);
-    }
     Ok((rows, table))
 }
 
@@ -557,17 +522,13 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
     // Part 1: cut width.
     let cluster = if config.quick { 16 } else { 24 };
     let cut_sweep = sweep::cut_width_sweep(cluster, 0.5, if config.quick { 4 } else { 16 });
-    let mut cut_table = Table::new(
-        format!("{heading} — cut width"),
-        &["|E12|", "Thm1 bound", "vanilla T_av", "Algorithm A T_av"],
-    );
     let cut_rows = run_trials(
         config,
         sink,
         "E6",
         &cut_sweep.values,
         |scenario| format!("{}+part=cut", scenario.fingerprint()),
-        |index, scenario, _| -> BenchResult<Vec<String>> {
+        |index, scenario, _| -> BenchResult<Cells<4>> {
             let instance = scenario.instantiate(config.seed.wrapping_add(600 + index as u64))?;
             let graph = &instance.graph;
             let partition = &instance.partition;
@@ -578,33 +539,31 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
             let algorithm =
                 SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())?;
             let algo = estimator.estimate(graph, partition, || algorithm.clone())?;
-            Ok(vec![
+            Ok(Cells([
                 partition.cut_edge_count().to_string(),
                 fmt(lower),
                 fmt(vanilla.averaging_time),
                 fmt(algo.averaging_time),
-            ])
+            ]))
         },
     )?;
-    for row in cut_rows {
-        cut_table.push_row(row);
-    }
+    let cut_table = Table::new(
+        format!("{heading} — cut width"),
+        ["|E12|", "Thm1 bound", "vanilla T_av", "Algorithm A T_av"],
+        cut_rows.into_iter().map(|Cells(cells)| cells),
+    );
 
     // Part 2: the epoch constant C.
     let half = if config.quick { 16 } else { 32 };
     let (graph, partition) = gossip_graph::generators::dumbbell(half)?;
     let constants = sweep::epoch_constant_sweep(&[]);
-    let mut c_table = Table::new(
-        format!("{heading} — epoch constant C"),
-        &["C", "epoch ticks", "Algorithm A T_av"],
-    );
     let c_rows = run_trials(
         config,
         sink,
         "E6",
         &constants.values,
         |c| format!("dumbbell(half={half})+C={c}"),
-        |index, &c, _| -> BenchResult<Vec<String>> {
+        |index, &c, _| -> BenchResult<Cells<3>> {
             let estimator = config.estimator(800 + index as u64, 4000.0);
             let algorithm = SparseCutAlgorithm::from_partition(
                 &graph,
@@ -612,16 +571,18 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
                 SparseCutConfig::new().with_epoch_constant(c),
             )?;
             let estimate = estimator.estimate(&graph, &partition, || algorithm.clone())?;
-            Ok(vec![
+            Ok(Cells([
                 fmt(c),
                 algorithm.epoch_ticks().to_string(),
                 fmt(estimate.averaging_time),
-            ])
+            ]))
         },
     )?;
-    for row in c_rows {
-        c_table.push_row(row);
-    }
+    let c_table = Table::new(
+        format!("{heading} — epoch constant C"),
+        ["C", "epoch ticks", "Algorithm A T_av"],
+        c_rows.into_iter().map(|Cells(cells)| cells),
+    );
     Ok((cut_table, c_table))
 }
 
@@ -647,16 +608,6 @@ fn sync_settling_time<H: RoundHandler>(
 ///
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
-    let mut table = Table::new(
-        title(ExperimentId::E7),
-        &[
-            "n",
-            "1st-order diffusion",
-            "2nd-order diffusion",
-            "momentum gossip",
-            "Algorithm A",
-        ],
-    );
     let sizes: Vec<usize> = if config.quick {
         vec![16, 32, 64]
     } else {
@@ -668,7 +619,7 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
         "E7",
         &sizes,
         |n| format!("dumbbell(half={})", n / 2),
-        |index, &n, _| -> BenchResult<Vec<String>> {
+        |index, &n, _| -> BenchResult<Cells<5>> {
             let (graph, partition) = gossip_graph::generators::dumbbell(n / 2)?;
             let initial = AveragingTimeEstimator::adversarial_initial(&partition);
 
@@ -684,19 +635,26 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
                 SparseCutAlgorithm::from_partition(&graph, &partition, SparseCutConfig::default())?;
             let algo = estimator.estimate(&graph, &partition, || algorithm.clone())?;
 
-            Ok(vec![
+            Ok(Cells([
                 n.to_string(),
                 fmt(fos),
                 fmt(sos),
                 fmt(momentum.averaging_time),
                 fmt(algo.averaging_time),
-            ])
+            ]))
         },
     )?;
-    for row in rows {
-        table.push_row(row);
-    }
-    Ok(table)
+    Ok(Table::new(
+        title(ExperimentId::E7),
+        [
+            "n",
+            "1st-order diffusion",
+            "2nd-order diffusion",
+            "momentum gossip",
+            "Algorithm A",
+        ],
+        rows.into_iter().map(|Cells(cells)| cells),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -709,18 +667,6 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
 ///
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
-    let mut table = Table::new(
-        title(ExperimentId::E8),
-        &[
-            "scenario",
-            "n",
-            "|E12|",
-            "Thm1 bound",
-            "vanilla T_av",
-            "Algorithm A T_av",
-            "speed-up",
-        ],
-    );
     let total = if config.quick { 32 } else { 96 };
     let rows = run_trials(
         config,
@@ -728,7 +674,7 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
         "E8",
         &robustness_suite(total),
         Scenario::fingerprint,
-        |index, scenario, _| -> BenchResult<Vec<String>> {
+        |index, scenario, _| -> BenchResult<Cells<7>> {
             let instance = scenario.instantiate(config.seed.wrapping_add(100 + index as u64))?;
             instance.validate_notation1()?;
             let graph = &instance.graph;
@@ -739,7 +685,7 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
             let algorithm =
                 SparseCutAlgorithm::from_partition(graph, partition, SparseCutConfig::default())?;
             let algo = estimator.estimate(graph, partition, || algorithm.clone())?;
-            Ok(vec![
+            Ok(Cells([
                 instance.name.clone(),
                 graph.node_count().to_string(),
                 partition.cut_edge_count().to_string(),
@@ -747,13 +693,22 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
                 fmt(vanilla.averaging_time),
                 fmt(algo.averaging_time),
                 fmt(vanilla.averaging_time / algo.averaging_time.max(1e-9)),
-            ])
+            ]))
         },
     )?;
-    for row in rows {
-        table.push_row(row);
-    }
-    Ok(table)
+    Ok(Table::new(
+        title(ExperimentId::E8),
+        [
+            "scenario",
+            "n",
+            "|E12|",
+            "Thm1 bound",
+            "vanilla T_av",
+            "Algorithm A T_av",
+            "speed-up",
+        ],
+        rows.into_iter().map(|Cells(cells)| cells),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -766,10 +721,6 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
 ///
 /// Propagates analysis and journal errors.
 pub fn run_e9(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
-    let mut table = Table::new(
-        title(ExperimentId::E9),
-        &["s", "empirical P[S_k ≥ s√k]", "Theorem 3 bound e^{−s²/2}"],
-    );
     let k = 64;
     let trials = if config.quick { 4_000 } else { 20_000 };
     let thresholds = [0.5, 1.0, 1.5, 2.0, 2.5];
@@ -779,16 +730,17 @@ pub fn run_e9(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
         "E9",
         &thresholds,
         |s| format!("walk(k={k},s={s},trials={trials})"),
-        |_, &s, _| -> BenchResult<Vec<String>> {
+        |_, &s, _| -> BenchResult<Cells<3>> {
             let empirical = simple_walk_tail_frequency(k, s, trials, config.seed.wrapping_add(9));
             let bound = concentration::simple_walk_tail_bound(k, s)?;
-            Ok(vec![fmt(s), fmt(empirical), fmt(bound)])
+            Ok(Cells([fmt(s), fmt(empirical), fmt(bound)]))
         },
     )?;
-    for row in rows {
-        table.push_row(row);
-    }
-    Ok(table)
+    Ok(Table::new(
+        title(ExperimentId::E9),
+        ["s", "empirical P[S_k ≥ s√k]", "Theorem 3 bound e^{−s²/2}"],
+        rows.into_iter().map(|Cells(cells)| cells),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -865,23 +817,16 @@ pub fn run_e10(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec
         },
     )?;
 
-    let mut table = Table::new(
+    let table = Table::from_rows(
         title(ExperimentId::E10),
+        &rows,
         &[
-            "transfer coefficient",
-            "γ",
-            "T_av (capped)",
-            "censored runs",
+            ("transfer coefficient", |r| r.coefficient.clone()),
+            ("γ", |r| fmt(r.gamma)),
+            ("T_av (capped)", |r| fmt(r.averaging_time)),
+            ("censored runs", |r| r.censored_runs.to_string()),
         ],
     );
-    for row in &rows {
-        table.push_row(vec![
-            row.coefficient.clone(),
-            fmt(row.gamma),
-            fmt(row.averaging_time),
-            row.censored_runs.to_string(),
-        ]);
-    }
     Ok((rows, table))
 }
 
@@ -998,35 +943,22 @@ pub fn run_scale(
         rows,
     };
 
-    let mut table = Table::new(
+    let table = Table::from_rows(
         title(ExperimentId::Scale),
+        &report.rows,
         &[
-            "family",
-            "n",
-            "|E|",
-            "|E12|",
-            "λ₂",
-            "λ_max",
-            "gossip gap",
-            "T_van est",
-            "build ms",
-            "spectral ms",
+            ("family", |r| r.family.clone()),
+            ("n", |r| r.n.to_string()),
+            ("|E|", |r| r.edges.to_string()),
+            ("|E12|", |r| r.cut_edges.to_string()),
+            ("λ₂", |r| fmt(r.algebraic_connectivity)),
+            ("λ_max", |r| fmt(r.laplacian_lambda_max)),
+            ("gossip gap", |r| fmt(r.gossip_spectral_gap)),
+            ("T_van est", |r| fmt(r.t_van_estimate)),
+            ("build ms", |r| fmt(r.build_ms)),
+            ("spectral ms", |r| fmt(r.spectral_ms)),
         ],
     );
-    for row in &report.rows {
-        table.push_row(vec![
-            row.family.clone(),
-            row.n.to_string(),
-            row.edges.to_string(),
-            row.cut_edges.to_string(),
-            fmt(row.algebraic_connectivity),
-            fmt(row.laplacian_lambda_max),
-            fmt(row.gossip_spectral_gap),
-            fmt(row.t_van_estimate),
-            fmt(row.build_ms),
-            fmt(row.spectral_ms),
-        ]);
-    }
     Ok((report, table))
 }
 
@@ -1274,35 +1206,22 @@ pub fn run_sim_scale(
         rows,
     };
 
-    let mut table = Table::new(
+    let table = Table::from_rows(
         title(ExperimentId::SimScale),
+        &report.rows,
         &[
-            "family",
-            "n",
-            "|E|",
-            "initial",
-            "ticks",
-            "T_stop",
-            "var ratio",
-            "refreshes",
-            "wall ms",
-            "ticks/s",
+            ("family", |r| r.family.clone()),
+            ("n", |r| r.n.to_string()),
+            ("|E|", |r| r.edges.to_string()),
+            ("initial", |r| r.initial.clone()),
+            ("ticks", |r| r.ticks.to_string()),
+            ("T_stop", |r| fmt(r.stop_time)),
+            ("var ratio", |r| fmt(r.variance_ratio)),
+            ("refreshes", |r| r.moment_refreshes.to_string()),
+            ("wall ms", |r| fmt(r.wall_ms)),
+            ("ticks/s", |r| fmt(r.ticks_per_sec)),
         ],
     );
-    for row in &report.rows {
-        table.push_row(vec![
-            row.family.clone(),
-            row.n.to_string(),
-            row.edges.to_string(),
-            row.initial.clone(),
-            row.ticks.to_string(),
-            fmt(row.stop_time),
-            fmt(row.variance_ratio),
-            row.moment_refreshes.to_string(),
-            fmt(row.wall_ms),
-            fmt(row.ticks_per_sec),
-        ]);
-    }
     Ok((report, table))
 }
 
@@ -1458,36 +1377,24 @@ pub fn run_mem_scale(
         rows,
     };
 
-    let mut table = Table::new(
+    let table = Table::from_rows(
         title(ExperimentId::MemScale),
+        &report.rows,
         &[
-            "family",
-            "n",
-            "|E|",
-            "ticks",
-            "T_stop",
-            "var ratio",
-            "wall ms",
-            "ticks/s",
-            "RSS MiB",
-        ],
-    );
-    for row in &report.rows {
-        table.push_row(vec![
-            row.family.clone(),
-            row.n.to_string(),
-            row.edges.to_string(),
-            row.ticks.to_string(),
-            fmt(row.stop_time),
-            fmt(row.variance_ratio),
-            fmt(row.wall_ms),
-            fmt(row.ticks_per_sec),
-            match row.peak_rss_bytes {
+            ("family", |r| r.family.clone()),
+            ("n", |r| r.n.to_string()),
+            ("|E|", |r| r.edges.to_string()),
+            ("ticks", |r| r.ticks.to_string()),
+            ("T_stop", |r| fmt(r.stop_time)),
+            ("var ratio", |r| fmt(r.variance_ratio)),
+            ("wall ms", |r| fmt(r.wall_ms)),
+            ("ticks/s", |r| fmt(r.ticks_per_sec)),
+            ("RSS MiB", |r| match r.peak_rss_bytes {
                 Some(bytes) => fmt(bytes as f64 / (1024.0 * 1024.0)),
                 None => "-".to_string(),
-            },
-        ]);
-    }
+            }),
+        ],
+    );
     Ok((report, table))
 }
 
@@ -1655,40 +1562,28 @@ pub fn run_robustness(
         rows,
     };
 
-    let mut table = Table::new(
+    let table = Table::from_rows(
         title(ExperimentId::Robustness),
+        &report.rows,
         &[
-            "family",
-            "fault",
-            "n",
-            "|E|",
-            "base ticks",
-            "fault ticks",
-            "slowdown",
-            "stop",
-            "var ratio",
-            "suppressed",
-            "worst λ₂",
-            "mean drift",
+            ("family", |r| r.family.clone()),
+            ("fault", |r| r.fault.clone()),
+            ("n", |r| r.n.to_string()),
+            ("|E|", |r| r.edges.to_string()),
+            ("base ticks", |r| r.baseline_ticks.to_string()),
+            ("fault ticks", |r| r.ticks.to_string()),
+            ("slowdown", |r| {
+                fmt(r.ticks as f64 / r.baseline_ticks.max(1) as f64)
+            }),
+            ("stop", |r| r.stop_reason.clone()),
+            ("var ratio", |r| fmt(r.variance_ratio)),
+            ("suppressed", |r| {
+                (r.dropped + r.edge_down_skips + r.node_pause_skips).to_string()
+            }),
+            ("worst λ₂", |r| fmt(r.worst_surviving_lambda2)),
+            ("mean drift", |r| fmt(r.mean_drift)),
         ],
     );
-    for row in &report.rows {
-        let suppressed = row.dropped + row.edge_down_skips + row.node_pause_skips;
-        table.push_row(vec![
-            row.family.clone(),
-            row.fault.clone(),
-            row.n.to_string(),
-            row.edges.to_string(),
-            row.baseline_ticks.to_string(),
-            row.ticks.to_string(),
-            fmt(row.ticks as f64 / row.baseline_ticks.max(1) as f64),
-            row.stop_reason.clone(),
-            fmt(row.variance_ratio),
-            suppressed.to_string(),
-            fmt(row.worst_surviving_lambda2),
-            fmt(row.mean_drift),
-        ]);
-    }
     Ok((report, table))
 }
 
@@ -1900,41 +1795,27 @@ pub fn run_adversary(
         rows,
     };
 
-    let mut table = Table::new(
+    let table = Table::from_rows(
         title(ExperimentId::Adversary),
+        &report.rows,
         &[
-            "family",
-            "attack",
-            "aggregation",
-            "n",
-            "adv",
-            "clean ticks",
-            "ticks",
-            "stop",
-            "drift",
-            "bound",
-            "oracle",
-            "censored",
-            "flagged",
+            ("family", |r| r.family.clone()),
+            ("attack", |r| r.attack.clone()),
+            ("aggregation", |r| r.aggregation.clone()),
+            ("n", |r| r.n.to_string()),
+            ("adv", |r| r.adversaries.to_string()),
+            ("clean ticks", |r| r.clean_ticks.to_string()),
+            ("ticks", |r| r.ticks.to_string()),
+            ("stop", |r| r.stop_reason.clone()),
+            ("drift", |r| fmt(r.honest_drift)),
+            ("bound", |r| fmt(r.drift_bound)),
+            ("oracle", |r| {
+                if r.drift_oracle_ok { "ok" } else { "FAIL" }.to_string()
+            }),
+            ("censored", |r| r.censored_contacts.to_string()),
+            ("flagged", |r| r.flagged_reports.to_string()),
         ],
     );
-    for row in &report.rows {
-        table.push_row(vec![
-            row.family.clone(),
-            row.attack.clone(),
-            row.aggregation.clone(),
-            row.n.to_string(),
-            row.adversaries.to_string(),
-            row.clean_ticks.to_string(),
-            row.ticks.to_string(),
-            row.stop_reason.clone(),
-            fmt(row.honest_drift),
-            fmt(row.drift_bound),
-            if row.drift_oracle_ok { "ok" } else { "FAIL" }.to_string(),
-            row.censored_contacts.to_string(),
-            row.flagged_reports.to_string(),
-        ]);
-    }
     Ok((report, table))
 }
 
@@ -2254,67 +2135,46 @@ pub fn run_perf_sized(
     };
 
     let heading = title(ExperimentId::Perf);
-    let mut throughput_table = Table::new(
+    let throughput_table = Table::from_rows(
         format!("{heading} — hot-loop throughput"),
+        &report.throughput,
         &[
-            "family",
-            "n",
-            "|E|",
-            "ticks",
-            "stop",
-            "var ratio",
-            "wall ms",
-            "ticks/s",
+            ("family", |r| r.family.clone()),
+            ("n", |r| r.n.to_string()),
+            ("|E|", |r| r.edges.to_string()),
+            ("ticks", |r| r.ticks.to_string()),
+            ("stop", |r| r.stop_reason.clone()),
+            ("var ratio", |r| fmt(r.variance_ratio)),
+            ("wall ms", |r| fmt(r.wall_ms)),
+            ("ticks/s", |r| fmt(r.ticks_per_sec)),
         ],
     );
-    for row in &report.throughput {
-        throughput_table.push_row(vec![
-            row.family.clone(),
-            row.n.to_string(),
-            row.edges.to_string(),
-            row.ticks.to_string(),
-            row.stop_reason.clone(),
-            fmt(row.variance_ratio),
-            fmt(row.wall_ms),
-            fmt(row.ticks_per_sec),
-        ]);
-    }
-    let mut estimator_table = Table::new(
+    let estimator_table = Table::from_rows(
         format!("{heading} — estimator across the job grid (max {max_jobs} jobs)"),
+        &report.estimator,
         &[
-            "family",
-            "n",
-            "runs",
-            "T_av",
-            "confirmed",
-            "wall ms (1 job)",
-            "wall ms (max)",
-            "speedup by jobs",
+            ("family", |r| r.family.clone()),
+            ("n", |r| r.n.to_string()),
+            ("runs", |r| r.runs.to_string()),
+            ("T_av", |r| fmt(r.averaging_time)),
+            ("confirmed", |r| r.confirmed_runs.to_string()),
+            ("wall ms (1 job)", |r| fmt(r.wall_ms_serial)),
+            ("wall ms (max)", |r| fmt(r.wall_ms_parallel)),
+            ("speedup by jobs", |r| {
+                let speedups: Vec<String> = r
+                    .timings
+                    .iter()
+                    .skip(1)
+                    .map(|t| format!("{}:{}", t.jobs, fmt(t.speedup)))
+                    .collect();
+                if speedups.is_empty() {
+                    "-".to_string()
+                } else {
+                    speedups.join(" ")
+                }
+            }),
         ],
     );
-    for row in &report.estimator {
-        let speedups = row
-            .timings
-            .iter()
-            .skip(1)
-            .map(|t| format!("{}:{}", t.jobs, fmt(t.speedup)))
-            .collect::<Vec<_>>()
-            .join(" ");
-        estimator_table.push_row(vec![
-            row.family.clone(),
-            row.n.to_string(),
-            row.runs.to_string(),
-            fmt(row.averaging_time),
-            row.confirmed_runs.to_string(),
-            fmt(row.wall_ms_serial),
-            fmt(row.wall_ms_parallel),
-            if speedups.is_empty() {
-                "-".to_string()
-            } else {
-                speedups
-            },
-        ]);
-    }
     Ok((report, vec![throughput_table, estimator_table]))
 }
 

@@ -4,40 +4,49 @@ use std::fmt;
 
 /// A rectangular table of strings with a title, rendered as GitHub-flavoured
 /// markdown (so the harness output can be pasted into a document verbatim).
+///
+/// A table is built whole, by [`Table::from_rows`] or [`Table::new`], and
+/// both give every row exactly one cell per column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
-    /// Table title (printed above the table).
-    pub title: String,
-    /// Column headers.
-    pub columns: Vec<String>,
-    /// Rows; each row has exactly `columns.len()` cells.
-    pub rows: Vec<Vec<String>>,
+    title: String,
+    columns: Vec<String>,
+    rows: Vec<Vec<String>>,
 }
 
+/// One column of a table built from typed rows: its header and the function
+/// that renders its cell from a row.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
 impl Table {
-    /// Creates an empty table with the given title and columns.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    /// Builds a table with one row per element of `rows` and one column per
+    /// entry of `columns`, each cell rendered by its column's function.
+    pub fn from_rows<R>(title: impl Into<String>, rows: &[R], columns: &[Column<R>]) -> Self {
         Table {
             title: title.into(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            rows: Vec::new(),
+            columns: columns
+                .iter()
+                .map(|(header, _)| header.to_string())
+                .collect(),
+            rows: rows
+                .iter()
+                .map(|row| columns.iter().map(|(_, cell)| cell(row)).collect())
+                .collect(),
         }
     }
 
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row length does not match the number of columns.
-    pub fn push_row(&mut self, row: Vec<String>) {
-        assert_eq!(
-            row.len(),
-            self.columns.len(),
-            "row has {} cells but the table has {} columns",
-            row.len(),
-            self.columns.len()
-        );
-        self.rows.push(row);
+    /// Builds a table from rows whose cells are already rendered, each as
+    /// wide as `columns`.
+    pub fn new<const N: usize>(
+        title: impl Into<String>,
+        columns: [&str; N],
+        rows: impl IntoIterator<Item = [String; N]>,
+    ) -> Self {
+        Table {
+            title: title.into(),
+            columns: columns.map(str::to_string).into(),
+            rows: rows.into_iter().map(Vec::from).collect(),
+        }
     }
 
     /// Number of data rows.
@@ -98,9 +107,14 @@ mod tests {
 
     #[test]
     fn render_markdown() {
-        let mut t = Table::new("E0: smoke", &["n", "value"]);
-        t.push_row(vec!["4".into(), "1.25".into()]);
-        t.push_row(vec!["8".into(), "2.50".into()]);
+        let t = Table::new(
+            "E0: smoke",
+            ["n", "value"],
+            [
+                ["4".to_string(), "1.25".to_string()],
+                ["8".to_string(), "2.50".to_string()],
+            ],
+        );
         assert_eq!(t.row_count(), 2);
         let rendered = t.to_string();
         assert!(rendered.contains("### E0: smoke"));
@@ -110,10 +124,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cells")]
-    fn mismatched_row_panics() {
-        let mut t = Table::new("bad", &["a", "b"]);
-        t.push_row(vec!["1".into()]);
+    fn typed_rows_render_one_cell_per_column() {
+        let rows = [(4usize, 1.25), (8, 2.5)];
+        let t = Table::from_rows(
+            "E0: smoke",
+            &rows,
+            &[
+                ("n", |r| r.0.to_string()),
+                ("value", |r| Table::fmt_f64(r.1)),
+                ("n·value", |r| Table::fmt_f64(r.0 as f64 * r.1)),
+            ],
+        );
+        assert_eq!(t.row_count(), 2);
+        let rendered = t.to_string();
+        assert!(rendered.contains("| n | value | n·value |"));
+        assert!(rendered.contains("| --- | --- | --- |"));
+        assert!(rendered.contains("| 4 | 1.25 | 5.00 |"));
+        assert!(rendered.contains("| 8 | 2.50 | 20.00 |"));
     }
 
     #[test]

@@ -110,6 +110,25 @@ impl<T: FromValue> FromValue for Vec<T> {
     }
 }
 
+/// A journaled row of `N` rendered table cells, for tiers whose trials
+/// render their own cells.  It is written as a JSON array of strings, and
+/// only an array of exactly `N` strings decodes, so a row of another width
+/// is recomputed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cells<const N: usize>(pub [String; N]);
+
+impl<const N: usize> Serialize for Cells<N> {
+    fn to_json_value(&self) -> Value {
+        self.0.as_slice().to_json_value()
+    }
+}
+
+impl<const N: usize> FromValue for Cells<N> {
+    fn from_value(value: &Value) -> Option<Self> {
+        Vec::from_value(value)?.try_into().ok().map(Cells)
+    }
+}
+
 /// Declares a journaled row or a `BENCH_*.json` report once.
 ///
 /// Takes a struct as written (docs, derives, `pub` fields) and emits the
@@ -631,5 +650,31 @@ mod tests {
         assert_eq!(Probe::from_value(&censored_marker("deadline")), None);
         // A whole optional row journaled as `null` replays as `None`.
         assert_eq!(Option::<Probe>::from_value(&Value::Null), Some(None));
+    }
+
+    #[test]
+    fn cells_decode_only_at_their_width() {
+        let decode = |text: &str| Cells::<3>::from_value(&serde_json::from_str(text).unwrap());
+        let row = Cells([
+            "0.5000".to_string(),
+            "0.3515".to_string(),
+            "0.8825".to_string(),
+        ]);
+        // The encoder writes the plain array of strings, and it decodes back.
+        assert_eq!(
+            serde_json::to_string(&row).unwrap(),
+            r#"["0.5000","0.3515","0.8825"]"#
+        );
+        assert_eq!(decode(r#"["0.5000","0.3515","0.8825"]"#), Some(row));
+        for bad in [
+            r#"["0.5000","0.3515"]"#,
+            r#"["0.5000","0.3515","0.8825","1"]"#,
+            r#"["0.5000",0.3515,"0.8825"]"#,
+            r#"{"cells":["0.5000","0.3515","0.8825"]}"#,
+            "null",
+        ] {
+            assert_eq!(decode(bad), None, "{bad}");
+        }
+        assert_eq!(Cells::<3>::from_value(&censored_marker("deadline")), None);
     }
 }

@@ -1,8 +1,11 @@
 //! Command-line contract of the `experiments` binary: malformed `--only`
 //! arguments, store-only flags given without `--store-dir`, and value-taking
 //! flags whose value is missing or is itself a flag are usage errors (exit
-//! status 2) that run no tier.
+//! status 2) that run no tier; a journal row of the wrong shape is
+//! recomputed on `--resume`, not trusted.
 
+use serde::json::Value;
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn experiments(args: &[&str]) -> Output {
@@ -101,4 +104,54 @@ fn a_flag_value_that_is_itself_a_flag_is_a_usage_error() {
         .collect();
     std::fs::remove_dir_all(&dir).expect("temp dir is removable");
     assert!(written.is_empty(), "wrote {written:?}");
+}
+
+/// Runs the quick E9 tier from `dir` against the store `store` in it.
+fn quick_e9(dir: &Path, extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .current_dir(dir)
+        .args(["--quick", "--only", "E9", "--store-dir", "store"])
+        .args(extra)
+        .output()
+        .expect("experiments binary runs")
+}
+
+#[test]
+fn a_journaled_row_of_the_wrong_width_is_recomputed_on_resume() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("gossip-cli-wrong-width-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let uninterrupted = quick_e9(&dir, &[]);
+    assert!(uninterrupted.status.success(), "{uninterrupted:?}");
+
+    // Drop the last of the three cells of one journaled E9 row.
+    let journal = dir.join("store").join("e9.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("E9 journal");
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    assert_eq!(lines.len(), 5, "{text}");
+    let mut record = serde_json::from_str(&lines[2]).expect("journal line parses");
+    let Value::Object(fields) = &mut record else {
+        panic!("a journal line is an object: {record:?}");
+    };
+    match fields.iter_mut().find(|(name, _)| name == "row") {
+        Some((_, Value::Array(cells))) => assert!(cells.pop().is_some()),
+        other => panic!("an E9 row is an array of cells: {other:?}"),
+    }
+    lines[2] = serde_json::to_string(&record).expect("the record renders");
+    std::fs::write(&journal, lines.join("\n") + "\n").expect("journal rewritten");
+
+    let resumed = quick_e9(&dir, &["--resume"]);
+    std::fs::remove_dir_all(&dir).expect("temp dir is removable");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(0), "{stderr}");
+    let counts = stderr
+        .lines()
+        .find(|line| line.starts_with("run store[E9]:"))
+        .unwrap_or_else(|| panic!("no E9 store counts: {stderr}"));
+    assert!(counts.ends_with(", computed 1"), "{counts}");
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout),
+        String::from_utf8_lossy(&uninterrupted.stdout)
+    );
 }
