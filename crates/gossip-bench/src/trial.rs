@@ -272,11 +272,12 @@ pub fn run_trials<C: Sync, T: Serialize + FromValue + Send>(
     let mut slots: Vec<Option<T>> = Vec::with_capacity(cases.len());
     let mut missing: Vec<usize> = Vec::new();
     for (i, key) in keys.iter().enumerate() {
-        let replayed = sink
-            .replay(experiment, *key)
-            .and_then(|value| T::from_value(&value));
+        let replayed = sink.replay(*key).and_then(|value| T::from_value(&value));
         match replayed {
-            Some(row) => slots.push(Some(row)),
+            Some(row) => {
+                sink.count_replay(experiment);
+                slots.push(Some(row));
+            }
             None => {
                 slots.push(None);
                 missing.push(i);
@@ -551,6 +552,10 @@ mod tests {
         .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(rows, (0..3).map(|index| Row { index }).collect::<Vec<_>>());
+        assert_eq!(
+            sink.summary_lines(),
+            ["run store[E8]: replayed 2, computed 1"]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -604,6 +609,10 @@ mod tests {
             (0..bad_rows.len())
                 .map(|index| Row { index })
                 .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            sink.summary_lines(),
+            ["run store[E8]: replayed 0, computed 5"]
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

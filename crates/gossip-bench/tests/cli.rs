@@ -149,7 +149,7 @@ fn a_journaled_row_of_the_wrong_width_is_recomputed_on_resume() {
         .lines()
         .find(|line| line.starts_with("run store[E9]:"))
         .unwrap_or_else(|| panic!("no E9 store counts: {stderr}"));
-    assert!(counts.ends_with(", computed 1"), "{counts}");
+    assert_eq!(counts, "run store[E9]: replayed 4, computed 1");
     assert_eq!(
         String::from_utf8_lossy(&resumed.stdout),
         String::from_utf8_lossy(&uninterrupted.stdout)

@@ -5,9 +5,10 @@
 //! A tier never touches files itself.  It asks its sink to
 //! [`TrialSink::replay`] a trial key — getting the journaled row back if
 //! that exact trial (same tier, scenario fingerprint, seed, and engine
-//! config) already committed — and calls [`TrialSink::commit`] with each
+//! config) already committed — reports each row it decoded through
+//! [`TrialSink::count_replay`], and calls [`TrialSink::commit`] with each
 //! freshly computed row *after its oracles passed*.  [`NullSink`] makes
-//! both a no-op so store-less runs take the identical code path;
+//! these a no-op so store-less runs take the identical code path;
 //! [`StoreSink`] backs them with a [`RunStore`] and counts
 //! replayed/computed trials per tier for the run summary.
 
@@ -28,9 +29,14 @@ use crate::{Result, StoreError};
 /// at the end of a sweep.
 pub trait TrialSink: Sync {
     /// Returns the committed row of `key`, if this exact trial already
-    /// committed.  `experiment` is the tier's CLI token (used for
-    /// accounting; the key alone identifies the trial).
-    fn replay(&self, experiment: &str, key: TrialKey) -> Option<Value>;
+    /// committed.  The row counts as replayed only once its caller decoded
+    /// it and called [`Self::count_replay`]: a row that fails to decode is
+    /// recomputed and counts as computed.
+    fn replay(&self, key: TrialKey) -> Option<Value>;
+
+    /// Counts one trial of tier `experiment` (its CLI token) as served from
+    /// the journal.  Store-less sinks count nothing.
+    fn count_replay(&self, _experiment: &str) {}
 
     /// Durably commits one freshly computed trial.  Callers only invoke
     /// this after the trial's oracles passed — a failed oracle is an error
@@ -55,7 +61,7 @@ pub trait TrialSink: Sync {
 pub struct NullSink;
 
 impl TrialSink for NullSink {
-    fn replay(&self, _experiment: &str, _key: TrialKey) -> Option<Value> {
+    fn replay(&self, _key: TrialKey) -> Option<Value> {
         None
     }
 
@@ -319,18 +325,18 @@ impl StoreSink {
 }
 
 impl TrialSink for StoreSink {
-    fn replay(&self, experiment: &str, key: TrialKey) -> Option<Value> {
-        let row = {
-            let store = self.store.lock().expect("store mutex poisoned");
-            store.replay(key).cloned()
-        }?;
+    fn replay(&self, key: TrialKey) -> Option<Value> {
+        let store = self.store.lock().expect("store mutex poisoned");
+        store.replay(key).cloned()
+    }
+
+    fn count_replay(&self, experiment: &str) {
         self.stats
             .lock()
             .expect("stats mutex poisoned")
             .entry(experiment.to_string())
             .or_default()
             .replayed += 1;
-        Some(row)
     }
 
     fn commit(&self, record: TrialRecord) -> Result<()> {
@@ -471,9 +477,11 @@ mod tests {
         let store = RunStore::open(&dir, false).unwrap();
         let sink = StoreSink::new(store);
         let rec = record("SIM_SCALE", "chordring(n=1000)", 3, 8.0);
-        assert_eq!(sink.replay("SIM_SCALE", rec.key), None);
+        assert_eq!(sink.replay(rec.key), None);
         sink.commit(rec.clone()).unwrap();
-        assert_eq!(sink.replay("SIM_SCALE", rec.key), Some(rec.row.clone()));
+        assert_eq!(sink.replay(rec.key), Some(rec.row.clone()));
+        assert_eq!(sink.stats()["SIM_SCALE"].replayed, 0, "not decoded yet");
+        sink.count_replay("SIM_SCALE");
         let stats = sink.stats();
         assert_eq!(
             stats.get("SIM_SCALE"),
@@ -493,9 +501,9 @@ mod tests {
     fn null_sink_is_inert() {
         let sink = NullSink;
         let rec = record("SIM_SCALE", "chordring(n=1000)", 3, 8.0);
-        assert_eq!(sink.replay("SIM_SCALE", rec.key), None);
+        assert_eq!(sink.replay(rec.key), None);
         sink.commit(rec.clone()).unwrap();
-        assert_eq!(sink.replay("SIM_SCALE", rec.key), None);
+        assert_eq!(sink.replay(rec.key), None);
         assert_eq!(sink.latest_checkpoint(rec.key), None);
         sink.commit_checkpoint(checkpoint(rec.key, 512)).unwrap();
         assert_eq!(sink.latest_checkpoint(rec.key), None);
