@@ -208,7 +208,7 @@ pub fn run_dumbbell_sweep(
         config,
         sink,
         "DUMBBELL",
-        &sizes.values,
+        &sizes,
         Scenario::fingerprint,
         |index, scenario, _| -> BenchResult<DumbbellSweepRow> {
             let instance = scenario.instantiate(config.seed)?;
@@ -526,7 +526,7 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
         config,
         sink,
         "E6",
-        &cut_sweep.values,
+        &cut_sweep,
         |scenario| format!("{}+part=cut", scenario.fingerprint()),
         |index, scenario, _| -> BenchResult<Cells<4>> {
             let instance = scenario.instantiate(config.seed.wrapping_add(600 + index as u64))?;
@@ -561,7 +561,7 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
         config,
         sink,
         "E6",
-        &constants.values,
+        &constants,
         |c| format!("dumbbell(half={half})+C={c}"),
         |index, &c, _| -> BenchResult<Cells<3>> {
             let estimator = config.estimator(800 + index as u64, 4000.0);
@@ -911,7 +911,7 @@ pub fn run_scale(
         config,
         sink,
         "SCALE",
-        &sweep::scale_sweep(config.quick).values,
+        &sweep::scale_sweep(config.quick),
         Scenario::fingerprint,
         |index, scenario, _| -> BenchResult<ScaleRow> {
             let build_start = std::time::Instant::now();
@@ -1196,9 +1196,8 @@ pub fn run_sim_scale(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
 ) -> BenchResult<(SimScaleReport, Table)> {
-    let sweep = sweep::sim_scale_sweep(config.quick);
     let refresh = gossip_sim::engine::DEFAULT_MOMENT_REFRESH_TICKS;
-    let rows = sim_scale_rows(config, sink, &sweep.values)?;
+    let rows = sim_scale_rows(config, sink, &sweep::sim_scale_sweep(config.quick))?;
     let report = SimScaleReport {
         quick: config.quick,
         seed: config.seed,
@@ -1368,8 +1367,7 @@ pub fn run_mem_scale(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
 ) -> BenchResult<(MemScaleReport, Table)> {
-    let sweep = sweep::mem_scale_sweep(config.quick);
-    let rows = mem_scale_rows(config, sink, &sweep.values)?;
+    let rows = mem_scale_rows(config, sink, &sweep::mem_scale_sweep(config.quick))?;
     let report = MemScaleReport {
         quick: config.quick,
         seed: config.seed,
@@ -1555,7 +1553,7 @@ pub fn run_robustness(
     config: &HarnessConfig,
     sink: &dyn TrialSink,
 ) -> BenchResult<(RobustnessReport, Table)> {
-    let rows = robustness_rows(config, sink, &sweep::robustness_sweep(config.quick).values)?;
+    let rows = robustness_rows(config, sink, &sweep::robustness_sweep(config.quick))?;
     let report = RobustnessReport {
         quick: config.quick,
         seed: config.seed,
@@ -1698,7 +1696,7 @@ pub fn run_adversary(
         config,
         sink,
         "ADVERSARY",
-        &sweep::adversary_sweep(config.quick).values,
+        &sweep::adversary_sweep(config.quick),
         AdversaryCase::fingerprint,
         |index, case, _| -> BenchResult<AdversaryRow> {
             let instance = case
