@@ -381,8 +381,9 @@ impl GraphBuilder {
     /// Finalizes the builder into an immutable [`Graph`].
     ///
     /// Each node's neighbours appear in the order their edges were added.
-    /// A graph of at least 2²² half-edges is filled on two threads when two
-    /// cores are available, with the same result.
+    /// A graph of at least [`SECOND_CORE_HALF_EDGES`] (2²²) half-edges is
+    /// filled on two threads when two cores are available, with the same
+    /// result.
     ///
     /// # Errors
     ///
@@ -396,9 +397,7 @@ impl GraphBuilder {
         check_size(self.node_count, self.edges.len())?;
         let mut offsets = slice_ends(self.node_count, &self.edges);
         let mut adjacency = vec![(0, 0); 2 * self.edges.len()];
-        let ranges = if adjacency.len() >= TWO_RANGE_HALF_EDGES
-            && std::thread::available_parallelism().is_ok_and(|cores| cores.get() >= 2)
-        {
+        let ranges = if second_core_pays(adjacency.len()) {
             2
         } else {
             1
@@ -431,9 +430,21 @@ fn slice_ends(node_count: usize, edges: &[Edge]) -> Vec<u32> {
     ends
 }
 
-/// The half-edge count from which [`GraphBuilder::build`] fills the
-/// adjacency in two node ranges on two threads, given two cores.
-const TWO_RANGE_HALF_EDGES: usize = 1 << 22;
+/// The half-edge count from which work over a graph's edges takes a second
+/// thread, given two cores: [`GraphBuilder::build`] fills the adjacency in
+/// two node ranges, and the simulator's global clock draws its batches
+/// ahead of the engine.  A thread costs its stack and the code pages it
+/// touches whatever the graph's size, so only graphs whose own memory
+/// dwarfs that get one.
+pub const SECOND_CORE_HALF_EDGES: usize = 1 << 22;
+
+/// Whether work over `half_edges` half-edges takes a second thread: at least
+/// [`SECOND_CORE_HALF_EDGES`] of them and two cores available.  The size is
+/// tested first, so a smaller graph never asks for the core count.
+pub fn second_core_pays(half_edges: usize) -> bool {
+    half_edges >= SECOND_CORE_HALF_EDGES
+        && std::thread::available_parallelism().is_ok_and(|cores| cores.get() >= 2)
+}
 
 /// Fills `adjacency` from `edges` in `ranges` (1 or 2) node ranges.  On
 /// entry `offsets[x]` is the end of node `x`'s slice and `offsets[n]` the

@@ -25,11 +25,28 @@
 //! needs is Algorithm A's count of its designated edge, and that handler
 //! keeps it itself.  Both samplers are deterministic functions of their
 //! seed.
+//!
+//! Drawing a batch reads no node value, so on a graph of at least
+//! [`SECOND_CORE_HALF_EDGES`] half-edges, given two cores, the engine has
+//! the global process draw its batches on a second thread, a few batches
+//! ahead of the ticks it delivers.  That thread starts from a copy of the
+//! generator where the current batch left it, and each batch it hands over
+//! carries the generator as it stands after that batch, so the stream, the
+//! captured state and every checkpoint byte are the inline sampler's.  The
+//! rule is size-based because the thread's stack and code pages cost the
+//! same on any graph: on the 3 000-node graphs of the fault and adversary
+//! tiers they are a tenth of a run's resident memory, on a 10⁶-node graph
+//! they are lost in it.  The per-edge queue always runs inline: its re-arm
+//! draw depends on the edge it pops.
+//!
+//! [`SECOND_CORE_HALF_EDGES`]: gossip_graph::graph::SECOND_CORE_HALF_EDGES
 
 use crate::{Result, SimError};
 use gossip_graph::{Edge, EdgeId, Graph};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::Scope;
 
 /// A single edge-clock tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -418,25 +435,88 @@ impl TickProcess for EdgeClockQueue<'_> {
 /// pins arbitrary widths against unbatched single draws.
 pub const GLOBAL_TICK_BATCH: usize = 1024;
 
+/// How many batches a producer thread holds besides the one being
+/// delivered: it draws up to this many ahead, so a late wake-up of either
+/// thread does not stall the other.  On the 10⁶-node relaxation four read
+/// a fifth faster than one.
+const SPARE_BATCHES: usize = 4;
+
+/// The producer thread's stack: it holds a generator, a channel wait and
+/// nothing else.
+const PRODUCER_STACK_BYTES: usize = 64 * 1024;
+
 /// Superposition sampler: a global rate-`|E|` Poisson process with uniform
 /// edge assignment.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GlobalTickProcess<'g> {
     /// The graph's edge table, read once per draw when a batch is resolved.
     edges: &'g [Edge],
-    rng: ChaCha8Rng,
     global_tick_count: u64,
     now: f64,
-    /// Precomputed `(inter-arrival gap, edge index)` pairs, in draw order.
-    draws: Vec<(f64, usize)>,
-    /// The endpoints of every entry of `draws`, resolved in one pass after
-    /// the batch is drawn.
-    endpoints: Vec<Edge>,
+    /// The batch being delivered, with the generator after it.
+    batch: Batch,
     /// Next unconsumed entry of the batch.
     batch_pos: usize,
     /// Draws prefetched per refill ([`GLOBAL_TICK_BATCH`] unless built
     /// through [`Self::with_batch_capacity`]); never affects the stream.
     batch_capacity: usize,
+    /// The thread drawing the next batches, while one runs (see
+    /// [`Self::draw_ahead`]).
+    producer: Option<Producer>,
+}
+
+/// One batch of draws and the generator as it stands after them.
+#[derive(Debug, PartialEq)]
+struct Batch {
+    /// The draw generator, positioned after the last entry of `draws`.
+    rng: ChaCha8Rng,
+    /// Precomputed `(inter-arrival gap, edge index)` pairs, in draw order.
+    draws: Vec<(f64, usize)>,
+    /// The endpoints of every entry of `draws`, resolved in one pass after
+    /// the batch is drawn.
+    endpoints: Vec<Edge>,
+}
+
+impl Batch {
+    fn empty(rng: ChaCha8Rng, capacity: usize) -> Self {
+        Batch {
+            rng,
+            draws: Vec::with_capacity(capacity),
+            endpoints: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Replaces the batch with the generator's next `capacity` draws over
+    /// `edges`: the one draw of the sampler, inline or on a producer thread.
+    fn draw(&mut self, edges: &[Edge], capacity: usize) {
+        let edge_count = edges.len();
+        let total_rate = edge_count as f64;
+        self.draws.clear();
+        for _ in 0..capacity {
+            // Draw order per event — gap first, then edge — matches the
+            // historical one-event-at-a-time sampler, keeping the stream
+            // bit-identical for every seed.
+            let gap = exponential_sample(&mut self.rng, total_rate);
+            let edge = self.rng.gen_range(0..edge_count);
+            self.draws.push((gap, edge));
+        }
+        // Resolve endpoints in a second pass: the loads depend only on the
+        // drawn indices, not on each other or on the RNG, so the CPU keeps
+        // many table misses in flight at once instead of taking one per
+        // tick on the engine's critical path.
+        self.endpoints.clear();
+        self.endpoints
+            .extend(self.draws.iter().map(|&(_, edge)| edges[edge]));
+    }
+}
+
+/// The consumer's ends of a running producer: drawn batches arrive on
+/// `drawn`, and spent ones go back on `spent` to be drawn into again.
+/// Dropping either end stops the thread.
+#[derive(Debug)]
+struct Producer {
+    drawn: Receiver<Batch>,
+    spent: SyncSender<Batch>,
 }
 
 impl<'g> GlobalTickProcess<'g> {
@@ -471,13 +551,12 @@ impl<'g> GlobalTickProcess<'g> {
         }
         Ok(GlobalTickProcess {
             edges: graph.edges(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
             global_tick_count: 0,
             now: 0.0,
-            draws: Vec::with_capacity(capacity),
-            endpoints: Vec::with_capacity(capacity),
+            batch: Batch::empty(ChaCha8Rng::seed_from_u64(seed), capacity),
             batch_pos: 0,
             batch_capacity: capacity,
+            producer: None,
         })
     }
 
@@ -488,10 +567,10 @@ impl<'g> GlobalTickProcess<'g> {
     /// draws are captured; their endpoints are the graph's.
     pub(crate) fn checkpoint_state(&self) -> GlobalTickProcessState {
         GlobalTickProcessState {
-            rng_word_pos: self.rng.get_word_pos(),
+            rng_word_pos: self.batch.rng.get_word_pos(),
             global_tick_count: self.global_tick_count,
             now: self.now,
-            batch_tail: self.draws[self.batch_pos..].to_vec(),
+            batch_tail: self.batch.draws[self.batch_pos..].to_vec(),
             batch_capacity: self.batch_capacity,
         }
     }
@@ -527,37 +606,83 @@ impl<'g> GlobalTickProcess<'g> {
         rng.set_word_pos(state.rng_word_pos);
         Ok(GlobalTickProcess {
             edges,
-            rng,
             global_tick_count: state.global_tick_count,
             now: state.now,
-            draws: state.batch_tail.clone(),
-            endpoints: state.batch_tail.iter().map(|&(_, e)| edges[e]).collect(),
+            batch: Batch {
+                rng,
+                draws: state.batch_tail.clone(),
+                endpoints: state.batch_tail.iter().map(|&(_, e)| edges[e]).collect(),
+            },
             batch_pos: 0,
             batch_capacity: state.batch_capacity,
+            producer: None,
         })
+    }
+
+    /// Crate-internal: draws every later batch on a thread of `scope`, up
+    /// to [`SPARE_BATCHES`] ahead of the ticks this process delivers, until
+    /// [`Self::draw_inline`] or a drop of the process stops it.  The thread
+    /// starts from a copy of the generator where the current batch left it,
+    /// and the calling thread allocates the batches it draws into, which
+    /// are recycled.  If the thread cannot start, the process keeps drawing
+    /// inline.  Either way the stream is the inline one bit for bit.
+    pub(crate) fn draw_ahead<'scope>(&mut self, scope: &'scope Scope<'scope, '_>)
+    where
+        'g: 'scope,
+    {
+        let (drawn_tx, drawn) = mpsc::sync_channel(SPARE_BATCHES);
+        let (spent, spent_rx) = mpsc::sync_channel::<Batch>(SPARE_BATCHES);
+        for _ in 0..SPARE_BATCHES {
+            let spare = Batch::empty(self.batch.rng.clone(), self.batch_capacity);
+            spent
+                .send(spare)
+                .expect("the channel has room for every spare");
+        }
+        let (edges, capacity) = (self.edges, self.batch_capacity);
+        let mut rng = self.batch.rng.clone();
+        let started = std::thread::Builder::new()
+            .stack_size(PRODUCER_STACK_BYTES)
+            .spawn_scoped(scope, move || {
+                for mut batch in spent_rx {
+                    batch.rng.clone_from(&rng);
+                    batch.draw(edges, capacity);
+                    rng.clone_from(&batch.rng);
+                    if drawn_tx.send(batch).is_err() {
+                        return;
+                    }
+                }
+            });
+        if started.is_ok() {
+            self.producer = Some(Producer { drawn, spent });
+        }
+    }
+
+    /// Crate-internal: stops a producer started by [`Self::draw_ahead`] and
+    /// draws inline again, from where the last delivered batch left the
+    /// generator.  Batches drawn further ahead are dropped.
+    pub(crate) fn draw_inline(&mut self) {
+        self.producer = None;
     }
 
     #[cold]
     fn refill_batch(&mut self) {
-        let edge_count = self.edges.len();
-        let total_rate = edge_count as f64;
-        self.draws.clear();
-        for _ in 0..self.batch_capacity {
-            // Draw order per event — gap first, then edge — matches the
-            // historical one-event-at-a-time sampler, keeping the stream
-            // bit-identical for every seed.
-            let gap = exponential_sample(&mut self.rng, total_rate);
-            let edge = self.rng.gen_range(0..edge_count);
-            self.draws.push((gap, edge));
+        match &self.producer {
+            Some(producer) => {
+                // A batch's own generator rides along, so a checkpoint
+                // reads the position after the batch being delivered.
+                let mut spent = producer
+                    .drawn
+                    .recv()
+                    .expect("the producer draws until its consumer stops it");
+                std::mem::swap(&mut self.batch, &mut spent);
+                // Sending never blocks: only the spares circulate.
+                producer
+                    .spent
+                    .send(spent)
+                    .expect("the producer runs until its consumer stops it");
+            }
+            None => self.batch.draw(self.edges, self.batch_capacity),
         }
-        // Resolve endpoints in a second pass: the loads depend only on the
-        // drawn indices, not on each other or on the RNG, so the CPU keeps
-        // many table misses in flight at once instead of taking one per
-        // tick on the engine's critical path.
-        let edges = self.edges;
-        self.endpoints.clear();
-        self.endpoints
-            .extend(self.draws.iter().map(|&(_, edge)| edges[edge]));
         self.batch_pos = 0;
     }
 }
@@ -581,11 +706,11 @@ pub(crate) struct GlobalTickProcessState {
 impl TickProcess for GlobalTickProcess<'_> {
     #[inline]
     fn next_tick(&mut self) -> TickEvent {
-        if self.batch_pos == self.draws.len() {
+        if self.batch_pos == self.batch.draws.len() {
             self.refill_batch();
         }
-        let (gap, edge_index) = self.draws[self.batch_pos];
-        let endpoints = self.endpoints[self.batch_pos];
+        let (gap, edge_index) = self.batch.draws[self.batch_pos];
+        let endpoints = self.batch.endpoints[self.batch_pos];
         self.batch_pos += 1;
         self.now += gap;
         self.global_tick_count += 1;
@@ -807,6 +932,46 @@ mod tests {
                 assert_eq!(a.endpoints, b.endpoints);
                 assert_eq!(a.global_tick_count, b.global_tick_count);
             }
+        }
+    }
+
+    #[test]
+    fn drawing_ahead_delivers_the_inline_stream() {
+        // From a fresh process and from restores with a batch tail, the
+        // producer must deliver the inline ticks over several refills, and
+        // hand back mid-batch the inline state, generator included.
+        let g = complete(6).unwrap();
+        for (seed, width, warmup) in [(3u64, 7, 0), (11, 7, 4), (29, GLOBAL_TICK_BATCH, 1029)] {
+            let mut inline = GlobalTickProcess::with_batch_capacity(&g, seed, width).unwrap();
+            for _ in 0..warmup {
+                inline.next_tick();
+            }
+            let state = inline.checkpoint_state();
+            // Built inside the scope, so a failed assert drops the process
+            // and stops its thread before the scope joins it.
+            std::thread::scope(|scope| {
+                let mut ahead = GlobalTickProcess::restore_state(&g, seed, &state).unwrap();
+                ahead.draw_ahead(scope);
+                assert!(ahead.producer.is_some(), "seed {seed}: no producer");
+                for tick in 0..5 * width + 3 {
+                    let (a, b) = (ahead.next_tick(), inline.next_tick());
+                    assert_eq!(a.edge, b.edge, "seed {seed} tick {tick}");
+                    assert_eq!(
+                        a.time.to_bits(),
+                        b.time.to_bits(),
+                        "seed {seed} tick {tick}"
+                    );
+                    assert_eq!(a.endpoints, b.endpoints);
+                    assert_eq!(a.global_tick_count, b.global_tick_count);
+                }
+                assert_eq!(ahead.checkpoint_state(), inline.checkpoint_state());
+                ahead.draw_inline();
+                assert_eq!(ahead.batch, inline.batch, "seed {seed}");
+                assert_eq!(ahead.batch_pos, inline.batch_pos);
+                for _ in 0..2 * width {
+                    assert_eq!(ahead.next_tick(), inline.next_tick());
+                }
+            });
         }
     }
 

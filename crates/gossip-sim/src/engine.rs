@@ -3,6 +3,18 @@
 //! [`AsyncSimulator`] owns the state vector, a tick sampler, and a handler;
 //! [`AsyncSimulator::run`] repeatedly draws the next edge tick, invokes the
 //! handler, and evaluates the stopping rule.
+//!
+//! The loop runs on the calling thread.  Under [`ClockModel::GlobalUniform`]
+//! on a graph of at least [`SECOND_CORE_HALF_EDGES`] half-edges, given two
+//! cores, a run also starts one scoped thread that draws the clock's next
+//! batches while the loop consumes the current one (see [`crate::clock`]);
+//! the thread is stopped and joined before the run returns or unwinds, and
+//! every tick, outcome and checkpoint is the same as on one thread.  The
+//! rule is size-based because the thread's stack and code pages cost the
+//! same on any graph, which a 3 000-node run's few MiB feel and a 10⁶-node
+//! run's hundreds do not.
+//!
+//! [`SECOND_CORE_HALF_EDGES`]: gossip_graph::graph::SECOND_CORE_HALF_EDGES
 
 use crate::adversary::{AdversaryAction, AdversaryInjector, AdversaryPlan, AdversaryStats};
 use crate::checkpoint::{EngineCheckpoint, SamplerState};
@@ -12,8 +24,10 @@ use crate::handler::{EdgeTickContext, EdgeTickHandler};
 use crate::stopping::{SimulationStatus, StopReason, StoppingRule};
 use crate::values::NodeValues;
 use crate::{Result, SimError};
+use gossip_graph::graph::second_core_pays;
 use gossip_graph::Graph;
 use gossip_linalg::Vector;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Which tick sampler the simulator uses.
@@ -451,7 +465,8 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         })
     }
 
-    /// The current node values.
+    /// The current node values.  After a run that returned `Ok` they have
+    /// moved into [`SimulationOutcome::final_values`], and this is empty.
     pub fn values(&self) -> &NodeValues {
         &self.values
     }
@@ -463,7 +478,8 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     }
 
     /// Consumes the simulator and returns the handler together with the final
-    /// node values.
+    /// node values, which are empty after a run that returned `Ok` (see
+    /// [`Self::values`]).
     pub fn into_parts(self) -> (H, NodeValues) {
         (self.handler, self.values)
     }
@@ -499,7 +515,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     ///
     /// Returns [`SimError::EventBudgetExhausted`] if the hard event cap is hit
     /// before any stopping rule fires, and [`SimError::NonFiniteValue`] if the
-    /// handler produces NaN or infinite values.
+    /// handler produces NaN or infinite values.  Returns
+    /// [`SimError::StateSizeMismatch`] when called again after a run that
+    /// returned `Ok`, whose outcome took the node values.
     pub fn run(&mut self) -> Result<SimulationOutcome> {
         self.run_with_checkpoints(&mut |_| Ok(()))
     }
@@ -521,6 +539,24 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         &mut self,
         sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
     ) -> Result<SimulationOutcome> {
+        let draw_ahead = matches!(self.sampler, Sampler::Global(_))
+            && second_core_pays(2 * self.graph.edge_count());
+        self.run_drawing(sink, draw_ahead)
+    }
+
+    /// [`Self::run_with_checkpoints`], with the global clock's batches drawn
+    /// on a second thread when `draw_ahead` is set (see the module docs).
+    fn run_drawing(
+        &mut self,
+        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
+        draw_ahead: bool,
+    ) -> Result<SimulationOutcome> {
+        if self.values.len() != self.graph.node_count() {
+            return Err(SimError::StateSizeMismatch {
+                nodes: self.graph.node_count(),
+                values: self.values.len(),
+            });
+        }
         if self.config.checkpoint_every_ticks > 0 && self.handler.save_state().is_none() {
             return Err(self.handler_state_unsupported());
         }
@@ -541,21 +577,32 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             }
         }
 
-        let (time, ticks, reason) = match (self.faults.is_some(), self.adversary.is_some()) {
+        let (time, ticks, reason) = if draw_ahead {
+            std::thread::scope(|scope| DrawAhead::start(self, scope).0.run_loops(sink))
+        } else {
+            self.run_loops(sink)
+        }?;
+        Ok(self.finish(time, ticks, reason))
+    }
+
+    /// Runs the per-tick loop compiled for the configured plans.
+    fn run_loops(
+        &mut self,
+        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
+    ) -> Result<(f64, u64, StopReason)> {
+        match (self.faults.is_some(), self.adversary.is_some()) {
             (false, false) => self.run_loop::<false, false>(sink),
             (false, true) => self.run_loop::<false, true>(sink),
             (true, false) => self.run_loop::<true, false>(sink),
             (true, true) => self.run_loop::<true, true>(sink),
-        }?;
-        Ok(self.finish(time, ticks, reason))
+        }
     }
 
     /// The per-tick loop, compiled once per `(FAULTS, ADVERSARY)`
     /// combination so the fault-free path has no injector branch and the
     /// honest path no adversary classification.  The const parameters
     /// mirror `self.faults.is_some()` and `self.adversary.is_some()` —
-    /// [`Self::run_with_checkpoints`] is the only caller and keeps them in
-    /// sync.
+    /// [`Self::run_loops`] is the only caller and keeps them in sync.
     fn run_loop<const FAULTS: bool, const ADVERSARY: bool>(
         &mut self,
         sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
@@ -769,10 +816,12 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         }
     }
 
-    fn finish(&self, time: f64, ticks: u64, reason: StopReason) -> SimulationOutcome {
+    /// Builds the outcome, moving the node values into it: at 10⁶ nodes a
+    /// copy would be 8 MB per run.
+    fn finish(&mut self, time: f64, ticks: u64, reason: StopReason) -> SimulationOutcome {
         SimulationOutcome {
             final_variance: self.values.variance(),
-            final_values: self.values.clone(),
+            final_values: std::mem::replace(&mut self.values, NodeValues::constant(0, 0.0)),
             initial_variance: self.initial_variance,
             elapsed_time: time,
             total_ticks: ticks,
@@ -800,6 +849,31 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             .as_ref()
             .map(|i| i.stats())
             .unwrap_or_default()
+    }
+}
+
+/// A simulator whose global clock draws ahead on a thread of a scope until
+/// this is dropped, on return or unwind, which stops the thread so the
+/// scope can join it.
+struct DrawAhead<'s, 'g, H>(&'s mut AsyncSimulator<'g, H>);
+
+impl<'s, 'g, H> DrawAhead<'s, 'g, H> {
+    fn start<'scope>(sim: &'s mut AsyncSimulator<'g, H>, scope: &'scope Scope<'scope, '_>) -> Self
+    where
+        'g: 'scope,
+    {
+        if let Sampler::Global(clock) = &mut sim.sampler {
+            clock.draw_ahead(scope);
+        }
+        DrawAhead(sim)
+    }
+}
+
+impl<H> Drop for DrawAhead<'_, '_, H> {
+    fn drop(&mut self) {
+        if let Sampler::Global(clock) = &mut self.0.sampler {
+            clock.draw_inline();
+        }
     }
 }
 
@@ -1542,6 +1616,151 @@ mod tests {
             AsyncSimulator::restore(&g, Vanilla, wrong, checkpoint),
             Err(SimError::CheckpointInvalid { .. })
         ));
+    }
+
+    /// What a run under `config` on `graph` leaves, drawn ahead or inline:
+    /// its result, each checkpoint as its JSON line, and the clock's state.
+    fn run_path(
+        graph: &Graph,
+        config: &SimulationConfig,
+        ahead: bool,
+        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
+    ) -> (
+        Result<SimulationOutcome>,
+        Vec<String>,
+        crate::clock::GlobalTickProcessState,
+    ) {
+        let mut lines = Vec::new();
+        let mut sim =
+            AsyncSimulator::new(graph, spike(graph.node_count()), Vanilla, config.clone()).unwrap();
+        let result = sim.run_drawing(
+            &mut |cp| {
+                lines.push(serde_json::to_string(&cp.to_value()).unwrap());
+                sink(cp)
+            },
+            ahead,
+        );
+        let Sampler::Global(clock) = &sim.sampler else {
+            panic!("these runs use the global clock");
+        };
+        (result, lines, clock.checkpoint_state())
+    }
+
+    #[test]
+    fn drawing_ahead_writes_the_inline_checkpoints() {
+        // One cadence lands mid-batch, the other on a batch boundary; a
+        // restore of either path's checkpoint continues bit-identically on
+        // either path.
+        let g = dumbbell(8).unwrap().0;
+        for cadence in [1000, 2 * crate::clock::GLOBAL_TICK_BATCH as u64] {
+            let config = SimulationConfig::new(31)
+                .with_clock_model(ClockModel::GlobalUniform)
+                .with_stopping_rule(StoppingRule::variance_ratio_below(0.0).or_max_ticks(9000))
+                .with_moment_refresh_every_ticks(128)
+                .with_settling_threshold(0.5)
+                .with_fault_plan(FaultPlan::new(7).with_drop_probability(0.1))
+                .with_checkpoint_every_ticks(cadence);
+            let (inline, inline_lines, inline_clock) =
+                run_path(&g, &config, false, &mut |_| Ok(()));
+            let (ahead, ahead_lines, ahead_clock) = run_path(&g, &config, true, &mut |_| Ok(()));
+            let baseline = inline.unwrap();
+            assert_outcomes_bit_identical(&baseline, &ahead.unwrap(), "ahead");
+            assert!(inline_lines.len() >= 4, "cadence {cadence}");
+            assert_eq!(ahead_lines, inline_lines, "cadence {cadence}");
+            assert_eq!(ahead_clock, inline_clock, "cadence {cadence}");
+            for line in [&inline_lines[0], &ahead_lines[inline_lines.len() / 2]] {
+                let blob = serde_json::from_str(line).unwrap();
+                let checkpoint = EngineCheckpoint::from_value(&blob).unwrap();
+                for resume_ahead in [false, true] {
+                    let mut resumed =
+                        AsyncSimulator::restore(&g, Vanilla, config.clone(), &checkpoint).unwrap();
+                    let outcome = resumed.run_drawing(&mut |_| Ok(()), resume_ahead).unwrap();
+                    let ctx = format!("cadence {cadence} tick {}", checkpoint.tick());
+                    assert_outcomes_bit_identical(&baseline, &outcome, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drawing_ahead_returns_the_inline_clock_on_every_exit() {
+        // A stop, a sink error, a zero deadline and the event budget each
+        // return mid-batch or at a boundary; both paths must return the same
+        // result and leave the same clock state behind.
+        let g = complete(6).unwrap();
+        let base = SimulationConfig::new(5)
+            .with_clock_model(ClockModel::GlobalUniform)
+            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0));
+        let refused = || SimError::InvalidConfig {
+            reason: "sink refused".into(),
+        };
+        let exits: [(&str, SimulationConfig, bool); 4] = [
+            (
+                "stop",
+                base.clone()
+                    .with_stopping_rule(StoppingRule::max_ticks(3000)),
+                false,
+            ),
+            (
+                "sink error",
+                base.clone().with_checkpoint_every_ticks(1500),
+                true,
+            ),
+            (
+                "deadline",
+                base.clone().with_wall_clock_deadline(Duration::ZERO),
+                false,
+            ),
+            ("event budget", base.clone().with_max_events(5000), false),
+        ];
+        for (exit, config, refuse) in exits {
+            let mut sink = |_| if refuse { Err(refused()) } else { Ok(()) };
+            let (inline, _, inline_clock) = run_path(&g, &config, false, &mut sink);
+            let (ahead, _, ahead_clock) = run_path(&g, &config, true, &mut sink);
+            match (inline, ahead) {
+                (Ok(a), Ok(b)) => assert_outcomes_bit_identical(&a, &b, exit),
+                (a, b) => assert_eq!(a.unwrap_err(), b.unwrap_err(), "{exit}"),
+            }
+            assert_eq!(ahead_clock, inline_clock, "{exit}");
+        }
+    }
+
+    #[test]
+    fn drawing_ahead_unwinds_a_panicking_handler() {
+        // The panic drops the clock's receiving end, so the producer stops
+        // and the scope joins it instead of hanging.
+        struct Panicking;
+        impl EdgeTickHandler for Panicking {
+            fn on_edge_tick(&mut self, _values: &mut NodeValues, ctx: &EdgeTickContext<'_>) {
+                assert!(ctx.global_tick_count < 3000, "the handler gives up");
+            }
+        }
+        let g = complete(6).unwrap();
+        let config = SimulationConfig::new(5)
+            .with_clock_model(ClockModel::GlobalUniform)
+            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0));
+        let mut sim = AsyncSimulator::new(&g, spike(6), Panicking, config).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_drawing(&mut |_| Ok(()), true)
+        }));
+        assert!(unwound.is_err());
+    }
+
+    #[test]
+    fn a_completed_run_moves_its_values_into_the_outcome() {
+        let g = complete(5).unwrap();
+        let config = SimulationConfig::new(3).with_stopping_rule(StoppingRule::max_ticks(100));
+        let mut sim = AsyncSimulator::new(&g, spike(5), Vanilla, config).unwrap();
+        assert_eq!(sim.run().unwrap().final_values.len(), 5);
+        assert!(sim.values().is_empty());
+        assert_eq!(
+            sim.run().unwrap_err(),
+            SimError::StateSizeMismatch {
+                nodes: 5,
+                values: 0
+            }
+        );
+        assert!(sim.into_parts().1.is_empty());
     }
 
     #[test]
