@@ -45,7 +45,8 @@ use crate::{Result, SimError};
 use gossip_graph::{Edge, EdgeId, Graph};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 
 /// A single edge-clock tick.
@@ -510,13 +511,41 @@ impl Batch {
     }
 }
 
-/// The consumer's ends of a running producer: drawn batches arrive on
-/// `drawn`, and spent ones go back on `spent` to be drawn into again.
-/// Dropping either end stops the thread.
+/// The batches in flight between a process and its producer thread.  The
+/// queues are allocated with room for every spare batch on the calling
+/// thread, so the producer allocates nothing.
 #[derive(Debug)]
-struct Producer {
-    drawn: Receiver<Batch>,
-    spent: SyncSender<Batch>,
+struct Handoff {
+    slots: Mutex<Slots>,
+    /// Signalled when a batch is drawn, a batch is spent, or the process
+    /// stops the producer.  Only one side ever waits: the producer when no
+    /// batch is spent, the process when none is drawn, and the spares keep
+    /// one of the two queues non-empty.
+    changed: Condvar,
+}
+
+#[derive(Debug)]
+struct Slots {
+    /// Drawn batches, in stream order.
+    drawn: VecDeque<Batch>,
+    /// Batches the process consumed, to be drawn into again.
+    spent: Vec<Batch>,
+    stopped: bool,
+}
+
+/// The process's end of a running producer; dropping it stops the thread.
+#[derive(Debug)]
+struct Producer(Arc<Handoff>);
+
+impl Drop for Producer {
+    fn drop(&mut self) {
+        // The producer holds the lock only to move a batch, which cannot
+        // panic, so the lock is never poisoned.
+        if let Ok(mut slots) = self.0.slots.lock() {
+            slots.stopped = true;
+        }
+        self.0.changed.notify_one();
+    }
 }
 
 impl<'g> GlobalTickProcess<'g> {
@@ -630,30 +659,42 @@ impl<'g> GlobalTickProcess<'g> {
     where
         'g: 'scope,
     {
-        let (drawn_tx, drawn) = mpsc::sync_channel(SPARE_BATCHES);
-        let (spent, spent_rx) = mpsc::sync_channel::<Batch>(SPARE_BATCHES);
-        for _ in 0..SPARE_BATCHES {
-            let spare = Batch::empty(self.batch.rng.clone(), self.batch_capacity);
-            spent
-                .send(spare)
-                .expect("the channel has room for every spare");
-        }
         let (edges, capacity) = (self.edges, self.batch_capacity);
+        let handoff = Arc::new(Handoff {
+            slots: Mutex::new(Slots {
+                drawn: VecDeque::with_capacity(SPARE_BATCHES),
+                spent: (0..SPARE_BATCHES)
+                    .map(|_| Batch::empty(self.batch.rng.clone(), capacity))
+                    .collect(),
+                stopped: false,
+            }),
+            changed: Condvar::new(),
+        });
+        let shared = Arc::clone(&handoff);
         let mut rng = self.batch.rng.clone();
         let started = std::thread::Builder::new()
             .stack_size(PRODUCER_STACK_BYTES)
             .spawn_scoped(scope, move || {
-                for mut batch in spent_rx {
+                let mut slots = shared.slots.lock().expect("the lock is never poisoned");
+                while !slots.stopped {
+                    let Some(mut batch) = slots.spent.pop() else {
+                        slots = shared
+                            .changed
+                            .wait(slots)
+                            .expect("the lock is never poisoned");
+                        continue;
+                    };
+                    drop(slots);
                     batch.rng.clone_from(&rng);
                     batch.draw(edges, capacity);
                     rng.clone_from(&batch.rng);
-                    if drawn_tx.send(batch).is_err() {
-                        return;
-                    }
+                    slots = shared.slots.lock().expect("the lock is never poisoned");
+                    slots.drawn.push_back(batch);
+                    shared.changed.notify_one();
                 }
             });
         if started.is_ok() {
-            self.producer = Some(Producer { drawn, spent });
+            self.producer = Some(Producer(handoff));
         }
     }
 
@@ -667,19 +708,24 @@ impl<'g> GlobalTickProcess<'g> {
     #[cold]
     fn refill_batch(&mut self) {
         match &self.producer {
-            Some(producer) => {
+            Some(Producer(handoff)) => {
+                let mut slots = handoff.slots.lock().expect("the lock is never poisoned");
+                let mut next = loop {
+                    match slots.drawn.pop_front() {
+                        Some(batch) => break batch,
+                        None => {
+                            slots = handoff
+                                .changed
+                                .wait(slots)
+                                .expect("the lock is never poisoned")
+                        }
+                    }
+                };
                 // A batch's own generator rides along, so a checkpoint
                 // reads the position after the batch being delivered.
-                let mut spent = producer
-                    .drawn
-                    .recv()
-                    .expect("the producer draws until its consumer stops it");
-                std::mem::swap(&mut self.batch, &mut spent);
-                // Sending never blocks: only the spares circulate.
-                producer
-                    .spent
-                    .send(spent)
-                    .expect("the producer runs until its consumer stops it");
+                std::mem::swap(&mut self.batch, &mut next);
+                slots.spent.push(next);
+                handoff.changed.notify_one();
             }
             None => self.batch.draw(self.edges, self.batch_capacity),
         }

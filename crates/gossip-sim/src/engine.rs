@@ -578,11 +578,23 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         }
 
         let (time, ticks, reason) = if draw_ahead {
-            std::thread::scope(|scope| DrawAhead::start(self, scope).0.run_loops(sink))
+            self.run_loops_drawing_ahead(sink)
         } else {
             self.run_loops(sink)
         }?;
         Ok(self.finish(time, ticks, reason))
+    }
+
+    /// [`Self::run_loops`] with the global clock drawing ahead on a scoped
+    /// thread.  Cold, so the thread and channel code it pulls in stay out
+    /// of the pages every smaller run touches.
+    #[cold]
+    #[inline(never)]
+    fn run_loops_drawing_ahead(
+        &mut self,
+        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
+    ) -> Result<(f64, u64, StopReason)> {
+        std::thread::scope(|scope| DrawAhead::start(self, scope).0.run_loops(sink))
     }
 
     /// Runs the per-tick loop compiled for the configured plans.
