@@ -34,10 +34,13 @@
 //! carries the generator as it stands after that batch, so the stream, the
 //! captured state and every checkpoint byte are the inline sampler's.  The
 //! rule is size-based because the thread's stack and code pages cost the
-//! same on any graph: on the 3 000-node graphs of the fault and adversary
-//! tiers they are a tenth of a run's resident memory, on a 10⁶-node graph
-//! they are lost in it.  The per-edge queue always runs inline: its re-arm
-//! draw depends on the edge it pops.
+//! same on any graph: on the 3 000-node graph of the repository benchmark's
+//! `hostile-checkpoint` workload, a run of a few MiB, forcing the thread
+//! on raised peak memory by a tenth, while on the graphs above the rule
+//! (MEM_SCALE's 250 000-node chordal ring, expander dumbbell and barbell,
+//! its four 10⁶-node graphs, and `million-relax`) it is lost in the
+//! graph's tens to hundreds of MiB.  The per-edge queue always runs
+//! inline: its re-arm draw depends on the edge it pops.
 //!
 //! [`SECOND_CORE_HALF_EDGES`]: gossip_graph::graph::SECOND_CORE_HALF_EDGES
 

@@ -11,8 +11,12 @@
 //! the thread is stopped and joined before the run returns or unwinds, and
 //! every tick, outcome and checkpoint is the same as on one thread.  The
 //! rule is size-based because the thread's stack and code pages cost the
-//! same on any graph, which a 3 000-node run's few MiB feel and a 10⁶-node
-//! run's hundreds do not.
+//! same on any graph, which a 3 000-node run's few MiB feel and the tens
+//! to hundreds of MiB of a graph above the rule do not.  Of the harness's
+//! graphs, MEM_SCALE's 250 000-node chordal ring, expander dumbbell and
+//! expander barbell and its four 10⁶-node graphs are above it; its
+//! 250 000-node ring of cliques (3 781 250 half-edges) and every smaller
+//! tier's graphs are below.
 //!
 //! [`SECOND_CORE_HALF_EDGES`]: gossip_graph::graph::SECOND_CORE_HALF_EDGES
 
@@ -586,7 +590,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     }
 
     /// [`Self::run_loops`] with the global clock drawing ahead on a scoped
-    /// thread.  Cold, so the thread and channel code it pulls in stay out
+    /// thread.  Cold, so the thread and hand-off code it pulls in stay out
     /// of the pages every smaller run touches.
     #[cold]
     #[inline(never)]
@@ -895,6 +899,7 @@ mod tests {
     use crate::handler::{HandlerState, NoOpHandler};
     use gossip_graph::generators::{complete, dumbbell};
     use gossip_graph::NodeId;
+    use std::sync::mpsc::RecvTimeoutError;
 
     struct Vanilla;
 
@@ -1630,32 +1635,57 @@ mod tests {
         ));
     }
 
+    /// Returns what `run` returns, running it on a thread of its own and
+    /// failing if it takes more than a minute: a draw-ahead run whose
+    /// producer is never stopped would hang in its scope's join instead.
+    fn within_a_minute<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || done.send(run()).unwrap());
+        match result.recv_timeout(Duration::from_secs(60)) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Timeout) => panic!("the run did not return within a minute"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+        }
+    }
+
     /// What a run under `config` on `graph` leaves, drawn ahead or inline:
     /// its result, each checkpoint as its JSON line, and the clock's state.
+    /// With `refuse` set the sink rejects the first checkpoint.
     fn run_path(
         graph: &Graph,
         config: &SimulationConfig,
         ahead: bool,
-        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
+        refuse: bool,
     ) -> (
         Result<SimulationOutcome>,
         Vec<String>,
         crate::clock::GlobalTickProcessState,
     ) {
-        let mut lines = Vec::new();
-        let mut sim =
-            AsyncSimulator::new(graph, spike(graph.node_count()), Vanilla, config.clone()).unwrap();
-        let result = sim.run_drawing(
-            &mut |cp| {
-                lines.push(serde_json::to_string(&cp.to_value()).unwrap());
-                sink(cp)
-            },
-            ahead,
-        );
-        let Sampler::Global(clock) = &sim.sampler else {
-            panic!("these runs use the global clock");
-        };
-        (result, lines, clock.checkpoint_state())
+        let (graph, config) = (graph.clone(), config.clone());
+        within_a_minute(move || {
+            let mut lines = Vec::new();
+            let mut sim =
+                AsyncSimulator::new(&graph, spike(graph.node_count()), Vanilla, config).unwrap();
+            let result = sim.run_drawing(
+                &mut |cp| {
+                    lines.push(serde_json::to_string(&cp.to_value()).unwrap());
+                    if refuse {
+                        return Err(SimError::InvalidConfig {
+                            reason: "sink refused".into(),
+                        });
+                    }
+                    Ok(())
+                },
+                ahead,
+            );
+            let Sampler::Global(clock) = &sim.sampler else {
+                panic!("these runs use the global clock");
+            };
+            let state = clock.checkpoint_state();
+            (result, lines, state)
+        })
     }
 
     #[test]
@@ -1672,9 +1702,8 @@ mod tests {
                 .with_settling_threshold(0.5)
                 .with_fault_plan(FaultPlan::new(7).with_drop_probability(0.1))
                 .with_checkpoint_every_ticks(cadence);
-            let (inline, inline_lines, inline_clock) =
-                run_path(&g, &config, false, &mut |_| Ok(()));
-            let (ahead, ahead_lines, ahead_clock) = run_path(&g, &config, true, &mut |_| Ok(()));
+            let (inline, inline_lines, inline_clock) = run_path(&g, &config, false, false);
+            let (ahead, ahead_lines, ahead_clock) = run_path(&g, &config, true, false);
             let baseline = inline.unwrap();
             assert_outcomes_bit_identical(&baseline, &ahead.unwrap(), "ahead");
             assert!(inline_lines.len() >= 4, "cadence {cadence}");
@@ -1683,11 +1712,15 @@ mod tests {
             for line in [&inline_lines[0], &ahead_lines[inline_lines.len() / 2]] {
                 let blob = serde_json::from_str(line).unwrap();
                 let checkpoint = EngineCheckpoint::from_value(&blob).unwrap();
+                let ctx = format!("cadence {cadence} tick {}", checkpoint.tick());
                 for resume_ahead in [false, true] {
-                    let mut resumed =
-                        AsyncSimulator::restore(&g, Vanilla, config.clone(), &checkpoint).unwrap();
-                    let outcome = resumed.run_drawing(&mut |_| Ok(()), resume_ahead).unwrap();
-                    let ctx = format!("cadence {cadence} tick {}", checkpoint.tick());
+                    let (g, config, checkpoint) = (g.clone(), config.clone(), checkpoint.clone());
+                    let outcome = within_a_minute(move || {
+                        AsyncSimulator::restore(&g, Vanilla, config, &checkpoint)
+                            .unwrap()
+                            .run_drawing(&mut |_| Ok(()), resume_ahead)
+                            .unwrap()
+                    });
                     assert_outcomes_bit_identical(&baseline, &outcome, &ctx);
                 }
             }
@@ -1703,9 +1736,6 @@ mod tests {
         let base = SimulationConfig::new(5)
             .with_clock_model(ClockModel::GlobalUniform)
             .with_stopping_rule(StoppingRule::variance_ratio_below(0.0));
-        let refused = || SimError::InvalidConfig {
-            reason: "sink refused".into(),
-        };
         let exits: [(&str, SimulationConfig, bool); 4] = [
             (
                 "stop",
@@ -1726,9 +1756,8 @@ mod tests {
             ("event budget", base.clone().with_max_events(5000), false),
         ];
         for (exit, config, refuse) in exits {
-            let mut sink = |_| if refuse { Err(refused()) } else { Ok(()) };
-            let (inline, _, inline_clock) = run_path(&g, &config, false, &mut sink);
-            let (ahead, _, ahead_clock) = run_path(&g, &config, true, &mut sink);
+            let (inline, _, inline_clock) = run_path(&g, &config, false, refuse);
+            let (ahead, _, ahead_clock) = run_path(&g, &config, true, refuse);
             match (inline, ahead) {
                 (Ok(a), Ok(b)) => assert_outcomes_bit_identical(&a, &b, exit),
                 (a, b) => assert_eq!(a.unwrap_err(), b.unwrap_err(), "{exit}"),
@@ -1747,15 +1776,18 @@ mod tests {
                 assert!(ctx.global_tick_count < 3000, "the handler gives up");
             }
         }
-        let g = complete(6).unwrap();
-        let config = SimulationConfig::new(5)
-            .with_clock_model(ClockModel::GlobalUniform)
-            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0));
-        let mut sim = AsyncSimulator::new(&g, spike(6), Panicking, config).unwrap();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_drawing(&mut |_| Ok(()), true)
-        }));
-        assert!(unwound.is_err());
+        let unwound = within_a_minute(|| {
+            let g = complete(6).unwrap();
+            let config = SimulationConfig::new(5)
+                .with_clock_model(ClockModel::GlobalUniform)
+                .with_stopping_rule(StoppingRule::variance_ratio_below(0.0));
+            let mut sim = AsyncSimulator::new(&g, spike(6), Panicking, config).unwrap();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_drawing(&mut |_| Ok(()), true)
+            }))
+            .is_err()
+        });
+        assert!(unwound);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! second thread for this graph.  The same relaxation driven through a loop
 //! of the simulator's public parts draws them inline; the two must agree on
 //! the stop tick, the time bits, the refresh count and every value bit.
+//! The test fails on a machine with one core, where both runs would draw
+//! inline and compare that path with itself.
 //! Building the graph and running both relaxations takes a few seconds and
 //! ~450 MiB in a release build, so the test is ignored by default:
 //!
@@ -17,7 +19,7 @@
 
 use gossip_core::convex::VanillaGossip;
 use gossip_graph::generators::expander_dumbbell;
-use gossip_graph::graph::SECOND_CORE_HALF_EDGES;
+use gossip_graph::graph::second_core_pays;
 use gossip_graph::Graph;
 use gossip_sim::clock::{GlobalTickProcess, TickProcess};
 use gossip_sim::engine::{ClockModel, DEFAULT_MOMENT_REFRESH_TICKS};
@@ -81,7 +83,10 @@ fn relax_inline(graph: &Graph, mut values: NodeValues) -> (u64, f64, u64, NodeVa
 #[ignore = "builds a 10⁶-node graph; run in release (see the module docs)"]
 fn a_million_node_relaxation_draws_ahead_bit_for_bit() {
     let (graph, _) = expander_dumbbell(500_000).unwrap();
-    assert!(2 * graph.edge_count() >= SECOND_CORE_HALF_EDGES);
+    assert!(
+        second_core_pays(2 * graph.edge_count()),
+        "the run must draw ahead: this test needs a graph above the size rule and two cores"
+    );
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let uniform = (0..graph.node_count()).map(|_| rng.gen::<f64>()).collect();
     let initial = NodeValues::from_values(uniform).unwrap();
