@@ -2,7 +2,9 @@
 //! arguments, store-only flags given without `--store-dir`, and value-taking
 //! flags whose value is missing or is itself a flag are usage errors (exit
 //! status 2) that run no tier; a journal row of the wrong shape is
-//! recomputed on `--resume`, not trusted.
+//! recomputed on `--resume`, not trusted; and the store's stderr counts and
+//! `--store-summary` listing are pinned line for line, since CI's run-store
+//! and chaos gates grep them.
 
 use serde::json::Value;
 use std::path::Path;
@@ -154,4 +156,56 @@ fn a_journaled_row_of_the_wrong_width_is_recomputed_on_resume() {
         String::from_utf8_lossy(&resumed.stdout),
         String::from_utf8_lossy(&uninterrupted.stdout)
     );
+}
+
+#[test]
+fn store_counts_and_summary_lines_are_pinned() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("gossip-cli-store-summary-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("experiments binary runs")
+    };
+    let tiers = ["--quick", "--only", "E4", "E9", "--store-dir", "store"];
+    let fresh = run(&tiers);
+    let resumed = run(&[&tiers[..], &["--resume"]].concat());
+    let summary = run(&["--store-dir", "store", "--store-summary"]);
+    let empty = run(&["--store-dir", "empty", "--store-summary"]);
+    std::fs::remove_dir_all(&dir).expect("temp dir is removable");
+
+    let listing = "E4: 1 trials\n  \
+                   dumbbell: 1 trials over 1 fingerprints, seeds [12648430]\n\
+                   E9: 5 trials\n  \
+                   walk: 5 trials over 5 fingerprints, seeds [12648430]\n";
+    let stored: String = listing
+        .lines()
+        .map(|line| format!("store: {line}\n"))
+        .collect();
+    for (output, counts) in [
+        (
+            &fresh,
+            "run store[E4]: replayed 0, computed 1\nrun store[E9]: replayed 0, computed 5\n",
+        ),
+        (
+            &resumed,
+            "run store[E4]: replayed 1, computed 0\nrun store[E9]: replayed 5, computed 0\n",
+        ),
+    ] {
+        assert!(output.status.success(), "{output:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stderr),
+            counts.to_string() + &stored
+        );
+    }
+    assert_eq!(resumed.stdout, fresh.stdout);
+    for (output, stdout) in [(&summary, listing), (&empty, "store is empty\n")] {
+        assert!(output.status.success(), "{output:?}");
+        assert!(output.stderr.is_empty(), "{output:?}");
+        assert_eq!(String::from_utf8_lossy(&output.stdout), stdout);
+    }
 }
