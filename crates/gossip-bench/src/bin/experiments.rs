@@ -72,9 +72,10 @@
 
 use gossip_bench::runner::{self, BenchResult, HarnessConfig};
 use gossip_bench::Table;
-use gossip_store::{NullSink, RunStore, StoreSink, StoreSummary, TrialSink};
+use gossip_store::RunStore;
 use gossip_workloads::ExperimentId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
 
 /// The report flag of a tier that writes a `BENCH_*.json` report
 /// (`SIM_SCALE` → `--sim-scale-json`); `None` for the E-tables.
@@ -103,22 +104,22 @@ type TierOutput = (Vec<Table>, Option<String>);
 /// shared, so `--only E1 E2 E3` costs one sweep, not three.
 struct Session<'a> {
     config: &'a HarnessConfig,
-    sink: &'a dyn TrialSink,
+    store: Option<&'a Mutex<RunStore>>,
     dumbbell: Option<Vec<runner::DumbbellSweepRow>>,
 }
 
 impl<'a> Session<'a> {
-    fn new(config: &'a HarnessConfig, sink: &'a dyn TrialSink) -> Self {
+    fn new(config: &'a HarnessConfig, store: Option<&'a Mutex<RunStore>>) -> Self {
         Session {
             config,
-            sink,
+            store,
             dumbbell: None,
         }
     }
 
     fn dumbbell(&mut self) -> BenchResult<&[runner::DumbbellSweepRow]> {
         if self.dumbbell.is_none() {
-            self.dumbbell = Some(runner::run_dumbbell_sweep(self.config, self.sink)?);
+            self.dumbbell = Some(runner::run_dumbbell_sweep(self.config, self.store)?);
         }
         Ok(self.dumbbell.as_deref().expect("sweep memoized above"))
     }
@@ -136,36 +137,38 @@ impl<'a> Session<'a> {
             Ok((tables, Some(json)))
         }
         use ExperimentId::*;
-        let (config, sink) = (self.config, self.sink);
+        let (config, store) = (self.config, self.store);
         Ok(match id {
             E1 => (vec![runner::table_e1(self.dumbbell()?)], None),
             E2 => (vec![runner::table_e2(self.dumbbell()?)], None),
             E3 => (vec![runner::table_e3(self.dumbbell()?)], None),
-            E4 => (vec![runner::run_e4(config, sink)?.1], None),
-            E5 => (vec![runner::run_e5(config, sink)?.1], None),
+            E4 => (vec![runner::run_e4(config, store)?.1], None),
+            E5 => (vec![runner::run_e5(config, store)?.1], None),
             E6 => {
-                let (cut_table, c_table) = runner::run_e6(config, sink)?;
+                let (cut_table, c_table) = runner::run_e6(config, store)?;
                 (vec![cut_table, c_table], None)
             }
-            E7 => (vec![runner::run_e7(config, sink)?], None),
-            E8 => (vec![runner::run_e8(config, sink)?], None),
-            E9 => (vec![runner::run_e9(config, sink)?], None),
-            E10 => (vec![runner::run_e10(config, sink)?.1], None),
-            Scale => runner::run_scale(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?,
+            E7 => (vec![runner::run_e7(config, store)?], None),
+            E8 => (vec![runner::run_e8(config, store)?], None),
+            E9 => (vec![runner::run_e9(config, store)?], None),
+            E10 => (vec![runner::run_e10(config, store)?.1], None),
+            Scale => {
+                runner::run_scale(config, store).and_then(|(r, t)| reported(id, r, vec![t]))?
+            }
             SimScale => {
-                runner::run_sim_scale(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
+                runner::run_sim_scale(config, store).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
             MemScale => {
-                runner::run_mem_scale(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
+                runner::run_mem_scale(config, store).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
             Robustness => {
-                runner::run_robustness(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
+                runner::run_robustness(config, store).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
             Perf => {
-                runner::run_perf(config, sink).and_then(|(r, tables)| reported(id, r, tables))?
+                runner::run_perf(config, store).and_then(|(r, tables)| reported(id, r, tables))?
             }
             Adversary => {
-                runner::run_adversary(config, sink).and_then(|(r, t)| reported(id, r, vec![t]))?
+                runner::run_adversary(config, store).and_then(|(r, t)| reported(id, r, vec![t]))?
             }
         })
     }
@@ -324,34 +327,28 @@ fn main() {
 
     // Open the run store (resume mode also for --store-summary: a summary
     // must never reset journals).
-    let store_sink: Option<StoreSink> = match &store_dir {
-        Some(dir) => match RunStore::open(std::path::Path::new(dir), resume || store_summary) {
+    let store = store_dir.map(|dir| {
+        match RunStore::open(std::path::Path::new(&dir), resume || store_summary) {
             Ok(store) => {
                 for note in store.notes() {
                     eprintln!("run store: {note}");
                 }
-                Some(StoreSink::new(store))
+                store
             }
             Err(error) => fatal(format!("failed to open run store at {dir}: {error}")),
-        },
-        None => None,
-    };
+        }
+    });
 
     if store_summary {
-        let sink = store_sink.expect("checked above");
-        let store = sink.into_store();
-        for line in StoreSummary::from_store(&store).render_lines() {
+        for line in store.expect("checked above").summary_lines() {
             println!("{line}");
         }
         return;
     }
 
-    let sink: &dyn TrialSink = match &store_sink {
-        Some(sink) => sink,
-        None => &NullSink,
-    };
+    let store = store.map(Mutex::new);
     let wanted = |token: &str| only.is_empty() || only.contains(token);
-    let mut session = Session::new(&config, sink);
+    let mut session = Session::new(&config, store.as_ref());
     let mut tables: Vec<Table> = Vec::new();
     let mut reports: Vec<(ExperimentId, String)> = Vec::new();
 
@@ -394,12 +391,12 @@ fn main() {
         eprintln!("wrote JSON results to {path}");
     }
 
-    if let Some(sink) = store_sink {
-        for line in sink.summary_lines() {
+    if let Some(store) = store {
+        let store = store.into_inner().expect("run store mutex poisoned");
+        for line in store.count_lines() {
             eprintln!("{line}");
         }
-        let store = sink.into_store();
-        for line in StoreSummary::from_store(&store).render_lines() {
+        for line in store.summary_lines() {
             eprintln!("store: {line}");
         }
     }

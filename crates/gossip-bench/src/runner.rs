@@ -16,7 +16,7 @@
 
 use crate::probes::{CutTickProbe, EpochProbe};
 use crate::table::Table;
-use crate::trial::{run_trials, schema, Cells};
+use crate::trial::{lock, run_trials, schema, Cells};
 use gossip_analysis::dominance::DominanceReport;
 use gossip_analysis::random_walk::simple_walk_tail_frequency;
 use gossip_analysis::{concentration, regression, robust, stats};
@@ -34,12 +34,13 @@ use gossip_sim::stopping::StoppingRule;
 use gossip_sim::sync::{RoundHandler, SyncConfig, SyncSimulator};
 use gossip_sim::values::NodeValues;
 use gossip_sim::SimError;
-use gossip_store::{CheckpointRecord, TrialKey, TrialSink};
+use gossip_store::{CheckpointRecord, RunStore, TrialKey};
 use gossip_workloads::adversary::AdversaryCase;
 use gossip_workloads::churn::ChurnCase;
 use gossip_workloads::scenarios::robustness_suite;
 use gossip_workloads::sweep;
 use gossip_workloads::{ExperimentId, InitialCondition, Scenario};
+use std::sync::Mutex;
 
 /// Convenience error type of the harness (it aggregates errors from every
 /// workspace crate, so a boxed error keeps the signatures readable).
@@ -64,9 +65,9 @@ pub struct HarnessConfig {
     pub jobs: Option<usize>,
     /// Mid-run checkpoint cadence in ticks, threaded into the tiers whose
     /// long relaxations support checkpoint capture (currently MEM_SCALE's
-    /// timed runs).  `0` (the default) disables capture; with a store-backed
-    /// sink, captured checkpoints are committed to the tier's
-    /// `.ckpt.jsonl` log and a resumed run restores from the newest one.
+    /// timed runs).  `0` (the default) disables capture; in a store-backed
+    /// run, captured checkpoints are committed to the tier's `.ckpt.jsonl`
+    /// log and a resumed run restores from the newest one.
     pub checkpoint_every_ticks: u64,
     /// Per-trial wall-clock budget threaded into the simulation configs the
     /// tiers build themselves: E4, E5, SIM_SCALE, MEM_SCALE, ROBUSTNESS,
@@ -201,12 +202,12 @@ schema! { row
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_dumbbell_sweep(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
 ) -> BenchResult<Vec<DumbbellSweepRow>> {
     let sizes = sweep::dumbbell_size_sweep(16, config.max_dumbbell_n());
     run_trials(
         config,
-        sink,
+        store,
         "DUMBBELL",
         &sizes,
         Scenario::fingerprint,
@@ -335,12 +336,15 @@ schema! { row
 /// # Errors
 ///
 /// Propagates graph-construction, simulation and journal errors.
-pub fn run_e4(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(E4Result, Table)> {
+pub fn run_e4(
+    config: &HarnessConfig,
+    store: Option<&Mutex<RunStore>>,
+) -> BenchResult<(E4Result, Table)> {
     let half = if config.quick { 32 } else { 64 };
     let horizon = if config.quick { 20.0 } else { 40.0 };
     let mut rows = run_trials(
         config,
-        sink,
+        store,
         "E4",
         &[(half, horizon)],
         |(half, horizon)| format!("dumbbell(half={half})+horizon={horizon}"),
@@ -429,7 +433,10 @@ schema! { row
 /// # Errors
 ///
 /// Propagates graph-construction, simulation and journal errors.
-pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<E5Row>, Table)> {
+pub fn run_e5(
+    config: &HarnessConfig,
+    store: Option<&Mutex<RunStore>>,
+) -> BenchResult<(Vec<E5Row>, Table)> {
     let halves: Vec<usize> = if config.quick {
         vec![16, 32]
     } else {
@@ -437,7 +444,7 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
     };
     let maybe_rows = run_trials(
         config,
-        sink,
+        store,
         "E5",
         &halves,
         |half| format!("dumbbell(half={half})"),
@@ -517,14 +524,17 @@ pub fn run_e5(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<
 /// # Errors
 ///
 /// Propagates graph-construction, simulation and journal errors.
-pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Table, Table)> {
+pub fn run_e6(
+    config: &HarnessConfig,
+    store: Option<&Mutex<RunStore>>,
+) -> BenchResult<(Table, Table)> {
     let heading = title(ExperimentId::E6);
     // Part 1: cut width.
     let cluster = if config.quick { 16 } else { 24 };
     let cut_sweep = sweep::cut_width_sweep(cluster, 0.5, if config.quick { 4 } else { 16 });
     let cut_rows = run_trials(
         config,
-        sink,
+        store,
         "E6",
         &cut_sweep,
         |scenario| format!("{}+part=cut", scenario.fingerprint()),
@@ -559,7 +569,7 @@ pub fn run_e6(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Tabl
     let constants = sweep::epoch_constant_sweep(&[]);
     let c_rows = run_trials(
         config,
-        sink,
+        store,
         "E6",
         &constants,
         |c| format!("dumbbell(half={half})+C={c}"),
@@ -607,7 +617,7 @@ fn sync_settling_time<H: RoundHandler>(
 /// # Errors
 ///
 /// Propagates graph-construction, simulation and journal errors.
-pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
+pub fn run_e7(config: &HarnessConfig, store: Option<&Mutex<RunStore>>) -> BenchResult<Table> {
     let sizes: Vec<usize> = if config.quick {
         vec![16, 32, 64]
     } else {
@@ -615,7 +625,7 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
     };
     let rows = run_trials(
         config,
-        sink,
+        store,
         "E7",
         &sizes,
         |n| format!("dumbbell(half={})", n / 2),
@@ -666,11 +676,11 @@ pub fn run_e7(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
 /// # Errors
 ///
 /// Propagates graph-construction, simulation and journal errors.
-pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
+pub fn run_e8(config: &HarnessConfig, store: Option<&Mutex<RunStore>>) -> BenchResult<Table> {
     let total = if config.quick { 32 } else { 96 };
     let rows = run_trials(
         config,
-        sink,
+        store,
         "E8",
         &robustness_suite(total),
         Scenario::fingerprint,
@@ -720,13 +730,13 @@ pub fn run_e8(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table
 /// # Errors
 ///
 /// Propagates analysis and journal errors.
-pub fn run_e9(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<Table> {
+pub fn run_e9(config: &HarnessConfig, store: Option<&Mutex<RunStore>>) -> BenchResult<Table> {
     let k = 64;
     let trials = if config.quick { 4_000 } else { 20_000 };
     let thresholds = [0.5, 1.0, 1.5, 2.0, 2.5];
     let rows = run_trials(
         config,
-        sink,
+        store,
         "E9",
         &thresholds,
         |s| format!("walk(k={k},s={s},trials={trials})"),
@@ -767,7 +777,10 @@ schema! { row
 /// # Errors
 ///
 /// Propagates graph-construction, simulation and journal errors.
-pub fn run_e10(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec<E10Row>, Table)> {
+pub fn run_e10(
+    config: &HarnessConfig,
+    store: Option<&Mutex<RunStore>>,
+) -> BenchResult<(Vec<E10Row>, Table)> {
     let half = if config.quick { 16 } else { 32 };
     let (graph, partition) = gossip_graph::generators::dumbbell(half)?;
     let n1 = partition.smaller_block_size();
@@ -795,7 +808,7 @@ pub fn run_e10(config: &HarnessConfig, sink: &dyn TrialSink) -> BenchResult<(Vec
     ];
     let rows = run_trials(
         config,
-        sink,
+        store,
         "E10",
         &choices,
         |(_, coefficient)| format!("dumbbell(half={half})+coeff={coefficient:?}"),
@@ -902,14 +915,14 @@ schema! { report
 /// Propagates graph-construction, eigensolver and journal errors.
 pub fn run_scale(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
 ) -> BenchResult<(ScaleReport, Table)> {
     gossip_linalg::matrix::reset_largest_dense_dimension();
     // The dense-dimension tracker is a process-global atomic (fetch_max), so
     // concurrent rows feed it exactly like serial rows do.
     let rows = run_trials(
         config,
-        sink,
+        store,
         "SCALE",
         &sweep::scale_sweep(config.quick),
         Scenario::fingerprint,
@@ -1040,14 +1053,14 @@ impl Relaxation {
     /// construction to the stop.  It reports a [`SimScaleRow`], which
     /// MEM_SCALE and PERF copy their fields from.
     ///
-    /// With a non-zero checkpoint cadence the run resumes from the newest
-    /// checkpoint committed under `key`, if any, and commits each new one
-    /// through `sink` as it goes; the engine guarantees restored and
-    /// checkpointing runs are bit-identical to an uninterrupted one.
+    /// With a non-zero checkpoint cadence and a `store`, the run resumes
+    /// from the newest checkpoint committed under `key`, if any, and commits
+    /// each new one to `store` as it goes; the engine guarantees restored
+    /// and checkpointing runs are bit-identical to an uninterrupted one.
     fn run(
         self,
         config: &HarnessConfig,
-        sink: &dyn TrialSink,
+        store: Option<&Mutex<RunStore>>,
         index: usize,
         scenario: &Scenario,
         key: TrialKey,
@@ -1081,14 +1094,15 @@ impl Relaxation {
                 .with_max_events(4_000_000_000)
                 .with_checkpoint_every_ticks(self.checkpoint_every_ticks),
         );
-        let checkpointing = self.checkpoint_every_ticks > 0;
+        // A store-less run captures checkpoints at the cadence and drops them.
+        let checkpoints = store.filter(|_| self.checkpoint_every_ticks > 0);
 
         let start = std::time::Instant::now();
-        let latest = if checkpointing {
-            sink.latest_checkpoint(key)
-        } else {
-            None
-        };
+        let latest = checkpoints.and_then(|store| {
+            let store = lock(store);
+            let record = store.latest_checkpoint(key)?;
+            Some((record.tick, record.blob.clone()))
+        });
         let mut simulator = match latest {
             Some((tick, blob)) => {
                 let checkpoint = EngineCheckpoint::from_value(&blob)?;
@@ -1101,7 +1115,7 @@ impl Relaxation {
             }
             None => AsyncSimulator::new(graph, initial, VanillaGossip::new(), sim_config)?,
         };
-        let outcome = if checkpointing {
+        let outcome = if let Some(store) = checkpoints {
             // The engine's sink signature speaks `SimError`; carry any store
             // failure across it in a slot and rethrow it as-is.
             let mut store_failure = None;
@@ -1112,7 +1126,7 @@ impl Relaxation {
                     tick: checkpoint.tick(),
                     blob: checkpoint.to_value(),
                 };
-                sink.commit_checkpoint(record).map_err(|error| {
+                lock(store).commit_checkpoint(record).map_err(|error| {
                     let reason = format!("checkpoint commit failed: {error}");
                     store_failure = Some(error);
                     SimError::InvalidConfig { reason }
@@ -1160,7 +1174,7 @@ impl Relaxation {
 /// Propagates graph-construction, simulation and journal errors.
 pub fn sim_scale_rows(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
     scenarios: &[Scenario],
 ) -> BenchResult<Vec<SimScaleRow>> {
     let relaxation = Relaxation {
@@ -1171,11 +1185,11 @@ pub fn sim_scale_rows(
     };
     run_trials(
         config,
-        sink,
+        store,
         relaxation.experiment,
         scenarios,
         Scenario::fingerprint,
-        |index, scenario, key| relaxation.run(config, sink, index, scenario, key),
+        |index, scenario, key| relaxation.run(config, store, index, scenario, key),
     )
 }
 
@@ -1194,10 +1208,10 @@ pub fn sim_scale_rows(
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_sim_scale(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
 ) -> BenchResult<(SimScaleReport, Table)> {
     let refresh = gossip_sim::engine::DEFAULT_MOMENT_REFRESH_TICKS;
-    let rows = sim_scale_rows(config, sink, &sweep::sim_scale_sweep(config.quick))?;
+    let rows = sim_scale_rows(config, store, &sweep::sim_scale_sweep(config.quick))?;
     let report = SimScaleReport {
         quick: config.quick,
         seed: config.seed,
@@ -1314,7 +1328,7 @@ schema! { report
 /// tests can run it on a small suite.
 fn mem_scale_rows(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
     scenarios: &[Scenario],
 ) -> BenchResult<Vec<MemScaleRow>> {
     let relaxation = Relaxation {
@@ -1325,12 +1339,12 @@ fn mem_scale_rows(
     };
     run_trials(
         config,
-        sink,
+        store,
         relaxation.experiment,
         scenarios,
         Scenario::fingerprint,
         |index, scenario, key| -> BenchResult<MemScaleRow> {
-            let row = relaxation.run(config, sink, index, scenario, key)?;
+            let row = relaxation.run(config, store, index, scenario, key)?;
             Ok(MemScaleRow {
                 family: row.family,
                 n: row.n,
@@ -1365,9 +1379,9 @@ fn mem_scale_rows(
 /// Propagates graph-construction, simulation and journal errors.
 pub fn run_mem_scale(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
 ) -> BenchResult<(MemScaleReport, Table)> {
-    let rows = mem_scale_rows(config, sink, &sweep::mem_scale_sweep(config.quick))?;
+    let rows = mem_scale_rows(config, store, &sweep::mem_scale_sweep(config.quick))?;
     let report = MemScaleReport {
         quick: config.quick,
         seed: config.seed,
@@ -1465,12 +1479,12 @@ schema! { report
 /// suite.
 fn robustness_rows(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
     cases: &[ChurnCase],
 ) -> BenchResult<Vec<RobustnessRow>> {
     run_trials(
         config,
-        sink,
+        store,
         "ROBUSTNESS",
         cases,
         ChurnCase::fingerprint,
@@ -1551,9 +1565,9 @@ fn robustness_rows(
 /// Propagates graph-construction, fault-plan, simulation and journal errors.
 pub fn run_robustness(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
 ) -> BenchResult<(RobustnessReport, Table)> {
-    let rows = robustness_rows(config, sink, &sweep::robustness_sweep(config.quick))?;
+    let rows = robustness_rows(config, store, &sweep::robustness_sweep(config.quick))?;
     let report = RobustnessReport {
         quick: config.quick,
         seed: config.seed,
@@ -1690,11 +1704,11 @@ fn honest_mean(values: &NodeValues, excluded: &[NodeId]) -> f64 {
 /// violated oracle is an `Err`, so the row never reaches the journal).
 pub fn run_adversary(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
 ) -> BenchResult<(AdversaryReport, Table)> {
     let rows = run_trials(
         config,
-        sink,
+        store,
         "ADVERSARY",
         &sweep::adversary_sweep(config.quick),
         AdversaryCase::fingerprint,
@@ -1984,7 +1998,7 @@ fn perf_estimator_suite(est_n: usize) -> Vec<Scenario> {
 /// error.
 pub fn run_perf_sized(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
     sim_n: usize,
     est_n: usize,
     est_runs: usize,
@@ -2010,12 +2024,12 @@ pub fn run_perf_sized(
     };
     let throughput = run_trials(
         serial,
-        sink,
+        store,
         relaxation.experiment,
         &gossip_workloads::scenarios::sim_scale_suite(sim_n),
         |scenario| format!("{}+section=throughput", scenario.fingerprint()),
         |index, scenario, key| -> BenchResult<PerfThroughputRow> {
-            let row = relaxation.run(serial, sink, index, scenario, key)?;
+            let row = relaxation.run(serial, store, index, scenario, key)?;
             Ok(PerfThroughputRow {
                 family: row.family,
                 n: row.n,
@@ -2036,7 +2050,7 @@ pub fn run_perf_sized(
 
     let estimator_rows = run_trials(
         serial,
-        sink,
+        store,
         "PERF",
         &perf_estimator_suite(est_n),
         |scenario| {
@@ -2185,12 +2199,12 @@ pub fn run_perf_sized(
 /// See [`run_perf_sized`].
 pub fn run_perf(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
 ) -> BenchResult<(PerfReport, Vec<Table>)> {
     if config.quick {
-        run_perf_sized(config, sink, 2048, 256, 6)
+        run_perf_sized(config, store, 2048, 256, 6)
     } else {
-        run_perf_sized(config, sink, 16384, 512, 12)
+        run_perf_sized(config, store, 16384, 512, 12)
     }
 }
 
@@ -2210,7 +2224,6 @@ mod tests {
     use super::*;
     use crate::trial::FromValue;
     use gossip_sim::stopping::DEFINITION1_THRESHOLD;
-    use gossip_store::NullSink;
 
     #[test]
     fn harness_config_modes() {
@@ -2225,7 +2238,7 @@ mod tests {
 
     #[test]
     fn e9_table_has_expected_shape() {
-        let table = run_e9(&HarnessConfig::quick(), &NullSink).unwrap();
+        let table = run_e9(&HarnessConfig::quick(), None).unwrap();
         assert_eq!(table.row_count(), 5);
         assert!(table.to_string().contains("Theorem 3"));
     }
@@ -2234,7 +2247,7 @@ mod tests {
     fn e4_runs_and_claim_holds_on_tiny_instance() {
         let mut config = HarnessConfig::quick();
         config.seed = 42;
-        let (result, table) = run_e4(&config, &NullSink).unwrap();
+        let (result, table) = run_e4(&config, None).unwrap();
         assert!(e4_claim_holds(&result), "E4 claim failed: {result:?}");
         assert_eq!(table.row_count(), 3);
         assert!(result.observed_cut_ticks > 0);
@@ -2248,7 +2261,7 @@ mod tests {
         let mut config = HarnessConfig::quick();
         config.seed = 7;
         let scenarios = gossip_workloads::scenarios::sim_scale_suite(128);
-        let rows = sim_scale_rows(&config, &NullSink, &scenarios).unwrap();
+        let rows = sim_scale_rows(&config, None, &scenarios).unwrap();
         assert_eq!(rows.len(), scenarios.len());
         for row in &rows {
             assert_eq!(
@@ -2267,7 +2280,7 @@ mod tests {
         let mut config = HarnessConfig::quick();
         config.seed = 7;
         let scenarios = gossip_workloads::scenarios::sim_scale_suite(128);
-        let rows = mem_scale_rows(&config, &NullSink, &scenarios).unwrap();
+        let rows = mem_scale_rows(&config, None, &scenarios).unwrap();
         assert_eq!(rows.len(), scenarios.len());
         for row in &rows {
             assert_eq!(
@@ -2301,7 +2314,7 @@ mod tests {
         let mut config = HarnessConfig::quick();
         config.seed = 7;
         let cases = gossip_workloads::churn::churn_suite(48);
-        let rows = robustness_rows(&config, &NullSink, &cases).unwrap();
+        let rows = robustness_rows(&config, None, &cases).unwrap();
         assert_eq!(rows.len(), cases.len());
         for (case, row) in cases.iter().zip(&rows) {
             assert_eq!(
@@ -2324,7 +2337,7 @@ mod tests {
 
     #[test]
     fn e10_ablation_shows_exact_balance_best() {
-        let (rows, table) = run_e10(&HarnessConfig::quick(), &NullSink).unwrap();
+        let (rows, table) = run_e10(&HarnessConfig::quick(), None).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(table.row_count(), 4);
         let exact = &rows[0];

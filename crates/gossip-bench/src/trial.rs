@@ -7,7 +7,7 @@
 //!
 //! 1. derive each trial's journal key from `(experiment token, fingerprint,
 //!    base seed, engine fingerprint)`;
-//! 2. replay every trial the [`TrialSink`] has already committed (decoding
+//! 2. replay every trial the [`RunStore`] has already committed (decoding
 //!    the journaled row back into the tier's row struct — a row that fails
 //!    to decode is recomputed, never trusted);
 //! 3. fan the harness executor out over the *missing* trials only, passing
@@ -44,10 +44,11 @@
 use crate::runner::{BenchResult, HarnessConfig};
 use gossip_exec::describe_panic;
 use gossip_sim::SimError;
-use gossip_store::{trial_key, TrialKey, TrialRecord, TrialSink, ValueExt};
+use gossip_store::{trial_key, RunStore, TrialKey, TrialRecord, ValueExt};
 use serde::json::Value;
 use serde::Serialize;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard};
 
 /// The engine part of a trial key: every configuration axis that changes
 /// trial outputs (and nothing that doesn't).  `engine=legacy` names the one
@@ -238,9 +239,15 @@ fn censored_marker(reason: &str) -> Value {
     ])
 }
 
-/// Replays committed trials, computes and commits the missing ones over the
-/// harness executor ([`HarnessConfig::jobs`] wide), and returns all
-/// surviving rows in input order.
+/// Locks the run store the harness's executor workers share.
+pub(crate) fn lock(store: &Mutex<RunStore>) -> MutexGuard<'_, RunStore> {
+    store.lock().expect("run store mutex poisoned")
+}
+
+/// Replays the trials `store` has committed, computes and commits the
+/// missing ones over the harness executor ([`HarnessConfig::jobs`] wide),
+/// and returns all surviving rows in input order.  A store-less run
+/// (`store` is `None`) computes every trial and commits nothing.
 ///
 /// `fingerprint` names each case in the journal; the trial key is derived
 /// from it once, here.  `compute` receives the case's *original* index into
@@ -256,7 +263,7 @@ fn censored_marker(reason: &str) -> Value {
 /// instead of failing the sweep.
 pub fn run_trials<C: Sync, T: Serialize + FromValue + Send>(
     config: &HarnessConfig,
-    sink: &dyn TrialSink,
+    store: Option<&Mutex<RunStore>>,
     experiment: &str,
     cases: &[C],
     fingerprint: impl Fn(&C) -> String,
@@ -272,28 +279,23 @@ pub fn run_trials<C: Sync, T: Serialize + FromValue + Send>(
     let mut slots: Vec<Option<T>> = Vec::with_capacity(cases.len());
     let mut missing: Vec<usize> = Vec::new();
     for (i, key) in keys.iter().enumerate() {
-        let replayed = sink.replay(*key).and_then(|value| T::from_value(&value));
-        match replayed {
-            Some(row) => {
-                sink.count_replay(experiment);
-                slots.push(Some(row));
-            }
-            None => {
-                slots.push(None);
-                missing.push(i);
-            }
+        let replayed = store.and_then(|store| lock(store).replay(*key, T::from_value));
+        if replayed.is_none() {
+            missing.push(i);
         }
+        slots.push(replayed);
     }
 
     if !missing.is_empty() {
-        let commit = |i: usize, row: Value| {
-            sink.commit(TrialRecord {
+        let commit = |i: usize, row: Value| match store {
+            Some(store) => lock(store).commit(TrialRecord {
                 key: keys[i],
                 experiment: experiment.to_string(),
                 fingerprint: fingerprints[i].clone(),
                 seed: config.seed,
                 row,
-            })
+            }),
+            None => Ok(()),
         };
         let computed = config.executor().try_map_indexed(missing.len(), |slot| {
             let i = missing[slot];
@@ -343,7 +345,6 @@ pub fn run_trials<C: Sync, T: Serialize + FromValue + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_store::{NullSink, RunStore, StoreSink};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -395,13 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_computes_every_trial() {
+    fn a_store_less_run_computes_every_trial() {
         let config = serial();
         let engine = engine_fingerprint(&config);
         let calls = AtomicUsize::new(0);
         let rows = run_trials(
             &config,
-            &NullSink,
+            None,
             "E8",
             &cases(4),
             fingerprint,
@@ -423,32 +424,44 @@ mod tests {
     }
 
     #[test]
-    fn store_sink_replays_committed_trials_at_original_indexes() {
+    fn a_store_replays_committed_trials_at_original_indexes() {
         let dir = temp_dir("replay");
         let config = serial();
 
-        let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        run_trials(&config, &sink, "E8", &cases(4), fingerprint, |i, _, _| {
-            Ok(Row { index: i })
-        })
+        let store = Mutex::new(RunStore::open(&dir, false).unwrap());
+        run_trials(
+            &config,
+            Some(&store),
+            "E8",
+            &cases(4),
+            fingerprint,
+            |i, _, _| Ok(Row { index: i }),
+        )
         .unwrap();
-        let store = sink.into_store();
-
-        // Resume: drop two committed trials by asking for a superset, and
-        // check only the genuinely missing indexes are recomputed.
         drop(store);
-        let sink = StoreSink::new(RunStore::open(&dir, true).unwrap());
+
+        // Resume: ask for a superset of the committed trials, and check
+        // only the genuinely missing indexes are recomputed.
+        let store = Mutex::new(RunStore::open(&dir, true).unwrap());
         let calls = AtomicUsize::new(0);
-        let rows = run_trials(&config, &sink, "E8", &cases(6), fingerprint, |i, _, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(Row { index: i })
-        })
+        let rows = run_trials(
+            &config,
+            Some(&store),
+            "E8",
+            &cases(6),
+            fingerprint,
+            |i, _, _| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok(Row { index: i })
+            },
+        )
         .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 2);
         assert_eq!(rows, (0..6).map(|index| Row { index }).collect::<Vec<_>>());
-        let stats = sink.stats();
-        assert_eq!(stats["E8"].replayed, 4);
-        assert_eq!(stats["E8"].computed, 2);
+        assert_eq!(
+            lock(&store).count_lines(),
+            ["run store[E8]: replayed 4, computed 2"]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -456,22 +469,28 @@ mod tests {
     fn oracle_failures_never_commit() {
         let dir = temp_dir("oracle");
         let config = serial();
-        let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        let result = run_trials(&config, &sink, "E8", &cases(3), fingerprint, |i, _, _| {
-            if i == 1 {
-                Err("oracle violated".into())
-            } else {
-                Ok(Row { index: i })
-            }
-        });
+        let store = Mutex::new(RunStore::open(&dir, false).unwrap());
+        let result = run_trials(
+            &config,
+            Some(&store),
+            "E8",
+            &cases(3),
+            fingerprint,
+            |i, _, _| {
+                if i == 1 {
+                    Err("oracle violated".into())
+                } else {
+                    Ok(Row { index: i })
+                }
+            },
+        );
         assert!(result.is_err());
-        let store = sink.into_store();
         // The failing trial reached no journal; trial 0 may have committed
         // before the failure, trial 2's fate depends on executor order, but
         // index 1 must be absent.
         let engine = engine_fingerprint(&config);
         let bad_key = trial_key("E8", "probe(i=1)", config.seed, &engine);
-        assert!(store.replay(bad_key).is_none());
+        assert_eq!(lock(&store).replay(bad_key, |_| Some(())), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -481,7 +500,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let result = run_trials(
             &config,
-            &NullSink,
+            None,
             "E8",
             &cases(1),
             fingerprint,
@@ -506,16 +525,23 @@ mod tests {
         let config = serial();
         let engine = engine_fingerprint(&config);
 
-        let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        let rows = run_trials(&config, &sink, "E8", &cases(3), fingerprint, |i, _, _| {
-            if i == 1 {
-                Err(Box::new(gossip_sim::SimError::DeadlineExceeded {
-                    ticks: 65_536,
-                }))
-            } else {
-                Ok(Row { index: i })
-            }
-        })
+        let store = Mutex::new(RunStore::open(&dir, false).unwrap());
+        let rows = run_trials(
+            &config,
+            Some(&store),
+            "E8",
+            &cases(3),
+            fingerprint,
+            |i, _, _| {
+                if i == 1 {
+                    Err(Box::new(gossip_sim::SimError::DeadlineExceeded {
+                        ticks: 65_536,
+                    }))
+                } else {
+                    Ok(Row { index: i })
+                }
+            },
+        )
         .unwrap();
         // The censored trial is dropped from the output; the sweep itself
         // succeeds.
@@ -523,9 +549,10 @@ mod tests {
 
         // Its journal slot holds the explicit marker, which no decoder
         // accepts.
-        let store = sink.into_store();
-        let marker = store
-            .replay(trial_key("E8", "probe(i=1)", config.seed, &engine))
+        let marker = lock(&store)
+            .replay(trial_key("E8", "probe(i=1)", config.seed, &engine), |row| {
+                Some(row.clone())
+            })
             .unwrap();
         match &marker {
             Value::Object(fields) => {
@@ -538,22 +565,29 @@ mod tests {
             }
             other => panic!("expected censored marker, got {other:?}"),
         }
-        assert_eq!(Row::from_value(marker), None);
+        assert_eq!(Row::from_value(&marker), None);
         drop(store);
 
         // A resume replays the two real rows and recomputes only the
         // censored trial — this time without a deadline in the way.
-        let sink = StoreSink::new(RunStore::open(&dir, true).unwrap());
+        let store = Mutex::new(RunStore::open(&dir, true).unwrap());
         let calls = AtomicUsize::new(0);
-        let rows = run_trials(&config, &sink, "E8", &cases(3), fingerprint, |i, _, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(Row { index: i })
-        })
+        let rows = run_trials(
+            &config,
+            Some(&store),
+            "E8",
+            &cases(3),
+            fingerprint,
+            |i, _, _| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok(Row { index: i })
+            },
+        )
         .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(rows, (0..3).map(|index| Row { index }).collect::<Vec<_>>());
         assert_eq!(
-            sink.summary_lines(),
+            lock(&store).count_lines(),
             ["run store[E8]: replayed 2, computed 1"]
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -589,11 +623,11 @@ mod tests {
         }
         drop(store);
 
-        let sink = StoreSink::new(RunStore::open(&dir, true).unwrap());
+        let store = Mutex::new(RunStore::open(&dir, true).unwrap());
         let calls = AtomicUsize::new(0);
         let rows = run_trials(
             &config,
-            &sink,
+            Some(&store),
             "E8",
             &cases(bad_rows.len()),
             fingerprint,
@@ -611,7 +645,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(
-            sink.summary_lines(),
+            lock(&store).count_lines(),
             ["run store[E8]: replayed 0, computed 5"]
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -23,13 +23,9 @@
 //!   corrupted **final** record is detected and dropped; corruption
 //!   anywhere earlier is an error); a torn checkpoint falls back to the
 //!   previous one or a cold start.
-//! * [`store`] — [`RunStore`] (per-tier logs + the live committed trials)
-//!   and the [`TrialSink`] abstraction every tier writes through
-//!   ([`NullSink`] for store-less runs, [`StoreSink`] for journal-backed
-//!   runs).
+//! * [`store`] — [`RunStore`]: per-tier logs, the live committed trials,
+//!   this run's replay/compute counts and the summary lines rendering them.
 //! * [`value`] — field accessors for decoding journaled rows.
-//! * [`views`] — in-memory analysis views grouping committed trials per
-//!   tier and family.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,13 +34,11 @@ pub mod hash;
 pub mod log;
 pub mod store;
 pub mod value;
-pub mod views;
 
 pub use hash::{trial_key, TrialKey};
 pub use log::{CheckpointRecord, TrialRecord};
-pub use store::{NullSink, RunStore, SinkStats, StoreSink, TrialSink};
+pub use store::RunStore;
 pub use value::ValueExt;
-pub use views::{FamilyView, StoreSummary, TierView};
 
 use std::fmt;
 use std::path::Path;

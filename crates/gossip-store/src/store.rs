@@ -1,74 +1,24 @@
-//! The run store: per-tier journals and checkpoint logs plus the live
-//! committed trials, and the [`TrialSink`] abstraction every bench tier
-//! writes through.
+//! The run store: per-tier journals and checkpoint logs, the live
+//! committed trials, and this run's per-tier replay/compute counts.
 //!
-//! A tier never touches files itself.  It asks its sink to
-//! [`TrialSink::replay`] a trial key — getting the journaled row back if
-//! that exact trial (same tier, scenario fingerprint, seed, and engine
-//! config) already committed — reports each row it decoded through
-//! [`TrialSink::count_replay`], and calls [`TrialSink::commit`] with each
-//! freshly computed row *after its oracles passed*.  [`NullSink`] makes
-//! these a no-op so store-less runs take the identical code path;
-//! [`StoreSink`] backs them with a [`RunStore`] and counts
-//! replayed/computed trials per tier for the run summary.
+//! A tier never touches files itself.  The harness shares one store between
+//! its executor workers as an `Option<&Mutex<RunStore>>` (`None` for a
+//! store-less run).  It asks [`RunStore::replay`] to decode the journaled
+//! row of a trial key — served only if that exact trial (same tier,
+//! scenario fingerprint, seed, and engine config) already committed — and
+//! calls [`RunStore::commit`] with each freshly computed row *after its
+//! oracles passed*.  The store counts both per tier and renders the counts
+//! ([`RunStore::count_lines`]) and its committed trials
+//! ([`RunStore::summary_lines`]) as the run's summary.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use serde::json::Value;
 
 use crate::hash::TrialKey;
 use crate::log::{self, CheckpointRecord, Log, TrialRecord};
 use crate::{Result, StoreError};
-
-/// Where bench tiers send computed trials and ask for replays.
-///
-/// `Sync` because commits happen inside the parallel executor's worker
-/// closures, as trials complete — durability is incremental, not batched
-/// at the end of a sweep.
-pub trait TrialSink: Sync {
-    /// Returns the committed row of `key`, if this exact trial already
-    /// committed.  The row counts as replayed only once its caller decoded
-    /// it and called [`Self::count_replay`]: a row that fails to decode is
-    /// recomputed and counts as computed.
-    fn replay(&self, key: TrialKey) -> Option<Value>;
-
-    /// Counts one trial of tier `experiment` (its CLI token) as served from
-    /// the journal.  Store-less sinks count nothing.
-    fn count_replay(&self, _experiment: &str) {}
-
-    /// Durably commits one freshly computed trial.  Callers only invoke
-    /// this after the trial's oracles passed — a failed oracle is an error
-    /// on the compute path, so nothing reaches the journal.
-    fn commit(&self, record: TrialRecord) -> Result<()>;
-
-    /// Returns the newest committed mid-run checkpoint of `key`, as
-    /// `(tick, blob)`, if one survived.  Store-less sinks have none.
-    fn latest_checkpoint(&self, _key: TrialKey) -> Option<(u64, Value)> {
-        None
-    }
-
-    /// Durably commits one mid-run checkpoint.  Store-less sinks discard
-    /// it — checkpoints are an optimization, never load-bearing state.
-    fn commit_checkpoint(&self, _record: CheckpointRecord) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// Sink for store-less runs: replays nothing, commits nowhere.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TrialSink for NullSink {
-    fn replay(&self, _key: TrialKey) -> Option<Value> {
-        None
-    }
-
-    fn commit(&self, _record: TrialRecord) -> Result<()> {
-        Ok(())
-    }
-}
 
 /// The journal-backed run store: one JSONL journal per tier under the
 /// store directory (`<dir>/<token lowercase>.jsonl`), plus an in-memory
@@ -81,6 +31,9 @@ pub struct RunStore {
     /// commit of the same key shadows the earlier one (journals are
     /// append-only, so re-runs shadow instead of edit).
     records: BTreeMap<TrialKey, TrialRecord>,
+    /// This run's `(replayed, computed)` trial counts per tier, keyed by CLI
+    /// token.
+    counts: BTreeMap<String, (usize, usize)>,
     /// Per-tier journal append handles, keyed by CLI token.
     journals: BTreeMap<String, Log<TrialRecord>>,
     /// Newest surviving mid-run checkpoint per trial key (pruned when the
@@ -110,6 +63,7 @@ impl RunStore {
             dir: dir.to_path_buf(),
             resume,
             records: BTreeMap::new(),
+            counts: BTreeMap::new(),
             journals: BTreeMap::new(),
             checkpoints: BTreeMap::new(),
             checkpoint_logs: BTreeMap::new(),
@@ -181,10 +135,19 @@ impl RunStore {
             .join(format!("{}.ckpt.jsonl", experiment.to_lowercase()))
     }
 
-    /// Returns the committed row of `key`, if present.
-    #[must_use]
-    pub fn replay(&self, key: TrialKey) -> Option<&Value> {
-        self.records.get(&key).map(|record| &record.row)
+    /// Decodes the committed row of `key` with `decode`, if this exact trial
+    /// committed.  A row `decode` accepts counts as replayed for its tier;
+    /// one it rejects counts nothing, so its caller recomputes the trial and
+    /// the new commit counts as computed.
+    pub fn replay<T>(
+        &mut self,
+        key: TrialKey,
+        decode: impl FnOnce(&Value) -> Option<T>,
+    ) -> Option<T> {
+        let record = self.records.get(&key)?;
+        let row = decode(&record.row)?;
+        self.counts.entry(record.experiment.clone()).or_default().0 += 1;
+        Some(row)
     }
 
     /// In fresh (non-resume) mode, the first write of a tier — trial or
@@ -206,17 +169,18 @@ impl RunStore {
     }
 
     /// Commits one trial: appends it to the tier's journal (resetting the
-    /// tier's files first in fresh mode) and makes it the key's live
-    /// record.  Any surviving mid-run checkpoint of the trial is dropped —
-    /// a committed trial replays, never restores.
+    /// tier's files first in fresh mode), makes it the key's live record and
+    /// counts it as computed.  Any surviving mid-run checkpoint of the trial
+    /// is dropped — a committed trial replays, never restores.
     pub fn commit(&mut self, record: TrialRecord) -> Result<()> {
         let token = record.experiment.clone();
         self.reset_tier_files(&token)?;
         let path = self.journal_path(&token);
         self.journals
-            .entry(token)
+            .entry(token.clone())
             .or_insert_with(|| Log::new(path))
             .append(&record)?;
+        self.counts.entry(token).or_default().1 += 1;
         self.checkpoints.remove(&record.key);
         self.records.insert(record.key, record);
         Ok(())
@@ -244,16 +208,11 @@ impl RunStore {
         self.checkpoints.get(&key)
     }
 
-    /// Every *live* committed record — one per trial key, later commits
-    /// shadowing earlier ones — in key order.
-    pub fn live_records(&self) -> impl Iterator<Item = &TrialRecord> {
-        self.records.values()
-    }
-
     /// Number of live committed trials of one tier.
     #[must_use]
     pub fn committed_count(&self, experiment: &str) -> usize {
-        self.live_records()
+        self.records
+            .values()
             .filter(|r| r.experiment == experiment)
             .count()
     }
@@ -263,109 +222,62 @@ impl RunStore {
     pub fn notes(&self) -> &[String] {
         &self.notes
     }
-}
 
-/// Per-tier replay/compute accounting of one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SinkStats {
-    /// Trials served from the journal without recomputation.
-    pub replayed: usize,
-    /// Trials computed and freshly committed this run.
-    pub computed: usize,
-}
-
-/// A [`TrialSink`] backed by a [`RunStore`].
-///
-/// Interior mutability (a mutex around the store and one around the stats)
-/// lets executor worker closures share one sink by reference; contention is
-/// negligible because trials spend their time simulating, not committing.
-#[derive(Debug)]
-pub struct StoreSink {
-    store: Mutex<RunStore>,
-    stats: Mutex<BTreeMap<String, SinkStats>>,
-}
-
-impl StoreSink {
-    /// Wraps a store.
-    #[must_use]
-    pub fn new(store: RunStore) -> Self {
-        StoreSink {
-            store: Mutex::new(store),
-            stats: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Unwraps the store (e.g. to build analysis views after the run).
-    #[must_use]
-    pub fn into_store(self) -> RunStore {
-        self.store.into_inner().expect("store mutex poisoned")
-    }
-
-    /// Snapshot of the per-tier accounting.
-    #[must_use]
-    pub fn stats(&self) -> BTreeMap<String, SinkStats> {
-        self.stats.lock().expect("stats mutex poisoned").clone()
-    }
-
-    /// One summary line per tier that replayed or computed anything, e.g.
+    /// One line per tier that replayed or computed a trial this run, e.g.
     /// `run store[SIM_SCALE]: replayed 3, computed 5` — the line the CI
     /// interrupt-and-resume gate greps for.
     #[must_use]
-    pub fn summary_lines(&self) -> Vec<String> {
-        self.stats()
+    pub fn count_lines(&self) -> Vec<String> {
+        self.counts
             .iter()
-            .map(|(token, s)| {
-                format!(
-                    "run store[{token}]: replayed {}, computed {}",
-                    s.replayed, s.computed
-                )
+            .map(|(token, (replayed, computed))| {
+                format!("run store[{token}]: replayed {replayed}, computed {computed}")
             })
             .collect()
     }
-}
 
-impl TrialSink for StoreSink {
-    fn replay(&self, key: TrialKey) -> Option<Value> {
-        let store = self.store.lock().expect("store mutex poisoned");
-        store.replay(key).cloned()
-    }
-
-    fn count_replay(&self, experiment: &str) {
-        self.stats
-            .lock()
-            .expect("stats mutex poisoned")
-            .entry(experiment.to_string())
-            .or_default()
-            .replayed += 1;
-    }
-
-    fn commit(&self, record: TrialRecord) -> Result<()> {
-        let token = record.experiment.clone();
-        self.store
-            .lock()
-            .expect("store mutex poisoned")
-            .commit(record)?;
-        self.stats
-            .lock()
-            .expect("stats mutex poisoned")
-            .entry(token)
-            .or_default()
-            .computed += 1;
-        Ok(())
-    }
-
-    fn latest_checkpoint(&self, key: TrialKey) -> Option<(u64, Value)> {
-        let store = self.store.lock().expect("store mutex poisoned");
-        store
-            .latest_checkpoint(key)
-            .map(|record| (record.tick, record.blob.clone()))
-    }
-
-    fn commit_checkpoint(&self, record: CheckpointRecord) -> Result<()> {
-        self.store
-            .lock()
-            .expect("store mutex poisoned")
-            .commit_checkpoint(record)
+    /// The live committed trials grouped per tier and, within a tier, per
+    /// scenario family — the fingerprint before its `(`, so
+    /// `chordring(n=1000)` and `chordring(n=4000)` land in one `chordring`
+    /// family — as the `--store-summary` listing, e.g.
+    ///
+    /// ```text
+    /// SIM_SCALE: 8 trials
+    ///   chordring: 2 trials over 2 fingerprints, seeds [42]
+    /// ```
+    #[must_use]
+    pub fn summary_lines(&self) -> Vec<String> {
+        let mut tiers: BTreeMap<&str, BTreeMap<&str, Vec<&TrialRecord>>> = BTreeMap::new();
+        for record in self.records.values() {
+            let family = record.fingerprint.split('(').next().unwrap_or_default();
+            tiers
+                .entry(&record.experiment)
+                .or_default()
+                .entry(family)
+                .or_default()
+                .push(record);
+        }
+        if tiers.is_empty() {
+            return vec!["store is empty".to_string()];
+        }
+        let mut lines = Vec::new();
+        for (tier, families) in tiers {
+            let trials: usize = families.values().map(Vec::len).sum();
+            lines.push(format!("{tier}: {trials} trials"));
+            for (family, records) in families {
+                let fingerprints: BTreeSet<&str> =
+                    records.iter().map(|r| r.fingerprint.as_str()).collect();
+                let seeds: BTreeSet<u64> = records.iter().map(|r| r.seed).collect();
+                let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
+                lines.push(format!(
+                    "  {family}: {} trials over {} fingerprints, seeds [{}]",
+                    records.len(),
+                    fingerprints.len(),
+                    seeds.join(", ")
+                ));
+            }
+        }
+        lines
     }
 }
 
@@ -379,6 +291,11 @@ mod tests {
         path.push(format!("gossip-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         path
+    }
+
+    /// The committed row of `key`, accepted as it is.
+    fn row(store: &mut RunStore, key: TrialKey) -> Option<Value> {
+        store.replay(key, |row| Some(row.clone()))
     }
 
     fn record(experiment: &str, fingerprint: &str, seed: u64, rounds: f64) -> TrialRecord {
@@ -402,17 +319,15 @@ mod tests {
             .unwrap();
         drop(store);
 
-        let store = RunStore::open(&dir, true).unwrap();
-        assert_eq!(store.replay(rec.key), Some(&rec.row));
+        let mut store = RunStore::open(&dir, true).unwrap();
+        assert_eq!(row(&mut store, rec.key), Some(rec.row));
         assert_eq!(store.committed_count("SIM_SCALE"), 1);
         assert_eq!(store.committed_count("SCALE"), 1);
         assert_eq!(
-            store.replay(trial_key(
-                "SIM_SCALE",
-                "chordring(n=1000)",
-                43,
-                "quick;engine=legacy"
-            )),
+            row(
+                &mut store,
+                trial_key("SIM_SCALE", "chordring(n=1000)", 43, "quick;engine=legacy")
+            ),
             None,
             "a different seed is a different trial"
         );
@@ -439,15 +354,13 @@ mod tests {
             .unwrap();
         drop(store);
 
-        let store = RunStore::open(&dir, true).unwrap();
+        let mut store = RunStore::open(&dir, true).unwrap();
         assert_eq!(store.committed_count("SIM_SCALE"), 1);
         assert_eq!(
-            store.replay(trial_key(
-                "SIM_SCALE",
-                "chordring(n=1000)",
-                1,
-                "quick;engine=legacy"
-            )),
+            row(
+                &mut store,
+                trial_key("SIM_SCALE", "chordring(n=1000)", 1, "quick;engine=legacy")
+            ),
             None,
             "the old SIM_SCALE trial was reset away"
         );
@@ -463,50 +376,84 @@ mod tests {
         let second = record("SIM_SCALE", "chordring(n=1000)", 7, 12.0);
         store.commit(first).unwrap();
         store.commit(second.clone()).unwrap();
-        assert_eq!(store.replay(second.key), Some(&second.row));
-        assert_eq!(store.live_records().count(), 1);
+        assert_eq!(row(&mut store, second.key), Some(second.row.clone()));
+        assert_eq!(store.committed_count("SIM_SCALE"), 1);
         drop(store);
-        let store = RunStore::open(&dir, true).unwrap();
-        assert_eq!(store.replay(second.key), Some(&second.row));
+        let mut store = RunStore::open(&dir, true).unwrap();
+        assert_eq!(row(&mut store, second.key), Some(second.row));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn store_sink_counts_replays_and_commits() {
-        let dir = temp_dir("sink");
-        let store = RunStore::open(&dir, false).unwrap();
-        let sink = StoreSink::new(store);
+    fn counts_decoded_replays_and_commits_per_tier() {
+        let dir = temp_dir("counts");
+        let mut store = RunStore::open(&dir, false).unwrap();
+        assert!(store.count_lines().is_empty());
         let rec = record("SIM_SCALE", "chordring(n=1000)", 3, 8.0);
-        assert_eq!(sink.replay(rec.key), None);
-        sink.commit(rec.clone()).unwrap();
-        assert_eq!(sink.replay(rec.key), Some(rec.row.clone()));
-        assert_eq!(sink.stats()["SIM_SCALE"].replayed, 0, "not decoded yet");
-        sink.count_replay("SIM_SCALE");
-        let stats = sink.stats();
+        assert_eq!(row(&mut store, rec.key), None, "nothing committed yet");
+        store.commit(rec.clone()).unwrap();
+        store
+            .commit(record("SCALE", "dumbbell(half=500)", 3, 5.0))
+            .unwrap();
+        // A row the decoder rejects is served but not counted.
+        assert_eq!(store.replay(rec.key, |_| None::<()>), None);
         assert_eq!(
-            stats.get("SIM_SCALE"),
-            Some(&SinkStats {
-                replayed: 1,
-                computed: 1
-            })
+            store.count_lines(),
+            [
+                "run store[SCALE]: replayed 0, computed 1",
+                "run store[SIM_SCALE]: replayed 0, computed 1",
+            ]
         );
+        assert_eq!(row(&mut store, rec.key), Some(rec.row.clone()));
         assert_eq!(
-            sink.summary_lines(),
-            vec!["run store[SIM_SCALE]: replayed 1, computed 1".to_string()]
+            store.count_lines(),
+            [
+                "run store[SCALE]: replayed 0, computed 1",
+                "run store[SIM_SCALE]: replayed 1, computed 1",
+            ]
+        );
+        drop(store);
+
+        // The counts are this run's: a resumed store starts from none.
+        let mut store = RunStore::open(&dir, true).unwrap();
+        assert!(store.count_lines().is_empty());
+        assert_eq!(row(&mut store, rec.key), Some(rec.row));
+        assert_eq!(
+            store.count_lines(),
+            ["run store[SIM_SCALE]: replayed 1, computed 0"]
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn null_sink_is_inert() {
-        let sink = NullSink;
-        let rec = record("SIM_SCALE", "chordring(n=1000)", 3, 8.0);
-        assert_eq!(sink.replay(rec.key), None);
-        sink.commit(rec.clone()).unwrap();
-        assert_eq!(sink.replay(rec.key), None);
-        assert_eq!(sink.latest_checkpoint(rec.key), None);
-        sink.commit_checkpoint(checkpoint(rec.key, 512)).unwrap();
-        assert_eq!(sink.latest_checkpoint(rec.key), None);
+    fn summary_groups_live_trials_per_tier_and_family() {
+        let dir = temp_dir("summary");
+        let mut store = RunStore::open(&dir, false).unwrap();
+        assert_eq!(store.summary_lines(), ["store is empty"]);
+        for (experiment, fingerprint, seed) in [
+            ("SIM_SCALE", "chordring(n=1000)", 42),
+            ("SIM_SCALE", "chordring(n=4000)", 42),
+            ("SIM_SCALE", "grid(rows=10,cols=100)", 42),
+            ("SIM_SCALE", "chordring(n=1000)", 7),
+            ("SCALE", "bare", 7),
+            // A shadowed duplicate counts once.
+            ("SIM_SCALE", "chordring(n=1000)", 42),
+        ] {
+            store
+                .commit(record(experiment, fingerprint, seed, 1.0))
+                .unwrap();
+        }
+        assert_eq!(
+            store.summary_lines(),
+            [
+                "SCALE: 1 trials",
+                "  bare: 1 trials over 1 fingerprints, seeds [7]",
+                "SIM_SCALE: 4 trials",
+                "  chordring: 3 trials over 2 fingerprints, seeds [7, 42]",
+                "  grid: 1 trials over 1 fingerprints, seeds [42]",
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn checkpoint(key: TrialKey, tick: u64) -> CheckpointRecord {
@@ -530,17 +477,19 @@ mod tests {
         // A resumed store serves the newest checkpoint of the unfinished
         // trial, and its `.ckpt.jsonl` file never pollutes the trial index.
         let mut store = RunStore::open(&dir, true).unwrap();
-        assert_eq!(store.replay(rec.key), None);
-        assert_eq!(store.latest_checkpoint(rec.key).map(|c| c.tick), Some(1024));
+        assert_eq!(row(&mut store, rec.key), None);
+        let latest = store.latest_checkpoint(rec.key).unwrap();
+        assert_eq!(latest.tick, 1024);
+        assert_eq!(latest.blob, checkpoint(rec.key, 1024).blob);
         assert_eq!(store.committed_count("MEM_SCALE"), 0);
 
         // Committing the trial retires its checkpoints.
         store.commit(rec.clone()).unwrap();
         assert_eq!(store.latest_checkpoint(rec.key), None);
         drop(store);
-        let store = RunStore::open(&dir, true).unwrap();
+        let mut store = RunStore::open(&dir, true).unwrap();
         assert_eq!(store.latest_checkpoint(rec.key), None);
-        assert_eq!(store.replay(rec.key), Some(&rec.row));
+        assert_eq!(row(&mut store, rec.key), Some(rec.row));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -596,19 +545,6 @@ mod tests {
         let store = RunStore::open(&dir, true).unwrap();
         assert_eq!(store.latest_checkpoint(rec.key), None);
         assert_eq!(store.committed_count("MEM_SCALE"), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn store_sink_round_trips_checkpoints() {
-        let dir = temp_dir("ckpt-sink");
-        let sink = StoreSink::new(RunStore::open(&dir, false).unwrap());
-        let rec = record("MEM_SCALE", "chordring(n=1000)", 42, 17.0);
-        assert_eq!(sink.latest_checkpoint(rec.key), None);
-        sink.commit_checkpoint(checkpoint(rec.key, 512)).unwrap();
-        let (tick, blob) = sink.latest_checkpoint(rec.key).unwrap();
-        assert_eq!(tick, 512);
-        assert_eq!(blob, checkpoint(rec.key, 512).blob);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -73,8 +73,8 @@ fn perf_report_is_byte_identical_across_job_counts() {
             jobs: Some(jobs),
             ..HarnessConfig::quick()
         };
-        let (report, _) = runner::run_perf_sized(&config, &gossip_store::NullSink, 256, 96, 4)
-            .expect("perf tier runs");
+        let (report, _) =
+            runner::run_perf_sized(&config, None, 256, 96, 4).expect("perf tier runs");
         report
     };
     let serial = report_at(1);
@@ -159,8 +159,7 @@ fn sim_scale_rows_are_byte_identical_across_job_counts() {
             jobs: Some(jobs),
             ..HarnessConfig::quick()
         };
-        runner::sim_scale_rows(&config, &gossip_store::NullSink, &suite)
-            .expect("sim-scale rows run")
+        runner::sim_scale_rows(&config, None, &suite).expect("sim-scale rows run")
     };
     let serial = rows_at(1);
     let parallel = rows_at(4);
@@ -192,9 +191,7 @@ fn deterministic_bench_table_renders_identically_across_job_counts() {
             jobs: Some(jobs),
             ..HarnessConfig::quick()
         };
-        runner::run_e9(&config, &gossip_store::NullSink)
-            .expect("E9 runs")
-            .to_string()
+        runner::run_e9(&config, None).expect("E9 runs").to_string()
     };
     assert_eq!(table_at(1), table_at(4));
 }

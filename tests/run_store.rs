@@ -5,7 +5,7 @@
 //! only the missing trials are recomputed, and a crash that damages the
 //! final journal line is detected, dropped, and recovered from.  This suite
 //! pins those promises on the real SIM_SCALE tier machinery
-//! (`runner::run_sim_scale` through a `StoreSink`), not on store unit
+//! (`runner::run_sim_scale` against a `RunStore`), not on store unit
 //! fixtures — the same path the `experiments` binary's `--store-dir
 //! --resume` flags exercise and the CI interrupt-and-resume gate drives
 //! end to end.
@@ -20,8 +20,9 @@ use gossip_bench::runner::{
     PerfEstimatorRow, PerfThroughputRow, RobustnessRow, ScaleRow, SimScaleReport, SimScaleRow,
 };
 use gossip_bench::trial::{engine_fingerprint, FromValue};
-use gossip_store::{RunStore, StoreSink};
+use gossip_store::RunStore;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 fn temp_store(tag: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
@@ -40,14 +41,20 @@ fn config(seed: u64) -> HarnessConfig {
     }
 }
 
-/// Runs the SIM_SCALE tier through a store sink rooted at `dir`, returning
-/// the report and the per-tier (replayed, computed) counts.
-fn run_sim_scale_with_store(dir: &Path, seed: u64, resume: bool) -> (SimScaleReport, usize, usize) {
-    let sink = StoreSink::new(RunStore::open(dir, resume).expect("store opens"));
-    let (report, _table) = runner::run_sim_scale(&config(seed), &sink).expect("tier runs");
-    let stats = sink.stats();
-    let tier = stats.get("SIM_SCALE").copied().unwrap_or_default();
-    (report, tier.replayed, tier.computed)
+/// Runs the SIM_SCALE tier against a store rooted at `dir`, returning the
+/// report and the run's store count lines.
+fn run_sim_scale_with_store(dir: &Path, seed: u64, resume: bool) -> (SimScaleReport, Vec<String>) {
+    let store = Mutex::new(RunStore::open(dir, resume).expect("store opens"));
+    let (report, _table) = runner::run_sim_scale(&config(seed), Some(&store)).expect("tier runs");
+    (report, store.into_inner().unwrap().count_lines())
+}
+
+/// The store's count line of a SIM_SCALE run that replayed `replayed`
+/// trials and computed `computed`.
+fn counts(replayed: usize, computed: usize) -> Vec<String> {
+    vec![format!(
+        "run store[SIM_SCALE]: replayed {replayed}, computed {computed}"
+    )]
 }
 
 fn journal_path(dir: &Path) -> PathBuf {
@@ -84,10 +91,9 @@ fn pretty(report: &SimScaleReport) -> String {
 #[test]
 fn fresh_run_journals_every_trial_and_full_resume_replays_byte_identically() {
     let dir = temp_store("full-replay");
-    let (reference, replayed, computed) =
-        run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
-    assert_eq!(replayed, 0, "a fresh store has nothing to replay");
-    assert_eq!(computed, reference.rows.len());
+    let (reference, lines) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
+    // A fresh store has nothing to replay.
+    assert_eq!(lines, counts(0, reference.rows.len()));
     assert_eq!(
         journal_lines(&dir).len(),
         reference.rows.len(),
@@ -97,10 +103,8 @@ fn fresh_run_journals_every_trial_and_full_resume_replays_byte_identically() {
     // Resume over a complete journal: every trial replays, nothing is
     // recomputed, and the report — wall-clock fields included, since they
     // replay as committed — is byte-identical.
-    let (resumed, replayed, computed) =
-        run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, true);
-    assert_eq!(replayed, reference.rows.len());
-    assert_eq!(computed, 0);
+    let (resumed, lines) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, true);
+    assert_eq!(lines, counts(reference.rows.len(), 0));
     assert_eq!(pretty(&resumed), pretty(&reference));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -108,7 +112,7 @@ fn fresh_run_journals_every_trial_and_full_resume_replays_byte_identically() {
 #[test]
 fn crash_tail_is_dropped_and_resume_recomputes_only_the_missing_trials() {
     let dir = temp_store("crash-resume");
-    let (reference, _, _) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
+    let (reference, _) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
     let total = reference.rows.len();
     assert!(total >= 3, "the suite needs at least 3 trials to interrupt");
 
@@ -134,10 +138,8 @@ fn crash_tail_is_dropped_and_resume_recomputes_only_the_missing_trials() {
 
     // Resuming the sweep replays the two surviving trials and recomputes
     // exactly the rest; the journal is whole again afterwards.
-    let (resumed, replayed, computed) =
-        run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, true);
-    assert_eq!(replayed, 2);
-    assert_eq!(computed, total - 2);
+    let (resumed, lines) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, true);
+    assert_eq!(lines, counts(2, total - 2));
     assert_eq!(journal_lines(&dir).len(), total);
 
     // Replayed rows are bit-identical to the original run (wall clock and
@@ -158,7 +160,7 @@ fn crash_tail_is_dropped_and_resume_recomputes_only_the_missing_trials() {
 #[test]
 fn corruption_before_the_final_record_fails_the_resume_load() {
     let dir = temp_store("hard-corrupt");
-    let (reference, _, _) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
+    let (reference, _) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
     assert!(reference.rows.len() >= 2);
 
     // Damage an *interior* record: that cannot be crash truncation, so the
@@ -180,14 +182,13 @@ fn corruption_before_the_final_record_fails_the_resume_load() {
 #[test]
 fn a_different_seed_replays_nothing() {
     let dir = temp_store("reseed");
-    let (reference, _, _) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
+    let (reference, _) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_SWEEP, false);
 
     // Same store, different base seed: every trial key changes, so the
     // resume computes the full sweep from scratch.
-    let (reseeded, replayed, computed) =
-        run_sim_scale_with_store(&dir, seeds::RUN_STORE_RESEED, true);
-    assert_eq!(replayed, 0, "a seed change must invalidate every trial key");
-    assert_eq!(computed, reseeded.rows.len());
+    let (reseeded, lines) = run_sim_scale_with_store(&dir, seeds::RUN_STORE_RESEED, true);
+    // A seed change must invalidate every trial key.
+    assert_eq!(lines, counts(0, reseeded.rows.len()));
     assert_eq!(reseeded.rows.len(), reference.rows.len());
     std::fs::remove_dir_all(&dir).unwrap();
 }
