@@ -8,7 +8,7 @@
 //!
 //! Scenario rows are independent seeded computations, so every tier fans
 //! them out over a [`gossip_exec::Executor`] ([`HarnessConfig::jobs`] wide,
-//! default `GOSSIP_JOBS` / available parallelism) with **ordered
+//! default: the available parallelism) with **ordered
 //! collection**: rows land in their input positions, so every table and
 //! JSON report is byte-identical to the serial order at any job count (only
 //! wall-clock columns, where present, vary).  `--jobs 1` reproduces the
@@ -58,8 +58,7 @@ pub struct HarnessConfig {
     /// Base seed; every experiment derives its own sub-seeds from it.
     pub seed: u64,
     /// Worker threads the tiers fan their scenario rows out over.  `None`
-    /// resolves `GOSSIP_JOBS`, then the available parallelism; `Some(1)`
-    /// forces the serial path.  Every setting produces byte-identical tables
+    /// means the available parallelism; `Some(1)` forces the serial path.  Every setting produces byte-identical tables
     /// and reports (wall-clock columns aside) — rows are collected in input
     /// order.
     pub jobs: Option<usize>,
@@ -1869,7 +1868,7 @@ schema! { row
     #[derive(Debug, Clone, PartialEq)]
     pub struct PerfJobTiming {
         /// Worker count of these passes (volatile: the top of the grid depends
-        /// on `--jobs` / `GOSSIP_JOBS` / the machine).
+        /// on `--jobs` / the machine).
         pub jobs: usize,
         /// Median wall-clock milliseconds of the full estimate over five
         /// passes (volatile).
@@ -1931,7 +1930,7 @@ schema! { report
         /// Harness seed.
         pub seed: u64,
         /// Resolved worker count of the parallel measurements (volatile: depends
-        /// on `--jobs` / `GOSSIP_JOBS` / the machine).
+        /// on `--jobs` / the machine).
         pub jobs: usize,
         /// One timed relaxation per scale family.
         pub throughput: Vec<PerfThroughputRow>,

@@ -29,8 +29,8 @@
 //! per-run seed — so the estimator fans them out over the scoped threads of
 //! a [`gossip_exec::Executor`].  Results are collected **in run order**,
 //! which makes the estimate byte-identical to the serial one at any job
-//! count; [`EstimatorConfig::jobs`] (or the `GOSSIP_JOBS` environment
-//! variable) sets the fan-out width.
+//! count; [`EstimatorConfig::jobs`] (default: the available parallelism)
+//! sets the fan-out width.
 
 use crate::{CoreError, Result};
 use gossip_exec::Executor;
@@ -61,10 +61,10 @@ pub struct EstimatorConfig {
     /// Which clock sampler to use.
     pub clock_model: ClockModel,
     /// Worker threads the independent runs fan out over.  `None` (the
-    /// default) resolves `GOSSIP_JOBS`, then the machine's available
-    /// parallelism; `Some(1)` forces the serial path.  Every setting
-    /// produces byte-identical estimates — runs are collected in run order —
-    /// so this knob only changes wall-clock time.
+    /// default) means the machine's available parallelism; `Some(1)`
+    /// forces the serial path.  Every setting produces byte-identical
+    /// estimates — runs are collected in run order — so this knob only
+    /// changes wall-clock time.
     pub jobs: Option<usize>,
 }
 
@@ -231,8 +231,8 @@ impl AveragingTimeEstimator {
     /// Estimates the averaging time from an explicit initial condition.
     ///
     /// The independent runs are distributed over an [`Executor`] whose
-    /// width is [`EstimatorConfig::jobs`] (default: `GOSSIP_JOBS`, then the
-    /// available parallelism).  Results are collected in run order, so the
+    /// width is [`EstimatorConfig::jobs`] (default: the available
+    /// parallelism).  Results are collected in run order, so the
     /// estimate — every settling time, the quantile, the censoring counts,
     /// and any propagated error — is byte-identical to the serial one.
     ///

@@ -38,8 +38,8 @@
 //!   loop would have produced, without paying for the rest of the workload.
 //!
 //! Job-count resolution follows the workspace convention: an explicit
-//! override (e.g. a `--jobs` flag) wins, then the `GOSSIP_JOBS` environment
-//! variable, then [`std::thread::available_parallelism`].
+//! override (e.g. a `--jobs` flag) wins, else
+//! [`std::thread::available_parallelism`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,59 +47,6 @@
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Name of the environment variable consulted by [`Executor::with_override`]
-/// when no explicit job count is given.
-pub const JOBS_ENV_VAR: &str = "GOSSIP_JOBS";
-
-/// Resolves the effective worker count from an optional explicit override.
-///
-/// Precedence: `explicit` (clamped to at least 1), then [`JOBS_ENV_VAR`],
-/// then [`std::thread::available_parallelism`] (1 if even that is
-/// unavailable).  A `GOSSIP_JOBS` that is set but invalid — `0`, negative,
-/// or non-numeric — resolves to 1 with a one-time diagnostic on stderr; it
-/// never panics and never silently falls through to a different job count.
-/// An empty value is treated as unset.
-pub fn resolve_jobs(explicit: Option<usize>) -> usize {
-    let env = std::env::var(JOBS_ENV_VAR).ok();
-    let (jobs, complaint) = resolve_jobs_from(explicit, env.as_deref());
-    if let Some(complaint) = complaint {
-        static LOGGED: std::sync::Once = std::sync::Once::new();
-        LOGGED.call_once(|| eprintln!("gossip-exec: {complaint}"));
-    }
-    jobs
-}
-
-/// Pure core of [`resolve_jobs`]: resolves a job count from the explicit
-/// override and the raw environment value, returning the count plus an
-/// optional diagnostic describing a rejected environment value.
-///
-/// Exposed (and tested) separately so the `GOSSIP_JOBS` edge cases — `0`,
-/// non-numeric, surrounding whitespace, empty — have pinned behavior
-/// without tests mutating process-global environment state.
-pub fn resolve_jobs_from(explicit: Option<usize>, env: Option<&str>) -> (usize, Option<String>) {
-    if let Some(jobs) = explicit {
-        return (jobs.max(1), None);
-    }
-    match env.map(str::trim) {
-        None | Some("") => (available_parallelism(), None),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(jobs) if jobs >= 1 => (jobs, None),
-            _ => (
-                1,
-                Some(format!(
-                    "{JOBS_ENV_VAR}={raw:?} is not a positive integer; running with 1 job"
-                )),
-            ),
-        },
-    }
-}
-
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Renders a caught panic payload as a human-readable message.
 ///
@@ -133,10 +80,13 @@ impl Executor {
         Executor { jobs: jobs.max(1) }
     }
 
-    /// Creates an executor from an optional explicit override (see
-    /// [`resolve_jobs`] for the precedence).
+    /// Creates an executor from an optional explicit override (clamped to
+    /// ≥ 1); `None` means [`std::thread::available_parallelism`], or 1 if
+    /// even that is unavailable.
     pub fn with_override(explicit: Option<usize>) -> Self {
-        Self::new(resolve_jobs(explicit))
+        Self::new(
+            explicit.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        )
     }
 
     /// The number of workers this executor fans out to.
@@ -271,35 +221,9 @@ mod tests {
     fn jobs_are_clamped_to_at_least_one() {
         assert_eq!(Executor::new(0).jobs(), 1);
         assert_eq!(Executor::new(3).jobs(), 3);
-        assert_eq!(resolve_jobs(Some(0)), 1);
-        assert_eq!(resolve_jobs(Some(7)), 7);
-        assert!(resolve_jobs(None) >= 1);
+        assert_eq!(Executor::with_override(Some(0)).jobs(), 1);
         assert_eq!(Executor::with_override(Some(5)).jobs(), 5);
-    }
-
-    #[test]
-    fn env_jobs_resolution_has_pinned_edge_cases() {
-        // Explicit override always wins, env untouched.
-        assert_eq!(resolve_jobs_from(Some(3), Some("0")), (3, None));
-        assert_eq!(resolve_jobs_from(Some(0), Some("8")), (1, None));
-        // Valid env values (with surrounding whitespace) are honored.
-        assert_eq!(resolve_jobs_from(None, Some("4")), (4, None));
-        assert_eq!(resolve_jobs_from(None, Some(" 2 ")), (2, None));
-        // Unset and empty fall through to available parallelism.
-        let (fallback, note) = resolve_jobs_from(None, None);
-        assert!(fallback >= 1);
-        assert!(note.is_none());
-        let (fallback, note) = resolve_jobs_from(None, Some("  "));
-        assert!(fallback >= 1);
-        assert!(note.is_none());
-        // Set-but-invalid values clamp to 1 *with a diagnostic* — never a
-        // panic, never a silent fall-through to a different width.
-        for bad in ["0", "-2", "abc", "1.5", "4x", "999999999999999999999999"] {
-            let (jobs, note) = resolve_jobs_from(None, Some(bad));
-            assert_eq!(jobs, 1, "GOSSIP_JOBS={bad:?}");
-            let note = note.expect("invalid value must produce a diagnostic");
-            assert!(note.contains(JOBS_ENV_VAR), "{note}");
-        }
+        assert!(Executor::with_override(None).jobs() >= 1);
     }
 
     #[test]
