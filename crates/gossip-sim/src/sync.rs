@@ -156,7 +156,15 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
     /// Returns [`SimError::EventBudgetExhausted`] when the round cap is
     /// reached without a stopping rule firing, and
     /// [`SimError::NonFiniteValue`] if the handler produces non-finite values.
+    /// Returns [`SimError::StateSizeMismatch`] when called again after a run
+    /// that returned `Ok`, whose outcome took the node values.
     pub fn run(&mut self) -> Result<SyncOutcome> {
+        if self.values.len() != self.graph.node_count() {
+            return Err(SimError::StateSizeMismatch {
+                nodes: self.graph.node_count(),
+                values: self.values.len(),
+            });
+        }
         let initial_status = SimulationStatus {
             time: 0.0,
             ticks: 0,
@@ -187,10 +195,10 @@ impl<'g, H: RoundHandler> SyncSimulator<'g, H> {
         }
     }
 
-    fn finish(&self, rounds: u64, reason: StopReason) -> SyncOutcome {
+    fn finish(&mut self, rounds: u64, reason: StopReason) -> SyncOutcome {
         SyncOutcome {
             final_variance: self.values.variance(),
-            final_values: self.values.clone(),
+            final_values: std::mem::replace(&mut self.values, NodeValues::constant(0, 0.0)),
             initial_variance: self.initial_variance,
             rounds,
             equivalent_time: rounds as f64,
@@ -307,6 +315,26 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(sim.run(), Err(SimError::NonFiniteValue { .. })));
+    }
+
+    #[test]
+    fn a_completed_run_moves_its_values_into_the_outcome() {
+        let g = path(3).unwrap();
+        let mut sim = SyncSimulator::new(
+            &g,
+            NodeValues::from_values(vec![1.0, 0.0, 0.0]).unwrap(),
+            Diffusion { step: 0.3 },
+            SyncConfig::new(),
+        )
+        .unwrap();
+        assert_eq!(sim.run().unwrap().final_values.len(), 3);
+        assert_eq!(
+            sim.run().unwrap_err(),
+            SimError::StateSizeMismatch {
+                nodes: 3,
+                values: 0
+            }
+        );
     }
 
     #[test]
