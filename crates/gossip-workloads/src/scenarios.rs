@@ -1,9 +1,10 @@
 //! Named sparse-cut scenarios.
 //!
 //! A [`Scenario`] is a declarative description of a graph family with a
-//! sparse cut; [`Scenario::instantiate`] materializes it (seeded, hence
-//! reproducible) into a [`ScenarioInstance`] carrying the graph, its
-//! canonical partition, and a human-readable name for experiment tables.
+//! sparse cut; [`Scenario::instantiate`] materializes it reproducibly (the
+//! random families from a seed) into a [`ScenarioInstance`] carrying the
+//! graph, its canonical partition, and a human-readable name for experiment
+//! tables.
 
 use crate::{Result, WorkloadError};
 use gossip_graph::generators;
@@ -89,6 +90,12 @@ pub enum Scenario {
 
 impl Scenario {
     /// Builds the graph and its canonical partition.
+    ///
+    /// Only [`Scenario::BridgedClusters`] and [`Scenario::TwoBlockSbm`] read
+    /// `seed`: they draw their random edges from it.  Every other family is
+    /// a fixed construction and builds the same graph at every seed, so a
+    /// caller's seed reaches only what the caller seeds itself (initial
+    /// values, clocks).  The instance records `seed` either way.
     ///
     /// # Errors
     ///
