@@ -41,7 +41,7 @@
 //! on load; the trial is simply recomputed.  Per-tier `replayed/computed`
 //! counts and the grouped store summary print to stderr after the run.
 //! `--store-summary` loads the store, prints the per-tier/per-family
-//! analysis view, and exits without running anything.
+//! summary, and exits without running anything.
 //!
 //! `--checkpoint-every-ticks <n>` turns on crash-consistent *mid-run*
 //! checkpoints for the MEM_SCALE tier's timed runs: every `n` ticks an

@@ -176,8 +176,8 @@ impl Scenario {
     /// fingerprint distinguishes any two scenarios that could instantiate
     /// different graphs, because it feeds the journal's trial key: two
     /// scenarios with equal fingerprints *must* be interchangeable.  The
-    /// text before the first `(` is the family grouping key used by the
-    /// store's analysis views.
+    /// text before the first `(` is the family grouping key of the store's
+    /// `--store-summary` listing.
     pub fn fingerprint(&self) -> String {
         match self {
             Scenario::Dumbbell { half } => format!("dumbbell(half={half})"),
